@@ -26,9 +26,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .agmon import AgmonProfile, action_S0, action_Sa, action_Shat
-from .numerics import log_integral_exp, log_bessel_i0, minimize_1d
+from .numerics import gauss_legendre, minimize_1d
+from .wkb import (c_h_asymptotic, log_outer_integrand, log_t_integrals,
+                  matching_constants)
 
 __all__ = [
     "PsiSurface",
@@ -222,11 +225,6 @@ class WChainResult:
                 math.exp(self.log_W4 - self.log_W3))
 
 
-def _log_gauss_sum(log_terms, weights):
-    m = np.max(log_terms)
-    return m + math.log(float(np.sum(weights * np.exp(log_terms - m))))
-
-
 def w_chain(config, h, eta, solution, outer, amplitude, profile,
             constants=None, n_gauss=300):
     """The truncated reduction chain W1..W4 of the hopping integral.
@@ -235,10 +233,9 @@ def w_chain(config, h, eta, solution, outer, amplitude, profile,
     [eta, inf); they differ in which ingredients are replaced by their
     asymptotic forms (u_h -> WKB profile, C_h -> C_h_asy, I0 -> its
     exponential asymptote, alpha -> its leading term).  W4 is assembled a
-    second time from (m, g0, Psi, F) as a consistency check.
+    second time from (m, g0, Psi, F) as a consistency check.  Every
+    t-integral is row-batched over the radial nodes (wkb.log_t_integrals).
     """
-    from .wkb import c_h_asymptotic, matching_constants
-
     well, L = config.well, config.L
     a = well.a
     if not 0.0 < eta < a:
@@ -250,61 +247,53 @@ def w_chain(config, h, eta, solution, outer, amplitude, profile,
     alpha_main = well.depth / (2.0 * h) \
         - 0.5 * (math.sqrt(1.0 + 2.0 * well.v0_second_deriv_at_0) - 1.0)
     log_ch_asy = c_h_asymptotic(well, h, constants=consts)
-    x, wts = np.polynomial.legendre.leggauss(n_gauss)
+    x, wts = gauss_legendre(n_gauss)
     r_nodes = eta + 0.5 * (a - eta) * (x + 1.0)
     r_wts = 0.5 * (a - eta) * wts
     v0_abs = np.abs(well.v0(r_nodes))
     log_base = np.log(r_nodes * np.maximum(v0_abs, 1e-320))
     y_lo = math.log(eta)
 
-    def t_integral(log_integrand):
-        return np.array([log_integral_exp(log_integrand(ri), y_lo, 15.0)
-                         for ri in r_nodes])
+    def t_integral(make_g):
+        return log_t_integrals(make_g, r_nodes, y_lo)
 
-    def g_exact(ri, al):
-        rho2, c = ri * ri + L * L, L * ri
+    def g_asy(al):
+        def make_g(r):
+            rho2, c = r * r + L * L, L * r
 
-        def g(y):
-            t = np.exp(y)
-            return (al * y - al * np.log1p(t) - rho2 * t / (2.0 * h)
-                    + log_bessel_i0(c * np.sqrt(t * (t + 1.0)) / h))
-        return g
-
-    def g_asy(ri, al):
-        rho2, c = ri * ri + L * L, L * ri
-
-        def g(y):
-            t = np.exp(y)
-            return (-rho2 * t / (2.0 * h) + c * np.sqrt(t * (t + 1.0)) / h
-                    - al * np.log1p(1.0 / t) + 0.5 * math.log(h)
-                    - 0.5 * math.log(2.0 * math.pi * c)
-                    - 1.25 * np.log(t) - 0.25 * np.log1p(t) + y)
-        return g
+            def g(y):
+                t = np.exp(y)
+                return (-rho2 * t / (2.0 * h) + c * np.sqrt(t * (t + 1.0)) / h
+                        - al * np.log1p(1.0 / t) + 0.5 * math.log(h)
+                        - 0.5 * np.log(2.0 * math.pi * c)
+                        - 1.25 * np.log(t) - 0.25 * np.log1p(t) + y)
+            return g
+        return make_g
 
     # W1: numeric u_h and calibrated C_h, exact Bessel kernel
-    lt = t_integral(lambda ri: g_exact(ri, alpha))
+    lt = t_integral(
+        lambda r: log_outer_integrand(h, alpha, r * r + L * L, L * r))
     log_u = solution.log_u(r_nodes)
-    log_W1 = math.log(2.0 * math.pi) + outer.log_C_h + _log_gauss_sum(
-        log_base + log_u - (r_nodes**2 + L * L) / (4.0 * h) + lt, r_wts)
-    # W2: WKB profile and C_h_asy, exact kernel
+    log_W1 = math.log(2.0 * math.pi) + outer.log_C_h + logsumexp(
+        log_base + log_u - (r_nodes**2 + L * L) / (4.0 * h) + lt, b=r_wts)
+    # W2..W4: WKB profile and C_h_asy
     log_wkb = amplitude.log_a0(r_nodes) - profile.d(r_nodes) / h
-    log_W2 = math.log(2.0 * math.pi) + log_ch_asy + _log_gauss_sum(
-        log_base + log_wkb - (r_nodes**2 + L * L) / (4.0 * h) + lt, r_wts)
-    # W3: asymptotic kernel with computed alpha
-    lt3 = t_integral(lambda ri: g_asy(ri, alpha))
-    log_W3 = math.log(2.0 * math.pi) + log_ch_asy + _log_gauss_sum(
-        log_base + log_wkb - (r_nodes**2 + L * L) / (4.0 * h) + lt3, r_wts)
-    # W4: asymptotic kernel with the leading-order alpha
-    lt4 = t_integral(lambda ri: g_asy(ri, alpha_main))
-    log_W4 = math.log(2.0 * math.pi) + log_ch_asy + _log_gauss_sum(
-        log_base + log_wkb - (r_nodes**2 + L * L) / (4.0 * h) + lt4, r_wts)
+    log_r_wkb = log_base + log_wkb - (r_nodes**2 + L * L) / (4.0 * h)
+
+    def log_w_wkb(log_t):
+        return math.log(2.0 * math.pi) + log_ch_asy + logsumexp(
+            log_r_wkb + log_t, b=r_wts)
+
+    log_W2 = log_w_wkb(lt)                             # exact kernel
+    log_W3 = log_w_wkb(t_integral(g_asy(alpha)))       # asymptotic kernel
+    log_W4 = log_w_wkb(t_integral(g_asy(alpha_main)))  # leading-order alpha
     # W4 rebuilt from (m, g0, Psi, F)
     surface = PsiSurface(profile)
 
-    def g4(ri):
+    def g4(r):
         def g(y):
             t = np.exp(y)
-            return (-(surface.psi(ri, t) - consts["F"]) / h
+            return (-(surface.psi(r, t) - consts["F"]) / h
                     + kernel_g0_log(t, well.v0_second_deriv_at_0) + y)
         return g
 
@@ -316,7 +305,7 @@ def w_chain(config, h, eta, solution, outer, amplitude, profile,
     log_W4_alt = (math.log(2.0 * math.pi)
                   + math.log(consts["m_matched"])
                   - 0.5 * math.log(2.0 * math.pi * h)
-                  + _log_gauss_sum(log_rw4 + lt4b, r_wts))
+                  + logsumexp(log_rw4 + lt4b, b=r_wts))
     return WChainResult(h, eta, log_W1, log_W2, log_W3, log_W4, log_W4_alt)
 
 

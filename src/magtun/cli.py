@@ -4,7 +4,7 @@ Subcommands: constants | spectrum | wkb | hopping | asymptotics | splitting
 | sweep | verify.  Output is CSV (17 significant digits, stable formatting)
 or JSON mirroring the same values.  Exit codes: 0 success, 1 assertion
 failure (verify), 2 configuration error.  MAGTUN_THREADS caps the BLAS
-thread pool.
+thread pool (applied when the magtun package is imported).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -20,14 +19,6 @@ import numpy as np
 from .potential import DoubleWellConfig, RadialWell, WellValidationError
 
 _FMT = "%.17g"
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("MAGTUN_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _emit(rows, header, fmt, output, comments=()):
@@ -137,13 +128,16 @@ def cmd_wkb(args):
     prof = AgmonProfile(well, L)
     amp = WkbAmplitude(well, L + well.a + 1.0)
     outer = calibrate_outer(well, args.h, sol, check_upto=L + 1.0)
+    rs = np.linspace(sol.grid[0], L + 1.0, args.points)
+    outside = rs >= well.a
+    log_outer = np.full(rs.shape, np.nan)   # the representation needs r >= a
+    log_outer[outside] = outer.log_u(rs[outside])
     rows = []
-    for r in np.linspace(sol.grid[0], L + 1.0, args.points):
+    for r, log_out in zip(rs, log_outer):
         u = math.exp(float(sol.log_u(r)))
         wkb = math.exp(float(amp.log_a0(r)) - float(prof.d(r)) / args.h) \
             / math.sqrt(args.h)
-        out = math.exp(outer.log_u(r)) if r >= well.a else float("nan")
-        rows.append((float(r), u, wkb, out))
+        rows.append((float(r), u, wkb, math.exp(log_out)))
     _emit(rows, ("r", "u_h", "wkb_prediction", "outer_prediction"),
           args.format, args.output)
     return 0
@@ -374,7 +368,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

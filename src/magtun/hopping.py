@@ -24,8 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
-from .numerics import AccuracyError, log_integral_exp, log_bessel_i0
+from .numerics import AccuracyError, gauss_legendre
+from .wkb import log_outer_integrand, log_t_integrals
 
 __all__ = [
     "hopping_direct",
@@ -40,7 +42,7 @@ __all__ = [
 
 
 def _gauss_nodes(a, n):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     return 0.5 * a * (x + 1.0), 0.5 * a * w
 
 
@@ -88,22 +90,14 @@ def hopping_bessel(config, h, outer, solution, n_gauss=200):
     a = well.a
     alpha = outer.alpha
     r_nodes, r_weights = _gauss_nodes(a, n_gauss)
-    total = 0.0
-    for ri, wi in zip(r_nodes, r_weights):
-        rho2 = ri * ri + L * L
-        c = L * ri
-
-        def g(y, rho2=rho2, c=c):
-            t = np.exp(y)
-            return (alpha * y - alpha * np.log1p(t) - rho2 * t / (2.0 * h)
-                    + log_bessel_i0(c * np.sqrt(t * (t + 1.0)) / h))
-
-        log_t_int = log_integral_exp(g, -700.0 / max(alpha, 0.25), 15.0)
-        log_mag = (outer.log_C_h - rho2 / (4.0 * h) + log_t_int
-                   + float(solution.log_u(ri)))
-        total += wi * ri * float(well.v0(np.array([ri]))[0]) \
-            * math.exp(log_mag)
-    return 2.0 * np.pi * total
+    rho2 = r_nodes * r_nodes + L * L
+    log_t_int = log_t_integrals(
+        lambda r: log_outer_integrand(h, alpha, r * r + L * L, L * r),
+        r_nodes, -700.0 / max(alpha, 0.25))
+    log_mag = (outer.log_C_h - rho2 / (4.0 * h) + log_t_int
+               + solution.log_u(r_nodes))
+    total = np.sum(r_weights * r_nodes * well.v0(r_nodes) * np.exp(log_mag))
+    return 2.0 * np.pi * float(total)
 
 
 @dataclass
@@ -124,20 +118,15 @@ def hopping_wkb_envelope(config, h, profile, amplitude, n_gauss=400):
     well, L = config.well, config.L
     a = well.a
     r_nodes, r_weights = _gauss_nodes(a, n_gauss)
-    v0_abs = np.abs(well.v0(r_nodes))
-    log_rw = np.log(r_nodes * r_weights * np.maximum(v0_abs, 1e-320))
-
-    def logsum(extra):
-        m = np.max(extra + log_rw)
-        return m + math.log(np.sum(np.exp(extra + log_rw - m)))
-
+    rw = r_nodes * r_weights * np.abs(well.v0(r_nodes))
     out = {}
     for sign, tag in ((-1.0, "plus"), (+1.0, "minus")):
         far = L + sign * r_nodes if sign > 0 else L - r_nodes
         log_exp = -(profile.d(r_nodes) + profile.d(far)) / h
-        out["w0_" + tag] = -math.log(h) + logsum(
-            log_exp + amplitude.log_a0(far) + amplitude.log_a0(r_nodes))
-        out["Mh_" + tag] = logsum(log_exp)
+        out["w0_" + tag] = -math.log(h) + float(logsumexp(
+            log_exp + amplitude.log_a0(far) + amplitude.log_a0(r_nodes),
+            b=rw))
+        out["Mh_" + tag] = float(logsumexp(log_exp, b=rw))
     return EnvelopeResult(out["w0_plus"], out["w0_minus"],
                           out["Mh_plus"], out["Mh_minus"], h)
 

@@ -2,19 +2,22 @@
 
 Adaptive quadrature (Gauss-Kronrod via QUADPACK, with the t -> s/(1-s) map
 for semi-infinite ranges), bracketed 1-D minimization with a global grid
-pre-scan, the modified Bessel function I0 in linear and log form, the lowest
-eigenpairs of symmetric tridiagonal matrices, and a log-stabilized evaluator
-for integrals of the form int exp(g).  Everything here is pure and reentrant.
+pre-scan, the modified Bessel function I0 in linear and log form (from
+scipy.special.i0 and the exponentially scaled i0e), cached Gauss-Legendre
+rules, the lowest eigenpairs of symmetric tridiagonal matrices, and a
+log-stabilized evaluator for integrals of the form int exp(g), batched over
+rows of integrands.  Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
-import warnings
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate as _si
+from scipy import special as _sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
@@ -26,11 +29,10 @@ __all__ = [
     "minimize_1d",
     "bessel_i0",
     "log_bessel_i0",
+    "gauss_legendre",
     "symm_tridiag_lowest",
     "log_integral_exp",
 ]
-
-_BESSEL_SWITCH = 20.0  # series below, log-asymptotics above
 
 
 class AccuracyError(RuntimeError):
@@ -80,24 +82,17 @@ def integrate(f, lo, hi, spec=None, return_error=False):
         fn, a, b = g, s0, 1.0
     else:
         fn, a, b = f, lo, hi
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", _si.IntegrationWarning)
-        try:
-            val, err = _si.quad(
-                fn, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                limit=4 * spec.max_depth,
-            )
-        except _si.IntegrationWarning:
-            warnings.simplefilter("ignore", _si.IntegrationWarning)
-            val, err = _si.quad(
-                fn, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                limit=4 * spec.max_depth,
-            )
-            if err > spec.abs_tol + spec.rel_tol * abs(val):
-                raise AccuracyError(
-                    f"quadrature did not converge (err={err:.2e})",
-                    estimate=val, error_bound=err,
-                ) from None
+    # full_output turns QUADPACK's IntegrationWarning into a fourth tuple
+    # entry, so one call both gives the estimate and reports the warning
+    val, err, _info, *message = _si.quad(
+        fn, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+        limit=4 * spec.max_depth, full_output=1,
+    )
+    if message and err > spec.abs_tol + spec.rel_tol * abs(val):
+        raise AccuracyError(
+            f"quadrature did not converge (err={err:.2e})",
+            estimate=val, error_bound=err,
+        )
     return (val, err) if return_error else val
 
 
@@ -132,45 +127,12 @@ def minimize_1d(f, lo, hi, tol=1e-8, prescan=200, assume_unimodal=False):
     return Minimum1D(float(x), float(fx), tol)
 
 
-def _i0_series(z):
-    x = np.square(z) / 4.0
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    for k in range(1, 200):
-        term = term * x / (k * k)
-        total += term
-        if np.all(term <= 1e-17 * total):
-            break
-    return total
-
-
-def _i0_asym_factor(z):
-    # I0(z) ~ e^z/sqrt(2 pi z) * sum_k ((2k-1)!!)^2 / (k! (8z)^k)
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    for k in range(1, 40):
-        new = term * (2 * k - 1) ** 2 / (8.0 * k * z)
-        if np.all(new >= term) and k > 2:
-            break  # asymptotic series started diverging
-        term = new
-        total += term
-        if np.all(term <= 1e-17 * total):
-            break
-    return total
-
-
 def bessel_i0(z):
-    """I0(z) for z >= 0.  Overflows past z ~ 709; use log_bessel_i0 there."""
+    """I0(z) for z >= 0.  Overflows past z ~ 713; use log_bessel_i0 there."""
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise ValueError("bessel_i0 requires z >= 0")
-    out = np.empty_like(z)
-    small = z < _BESSEL_SWITCH
-    if small.any():
-        out[small] = _i0_series(z[small])
-    if (~small).any():
-        zl = z[~small]
-        out[~small] = np.exp(zl) / np.sqrt(2 * np.pi * zl) * _i0_asym_factor(zl)
+    out = _sp.i0(z)
     return float(out) if out.ndim == 0 else out
 
 
@@ -179,14 +141,17 @@ def log_bessel_i0(z):
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise ValueError("log_bessel_i0 requires z >= 0")
-    out = np.empty_like(z)
-    small = z < _BESSEL_SWITCH
-    if small.any():
-        out[small] = np.log(_i0_series(z[small]))
-    if (~small).any():
-        zl = z[~small]
-        out[~small] = zl - 0.5 * np.log(2 * np.pi * zl) + np.log(_i0_asym_factor(zl))
+    out = np.log(_sp.i0e(z)) + z
     return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=16)
+def gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def symm_tridiag_lowest(diag, offdiag, k):
@@ -208,22 +173,33 @@ def log_integral_exp(g, lo, hi, n_scan=400, n_nodes=4001, keep=46.0):
 
     A coarse scan locates the maximum; Simpson integrates exp(g - gmax) on
     the window where g >= gmax - keep (truncation error ~ e^-keep).
+
+    g may also hold a batch of integrands, one per row: called with the
+    shared scan (shape (n,)) or with per-row nodes (shape (rows, n)) it
+    returns shape (rows, n).  Each row then gets its own window, cut and
+    padding, the Simpson grid is one reference grid mapped affinely into
+    each window, and the result is an array with -inf for every row whose
+    maximum is not finite.  A 1-D g gives a float.
     """
     ys = np.linspace(lo, hi, n_scan)
     gs = g(ys)
-    k = int(np.argmax(gs))
-    gmax = gs[k]
-    if not np.isfinite(gmax):
-        return -np.inf
-    mask = gs > gmax - keep
-    y1 = ys[mask][0]
-    y2 = ys[mask][-1]
+    single = gs.ndim == 1
+    gs = np.atleast_2d(gs)
+    gmax = gs.max(axis=1)
+    finite = np.isfinite(gmax)
+    if not finite.any():
+        return -np.inf if single else np.full(len(gs), -np.inf)
+    mask = gs > (gmax - keep)[:, None]
+    first = np.argmax(mask, axis=1)
+    last = n_scan - 1 - np.argmax(mask[:, ::-1], axis=1)
     # pad one scan cell so the window edges sit below the cut
     step = ys[1] - ys[0]
-    y1 = max(lo, y1 - step)
-    y2 = min(hi, y2 + step)
-    yy = np.linspace(y1, y2, n_nodes)
-    gg = g(yy)
-    gm = gg.max()
-    val = _si.simpson(np.exp(gg - gm), x=yy)
-    return gm + np.log(val)
+    y1 = np.maximum(lo, ys[first] - step)
+    y2 = np.minimum(hi, ys[last] + step)
+    yy = np.linspace(y1, y2, n_nodes, axis=1)
+    gg = np.atleast_2d(g(yy[0] if single else yy))
+    gm = gg.max(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        val = _si.simpson(np.exp(gg - gm[:, None]), x=yy, axis=1)
+        out = np.where(finite, gm + np.log(val), -np.inf)
+    return float(out[0]) if single else out

@@ -143,10 +143,9 @@ def run_battery(config, quick=False, landau_delta=None):
         h = 0.1
         sol = ground_state(well, h, L=L)
         outer = calibrate_outer(well, h, sol, check_upto=L + 1.0)
-        worst = 0.0
-        for rho in np.linspace(well.a, L + 1.0, 13):
-            worst = max(worst, abs(math.exp(
-                outer.log_u(rho) - float(sol.log_u(rho))) - 1.0))
+        rhos = np.linspace(well.a, L + 1.0, 13)
+        worst = float(np.max(np.abs(
+            np.exp(outer.log_u(rhos) - sol.log_u(rhos)) - 1.0)))
         return worst <= 1e-3, f"max rel {worst:.1e} on [a, L+1]"
 
     def splitting_gap():
@@ -161,7 +160,7 @@ def run_battery(config, quick=False, landau_delta=None):
             raise _Skip("skipped(floor): gap below eigensolver floor")
         ok = all(rep.corridor[0] <= r.h_ln_gap <= rep.corridor[1]
                  and 0.5 <= r.ratio <= 2.0 for r in rows)
-        return ok, f"ratios {[round(r.ratio, 3) for r in rows]}"
+        return ok, f"ratios {[round(float(r.ratio), 3) for r in rows]}"
 
     _check("landau_level", landau, results)
     _check("oscillator", oscillator, results)

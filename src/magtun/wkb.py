@@ -19,6 +19,11 @@ admits the exact representation
 
 valid for rho >= a.  C_h is calibrated by matching at rho = a; every other
 point of the outer region is then an independent test.
+
+The t-integrals of this representation, and the Bessel-kernel t-integrals
+of the hopping coefficient and the W chain built on it, go through one
+row-batched evaluator: log_t_integrals integrates a block of radial nodes
+per call of numerics.log_integral_exp.
 """
 
 from __future__ import annotations
@@ -30,9 +35,11 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
-from .numerics import log_integral_exp
+from .numerics import log_bessel_i0, log_integral_exp
 
 __all__ = [
+    "log_outer_integrand",
+    "log_t_integrals",
     "WkbAmplitude",
     "amplitude_a0",
     "wkb_profile_error",
@@ -43,6 +50,43 @@ __all__ = [
     "matching_constants",
     "c_h_asymptotic",
 ]
+
+
+T_BLOCK = 16  # radial nodes per batched t-integral: (16, 4001) work arrays
+
+
+def log_outer_integrand(h, alpha, rho2, c=None):
+    """The log t-integrand of the outer representation, in y = log t:
+
+        g(y) = alpha y - alpha log(1 + t) - rho2 t / 2h
+               [+ log I0(c sqrt(t (t + 1)) / h)],
+
+    the Bessel term being the angular average that the hopping integral
+    adds (c = L r).  rho2 and c may be (rows, 1) columns, one row per
+    radial node, which makes g a batched integrand for log_integral_exp.
+    """
+    def g(y):
+        t = np.exp(y)
+        val = alpha * y - alpha * np.log1p(t) - rho2 * t / (2.0 * h)
+        if c is not None:
+            val = val + log_bessel_i0(c * np.sqrt(t * (t + 1.0)) / h)
+        return val
+    return g
+
+
+def log_t_integrals(make_g, rows, lo, hi=15.0):
+    """log int_lo^hi exp(g_r(y)) dy for every entry r of rows.
+
+    make_g maps a (k, 1) column of rows to their batched log-integrand.
+    Rows go T_BLOCK at a time, so the work arrays stay (T_BLOCK, 4001)
+    whatever the number of rows.
+    """
+    rows = np.asarray(rows, dtype=float)
+    out = np.empty(len(rows))
+    for s in range(0, len(rows), T_BLOCK):
+        col = rows[s:s + T_BLOCK, None]
+        out[s:s + T_BLOCK] = log_integral_exp(make_g(col), lo, hi)
+    return out
 
 
 class OuterRepresentationError(RuntimeError):
@@ -146,17 +190,14 @@ class OuterRepresentation:
         return math.exp(self.log_C_h)
 
     def log_kernel(self, rho):
-        """log of the representation integral (without C_h)."""
+        """log of the representation integral (without C_h); rho may be an
+        array."""
         h, alpha = self.h, self.alpha
-        rho2 = rho * rho
-
-        def g(y):
-            t = np.exp(y)
-            return alpha * y - alpha * np.log1p(t) - rho2 * t / (2.0 * h)
-
-        y_lo = -700.0 / max(alpha, 0.25)
-        lv = log_integral_exp(g, y_lo, 15.0)
-        return -rho2 / (4.0 * h) + lv
+        rho = np.asarray(rho, dtype=float)
+        lv = log_t_integrals(lambda r: log_outer_integrand(h, alpha, r * r),
+                             rho.ravel(), -700.0 / max(alpha, 0.25))
+        out = -rho * rho / (4.0 * h) + lv.reshape(rho.shape)
+        return float(out) if out.ndim == 0 else out
 
     def log_u(self, rho):
         return self.log_C_h + self.log_kernel(rho)
@@ -180,8 +221,9 @@ def calibrate_outer(well, h, solution, check_upto=None, rtol_fail=1e-2):
     rep.log_C_h = float(solution.log_u(a)) - rep.log_kernel(a)
     hi = check_upto if check_upto is not None else \
         min(solution.R - 1.0, 3.0 * a + 4.0)
-    for rho in np.linspace(a, hi, 9):
-        rel = abs(math.exp(rep.log_u(rho) - float(solution.log_u(rho))) - 1.0)
+    rhos = np.linspace(a, hi, 9)
+    rels = np.abs(np.exp(rep.log_u(rhos) - solution.log_u(rhos)) - 1.0)
+    for rho, rel in zip(rhos, rels):
         if rel > rtol_fail:
             raise OuterRepresentationError(
                 f"outer representation off by {rel:.2e} at rho={rho:.3f} "

@@ -138,3 +138,35 @@ def test_wkb_subcommand():
     rows = out.strip().splitlines()
     assert rows[0] == "r,u_h,wkb_prediction,outer_prediction"
     assert len(rows) == 51
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Records the thread variables at the moment numpy is first imported.
+_NUMPY_IMPORT_SPY = f"""
+import json, os, sys
+seen = {{}}
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({{v: os.environ.get(v) for v in {THREAD_VARS!r}}})
+        return None
+
+sys.meta_path.insert(0, Spy())
+import magtun.cli
+print(json.dumps(seen))
+"""
+
+
+def test_thread_cap_set_before_numpy_loads():
+    import os
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["MAGTUN_THREADS"] = "3"
+    env["MKL_NUM_THREADS"] = "2"   # an explicit setting wins
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_IMPORT_SPY],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen == {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "3",
+                    "MKL_NUM_THREADS": "2"}

@@ -4,9 +4,22 @@ import numpy as np
 import pytest
 import scipy.special
 
-from magtun import (AccuracyError, QuadratureSpec, bessel_i0, integrate,
-                    log_bessel_i0, log_integral_exp, minimize_1d,
-                    symm_tridiag_lowest)
+from magtun import (AccuracyError, QuadratureSpec, bessel_i0, hopping_bessel,
+                    integrate, log_bessel_i0, log_integral_exp, minimize_1d,
+                    symm_tridiag_lowest, w_chain)
+from magtun import numerics
+from magtun.numerics import gauss_legendre
+from magtun.wkb import T_BLOCK, log_outer_integrand, log_t_integrals
+
+# Frozen from the per-node scalar t-kernel with the series/asymptotic I0 it
+# replaced: bump well depth 1, a 1, L 4, outer check to L + 1, eta 0.05.
+FROZEN_W_BESSEL = {0.3: -6.056438119030406e-08, 0.5: -4.390891299457156e-05}
+FROZEN_W_CHAIN = {  # log_W1, log_W2, log_W3, log_W4, log_W4_alt
+    0.3: (-17.614590600109118, -18.06672297205178, -18.15906769646411,
+          -18.29786963604039, -18.29786963604039),
+    0.5: (-11.64350374601594, -11.52495581038078, -11.642681515885405,
+          -11.593131741125823, -11.593131741125825),
+}
 
 
 def test_integrate_polynomial():
@@ -38,6 +51,42 @@ def test_integrate_tolerance_halving():
     v2 = integrate(lambda x: math.sin(3 * x) ** 2 * math.exp(-x), 0.0, 10.0,
                    tight)
     assert abs(v1 - v2) <= max(e1, 1e-12)
+
+
+def _fake_quad(err, warned):
+    calls = []
+
+    def quad(fn, a, b, **kw):
+        calls.append(kw)
+        out = (1.0, err, {})
+        return out + ("roundoff detected",) if warned else out
+
+    return quad, calls
+
+
+def test_integrate_warning_within_tolerance(monkeypatch):
+    # QUADPACK warns but the error estimate meets abs_tol + rel_tol |val|:
+    # the value is returned, from a single quadrature call
+    quad, calls = _fake_quad(err=1.5e-10, warned=True)
+    monkeypatch.setattr(numerics._si, "quad", quad)
+    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
+    assert integrate(lambda x: x, 0.0, 1.0, spec, return_error=True) == \
+        (1.0, 1.5e-10)
+    assert len(calls) == 1
+
+
+def test_integrate_warning_beyond_tolerance(monkeypatch):
+    quad, calls = _fake_quad(err=3e-10, warned=True)
+    monkeypatch.setattr(numerics._si, "quad", quad)
+    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
+    with pytest.raises(AccuracyError) as exc:
+        integrate(lambda x: x, 0.0, 1.0, spec)
+    assert exc.value.estimate == 1.0 and exc.value.error_bound == 3e-10
+    assert len(calls) == 1
+    # the same error without a warning is QUADPACK's own success verdict
+    quad, calls = _fake_quad(err=3e-10, warned=False)
+    monkeypatch.setattr(numerics._si, "quad", quad)
+    assert integrate(lambda x: x, 0.0, 1.0, spec) == 1.0
 
 
 def test_integrate_accuracy_error():
@@ -168,3 +217,81 @@ def test_log_integral_exp_gaussian():
     val = log_integral_exp(lambda y: -0.5 * y * y - 5000.0, -40.0, 40.0)
     assert val == pytest.approx(0.5 * math.log(2 * math.pi) - 5000.0,
                                 abs=1e-9)
+
+
+def test_gauss_legendre_cached_read_only():
+    x, w = gauss_legendre(50)
+    assert gauss_legendre(50)[0] is x
+    ref_x, ref_w = np.polynomial.legendre.leggauss(50)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+
+
+def _gaussian_rows(centers, widths, dead=None):
+    """Batched log-integrand: row k is a Gaussian of unit height at
+    centers[k] scaled by e^-centers[k]; rows flagged dead are -inf."""
+    c = np.asarray(centers, dtype=float)[:, None]
+    s = np.asarray(widths, dtype=float)[:, None]
+    dead = np.zeros_like(c, dtype=bool) if dead is None \
+        else np.asarray(dead)[:, None]
+    return lambda y: np.where(dead, -np.inf, -0.5 * ((y - c) / s) ** 2 - c)
+
+
+def _recording(g):
+    calls = []
+
+    def rec(y):
+        calls.append(y)
+        return g(y)
+    return rec, calls
+
+
+def test_log_integral_exp_rows_match_scalar():
+    # rows whose peaks, and so whose windows, differ; the last row is -inf
+    # everywhere and must give -inf, not nan
+    centers, widths = [-30.0, -2.0, 0.5, 17.0, 0.0], [0.1, 1.0, 3.0, 0.7, 1.0]
+    dead = [False, False, False, False, True]
+    g, calls = _recording(_gaussian_rows(centers, widths, dead))
+    batched = log_integral_exp(g, -40.0, 40.0)
+    assert batched.shape == (5,)
+    for k, (c, s) in enumerate(zip(centers[:-1], widths[:-1])):
+        one = _gaussian_rows([c], [s])
+        g1, calls1 = _recording(lambda y: one(y)[0])
+        scalar = log_integral_exp(g1, -40.0, 40.0)
+        assert isinstance(scalar, float)
+        # the same scan, and each row on exactly its own Simpson grid
+        assert np.array_equal(calls[0], calls1[0])
+        assert np.array_equal(calls[1][k], calls1[1])
+        assert batched[k] == pytest.approx(scalar, rel=1e-12)
+        assert batched[k] == pytest.approx(
+            0.5 * math.log(2 * math.pi * s * s) - c, abs=1e-9)
+    assert batched[-1] == -np.inf
+    assert log_integral_exp(lambda y: np.full(y.shape, -np.inf), 0.0, 1.0) \
+        == -np.inf
+
+
+def test_log_t_integrals_across_block_boundary():
+    # more rows than one block, so a block boundary falls inside the batch;
+    # every row must equal its own scalar evaluation
+    h, alpha = 0.3, 2.1
+    rows = np.linspace(0.05, 1.0, T_BLOCK + 5)
+    lo = -700.0 / alpha
+    batched = log_t_integrals(
+        lambda r: log_outer_integrand(h, alpha, r * r + 16.0, 4.0 * r),
+        rows, lo)
+    for r, val in zip(rows, batched):
+        scalar = log_integral_exp(
+            log_outer_integrand(h, alpha, r * r + 16.0, 4.0 * r), lo, 15.0)
+        assert val == pytest.approx(scalar, rel=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.3, 0.5])
+def test_t_kernel_frozen_values(config4, well, profile4, amp6, gs_cache,
+                                outer_cache, h):
+    sol, outer = gs_cache(well, h), outer_cache(well, h)
+    wb = hopping_bessel(config4, h, outer, sol)
+    assert wb == pytest.approx(FROZEN_W_BESSEL[h], rel=1e-10)
+    res = w_chain(config4, h, 0.05, sol, outer, amp6, profile4)
+    got = (res.log_W1, res.log_W2, res.log_W3, res.log_W4, res.log_W4_alt)
+    assert got == pytest.approx(FROZEN_W_CHAIN[h], rel=1e-10)
