@@ -53,6 +53,7 @@ __all__ = [
 
 
 T_BLOCK = 16  # radial nodes per batched t-integral: (16, 4001) work arrays
+Y_HI = 15.0   # upper limit of every t-integral, in y = log t
 
 
 def log_outer_integrand(h, alpha, rho2, c=None):
@@ -74,8 +75,8 @@ def log_outer_integrand(h, alpha, rho2, c=None):
     return g
 
 
-def log_t_integrals(make_g, rows, lo, hi=15.0):
-    """log int_lo^hi exp(g_r(y)) dy for every entry r of rows.
+def log_t_integrals(make_g, rows, lo):
+    """log int_lo^Y_HI exp(g_r(y)) dy for every entry r of rows.
 
     make_g maps a (k, 1) column of rows to their batched log-integrand.
     Rows go T_BLOCK at a time, so the work arrays stay (T_BLOCK, 4001)
@@ -85,7 +86,7 @@ def log_t_integrals(make_g, rows, lo, hi=15.0):
     out = np.empty(len(rows))
     for s in range(0, len(rows), T_BLOCK):
         col = rows[s:s + T_BLOCK, None]
-        out[s:s + T_BLOCK] = log_integral_exp(make_g(col), lo, hi)
+        out[s:s + T_BLOCK] = log_integral_exp(make_g(col), lo, Y_HI)
     return out
 
 

@@ -9,7 +9,7 @@ from magtun import (AccuracyError, QuadratureSpec, bessel_i0, hopping_bessel,
                     symm_tridiag_lowest, w_chain)
 from magtun import numerics
 from magtun.numerics import gauss_legendre
-from magtun.wkb import T_BLOCK, log_outer_integrand, log_t_integrals
+from magtun.wkb import T_BLOCK, Y_HI, log_outer_integrand, log_t_integrals
 
 # Frozen from the per-node scalar t-kernel with the series/asymptotic I0 it
 # replaced: bump well depth 1, a 1, L 4, outer check to L + 1, eta 0.05.
@@ -282,7 +282,7 @@ def test_log_t_integrals_across_block_boundary():
         rows, lo)
     for r, val in zip(rows, batched):
         scalar = log_integral_exp(
-            log_outer_integrand(h, alpha, r * r + 16.0, 4.0 * r), lo, 15.0)
+            log_outer_integrand(h, alpha, r * r + 16.0, 4.0 * r), lo, Y_HI)
         assert val == pytest.approx(scalar, rel=1e-12)
 
 
