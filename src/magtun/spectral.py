@@ -224,12 +224,17 @@ def ground_state(well, h, R=None, n=None, modes=(-2, -1, 0, 1, 2), tol=1e-8,
         n = _default_n(R)
     fiber_energies = {}
     n_scan = max(_default_n(R, delta=1e-3), 4000)
+    scanned = {}
     for m in modes:
         if m == 0:
             continue
-        prob = FiberProblem(m=m, h=h, R=R, n=n_scan, well=well)
-        fiber_energies[m] = solve_fiber(prob, k=1, tol=100 * tol,
-                                        clean_tail=False).e_sw
+        if abs(m) not in scanned:
+            prob = FiberProblem(m=abs(m), h=h, R=R, n=n_scan, well=well)
+            scanned[abs(m)] = solve_fiber(prob, k=1, tol=100 * tol,
+                                          clean_tail=False).e_sw
+        # (hm/r - r/2)^2 at -m is the m > 0 diagonal plus 2hm, so fiber -m
+        # is fiber m shifted up by 2hm and never holds the minimum
+        fiber_energies[m] = scanned[abs(m)] + 2.0 * h * max(-m, 0)
     sol = solve_fiber(FiberProblem(m=0, h=h, R=R, n=n, well=well),
                       k=1, tol=tol)
     fiber_energies[0] = sol.e_sw

@@ -4,8 +4,12 @@ Each directed edge carries the unit phase exp(-i A(midpoint).edge / h); for
 the linear symmetric gauge A = (-y/2, x/2) the midpoint rule integrates
 A . dl exactly, so every plaquette encloses exactly the continuum flux
 delta^2 and gauge covariance holds on the lattice to machine precision.
-The two lowest eigenvalues come from shift-invert Lanczos with a complex
-sparse factorization; the start vector is fixed for run-to-run determinism.
+The lowest eigenvalues come from shift-invert Lanczos on one complex sparse
+LU with a symmetric fill-reducing (MMD on A^T + A) ordering; the start
+vector is fixed for run-to-run determinism.  The double-well operator
+commutes with rotation by pi about the midpoint, so the splitting is taken
+between the lowest levels of its even and odd half-size sector blocks: each
+is simple, and Lanczos never has to separate the exponentially close pair.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .potential import DoubleWellConfig, RadialWell
 
@@ -139,24 +143,52 @@ def assemble(system, h, delta=None, box=None, margin=0.4):
 
 
 def lowest_two(lattice, sigma, k=2, ncv=None, tol=0.0,
-               residual_rtol=1e-10):
+               residual_rtol=1e-10, parity=None):
     """The k algebraically smallest eigenvalues near the shift sigma.
 
-    Shift-invert separates exponentially close pairs; the deterministic
-    start vector keeps repeated runs byte-identical.  A nonzero tol is
-    needed when the target lies inside a near-degenerate cluster (the free
-    Landau level), where machine-exact Ritz convergence stalls.
+    Shift-invert separates exponentially close pairs; H - sigma is factored
+    once with a symmetric fill-reducing ordering (H is Hermitian), and the
+    deterministic start vector keeps repeated runs byte-identical.  A nonzero
+    tol is needed when the target lies inside a near-degenerate cluster (the
+    free Landau level), where machine-exact Ritz convergence stalls.
+
+    parity=+1/-1 solves on one pi-rotation sector.  On the x/y-symmetric node
+    set rotation by pi reverses the flattened vector (J), so with M = [[A, B],
+    [J B J, J A J]] the sector block is A +/- B J, of half the size, and each
+    of its eigenvectors x lifts to [x; +/-J x]/sqrt(2).  Residuals are always
+    taken against the full matrix.
     """
+    M = lattice.matrix
     n = lattice.n_nodes
-    v0 = np.full(n, 1.0 / math.sqrt(n))
-    vals, vecs = eigsh(lattice.matrix, k=k, sigma=sigma, which="LM",
-                       v0=v0, ncv=ncv, tol=tol)
+    op = M
+    if parity is not None:
+        if parity not in (1, -1):
+            raise ValueError(f"parity must be +1 or -1, not {parity!r}")
+        if n % 2 or (M[::-1, ::-1] != M).nnz:
+            raise ValueError("matrix does not commute with rotation by pi "
+                             "(reversal of the node order)")
+        half = n // 2
+        top = M[:half].tocoo()
+        far = top.col >= half
+        op = sp.csr_matrix(
+            (np.where(far, parity * top.data, top.data),
+             (top.row, np.where(far, n - 1 - top.col, top.col))),
+            shape=(half, half))
+    m = op.shape[0]
+    lu = splu((op - sigma * sp.identity(m)).tocsc(),
+              permc_spec="MMD_AT_PLUS_A")
+    v0 = np.full(m, 1.0 / math.sqrt(m))
+    vals, vecs = eigsh(op, k=k, sigma=sigma, which="LM", v0=v0, ncv=ncv,
+                       tol=tol, OPinv=LinearOperator((m, m), matvec=lu.solve,
+                                                     dtype=op.dtype))
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
-    scale = float(np.abs(lattice.matrix.diagonal()).max())
+    if parity is not None:
+        vecs = np.concatenate([vecs, parity * vecs[::-1]]) / math.sqrt(2.0)
+    scale = float(np.abs(M.diagonal()).max())
     residuals = []
     for j in range(k):
-        r = lattice.matrix @ vecs[:, j] - vals[j] * vecs[:, j]
+        r = M @ vecs[:, j] - vals[j] * vecs[:, j]
         residuals.append(float(np.linalg.norm(r)))
     if max(residuals) > residual_rtol * scale:
         raise RuntimeError(
@@ -198,6 +230,7 @@ class GapRow:
     ratio: float
     h_ln_gap: float
     floor_flag: str
+    ground_parity: int = 0   # +1/-1 pi-rotation parity of e1; 0 if unsolved
 
 
 @dataclass
@@ -232,9 +265,6 @@ def gap_vs_hopping(config, h_list, profile=None, delta=None, box=None,
     corridor = (-shat - 0.2 * shat, -Sa + 0.2 * shat)
     rows = []
     for i, h in enumerate(sorted(h_list, reverse=True)):
-        sol = solutions[i] if solutions else \
-            ground_state(config.well, h, L=config.L)
-        lat = assemble(config, h, delta=delta, box=box)
         # absolute resolvability window: double precision cannot separate
         # the pair once the predicted splitting drops below ~1e-12
         floor = 1e-12
@@ -245,8 +275,17 @@ def gap_vs_hopping(config, h_list, profile=None, delta=None, box=None,
                                f"unresolvable(predicted {predicted:.1e} < "
                                f"floor {floor:.1e})"))
             continue
-        vals, _, residuals = lowest_two(lat, sigma=sol.e_sw - 0.1 * h)
-        e1, e2 = float(vals[0]), float(vals[1])
+        sol = solutions[i] if solutions else \
+            ground_state(config.well, h, L=config.L)
+        lat = assemble(config, h, delta=delta, box=box)
+        # the lowest level of each pi-rotation sector: one of the pair each
+        levels, residual = [], 0.0
+        for parity in (1, -1):
+            vals, _, res = lowest_two(lat, sigma=sol.e_sw - 0.1 * h, k=1,
+                                      parity=parity)
+            levels.append((float(vals[0]), parity))
+            residual = max(residual, res[0])
+        (e1, ground_parity), (e2, _) = sorted(levels)
         gap = e2 - e1
         two_w = float("nan")
         ratio = float("nan")
@@ -254,9 +293,9 @@ def gap_vs_hopping(config, h_list, profile=None, delta=None, box=None,
             wd = hopping_direct(config, h, sol)
             two_w = 2.0 * abs(wd.real)
             ratio = gap / two_w
-        flag = "ok" if gap > gap_floor_factor * max(residuals) else \
+        flag = "ok" if gap > gap_floor_factor * residual else \
             "floor(gap below 100x residual)"
         rows.append(GapRow(h, e1, e2, gap, two_w, ratio,
                            h * math.log(gap) if gap > 0 else float("nan"),
-                           flag))
+                           flag, ground_parity))
     return GapReport(rows, corridor, config.fsw_condition, S)

@@ -49,6 +49,13 @@ def run_battery(config, quick=False, landau_delta=None):
 
     well, L = config.well, config.L
     results = []
+    states = {}
+
+    def state(h):
+        # one ground_state per h within this battery, never across calls
+        if h not in states:
+            states[h] = ground_state(well, h, L=L)
+        return states[h]
 
     def landau():
         sol = solve_fiber(FiberProblem(m=0, h=1.0, R=19.0, n=20000),
@@ -94,7 +101,7 @@ def run_battery(config, quick=False, landau_delta=None):
         return 0.4 <= q <= 1.1, f"q = {q:.3f}"
 
     def reality():
-        sol = ground_state(well, 0.5, L=L)
+        sol = state(0.5)
         wd = hopping_direct(config, 0.5, sol)
         frac = abs(wd.imag) / abs(wd)
         return frac <= 1e-8, f"|Im w|/|w| = {frac:.1e}"
@@ -103,7 +110,7 @@ def run_battery(config, quick=False, landau_delta=None):
         hs = (0.5,) if quick else (0.5, 0.3)
         worst = 0.0
         for h in hs:
-            sol = ground_state(well, h, L=L)
+            sol = state(h)
             outer = calibrate_outer(well, h, sol, check_upto=L + 1.0)
             wd = hopping_direct(config, h, sol)
             wb = hopping_bessel(config, h, outer, sol)
@@ -141,7 +148,7 @@ def run_battery(config, quick=False, landau_delta=None):
 
     def outer_rep():
         h = 0.1
-        sol = ground_state(well, h, L=L)
+        sol = state(h)
         outer = calibrate_outer(well, h, sol, check_upto=L + 1.0)
         rhos = np.linspace(well.a, L + 1.0, 13)
         worst = float(np.max(np.abs(

@@ -79,6 +79,8 @@ def test_repeat_runs_byte_identical():
     assert out1 == out2
     args = ("sweep", "--h-range", "0.45:0.5:2")
     assert run(*args).stdout == run(*args).stdout
+    args = ("splitting", "--L", "8.5", "--h-range", "1.2:1.2:1")
+    assert run(*args).stdout == run(*args).stdout
 
 
 def test_sweep_splitting_gated_without_fsw():

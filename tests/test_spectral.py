@@ -5,6 +5,7 @@ import pytest
 
 from magtun import (FiberProblem, agmon_identity_check, ground_state,
                     harmonic_expansion_check, solve_fiber)
+from magtun.spectral import _default_n
 
 SQRT5 = math.sqrt(5.0)
 
@@ -65,6 +66,18 @@ def test_mode_gap(well, gs_cache):
     sol = gs_cache(well, 0.05)
     gaps = {m: e - sol.e_sw for m, e in sol.fiber_energies.items() if m != 0}
     assert min(gaps.values()) >= 0.05  # every other fiber at least h above
+
+
+@pytest.mark.parametrize("h", [0.3, 0.05])
+def test_negative_fibers_from_shift_identity(well, gs_cache, h):
+    # fiber -m is fiber m shifted by 2hm, so ground_state derives it
+    sol = gs_cache(well, h)
+    n_scan = max(_default_n(sol.R, delta=1e-3), 4000)
+    for m in (1, 2):
+        direct = solve_fiber(FiberProblem(m=-m, h=h, R=sol.R, n=n_scan,
+                                          well=well),
+                             k=1, tol=1e-6, clean_tail=False).e_sw
+        assert abs(sol.fiber_energies[-m] - direct) <= 1e-8
 
 
 def test_normalization_and_positivity(well, gs_cache):

@@ -88,6 +88,40 @@ def gap_report(config85, profile85, well, gs_cache):
                           solutions=sols)
 
 
+@pytest.fixture(scope="module")
+def full_pairs(config85, well, gs_cache):
+    """h -> (vals, vecs) of the full-matrix k=2 solve on each gap_report row."""
+    out = {}
+    for h in (1.4, 1.2, 1.0, 0.8):
+        lat = assemble(config85, h)
+        sigma = gs_cache(well, h, L=8.5).e_sw - 0.1 * h
+        vals, vecs, _ = lowest_two(lat, sigma=sigma, k=2)
+        out[h] = (vals, vecs)
+    return out
+
+
+def test_sector_gap_matches_full_matrix(gap_report, full_pairs):
+    for row in gap_report.rows:
+        vals, _ = full_pairs[row.h]
+        full_gap = vals[1] - vals[0]
+        assert abs(row.gap - full_gap) <= 1e-4 * full_gap
+
+
+def test_ground_parity_matches_full_vector(gap_report, full_pairs):
+    for row in gap_report.rows:
+        v = full_pairs[row.h][1][:, 0]
+        overlap = np.vdot(v, v[::-1])
+        assert abs(abs(overlap) - 1.0) <= 1e-6  # a parity eigenvector
+        assert row.ground_parity == np.sign(overlap.real)
+
+
+def test_sector_needs_rotation_symmetry(config4):
+    lat = assemble(config4, 0.5, delta=0.1)
+    shifted = lat.with_gauge_shift(lambda x, y: 0.3 * x + 0.1 * y)
+    with pytest.raises(ValueError, match="rotation by pi"):
+        lowest_two(shifted, sigma=0.0, k=1, parity=1)
+
+
 def test_gap_rows_resolvable(gap_report):
     rows = gap_report.resolvable_rows()
     assert len(rows) == 4
