@@ -3,8 +3,10 @@
 Subcommands: constants | spectrum | wkb | hopping | asymptotics | splitting
 | sweep | verify.  Output is CSV (17 significant digits, stable formatting)
 or JSON mirroring the same values.  Exit codes: 0 success, 1 assertion
-failure (verify), 2 configuration error.  MAGTUN_THREADS caps the BLAS
-thread pool (applied when the magtun package is imported).
+failure (verify), 2 configuration error, 3 numerical failure (a tolerance
+not reached or a structural invariant violated; one stderr line gives the
+estimate and the bound).  MAGTUN_THREADS caps the BLAS thread pool
+(applied when the magtun package is imported).
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import sys
 
 import numpy as np
 
+from .numerics import AccuracyError
 from .potential import DoubleWellConfig, RadialWell, WellValidationError
+from .spectral import InvariantViolation
 
 _FMT = "%.17g"
 
@@ -294,6 +298,15 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
+def _fmt_value(value):
+    """A scalar, complex or array estimate as short text on one line."""
+    if value is None:
+        return "n/a"
+    vals = np.ravel(value).tolist()
+    text = ", ".join(format(v, ".6g") for v in vals)
+    return text if len(vals) == 1 else f"[{text}]"
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="magtun",
@@ -307,8 +320,6 @@ def build_parser():
         sp.add_argument("--L", type=float, default=4.0)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--output", help="write to file instead of stdout")
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--quick", action="store_true")
 
     sp = sub.add_parser("constants", help="action constants table")
     common(sp)
@@ -322,6 +333,7 @@ def build_parser():
     sp.add_argument("--grid", type=int, help="radial grid size")
     sp.add_argument("--radius", type=float)
     sp.add_argument("--dump-eigenfunction", help="CSV path for [r, u]")
+    sp.add_argument("--tol", type=float, default=1e-8)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("wkb", help="ground state vs WKB/outer predictions")
@@ -363,6 +375,7 @@ def build_parser():
     common(sp)
     sp.add_argument("--grid", type=float,
                     help="override Landau-check lattice spacing")
+    sp.add_argument("--quick", action="store_true")
     sp.set_defaults(func=cmd_verify)
     return p
 
@@ -376,6 +389,11 @@ def main(argv=None):
             json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (AccuracyError, InvariantViolation) as exc:
+        print(f"numerical error: {type(exc).__name__}: {exc} (estimate "
+              f"{_fmt_value(exc.estimate)}, bound "
+              f"{_fmt_value(exc.error_bound)})", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

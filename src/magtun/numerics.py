@@ -4,9 +4,11 @@ Adaptive quadrature (Gauss-Kronrod via QUADPACK, with the t -> s/(1-s) map
 for semi-infinite ranges), bracketed 1-D minimization with a global grid
 pre-scan, the modified Bessel function I0 in linear and log form (from
 scipy.special.i0 and the exponentially scaled i0e), cached Gauss-Legendre
-rules, the lowest eigenpairs of symmetric tridiagonal matrices, and a
-log-stabilized evaluator for integrals of the form int exp(g), batched over
-rows of integrands.  Everything here is pure and reentrant.
+rules, the lowest eigenpairs of symmetric tridiagonal matrices (bisection
+for several, certified shifted inverse iteration on LAPACK's dptsv for the
+lowest one), and a log-stabilized evaluator for integrals of the form
+int exp(g), batched over rows of integrands.  Everything here is pure and
+reentrant.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from scipy import integrate as _si
 from scipy import special as _sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dptsv
 from scipy.optimize import minimize_scalar
 
 __all__ = [
@@ -31,6 +34,7 @@ __all__ = [
     "log_bessel_i0",
     "gauss_legendre",
     "symm_tridiag_lowest",
+    "tridiag_ground_pair",
     "log_integral_exp",
 ]
 
@@ -166,6 +170,62 @@ def symm_tridiag_lowest(diag, offdiag, k):
     vals, vecs = eigh_tridiagonal(diag, offdiag, select="i",
                                   select_range=(0, k - 1))
     return vals, vecs
+
+
+# solves per call, failed ones included; quadrupling from 16 eps max|diag|,
+# a failing margin outgrows max|diag| within 25 retries
+_MAX_SOLVES = 40
+
+
+def tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
+    """Lowest eigenpair (rho, x) of a symmetric tridiagonal T by certified
+    shifted inverse iteration from x0; x has unit norm and rho, its Rayleigh
+    quotient, is the eigenvalue.
+
+    Each shift sigma is proven below the lowest eigenvalue lambda_0 by a
+    successful positive-definite LDL^T solve of T - sigma I (LAPACK dptsv;
+    Sylvester's law of inertia).  The first shift is lam - margin, and a
+    failed solve quadruples the margin and retries.  Once rho is known the
+    shift moves to just below it, by Temple's bound 2 |T x - rho x|^2 / gap
+    plus 16 eps max|diag| of rounding; gap estimates lambda_1 - lambda_0.
+    The iteration stops when x stops changing: when its sup-norm change is
+    at most 4 eps max|diag| / gap of its sup, the first-order rounding noise
+    of an eigenvector of T.  It does not stop when rho does, since rho
+    converges quadratically in the vector error, long before the small tail
+    of x.  x0 must not be orthogonal to the ground vector; a positive x0
+    suffices when offdiag <= 0, which makes the ground vector positive.
+    """
+    diag = np.asarray(diag, dtype=float)
+    offdiag = np.asarray(offdiag, dtype=float)
+    x = np.asarray(x0, dtype=float)
+    x = x / np.linalg.norm(x)
+    noise = np.finfo(float).eps * np.abs(diag).max()
+    # x.T T x = sum rowsum x^2 - sum offdiag diff(x)^2 has no cancellation
+    # when T is Laplacian-like, whose row sums are exact in floating point
+    rowsum = diag.copy()
+    rowsum[:-1] += offdiag
+    rowsum[1:] += offdiag
+    margin = max(margin, 16.0 * noise)
+    change = np.inf
+    for _ in range(_MAX_SOLVES):
+        _, _, y, info = dptsv(diag - (lam - margin), offdiag, x)
+        if info != 0:    # lam - margin is not below lambda_0
+            margin *= 4.0
+            continue
+        y /= np.linalg.norm(y)
+        change = np.abs(y - x).max()
+        x = y
+        tx = diag * x
+        tx[:-1] += offdiag * x[1:]
+        tx[1:] += offdiag * x[:-1]
+        rho = float(rowsum @ x**2 - offdiag @ np.diff(x) ** 2)
+        if change <= 4.0 * noise / gap * np.abs(x).max():
+            return rho, x
+        lam = rho
+        margin = 2.0 * float(np.sum((tx - rho * x) ** 2)) / gap + 16.0 * noise
+    raise AccuracyError(
+        f"inverse iteration not converged in {_MAX_SOLVES} solves "
+        f"(last change {change:.3e})", estimate=lam, error_bound=change)
 
 
 def log_integral_exp(g, lo, hi, n_scan=400, n_nodes=4001, keep=46.0):

@@ -10,9 +10,14 @@ on L^2(dr); we realize it at the discrete level with a finite-volume stencil
 on half-integer nodes r_i = (i - 1/2) delta, which keeps the matrix symmetric
 tridiagonal, imposes the natural (zero-flux) condition at r = 0, and retains
 clean O(delta^2) convergence for every m including m = 0.  Eigenvalues are
-Richardson-extrapolated over a grid doubling; the exponential tail of the
-ground state is re-solved as a linear boundary-value problem so that it is
-accurate in relative terms down to the underflow floor.
+Richardson-extrapolated over a grid doubling.  The lowest eigenpair of each
+grid comes from shifted inverse iteration seeded from the grid below, every
+shift certified below the eigenvalue by a positive-definite solve.  Its
+eigenvalue error is far below bisection's eps*|T| (about 1e-9), which can
+exceed the change the Richardson rule allows for a grid doubling.  Several
+levels at once are bisected afresh on every grid.  The exponential tail of
+the ground state is re-solved as a linear boundary-value problem so that it
+is accurate in relative terms down to the underflow floor.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.interpolate import CubicSpline
 
-from .numerics import AccuracyError, symm_tridiag_lowest
+from .numerics import AccuracyError, symm_tridiag_lowest, tridiag_ground_pair
 
 __all__ = [
     "FiberProblem",
@@ -44,7 +49,13 @@ _LOG_FLOOR = -745.0  # below exp() underflow
 
 
 class InvariantViolation(RuntimeError):
-    """A structural expectation (radial ground state at m = 0) failed."""
+    """A structural expectation (radial ground state at m = 0) failed;
+    carries the offending value and the bound it crossed."""
+
+    def __init__(self, msg, estimate=None, error_bound=None):
+        super().__init__(msg)
+        self.estimate = estimate
+        self.error_bound = error_bound
 
 
 @dataclass(frozen=True)
@@ -164,24 +175,58 @@ class RadialEigenSolution:
         return self
 
 
+def _bisection_levels(problem, k):
+    """(vals, vecs, diag, off, r, delta) on n, 2n, 4n, ... by bisection."""
+    n = problem.n
+    while True:
+        diag, off, r, delta = _fiber_tridiag(problem, n)
+        yield (*symm_tridiag_lowest(diag, off, k), diag, off, r, delta)
+        n *= 2
+
+
+def _ground_levels(problem):
+    """The lowest eigenpair on n, 2n, 4n, ... by certified inverse iteration.
+
+    One eigenvalue-only bisection on a pilot grid of max(n // 8, 400) nodes
+    gives lambda_0 and the gap.  Each level is then seeded with the level
+    below, its eigenvector interpolated onto the new nodes and its first
+    shift set below the last eigenvalue by the last change of it.
+    """
+    d, o, _, _ = _fiber_tridiag(problem, max(problem.n // 8, 400))
+    lam, lam1 = sla.eigvalsh_tridiagonal(d, o, select="i",
+                                         select_range=(0, 1))
+    gap = lam1 - lam
+    # the pilot's discretization error has no known sign: a first shift 1e-3
+    # of the gap below it converges fast, and one above it retreats
+    margin = 1e-3 * gap
+    n, r_prev, w = problem.n, None, None
+    while True:
+        diag, off, r, delta = _fiber_tridiag(problem, n)
+        seed = np.ones(n) if r_prev is None else np.interp(r, r_prev, w)
+        lam_n, w = tridiag_ground_pair(diag, off, seed, lam, margin, gap)
+        yield np.array([lam_n]), w[:, None], diag, off, r, delta
+        margin, lam, r_prev = abs(lam_n - lam), lam_n, r
+        n *= 2
+
+
 def solve_fiber(problem, k=1, tol=1e-8, max_doublings=4, clean_tail=True):
     """Lowest k eigenpairs, Richardson-extrapolated over a grid doubling.
 
     Convergence requires the extrapolation residual |lam(n)-lam(2n)|/3 to
     drop below tol; otherwise the grid doubles (up to max_doublings) and an
-    AccuracyError carrying both estimates is raised on exhaustion.
+    AccuracyError carrying both estimates is raised on exhaustion.  k = 1
+    solves each grid by certified inverse iteration seeded from the grid
+    below (numerics.tridiag_ground_pair), whose eigenvalue error is far
+    below the Richardson tolerance; k > 1 bisects every grid afresh.
     """
-    n = problem.n
-    diag, off, r, delta = _fiber_tridiag(problem, n)
-    vals_c, _ = symm_tridiag_lowest(diag, off, k)
+    levels = _ground_levels(problem) if k == 1 else \
+        _bisection_levels(problem, k)
+    vals_c = next(levels)[0]
     for _ in range(max_doublings + 1):
-        n2 = 2 * n
-        diag, off, r, delta = _fiber_tridiag(problem, n2)
-        vals_f, vecs = symm_tridiag_lowest(diag, off, k)
+        vals_f, vecs, diag, off, r, delta = next(levels)
         err = np.max(np.abs(vals_f - vals_c)) / 3.0
         if err <= tol:
             break
-        n = n2
         vals_c = vals_f
     else:
         raise AccuracyError(
@@ -194,8 +239,8 @@ def solve_fiber(problem, k=1, tol=1e-8, max_doublings=4, clean_tail=True):
         w = -w
     w /= math.sqrt(2.0 * np.pi * float(np.sum(w**2)) * delta)
     u = w / np.sqrt(r)
-    sol = RadialEigenSolution(problem.m, problem.h, problem.R, n2, r, delta,
-                              energies, err, u, w, diag, off)
+    sol = RadialEigenSolution(problem.m, problem.h, problem.R, len(r), r,
+                              delta, energies, err, u, w, diag, off)
     sol.problem = problem
     if clean_tail:
         sol.refine_tail()
@@ -243,7 +288,8 @@ def ground_state(well, h, R=None, n=None, modes=(-2, -1, 0, 1, 2), tol=1e-8,
         raise InvariantViolation(
             f"fiber minimum at m={m_star}, not m=0: h={h} is outside the "
             f"radial-ground-state regime or the grid is too coarse "
-            f"(energies {fiber_energies})")
+            f"(energies {fiber_energies})",
+            estimate=fiber_energies[m_star], error_bound=fiber_energies[0])
     sol.fiber_energies = fiber_energies
     return sol
 

@@ -50,6 +50,41 @@ def test_invalid_config_exit_2(tmp_path):
     assert "config error" in proc.stderr
 
 
+def test_numerical_failure_exit_3():
+    proc = run("hopping", "--h-range", "0.02:0.02:1", check=False)
+    assert proc.returncode == 3
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("numerical error: AccuracyError: angular "
+                               "quadrature not converged (estimate ")
+    assert ", bound " in lines[0]
+
+
+def test_invariant_violation_exit_3(monkeypatch, capsys):
+    from magtun import cli, spectral
+
+    def violated(*args, **kwargs):
+        raise spectral.InvariantViolation("fiber minimum at m=1",
+                                          estimate=0.5, error_bound=0.75)
+
+    monkeypatch.setattr(spectral, "ground_state", violated)
+    assert cli.main(["wkb", "--h", "0.3"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical error: InvariantViolation: fiber minimum at m=1 "
+        "(estimate 0.5, bound 0.75)\n")
+
+
+@pytest.mark.parametrize("argv", [["constants", "--tol", "1e-6"],
+                                  ["hopping", "--h-range", "0.3:0.5:2",
+                                   "--quick"]])
+def test_flags_only_where_read(argv):
+    from magtun.cli import build_parser
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    build_parser().parse_args(["spectrum", "--h", "1", "--tol", "1e-6"])
+    build_parser().parse_args(["verify", "--quick"])
+
+
 def test_spectrum_csv(tmp_path):
     dump = tmp_path / "eig.csv"
     proc = run("spectrum", "--h", "1.0", "--modes", "1", "--radius", "16",

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from magtun import (action_Shat, epsilon_lower_bound, hopping_bessel,
+from magtun import (DoubleWellConfig, action_Shat, calibrate_outer,
+                    epsilon_lower_bound, ground_state, hopping_bessel,
                     hopping_direct, hopping_slope_check, hopping_wkb_envelope)
 
 # frozen cross-route value at h = 0.5 (both routes agreed to 4e-8 when frozen)
@@ -26,6 +27,19 @@ def estimates(config4, well, gs_cache, outer_cache, profile4):
 def test_reality(config4, well, gs_cache):
     wd = hopping_direct(config4, 0.5, gs_cache(well, 0.5))
     assert abs(wd.imag) / abs(wd) <= 1e-8
+
+
+@pytest.mark.parametrize("h", [0.2765, 0.1616])
+def test_route_agreement_deep_well(well_deep, h):
+    # the direct route reads the tail of u_h, so an eigenvector stopped
+    # short of convergence shows here first
+    L = 4.487519
+    sol = ground_state(well_deep, h, L=L)
+    outer = calibrate_outer(well_deep, h, sol, check_upto=L + 1.0)
+    config = DoubleWellConfig(well_deep, L)
+    wd = hopping_direct(config, h, sol).real
+    wb = hopping_bessel(config, h, outer, sol)
+    assert abs(wd - wb) / abs(wb) <= 1e-5
 
 
 def test_theta_reversal_symmetry(config4, well, gs_cache):

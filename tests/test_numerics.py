@@ -8,17 +8,18 @@ from magtun import (AccuracyError, QuadratureSpec, bessel_i0, hopping_bessel,
                     integrate, log_bessel_i0, log_integral_exp, minimize_1d,
                     symm_tridiag_lowest, w_chain)
 from magtun import numerics
-from magtun.numerics import gauss_legendre
+from magtun.numerics import gauss_legendre, tridiag_ground_pair
 from magtun.wkb import T_BLOCK, Y_HI, log_outer_integrand, log_t_integrals
 
-# Frozen from the per-node scalar t-kernel with the series/asymptotic I0 it
-# replaced: bump well depth 1, a 1, L 4, outer check to L + 1, eta 0.05.
-FROZEN_W_BESSEL = {0.3: -6.056438119030406e-08, 0.5: -4.390891299457156e-05}
+# Bump well depth 1, a 1, L 4, outer check to L + 1, eta 0.05.  The values
+# follow the fiber eigensolver through alpha = 1/2 - e_sw/2h: a shift of
+# 1e-9 in e_sw moves log_W2 and log_W3 by 2e-9 to 4e-9.
+FROZEN_W_BESSEL = {0.3: -6.056438103747156e-08, 0.5: -4.390891338742484e-05}
 FROZEN_W_CHAIN = {  # log_W1, log_W2, log_W3, log_W4, log_W4_alt
-    0.3: (-17.614590600109118, -18.06672297205178, -18.15906769646411,
-          -18.29786963604039, -18.29786963604039),
-    0.5: (-11.64350374601594, -11.52495581038078, -11.642681515885405,
-          -11.593131741125823, -11.593131741125825),
+    0.3: (-17.614590600962373, -18.066722975687938, -18.159067700088396,
+          -18.297869636040392, -18.29786963604039),
+    0.5: (-11.643503748432108, -11.524955800051497, -11.642681505578798,
+          -11.593131741125825, -11.593131741125825),
 }
 
 
@@ -196,6 +197,20 @@ def test_tridiag_identity():
 def test_tridiag_argument_error():
     with pytest.raises(ValueError):
         symm_tridiag_lowest([1.0, 2.0], [0.5], 3)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1e-3])
+def test_tridiag_ground_pair_dirichlet_laplacian(lam):
+    # lam = 0.5 puts the first shift above lambda_0, so the positive-definite
+    # solve fails and the shift has to retreat before iterating
+    n = 100
+    exact = 4 * math.sin(math.pi / (2 * (n + 1))) ** 2
+    gap = 4 * math.sin(math.pi / (n + 1)) ** 2 - exact
+    rho, x = tridiag_ground_pair(np.full(n, 2.0), np.full(n - 1, -1.0),
+                                 np.ones(n), lam, 1e-12, gap)
+    assert rho == pytest.approx(exact, rel=1e-12)
+    mode = np.sin(math.pi * np.arange(1, n + 1) / (n + 1))
+    assert np.max(np.abs(x - mode / np.linalg.norm(mode))) <= 1e-12
 
 
 def test_tridiag_random_vs_dense_oracle():

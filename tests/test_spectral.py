@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from magtun import (FiberProblem, agmon_identity_check, ground_state,
-                    harmonic_expansion_check, solve_fiber)
-from magtun.spectral import _default_n
+from magtun import (FiberProblem, RadialWell, agmon_identity_check,
+                    ground_state, harmonic_expansion_check, solve_fiber)
+from magtun.spectral import _default_n, _ground_levels
 
 SQRT5 = math.sqrt(5.0)
 
@@ -179,3 +179,50 @@ def test_ground_energy_simple(well):
                       k=2, tol=1e-7)
     gap = sol.energies[1] - sol.energies[0]
     assert gap >= 1.0 * h  # expected 2 sqrt(5) h ~ 4.5 h
+
+
+@pytest.mark.parametrize("depth, L, h", [(4.0, 4.815770, 0.428161),
+                                         (1.0, 8.6, 1.2195),
+                                         (1.0, 8.6, 1.229),
+                                         (1.0, 8.6, 1.2495)])
+def test_ground_state_converges_at_isolated_h(depth, L, h):
+    # here the eps |T| noise of a float64 bisection exceeds the change the
+    # Richardson rule accepts for a grid doubling, so a solve on bisection
+    # never converges
+    sol = ground_state(RadialWell.bump(depth=depth, a=1.0), h, L=L)
+    assert sol.energy_error <= 1e-8
+
+
+def _sturm_lowest(diag, off, lo, hi, points=32, width=1e-12):
+    """Bracket of the lowest eigenvalue by np.longdouble Sturm counts."""
+    e2 = off.astype(np.longdouble) ** 2
+
+    def below(xs):   # eigenvalue count below each x
+        q = diag.astype(np.longdouble)[:, None] - xs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(1, len(q)):
+                q[i] -= e2[i - 1] / q[i - 1]
+        return (q < 0).sum(axis=0)
+
+    lo, hi = np.longdouble(lo), np.longdouble(hi)
+    assert list(below(np.array([lo, hi]))) == [0, 1]
+    while hi - lo > width:
+        xs = lo + (hi - lo) * np.arange(1, points + 1,
+                                        dtype=np.longdouble) / (points + 1)
+        j = int(np.searchsorted(below(xs), 1))
+        lo, hi = (xs[j - 1] if j else lo), (xs[j] if j < points else hi)
+    return lo, hi
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="np.longdouble is not extended precision here")
+def test_ground_eigenvalue_matches_extended_precision(well):
+    # the second grid, seeded from the first; float64 bisection of the same
+    # matrix is off by about 1e-9
+    levels = _ground_levels(FiberProblem(m=0, h=0.3, R=8.0, n=34642,
+                                         well=well))
+    next(levels)
+    vals, _, diag, off, _, _ = next(levels)
+    assert len(diag) == 69284
+    lo, hi = _sturm_lowest(diag, off, vals[0] - 1e-7, vals[0] + 1e-7)
+    assert abs(float(vals[0] - lo)) <= 1e-10
