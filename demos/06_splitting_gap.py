@@ -8,8 +8,8 @@ row as unresolvable instead of asserting.
 
 import math
 
-from magtun import (AgmonProfile, DoubleWellConfig, RadialWell, assemble,
-                    gap_vs_hopping, landau_level_2d, sharp_action)
+from magtun import (DoubleWellConfig, Pipeline, RadialWell, assemble,
+                    gap_vs_hopping, landau_level_2d)
 
 well = RadialWell.bump()
 config = DoubleWellConfig(well, L=8.5)
@@ -24,13 +24,13 @@ print(f"lattice at h = 1: {lat.n_nodes} nodes, "
       f"plaquette-phase deviation {lat.plaquette_phase_deviation():.1e}, "
       f"hermiticity deviation {lat.hermiticity_deviation():.1e}")
 
-S = sharp_action(well, config.L).S
+pipe = Pipeline(config)
+S = pipe.action.S
 print(f"\nsharp action S = {S:.5f}; predicted gap e^(-S/h):")
 for h in (1.4, 1.0, 0.8, 0.5):
     print(f"  h = {h}: {math.exp(-S / h):.2e}")
 
-report = gap_vs_hopping(config, [1.4, 1.2, 1.0, 0.8, 0.5],
-                        profile=AgmonProfile(well, config.L))
+report = gap_vs_hopping(pipe, [1.4, 1.2, 1.0, 0.8, 0.5])
 print(f"\ncorridor for h ln(gap): [{report.corridor[0]:.3f}, "
       f"{report.corridor[1]:.3f}]")
 print(" h     gap           2|w|          ratio    h ln gap   flag")

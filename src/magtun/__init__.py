@@ -24,9 +24,9 @@ if _cap:
 
 from .potential import (DoubleWellConfig, RadialWell, WellValidationError,
                         eval_V, eval_v0, v0_curvature)
-from .numerics import (AccuracyError, Minimum1D, QuadratureSpec, bessel_i0,
-                       integrate, log_bessel_i0, log_integral_exp,
-                       minimize_1d, symm_tridiag_lowest)
+from .numerics import (AccuracyError, Minimum1D, NumericalError,
+                       QuadratureSpec, bessel_i0, integrate, log_bessel_i0,
+                       log_integral_exp, minimize_1d, symm_tridiag_lowest)
 from .agmon import (AgmonProfile, action_S0, action_S_eps, action_Sa,
                     action_Shat, agmon_d, corridor_CL, remainder_Ra)
 from .spectral import (FiberProblem, InvariantViolation, RadialEigenSolution,
@@ -42,7 +42,8 @@ from .asymptotics import (ActionReport, ConsistencyError, PsiSurface,
                           beta_scaling, kernel_g0_log, minimizer_closed_form,
                           nonmagnetic_action, psi_global_min, sharp_action,
                           w_chain)
-from .splitting2d import (MagneticLattice, assemble, gap_vs_hopping,
+from .pipeline import Case, Pipeline
+from .splitting2d import (MagneticLattice, assemble, gap_row, gap_vs_hopping,
                           landau_level_2d, lowest_two)
 
 __version__ = "0.1.0"

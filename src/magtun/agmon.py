@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
-from .numerics import QuadratureSpec, integrate, minimize_1d
+from .numerics import NumericalError, QuadratureSpec, integrate, minimize_1d
 
 __all__ = [
     "AgmonProfile",
@@ -170,8 +170,9 @@ def action_Shat(profile, tol=1e-9):
     a = profile.well.a
     res = minimize_1d(lambda r: float(profile.g0(r)), 0.0, a, tol=tol)
     if not (tol < res.argmin < a - tol):
-        raise RuntimeError(
-            f"hat-action minimizer r0={res.argmin} not interior to (0, {a})")
+        raise NumericalError(
+            f"hat-action minimizer r0={res.argmin} not interior to (0, {a})",
+            estimate=res.argmin, error_bound=(tol, a - tol))
     return ShatResult(res.value, res.argmin)
 
 
@@ -197,7 +198,8 @@ def remainder_Ra(profile):
     direct = integrate(ra_integrand, 0.0, a, profile.quadrature)
     bound = ((L - a) / 2.0 + math.sqrt(depth)) * a
     if not (0.0 < value <= bound + 1e-12):
-        raise RuntimeError(f"Ra={value} outside (0, {bound}]")
+        raise NumericalError(f"Ra={value} outside (0, {bound}]",
+                             estimate=value, error_bound=bound)
     return RaResult(value, direct, bound)
 
 

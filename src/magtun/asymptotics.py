@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .agmon import AgmonProfile, action_S0, action_Sa, action_Shat
-from .numerics import gauss_legendre, minimize_1d
+from .numerics import NumericalError, gauss_legendre, minimize_1d
 from .wkb import (c_h_asymptotic, log_outer_integrand, log_t_integrals,
                   matching_constants)
 
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-class ConsistencyError(RuntimeError):
+class ConsistencyError(NumericalError):
     """Numerically violated inequality that theory guarantees."""
 
 
@@ -111,7 +111,8 @@ def psi_global_min(surface, n_r=400, n_t=400, t_window=(1e-3, 30.0),
             break
         t_lo, t_hi = t_lo / 10.0, t_hi * 10.0
     else:
-        raise RuntimeError("Psi minimum escaped every t-window tried")
+        raise NumericalError("Psi minimum escaped every t-window tried",
+                             estimate=ts[k[1]], error_bound=(ts[0], ts[-1]))
     r_star, t_star = rs[k[0]], ts[k[1]]
     for _ in range(refinements):
         res_t = minimize_1d(lambda t: surface.psi(r_star, t),

@@ -3,10 +3,10 @@
 Subcommands: constants | spectrum | wkb | hopping | asymptotics | splitting
 | sweep | verify.  Output is CSV (17 significant digits, stable formatting)
 or JSON mirroring the same values.  Exit codes: 0 success, 1 assertion
-failure (verify), 2 configuration error, 3 numerical failure (a tolerance
-not reached or a structural invariant violated; one stderr line gives the
-estimate and the bound).  MAGTUN_THREADS caps the BLAS thread pool
-(applied when the magtun package is imported).
+failure (verify), 2 configuration error, 3 numerical failure (any
+NumericalError, such as a tolerance not reached or an invariant violated;
+one stderr line gives the estimate and the bound).  MAGTUN_THREADS caps the
+BLAS thread pool (applied when the magtun package is imported).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import sys
 
 import numpy as np
 
-from .numerics import AccuracyError
+from .numerics import NumericalError
+from .pipeline import Case, Pipeline
 from .potential import DoubleWellConfig, RadialWell, WellValidationError
-from .spectral import InvariantViolation
 
 _FMT = "%.17g"
 
@@ -67,24 +67,19 @@ def _h_range(spec):
 
 
 def cmd_constants(args):
-    from .agmon import (AgmonProfile, action_S0, action_Sa, action_Shat,
-                        corridor_CL, remainder_Ra)
-    from .asymptotics import sharp_action
+    from .agmon import corridor_CL, remainder_Ra
 
-    config = _load_config(args)
-    prof = AgmonProfile(config.well, config.L)
-    s0 = action_S0(prof)
-    sa = action_Sa(prof)
-    shat = action_Shat(prof)
+    pipe = Pipeline(_load_config(args))
+    prof = pipe.profile
     ra = remainder_Ra(prof)
     cl = corridor_CL(prof)
-    report = sharp_action(config.well, config.L, profile=prof)
+    report = pipe.action
     qerr = prof.d_a_error
     rows = [
-        ("S0", s0.value, 2 * qerr),
-        ("Sa", sa.value, 2 * qerr),
-        ("Shat", shat.value, 2 * qerr),
-        ("r0", shat.r0, 1e-9),
+        ("S0", report.S0, 2 * qerr),
+        ("Sa", report.Sa, 2 * qerr),
+        ("Shat", report.Shat, 2 * qerr),
+        ("r0", report.r0, 1e-9),
         ("Ra", ra.value, abs(ra.value - ra.direct) + 2 * qerr),
         ("CL", cl.value, 0.0),
         ("S", report.S, 2 * qerr),
@@ -92,7 +87,7 @@ def cmd_constants(args):
         ("D_mag", report.D_mag, qerr),
         ("interaction", report.interaction, 3 * qerr),
     ]
-    ordering = bool(sa.value < shat.value < s0.value)
+    ordering = bool(report.Sa < report.Shat < report.S0)
     _emit(rows, ("name", "value", "error_bound"), args.format, args.output,
           comments=(f"ordering Sa<Shat<S0: {str(ordering).lower()}",))
     return 0
@@ -122,18 +117,12 @@ def cmd_spectrum(args):
 
 
 def cmd_wkb(args):
-    from .agmon import AgmonProfile
-    from .spectral import ground_state
-    from .wkb import WkbAmplitude, calibrate_outer
-
-    config = _load_config(args)
-    well, L = config.well, config.L
-    sol = ground_state(well, args.h, L=L)
-    prof = AgmonProfile(well, L)
-    amp = WkbAmplitude(well, L + well.a + 1.0)
-    outer = calibrate_outer(well, args.h, sol, check_upto=L + 1.0)
-    rs = np.linspace(sol.grid[0], L + 1.0, args.points)
-    outside = rs >= well.a
+    pipe = Pipeline(_load_config(args))
+    case = Case(pipe, args.h)
+    sol, outer = case.ground, case.outer
+    prof, amp = pipe.profile, pipe.amplitude
+    rs = np.linspace(sol.grid[0], pipe.L + 1.0, args.points)
+    outside = rs >= pipe.well.a
     log_outer = np.full(rs.shape, np.nan)   # the representation needs r >= a
     log_outer[outside] = outer.log_u(rs[outside])
     rows = []
@@ -148,26 +137,20 @@ def cmd_wkb(args):
 
 
 def cmd_hopping(args):
-    from .agmon import AgmonProfile
-    from .hopping import hopping_bessel, hopping_direct
-    from .spectral import ground_state
-    from .wkb import calibrate_outer
+    from .agmon import action_S0, action_Sa
 
-    config = _load_config(args)
-    well, L = config.well, config.L
-    prof = AgmonProfile(well, L)
-    S0 = float(prof.d(L))
-    Sa = float(prof.d(L - well.a) + prof.d(well.a))
+    pipe = Pipeline(_load_config(args))
+    S0 = action_S0(pipe.profile).value
+    Sa = action_Sa(pipe.profile).value
     rows = []
     c_tilde = None
     for h in _h_range(args.h_range):
-        sol = ground_state(well, h, L=L)
+        case = Case(pipe, h)
         wd = wb = float("nan")
         if args.route in ("direct", "both"):
-            wd = hopping_direct(config, h, sol).real
+            wd = case.w_direct.real
         if args.route in ("bessel", "both"):
-            outer = calibrate_outer(well, h, sol, check_upto=L + 1.0)
-            wb = hopping_bessel(config, h, outer, sol)
+            wb = case.w_bessel
         w_ref = wb if not math.isnan(wb) else wd
         if c_tilde is None:
             # fit the corridor constant once, at the largest h
@@ -182,17 +165,12 @@ def cmd_hopping(args):
 
 
 def cmd_asymptotics(args):
-    from .agmon import AgmonProfile
-    from .asymptotics import beta_scaling, nonmagnetic_action, sharp_action, \
-        w_chain
-    from .spectral import ground_state
-    from .wkb import WkbAmplitude, calibrate_outer
+    from .asymptotics import beta_scaling, nonmagnetic_action, w_chain
 
-    config = _load_config(args)
-    well, L = config.well, config.L
+    pipe = Pipeline(_load_config(args))
+    well, L = pipe.well, pipe.L
     if args.action:
-        report = sharp_action(well, L)
-        rows = [(k, float(v)) for k, v in report.__dict__.items()]
+        rows = [(k, float(v)) for k, v in pipe.action.__dict__.items()]
         _emit(rows, ("name", "value"), args.format, args.output)
         return 0
     if args.beta_sweep:
@@ -204,13 +182,11 @@ def cmd_asymptotics(args):
               args.format, args.output)
         return 0
     if args.wchain:
-        prof = AgmonProfile(well, L)
-        amp = WkbAmplitude(well, L + well.a + 1.0)
         rows = []
         for h in _h_range(args.h_range):
-            sol = ground_state(well, h, L=L)
-            outer = calibrate_outer(well, h, sol, check_upto=L + 1.0)
-            res = w_chain(config, h, args.eta, sol, outer, amp, prof)
+            case = Case(pipe, h)
+            res = w_chain(pipe.config, h, args.eta, case.ground, case.outer,
+                          pipe.amplitude, pipe.profile)
             rows.append((h, res.log_W1, res.log_W2, res.log_W3, res.log_W4))
         _emit(rows, ("h", "log_W1", "log_W2", "log_W3", "log_W4"),
               args.format, args.output)
@@ -221,10 +197,9 @@ def cmd_asymptotics(args):
 def cmd_splitting(args):
     from .splitting2d import gap_vs_hopping
 
-    config = _load_config(args)
     box = tuple(args.box) if args.box else None
-    report = gap_vs_hopping(config, _h_range(args.h_range), delta=args.grid,
-                            box=box)
+    report = gap_vs_hopping(Pipeline(_load_config(args)),
+                            _h_range(args.h_range), delta=args.grid, box=box)
     rows = [(r.h, r.e1, r.e2, r.gap, r.two_w, r.ratio, r.h_ln_gap,
              r.floor_flag) for r in report.rows]
     _emit(rows, ("h", "e1", "e2", "gap", "two_w", "ratio", "h_ln_gap",
@@ -236,32 +211,14 @@ def cmd_splitting(args):
 
 
 def cmd_sweep(args):
-    from .agmon import AgmonProfile
-    from .hopping import hopping_bessel, hopping_direct, hopping_wkb_envelope
-    from .spectral import ground_state
-    from .splitting2d import gap_vs_hopping
-    from .wkb import WkbAmplitude, calibrate_outer
+    from .splitting2d import gap_row
 
-    config = _load_config(args)
-    well, L = config.well, config.L
-    prof = AgmonProfile(well, L)
-    amp = WkbAmplitude(well, L + well.a + 1.0)
-    h_list = _h_range(args.h_range)
-    split_rows = {}
-    if args.with_splitting:
-        if config.fsw_condition:
-            rep = gap_vs_hopping(config, h_list, profile=prof)
-            split_rows = {r.h: r for r in rep.rows}
-        else:
-            split_rows = None  # gated off below
+    pipe = Pipeline(_load_config(args))
     rows = []
-    for h in h_list:
+    for h in _h_range(args.h_range):
+        case = Case(pipe, h)
         try:
-            sol = ground_state(well, h, L=L)
-            outer = calibrate_outer(well, h, sol, check_upto=L + 1.0)
-            wd = hopping_direct(config, h, sol).real
-            wb = hopping_bessel(config, h, outer, sol)
-            env = hopping_wkb_envelope(config, h, prof, amp)
+            wd, wb, env = case.w_direct.real, case.w_bessel, case.envelope
             row = [h, wd, wb, h * math.log(abs(wb)),
                    env.log_w0_minus, env.log_w0_plus]
             note = ""
@@ -269,13 +226,13 @@ def cmd_sweep(args):
             row = [h] + [float("nan")] * 5
             note = f"error:{type(exc).__name__}"
         if args.with_splitting:
-            if split_rows is None:
+            if pipe.config.fsw_condition:
+                # outside the try: a splitting failure aborts the command
+                r = gap_row(case)
+                row += [r.gap, r.ratio]
+            else:
                 row += [float("nan"), float("nan")]
                 note = note or "splitting skipped: fsw condition false"
-            else:
-                r = split_rows.get(h)
-                row += [r.gap if r else float("nan"),
-                        r.ratio if r else float("nan")]
         rows.append(tuple(row + [note]))
     header = ["h", "w_direct", "w_bessel", "h_ln_w", "log_w0_minus",
               "log_w0_plus"]
@@ -389,7 +346,7 @@ def main(argv=None):
             json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (AccuracyError, InvariantViolation) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {type(exc).__name__}: {exc} (estimate "
               f"{_fmt_value(exc.estimate)}, bound "
               f"{_fmt_value(exc.error_bound)})", file=sys.stderr)

@@ -15,7 +15,8 @@ via int_0^{2pi} e^{-A cos t + i B sin t} dt = 2 pi I0(sqrt(A^2 - B^2)) and
 the outer representation of u_h, which removes the oscillatory phase and
 makes the integrand positive.  The third route replaces u_h by its WKB
 profile, giving the explicit envelopes w^{0,+/-} and the remainders M_h^+/-.
-All exponential quantities are assembled in log space.
+All exponential quantities are assembled in log space.  pipeline.Case
+builds u_h and the outer representation once per h for both routes.
 """
 
 from __future__ import annotations
@@ -175,38 +176,26 @@ class SlopeReport:
     message: str = ""
 
 
-def hopping_slope_check(config, h_list, profile, shat, solutions=None,
-                        outers=None, sharp_S=None):
+def hopping_slope_check(cases):
     """h ln|w| containment in [-S0 - d, -Sa + d] with d = 0.15 Shat, plus the
     refined lower containment >= -Shat - d for strictly negative wells, and
-    the monotone trend of h ln|w| toward -S as h decreases."""
-    from .spectral import ground_state
-    from .wkb import calibrate_outer
-
-    h_list = sorted(h_list, reverse=True)
-    if len(h_list) < 5:
+    the monotone trend of h ln|w| toward -S as h decreases.  Reads both
+    routes from >= 5 cases of one pipeline, and the actions from it."""
+    cases = sorted(cases, key=lambda c: c.h, reverse=True)
+    if len(cases) < 5:
         raise ValueError("insufficient points: need >= 5 h-values")
-    S0 = float(profile.d(config.L))
-    Sa = float(profile.d(config.L - config.well.a) + profile.d(config.well.a))
+    action = cases[0].pipeline.action
+    S0, Sa, shat = action.S0, action.Sa, action.Shat
     delta = 0.15 * shat
-    estimates = []
-    for i, h in enumerate(h_list):
-        sol = solutions[i] if solutions else \
-            ground_state(config.well, h, L=config.L)
-        outer = outers[i] if outers else calibrate_outer(
-            config.well, h, sol, check_upto=config.L + 1)
-        wd = hopping_direct(config, h, sol)
-        wb = hopping_bessel(config, h, outer, sol)
-        estimates.append(HoppingEstimate(
-            h=h, w_direct=wd, w_bessel=wb,
-            log_w=h * math.log(abs(wb))))
+    estimates = [HoppingEstimate(h=c.h, w_direct=c.w_direct,
+                                 w_bessel=c.w_bessel,
+                                 log_w=c.h * math.log(abs(c.w_bessel)))
+                 for c in cases]
     logs = [e.log_w for e in estimates]
     contained = all(-S0 - delta <= v <= -Sa + delta for v in logs)
     refined = all(v >= -shat - delta for v in logs)
-    monotone = True
-    if sharp_S is not None:
-        gaps = [abs(v + sharp_S) for v in logs]
-        monotone = gaps[-1] < gaps[0]
+    gaps = [abs(v + action.S) for v in logs]
+    monotone = gaps[-1] < gaps[0]
     msg = "ok" if (contained and refined) else (
         f"containment violated: h ln|w|={logs}, "
         f"corridor=[{-S0-delta:.4f},{-Sa+delta:.4f}], floor={-shat-delta:.4f}")

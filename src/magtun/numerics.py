@@ -26,6 +26,7 @@ from scipy.optimize import minimize_scalar
 
 __all__ = [
     "QuadratureSpec",
+    "NumericalError",
     "AccuracyError",
     "integrate",
     "Minimum1D",
@@ -39,13 +40,18 @@ __all__ = [
 ]
 
 
-class AccuracyError(RuntimeError):
-    """Requested tolerance not reached; carries the best estimate."""
+class NumericalError(RuntimeError):
+    """A numerical stage failed; carries its estimate and the bound it
+    missed.  Every typed numerical failure derives from it (CLI exit 3)."""
 
     def __init__(self, msg, estimate=None, error_bound=None):
         super().__init__(msg)
         self.estimate = estimate
         self.error_bound = error_bound
+
+
+class AccuracyError(NumericalError):
+    """Requested tolerance not reached; carries the best estimate."""
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.interpolate import CubicSpline
 
-from .numerics import AccuracyError, symm_tridiag_lowest, tridiag_ground_pair
+from .numerics import (AccuracyError, NumericalError, symm_tridiag_lowest,
+                       tridiag_ground_pair)
 
 __all__ = [
     "FiberProblem",
@@ -48,14 +49,9 @@ __all__ = [
 _LOG_FLOOR = -745.0  # below exp() underflow
 
 
-class InvariantViolation(RuntimeError):
+class InvariantViolation(NumericalError):
     """A structural expectation (radial ground state at m = 0) failed;
     carries the offending value and the bound it crossed."""
-
-    def __init__(self, msg, estimate=None, error_bound=None):
-        super().__init__(msg)
-        self.estimate = estimate
-        self.error_bound = error_bound
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ vector is fixed for run-to-run determinism.  The double-well operator
 commutes with rotation by pi about the midpoint, so the splitting is taken
 between the lowest levels of its even and odd half-size sector blocks: each
 is simple, and Lanczos never has to separate the exponentially close pair.
+`gap_row` sets that gap at one h against 2|w| from the same pipeline.Case
+(its ground state gives the shift); `gap_vs_hopping` runs it over an h-list.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
+from .numerics import NumericalError
+from .pipeline import Case
 from .potential import DoubleWellConfig, RadialWell
 
 __all__ = [
@@ -28,6 +32,7 @@ __all__ = [
     "assemble",
     "lowest_two",
     "landau_level_2d",
+    "gap_row",
     "gap_vs_hopping",
     "GapRow",
     "GapReport",
@@ -191,9 +196,10 @@ def lowest_two(lattice, sigma, k=2, ncv=None, tol=0.0,
         r = M @ vecs[:, j] - vals[j] * vecs[:, j]
         residuals.append(float(np.linalg.norm(r)))
     if max(residuals) > residual_rtol * scale:
-        raise RuntimeError(
+        raise NumericalError(
             f"eigensolver residual {max(residuals):.2e} above "
-            f"{residual_rtol:g} x scale")
+            f"{residual_rtol:g} x scale", estimate=max(residuals),
+            error_bound=residual_rtol * scale)
     return vals, vecs, residuals
 
 
@@ -244,58 +250,46 @@ class GapReport:
         return [r for r in self.rows if r.floor_flag == "ok"]
 
 
-def gap_vs_hopping(config, h_list, profile=None, delta=None, box=None,
-                   report_S=None, solutions=None, gap_floor_factor=100.0):
-    """Per-h gap of the 2-D operator against 2|w| and the action corridor.
+def gap_row(case, delta=None, box=None):
+    """GapRow: the 2-D gap at case.h against 2|w| from the same case.
 
-    Rows where the predicted gap e^{-S/h} sits below the eigensolver floor
-    are reported as unresolvable rather than asserted (exponentially small
+    A row whose predicted gap e^{-S/h} sits below the eigensolver floor is
+    reported as unresolvable rather than asserted (exponentially small
     splittings underflow double precision quickly).
     """
-    from .agmon import AgmonProfile, action_Sa, action_Shat
-    from .hopping import hopping_direct
-    from .spectral import ground_state
-    from .asymptotics import sharp_action
+    config, h, S = case.config, case.h, case.pipeline.action.S
+    floor = 1e-12   # double precision cannot separate a closer pair
+    predicted = math.exp(-S / h) if S / h < 700 else 0.0
+    if predicted < floor:
+        return GapRow(h, *[float("nan")] * 6, f"unresolvable(predicted "
+                      f"{predicted:.1e} < floor {floor:.1e})")
+    sigma = case.ground.e_sw - 0.1 * h
+    lat = assemble(config, h, delta=delta, box=box)
+    # the lowest level of each pi-rotation sector: one of the pair each
+    levels, residual = [], 0.0
+    for parity in (1, -1):
+        vals, _, res = lowest_two(lat, sigma=sigma, k=1, parity=parity)
+        levels.append((float(vals[0]), parity))
+        residual = max(residual, res[0])
+    (e1, ground_parity), (e2, _) = sorted(levels)
+    gap = e2 - e1
+    two_w = ratio = float("nan")
+    if config.fsw_condition:
+        two_w = 2.0 * abs(case.w_direct.real)
+        ratio = gap / two_w
+    flag = "ok" if gap > 100.0 * residual else \
+        "floor(gap below 100x residual)"
+    return GapRow(h, e1, e2, gap, two_w, ratio,
+                  h * math.log(gap) if gap > 0 else float("nan"),
+                  flag, ground_parity)
 
-    prof = profile or AgmonProfile(config.well, config.L)
-    Sa = action_Sa(prof).value
-    shat = action_Shat(prof).value
-    S = report_S if report_S is not None else sharp_action(
-        config.well, config.L, profile=prof).S
-    corridor = (-shat - 0.2 * shat, -Sa + 0.2 * shat)
-    rows = []
-    for i, h in enumerate(sorted(h_list, reverse=True)):
-        # absolute resolvability window: double precision cannot separate
-        # the pair once the predicted splitting drops below ~1e-12
-        floor = 1e-12
-        predicted = math.exp(-S / h) if S / h < 700 else 0.0
-        if predicted < floor:
-            rows.append(GapRow(h, float("nan"), float("nan"), float("nan"),
-                               float("nan"), float("nan"), float("nan"),
-                               f"unresolvable(predicted {predicted:.1e} < "
-                               f"floor {floor:.1e})"))
-            continue
-        sol = solutions[i] if solutions else \
-            ground_state(config.well, h, L=config.L)
-        lat = assemble(config, h, delta=delta, box=box)
-        # the lowest level of each pi-rotation sector: one of the pair each
-        levels, residual = [], 0.0
-        for parity in (1, -1):
-            vals, _, res = lowest_two(lat, sigma=sol.e_sw - 0.1 * h, k=1,
-                                      parity=parity)
-            levels.append((float(vals[0]), parity))
-            residual = max(residual, res[0])
-        (e1, ground_parity), (e2, _) = sorted(levels)
-        gap = e2 - e1
-        two_w = float("nan")
-        ratio = float("nan")
-        if config.fsw_condition:
-            wd = hopping_direct(config, h, sol)
-            two_w = 2.0 * abs(wd.real)
-            ratio = gap / two_w
-        flag = "ok" if gap > gap_floor_factor * residual else \
-            "floor(gap below 100x residual)"
-        rows.append(GapRow(h, e1, e2, gap, two_w, ratio,
-                           h * math.log(gap) if gap > 0 else float("nan"),
-                           flag, ground_parity))
-    return GapReport(rows, corridor, config.fsw_condition, S)
+
+def gap_vs_hopping(pipeline, h_list, delta=None, box=None):
+    """Gap rows from the largest h down, each on its own (dropped) Case,
+    with the action corridor."""
+    action = pipeline.action
+    d = 0.2 * action.Shat
+    corridor = (-action.Shat - d, -action.Sa + d)
+    rows = [gap_row(Case(pipeline, h), delta=delta, box=box)
+            for h in sorted(h_list, reverse=True)]
+    return GapReport(rows, corridor, pipeline.config.fsw_condition, action.S)

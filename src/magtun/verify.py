@@ -38,24 +38,18 @@ class _Skip(Exception):
 
 
 def run_battery(config, quick=False, landau_delta=None):
-    from .agmon import AgmonProfile, action_S0, action_Sa, action_Shat
-    from .asymptotics import PsiSurface, minimizer_closed_form, \
-        psi_global_min, sharp_action
-    from .hopping import hopping_bessel, hopping_direct
-    from .spectral import FiberProblem, harmonic_expansion_check, solve_fiber, \
-        ground_state
-    from .splitting2d import landau_level_2d
-    from .wkb import calibrate_outer, wkb_error_exponent
+    from .agmon import action_S0, action_Sa
+    from .asymptotics import PsiSurface, minimizer_closed_form, psi_global_min
+    from .pipeline import Case, Pipeline
+    from .spectral import FiberProblem, harmonic_expansion_check, solve_fiber
+    from .splitting2d import gap_vs_hopping, landau_level_2d
+    from .wkb import wkb_error_exponent
 
     well, L = config.well, config.L
     results = []
-    states = {}
-
-    def state(h):
-        # one ground_state per h within this battery, never across calls
-        if h not in states:
-            states[h] = ground_state(well, h, L=L)
-        return states[h]
+    # each stage once per battery, never across calls
+    pipe = Pipeline(config)
+    cases = {h: Case(pipe, h) for h in (0.5, 0.3, 0.1)}
 
     def landau():
         sol = solve_fiber(FiberProblem(m=0, h=1.0, R=19.0, n=20000),
@@ -101,8 +95,7 @@ def run_battery(config, quick=False, landau_delta=None):
         return 0.4 <= q <= 1.1, f"q = {q:.3f}"
 
     def reality():
-        sol = state(0.5)
-        wd = hopping_direct(config, 0.5, sol)
+        wd = cases[0.5].w_direct
         frac = abs(wd.imag) / abs(wd)
         return frac <= 1e-8, f"|Im w|/|w| = {frac:.1e}"
 
@@ -110,10 +103,7 @@ def run_battery(config, quick=False, landau_delta=None):
         hs = (0.5,) if quick else (0.5, 0.3)
         worst = 0.0
         for h in hs:
-            sol = state(h)
-            outer = calibrate_outer(well, h, sol, check_upto=L + 1.0)
-            wd = hopping_direct(config, h, sol)
-            wb = hopping_bessel(config, h, outer, sol)
+            wd, wb = cases[h].w_direct, cases[h].w_bessel
             worst = max(worst, abs(wd.real - wb) / abs(wb))
         return worst <= 1e-5, f"max rel route gap {worst:.1e}"
 
@@ -123,8 +113,7 @@ def run_battery(config, quick=False, landau_delta=None):
         B = 2.0 * well.depth * (L * L + well.a**2) + L**2 * well.a**2
         resid = abs(A2 * s_plus**2 - B * s_plus + well.depth**2) / \
             max(A2 * s_plus**2, 1.0)
-        prof = AgmonProfile(well, L)
-        surface = PsiSurface(prof)
+        surface = PsiSurface(pipe.profile)
         r_s, t_s, val = psi_global_min(surface)
         ref = float(surface.psi(well.a, t_a))
         ok = (abs(val - ref) <= 1e-6 * abs(ref)) and resid <= 1e-10
@@ -132,24 +121,20 @@ def run_battery(config, quick=False, landau_delta=None):
                    f"root residual {resid:.1e}"
 
     def corridors():
-        prof = AgmonProfile(well, L)
-        s0 = action_S0(prof)
-        sa = action_Sa(prof)
-        shat = action_Shat(prof)
-        rep = sharp_action(well, L, profile=prof)
-        chain = sa.value < shat.value < min(s0.value,
-                                            sa.value + L * well.a / 2.0)
+        s0 = action_S0(pipe.profile)
+        sa = action_Sa(pipe.profile)
+        rep = pipe.action
+        chain = sa.value < rep.Shat < min(s0.value,
+                                          sa.value + L * well.a / 2.0)
         var_ok = (abs(s0.value - s0.variational) <= 1e-8
                   and abs(sa.value - sa.variational) <= 1e-8)
         ok = chain and var_ok and rep.corridor_ok() and \
             rep.interaction_matrix_ok()
         return ok, (f"Sa={sa.value:.4f} < S={rep.S:.4f} <= "
-                    f"Shat={shat.value:.4f} < S0={s0.value:.4f}")
+                    f"Shat={rep.Shat:.4f} < S0={s0.value:.4f}")
 
     def outer_rep():
-        h = 0.1
-        sol = state(h)
-        outer = calibrate_outer(well, h, sol, check_upto=L + 1.0)
+        sol, outer = cases[0.1].ground, cases[0.1].outer
         rhos = np.linspace(well.a, L + 1.0, 13)
         worst = float(np.max(np.abs(
             np.exp(outer.log_u(rhos) - sol.log_u(rhos)) - 1.0)))
@@ -160,8 +145,7 @@ def run_battery(config, quick=False, landau_delta=None):
             raise _Skip("quick mode")
         if not config.fsw_condition:
             raise _Skip("fsw condition false for this config")
-        from .splitting2d import gap_vs_hopping
-        rep = gap_vs_hopping(config, [1.2, 1.0], profile=None)
+        rep = gap_vs_hopping(pipe, [1.2, 1.0])
         rows = rep.resolvable_rows()
         if not rows:
             raise _Skip("skipped(floor): gap below eigensolver floor")

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
-from .numerics import log_bessel_i0, log_integral_exp
+from .numerics import NumericalError, log_bessel_i0, log_integral_exp
 
 __all__ = [
     "log_outer_integrand",
@@ -90,7 +90,7 @@ def log_t_integrals(make_g, rows, lo):
     return out
 
 
-class OuterRepresentationError(RuntimeError):
+class OuterRepresentationError(NumericalError):
     """Calibrated outer representation disagrees with the eigensolution."""
 
 
@@ -228,7 +228,8 @@ def calibrate_outer(well, h, solution, check_upto=None, rtol_fail=1e-2):
         if rel > rtol_fail:
             raise OuterRepresentationError(
                 f"outer representation off by {rel:.2e} at rho={rho:.3f} "
-                f"(h={h}); eigensolution suspect")
+                f"(h={h}); eigensolution suspect", estimate=rel,
+                error_bound=rtol_fail)
     rep.rho_max = hi
     return rep
 

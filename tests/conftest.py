@@ -1,10 +1,9 @@
-"""Shared fixtures; expensive eigensolutions are cached per session."""
+"""Shared fixtures; expensive stages are built once per session."""
 
-import numpy as np
 import pytest
 
-from magtun import (AgmonProfile, DoubleWellConfig, RadialWell, WkbAmplitude,
-                    calibrate_outer, ground_state)
+from magtun import (AgmonProfile, Case, DoubleWellConfig, Pipeline,
+                    RadialWell, WkbAmplitude, gap_vs_hopping)
 
 
 @pytest.fixture(scope="session")
@@ -53,50 +52,41 @@ def config85(well):
 
 
 @pytest.fixture(scope="session")
-def profile85(well):
-    return AgmonProfile(well, 8.5)
+def pipeline85(config85):
+    return Pipeline(config85)
 
 
 @pytest.fixture(scope="session")
-def gs_cache():
-    """(well id, h, L) -> ground_state solution, shared across modules."""
-    cache = {}
+def gap_report(pipeline85):
+    """The 2-D gap against 2|w| at L = 8.5 on the four resolvable h."""
+    return gap_vs_hopping(pipeline85, [1.4, 1.2, 1.0, 0.8])
+
+
+@pytest.fixture(scope="session")
+def case():
+    """case(well, h, L=4.0) -> the session's one pipeline.Case for that
+    (well, L, h): each of its stages is solved once across modules."""
+    pipes, cases = {}, {}
 
     def get(well, h, L=4.0):
-        key = (id(well), round(h, 6), L)
-        if key not in cache:
-            cache[key] = ground_state(well, h, L=L)
-        return cache[key]
+        pipe = pipes.setdefault((id(well), L),
+                                Pipeline(DoubleWellConfig(well, L)))
+        return cases.setdefault((id(well), L, round(h, 6)), Case(pipe, h))
 
     return get
 
 
 @pytest.fixture(scope="session")
-def outer_cache(gs_cache):
-    cache = {}
-
-    def get(well, h, L=4.0):
-        key = (id(well), round(h, 6), L)
-        if key not in cache:
-            sol = gs_cache(well, h, L)
-            cache[key] = calibrate_outer(well, h, sol, check_upto=L + 1.0)
-        return cache[key]
-
-    return get
-
-
-@pytest.fixture(scope="session")
-def deep_chain(config_deep, well_deep, profile_deep, amp_deep):
+def deep_chain(config_deep, well_deep, profile_deep, amp_deep, case):
     """W-chain sweep on the deep well (t_a = 0.392 keeps the eta-policy
     window inside the truncation-error regime)."""
     from magtun import w_chain
 
     out = {}
     for h in (0.3, 0.2, 0.14, 0.1, 0.07, 0.05):
-        sol = ground_state(well_deep, h, L=4.0)
-        outer = calibrate_outer(well_deep, h, sol, check_upto=5.0)
+        c = case(well_deep, h)
         out[h] = {
-            eta: w_chain(config_deep, h, eta, sol, outer, amp_deep,
+            eta: w_chain(config_deep, h, eta, c.ground, c.outer, amp_deep,
                          profile_deep)
             for eta in ((0.05, 0.1, 0.2) if h == 0.05 else (0.05,))
         }

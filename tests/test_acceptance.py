@@ -12,8 +12,8 @@ import pytest
 
 from magtun import (FiberProblem, action_S0, action_Sa, action_Shat,
                     calibrate_outer, c_h_asymptotic, matching_constants,
-                    gap_vs_hopping, harmonic_expansion_check, hopping_bessel,
-                    hopping_direct, hopping_slope_check, landau_level_2d,
+                    gap_vs_hopping, harmonic_expansion_check,
+                    hopping_slope_check, landau_level_2d,
                     minimizer_closed_form, nonmagnetic_action,
                     psi_global_min, sharp_action, solve_fiber,
                     wkb_error_exponent, beta_scaling, PsiSurface)
@@ -61,9 +61,9 @@ def test_criterion_03_harmonic_order(well):
                            f"{rep.exponent:.3f} in [1.4, 2.1]")
 
 
-def test_criterion_04_wkb_order(well, gs_cache, profile4, amp6):
+def test_criterion_04_wkb_order(well, case, profile4, amp6):
     hs = [0.2, 0.14, 0.1, 0.07, 0.05]
-    sols = [gs_cache(well, h) for h in hs]
+    sols = [case(well, h).ground for h in hs]
     q, errors = wkb_error_exponent(well, hs, R=1.0, solutions=sols)
     positive = True
     for h, sol in zip(hs, sols):
@@ -76,18 +76,17 @@ def test_criterion_04_wkb_order(well, gs_cache, profile4, amp6):
                            f"[0.4, 1.1]; profiles positive: {positive}")
 
 
-def test_criterion_05_outer_representation(well, gs_cache, profile4, amp6):
+def test_criterion_05_outer_representation(well, case, profile4, amp6):
     worst = 0.0
     for h in (0.1, 0.05):
-        sol = gs_cache(well, h)
-        outer = calibrate_outer(well, h, sol, check_upto=5.0)
+        sol, outer = case(well, h).ground, case(well, h).outer
         for rho in np.linspace(1.0, 5.0, 17):
             worst = max(worst, abs(math.exp(
                 outer.log_u(rho) - float(sol.log_u(rho))) - 1.0))
     consts = matching_constants(well, amplitude=amp6, d_a=profile4.d_a)
     mags = []
     for h in (0.2, 0.1, 0.05, 0.035):
-        sol = gs_cache(well, h)
+        sol = case(well, h).ground
         outer = calibrate_outer(well, h, sol, check_upto=4.0)
         mags.append(abs(h * (outer.log_C_h - c_h_asymptotic(well, h,
                                                             consts))))
@@ -98,12 +97,10 @@ def test_criterion_05_outer_representation(well, gs_cache, profile4, amp6):
                            f"{mags[-1]:.3f} (<= 0.05)")
 
 
-def test_criterion_06_hopping_routes(config4, well, gs_cache, outer_cache):
+def test_criterion_06_hopping_routes(well, case):
     worst_im, worst_gap = 0.0, 0.0
     for h in (0.5, 0.3):
-        sol = gs_cache(well, h)
-        wd = hopping_direct(config4, h, sol)
-        wb = hopping_bessel(config4, h, outer_cache(well, h), sol)
+        wd, wb = case(well, h).w_direct, case(well, h).w_bessel
         worst_im = max(worst_im, abs(wd.imag) / abs(wd))
         worst_gap = max(worst_gap, abs(wd.real - wb) / abs(wb))
     ok = worst_im <= 1e-8 and worst_gap <= 1e-5
@@ -145,22 +142,17 @@ def test_criterion_08_psi_minimizer(well, profile4):
                            f"{resid:.1e} (<= 1e-10)")
 
 
-def test_criterion_09_hopping_slope(config4, well, profile4, gs_cache,
-                                    outer_cache):
+def test_criterion_09_hopping_slope(well, case):
     hs = [0.6, 0.5, 0.42, 0.35, 0.3, 0.25]
-    shat = action_Shat(profile4)
-    S = sharp_action(well, 4.0, profile=profile4).S
-    report = hopping_slope_check(
-        config4, hs, profile4, shat.value,
-        solutions=[gs_cache(well, h) for h in hs],
-        outers=[outer_cache(well, h) for h in hs], sharp_S=S)
+    report = hopping_slope_check([case(well, h) for h in hs])
+    S = case(well, hs[0]).pipeline.action.S
     ok = (report.contained and report.refined_contained
           and report.monotone_toward_S)
     logs = [round(e.log_w, 3) for e in report.estimates]
     acceptance_line(9, ok, f"h ln|w| = {logs} inside "
                            f"[{-report.S0 - report.delta:.3f}, "
                            f"{-report.Sa + report.delta:.3f}], refined floor "
-                           f"{-shat.value - report.delta:.3f}, trending "
+                           f"{-report.Shat - report.delta:.3f}, trending "
                            f"toward -S = {-S:.3f}")
 
 
@@ -181,18 +173,14 @@ def test_criterion_10_w_chain(well_deep, deep_chain):
                             f"(<= {0.15 * S:.3f})")
 
 
-def test_criterion_11_splitting_corridor(config85, profile85, well,
-                                         gs_cache):
+def test_criterion_11_splitting_corridor(config85, pipeline85, gap_report):
     assert config85.fsw_condition
-    hs = [1.4, 1.2, 1.0, 0.8]
-    report = gap_vs_hopping(config85, hs, profile=profile85,
-                            solutions=[gs_cache(well, h, L=8.5) for h in hs])
+    report = gap_report   # h = 1.4, 1.2, 1.0, 0.8 (see conftest)
     rows = report.resolvable_rows()
     corridor_ok = all(report.corridor[0] <= r.h_ln_gap <= report.corridor[1]
                       for r in rows)
     ratio_ok = all(0.5 <= r.ratio <= 2.0 for r in rows)
-    floor = gap_vs_hopping(config85, [0.5], profile=profile85,
-                           solutions=[None]).rows[0]
+    floor = gap_vs_hopping(pipeline85, [0.5]).rows[0]
     floor_ok = floor.floor_flag.startswith("unresolvable")
     ok = corridor_ok and ratio_ok and floor_ok and len(rows) == 4
     ratios = [round(r.ratio, 3) for r in rows]

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from magtun import (AgmonProfile, ConsistencyError, PsiSurface, RadialWell,
-                    beta_scaling, calibrate_outer, ground_state,
-                    minimize_1d, minimizer_closed_form, nonmagnetic_action,
-                    psi_global_min, sharp_action, w_chain)
+                    beta_scaling, minimize_1d, minimizer_closed_form,
+                    nonmagnetic_action, psi_global_min, sharp_action, w_chain)
 from magtun.agmon import action_S0, action_Sa, action_Shat, \
     free_action_primitive
 
@@ -132,17 +131,14 @@ def test_interaction_small_a_trend():
         2.0 * float(free_action_primitive(0.05, 1.0)), rel=0.01)
 
 
-def test_w_chain_canonical(config4, well, profile4, amp6, gs_cache,
-                           outer_cache):
-    h, eta = 0.3, 0.05
-    res = w_chain(config4, h, eta, gs_cache(well, h), outer_cache(well, h),
-                  amp6, profile4)
+def test_w_chain_canonical(config4, well, profile4, amp6, case):
+    h, eta, c = 0.3, 0.05, case(well, 0.3)
+    res = w_chain(config4, h, eta, c.ground, c.outer, amp6, profile4)
     for lw in (res.log_W1, res.log_W2, res.log_W3, res.log_W4):
         assert np.isfinite(lw)  # strictly positive integrals
     assert res.log_W4 == pytest.approx(res.log_W4_alt, abs=1e-8)
     with pytest.raises(ValueError):
-        w_chain(config4, h, 1.5, gs_cache(well, h), outer_cache(well, h),
-                amp6, profile4)
+        w_chain(config4, h, 1.5, c.ground, c.outer, amp6, profile4)
 
 
 def test_w1_eta_stability_deep(deep_chain):
@@ -153,13 +149,10 @@ def test_w1_eta_stability_deep(deep_chain):
         assert abs(w1[eta] - base) / base <= 0.01
 
 
-def test_w1_approximates_w_deep(config_deep, well_deep, deep_chain):
-    from magtun import hopping_bessel
+def test_w1_approximates_w_deep(well_deep, case, deep_chain):
     gaps = []
     for h in (0.3, 0.1, 0.05):
-        sol = ground_state(well_deep, h, L=4.0)
-        outer = calibrate_outer(well_deep, h, sol, check_upto=5.0)
-        w = abs(hopping_bessel(config_deep, h, outer, sol))
+        w = abs(case(well_deep, h).w_bessel)
         gaps.append(abs(math.exp(deep_chain[h][0.05].log_W1) / w - 1.0))
     assert gaps[-1] < gaps[0]
     assert gaps[-1] < 0.05

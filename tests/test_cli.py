@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -61,17 +62,50 @@ def test_numerical_failure_exit_3():
 
 
 def test_invariant_violation_exit_3(monkeypatch, capsys):
-    from magtun import cli, spectral
+    from magtun import cli, pipeline, spectral
 
     def violated(*args, **kwargs):
         raise spectral.InvariantViolation("fiber minimum at m=1",
                                           estimate=0.5, error_bound=0.75)
 
-    monkeypatch.setattr(spectral, "ground_state", violated)
+    monkeypatch.setattr(pipeline, "ground_state", violated)
     assert cli.main(["wkb", "--h", "0.3"]) == 3
     assert capsys.readouterr().err == (
         "numerical error: InvariantViolation: fiber minimum at m=1 "
         "(estimate 0.5, bound 0.75)\n")
+
+
+@pytest.mark.parametrize("stage, error, argv", [
+    ("calibrate_outer", "OuterRepresentationError", ["wkb", "--h", "0.3"]),
+    ("sharp_action", "ConsistencyError", ["constants"])],
+    ids=["wkb", "constants"])
+def test_every_numerical_error_exit_3(monkeypatch, capsys, stage, error,
+                                      argv):
+    import magtun
+    from magtun import cli, pipeline
+
+    exc = getattr(magtun, error)("stage failed", estimate=2.0, error_bound=1)
+    monkeypatch.setattr(pipeline, stage, mock.Mock(side_effect=exc))
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"numerical error: {error}: stage failed (estimate 2, bound 1)\n")
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["sweep", "--L", "8.5", "--h-range", "1.2:1.2:1", "--with-splitting"],
+     {"ground_state": 1, "hopping_direct": 1}),
+    (["verify", "--quick"], {"hopping_direct": 1})], ids=["sweep", "verify"])
+def test_each_stage_solved_once(monkeypatch, capsys, argv, calls):
+    from magtun import cli, pipeline
+
+    seen = dict.fromkeys(calls, 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(pipeline, name), **kw):
+            seen[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(pipeline, name, counted)
+    assert cli.main(argv) == 0
+    assert seen == calls
 
 
 @pytest.mark.parametrize("argv", [["constants", "--tol", "1e-6"],

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from magtun import (DoubleWellConfig, action_Shat, calibrate_outer,
-                    epsilon_lower_bound, ground_state, hopping_bessel,
-                    hopping_direct, hopping_slope_check, hopping_wkb_envelope)
+from magtun import (Case, DoubleWellConfig, Pipeline, epsilon_lower_bound,
+                    hopping_slope_check, hopping_wkb_envelope)
 
 # frozen cross-route value at h = 0.5 (both routes agreed to 4e-8 when frozen)
 W_CANON_H05 = -4.390891e-05
@@ -14,18 +13,12 @@ H_SWEEP = [0.6, 0.5, 0.42, 0.35, 0.3, 0.25]
 
 
 @pytest.fixture(scope="module")
-def estimates(config4, well, gs_cache, outer_cache, profile4):
-    shat = action_Shat(profile4)
-    sols = [gs_cache(well, h) for h in H_SWEEP]
-    outs = [outer_cache(well, h) for h in H_SWEEP]
-    from magtun import sharp_action
-    S = sharp_action(well, 4.0, profile=profile4).S
-    return hopping_slope_check(config4, H_SWEEP, profile4, shat.value,
-                               solutions=sols, outers=outs, sharp_S=S)
+def estimates(well, case):
+    return hopping_slope_check([case(well, h) for h in H_SWEEP])
 
 
-def test_reality(config4, well, gs_cache):
-    wd = hopping_direct(config4, 0.5, gs_cache(well, 0.5))
+def test_reality(well, case):
+    wd = case(well, 0.5).w_direct
     assert abs(wd.imag) / abs(wd) <= 1e-8
 
 
@@ -33,33 +26,26 @@ def test_reality(config4, well, gs_cache):
 def test_route_agreement_deep_well(well_deep, h):
     # the direct route reads the tail of u_h, so an eigenvector stopped
     # short of convergence shows here first
-    L = 4.487519
-    sol = ground_state(well_deep, h, L=L)
-    outer = calibrate_outer(well_deep, h, sol, check_upto=L + 1.0)
-    config = DoubleWellConfig(well_deep, L)
-    wd = hopping_direct(config, h, sol).real
-    wb = hopping_bessel(config, h, outer, sol)
+    c = Case(Pipeline(DoubleWellConfig(well_deep, 4.487519)), h)
+    wd, wb = c.w_direct.real, c.w_bessel
     assert abs(wd - wb) / abs(wb) <= 1e-5
 
 
-def test_theta_reversal_symmetry(config4, well, gs_cache):
+def test_theta_reversal_symmetry(well, case):
     # conjugate-symmetric integrand: the reversed discretization is the
     # complex conjugate, so the imaginary part cancels to roundoff
-    wd = hopping_direct(config4, 0.5, gs_cache(well, 0.5))
+    wd = case(well, 0.5).w_direct
     assert abs(wd - wd.conjugate()) <= 1e-10 * abs(wd)
 
 
 @pytest.mark.parametrize("h", [0.5, 0.3])
-def test_route_agreement(config4, well, h, gs_cache, outer_cache):
-    sol = gs_cache(well, h)
-    wd = hopping_direct(config4, h, sol)
-    wb = hopping_bessel(config4, h, outer_cache(well, h), sol)
+def test_route_agreement(well, h, case):
+    wd, wb = case(well, h).w_direct, case(well, h).w_bessel
     assert abs(wd.real - wb) / abs(wb) <= 1e-5
 
 
-def test_frozen_value(config4, well, gs_cache, outer_cache):
-    wb = hopping_bessel(config4, 0.5, outer_cache(well, 0.5),
-                        gs_cache(well, 0.5))
+def test_frozen_value(well, case):
+    wb = case(well, 0.5).w_bessel
     assert wb == pytest.approx(W_CANON_H05, rel=1e-4)
 
 
@@ -68,14 +54,14 @@ def test_sign_constant_across_sweep(estimates):
     assert signs == {-1.0}  # v0 <= 0 forces one sign
 
 
-def test_bessel_envelope_bound(config4, well, gs_cache):
+def test_bessel_envelope_bound(well, case):
     # |w| <= c2 int |v0| u_h(L-r) u_h(r) r dr with the measured c2 = 1.7
     h = 0.5
-    sol = gs_cache(well, h)
+    sol = case(well, h).ground
     r = np.linspace(1e-4, 1.0, 2001)
     vals = np.abs(well.v0(r)) * np.exp(sol.log_u(4.0 - r) + sol.log_u(r)) * r
     bound = 1.7 * np.trapezoid(vals, r) * 2 * np.pi
-    wd = abs(hopping_direct(config4, h, sol))
+    wd = abs(case(well, h).w_direct)
     assert wd <= bound
 
 
@@ -121,19 +107,19 @@ def test_slope_containment(estimates):
     assert estimates.monotone_toward_S
 
 
-def test_slope_check_requires_points(config4, profile4):
+def test_slope_check_requires_points(well, case):
     with pytest.raises(ValueError, match="insufficient"):
-        hopping_slope_check(config4, [0.5], profile4, 5.45)
+        hopping_slope_check([case(well, 0.5)])
 
 
-def test_epsilon_family_lower_bound(config4, well, gs_cache):
+def test_epsilon_family_lower_bound(config4, well, case):
     # fit c_eps at the largest h; the ratio may drift but never by 10x
     for eps in (0.25, 0.5, 1.0):
         ratios = []
         for h in (0.5, 0.35, 0.25):
-            sol = gs_cache(well, h)
-            rhs = epsilon_lower_bound(config4, h, eps, sol)
-            w = abs(hopping_direct(config4, h, sol))
+            c = case(well, h)
+            rhs = epsilon_lower_bound(config4, h, eps, c.ground)
+            w = abs(c.w_direct)
             ratios.append(w / rhs)
         c_eps = ratios[0]
         assert all(r >= c_eps / 10.0 for r in ratios)

@@ -302,11 +302,10 @@ def test_log_t_integrals_across_block_boundary():
 
 
 @pytest.mark.parametrize("h", [0.3, 0.5])
-def test_t_kernel_frozen_values(config4, well, profile4, amp6, gs_cache,
-                                outer_cache, h):
-    sol, outer = gs_cache(well, h), outer_cache(well, h)
+def test_t_kernel_frozen_values(config4, well, profile4, amp6, case, h):
+    sol, outer = case(well, h).ground, case(well, h).outer
     wb = hopping_bessel(config4, h, outer, sol)
-    assert wb == pytest.approx(FROZEN_W_BESSEL[h], rel=1e-10)
+    assert wb == pytest.approx(FROZEN_W_BESSEL[h], rel=1e-10, abs=0)
     res = w_chain(config4, h, 0.05, sol, outer, amp6, profile4)
     got = (res.log_W1, res.log_W2, res.log_W3, res.log_W4, res.log_W4_alt)
     assert got == pytest.approx(FROZEN_W_CHAIN[h], rel=1e-10)

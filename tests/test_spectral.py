@@ -55,23 +55,23 @@ def test_oscillator_scaling_relation():
         assert np.allclose(osc.energies, pred, atol=1e-6)
 
 
-def test_ground_state_harmonic_prediction(well, gs_cache):
-    sol = gs_cache(well, 0.05)
+def test_ground_state_harmonic_prediction(well, case):
+    sol = case(well, 0.05).ground
     pred = -1.0 + 0.05 * SQRT5
     assert abs(sol.e_sw - pred) <= 0.05**1.5  # fitted prefactor is O(1)
     assert sol.e_sw == pytest.approx(-0.8861991, abs=1e-5)
 
 
-def test_mode_gap(well, gs_cache):
-    sol = gs_cache(well, 0.05)
+def test_mode_gap(well, case):
+    sol = case(well, 0.05).ground
     gaps = {m: e - sol.e_sw for m, e in sol.fiber_energies.items() if m != 0}
     assert min(gaps.values()) >= 0.05  # every other fiber at least h above
 
 
 @pytest.mark.parametrize("h", [0.3, 0.05])
-def test_negative_fibers_from_shift_identity(well, gs_cache, h):
+def test_negative_fibers_from_shift_identity(well, case, h):
     # fiber -m is fiber m shifted by 2hm, so ground_state derives it
-    sol = gs_cache(well, h)
+    sol = case(well, h).ground
     n_scan = max(_default_n(sol.R, delta=1e-3), 4000)
     for m in (1, 2):
         direct = solve_fiber(FiberProblem(m=-m, h=h, R=sol.R, n=n_scan,
@@ -80,14 +80,14 @@ def test_negative_fibers_from_shift_identity(well, gs_cache, h):
         assert abs(sol.fiber_energies[-m] - direct) <= 1e-8
 
 
-def test_normalization_and_positivity(well, gs_cache):
-    sol = gs_cache(well, 0.1)
+def test_normalization_and_positivity(well, case):
+    sol = case(well, 0.1).ground
     assert sol.norm_check() == pytest.approx(1.0, abs=1e-8)
     assert np.all(sol.u[:-3] > 0.0)
 
 
-def test_grid_doubling_converged(well, gs_cache):
-    assert gs_cache(well, 0.1).energy_error <= 1e-8
+def test_grid_doubling_converged(well, case):
+    assert case(well, 0.1).ground.energy_error <= 1e-8
 
 
 def test_fiber_problem_validation(well):
@@ -138,14 +138,14 @@ def test_second_eigenvalue_tracks_fiber_prediction(well):
     assert abs(e2 - (-1.0 + h * lam2)) <= 3.0 * h**1.5
 
 
-def test_agmon_identity_phi_zero(well, gs_cache):
-    sol = gs_cache(well, 0.1)
+def test_agmon_identity_phi_zero(well, case):
+    sol = case(well, 0.1).ground
     rep = agmon_identity_check(sol, np.zeros_like(sol.grid), well=well)
     assert rep.residual <= 1e-6
 
 
-def test_agmon_identity_weighted(well, profile4, gs_cache):
-    sol = gs_cache(well, 0.1)
+def test_agmon_identity_weighted(well, profile4, case):
+    sol = case(well, 0.1).ground
     delta = 0.2
     rep = agmon_identity_check(
         sol, lambda r: (1 - delta) * profile4.d(r),

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from magtun import (assemble, gap_vs_hopping, ground_state, landau_level_2d,
-                    lowest_two, sharp_action)
+from magtun import assemble, gap_vs_hopping, landau_level_2d, lowest_two
 
 
 def test_plaquette_and_hermiticity(config4):
@@ -28,18 +27,18 @@ def test_landau_level_2d():
     assert abs(e_ext - 0.5) / 0.5 <= 0.03
 
 
-def test_single_well_control(well, gs_cache):
+def test_single_well_control(well, case):
     h = 0.3
     lat = assemble(well, h, delta=0.06)
-    ref = gs_cache(well, h).e_sw
+    ref = case(well, h).ground.e_sw
     vals, _, _ = lowest_two(lat, sigma=ref - 0.2 * h, k=2)
     assert abs(vals[0] - ref) / abs(ref) <= 0.02
 
 
-def test_parity_of_ground_magnitude(config4, well, gs_cache):
+def test_parity_of_ground_magnitude(config4, well, case):
     h = 0.5
     lat = assemble(config4, h, delta=0.1)
-    sol = gs_cache(well, h)
+    sol = case(well, h).ground
     vals, vecs, _ = lowest_two(lat, sigma=sol.e_sw - 0.1 * h)
     psi = np.abs(vecs[:, 0]).reshape(lat.shape)
     flipped = psi[::-1, :]
@@ -47,19 +46,19 @@ def test_parity_of_ground_magnitude(config4, well, gs_cache):
     assert vals[1] > vals[0]
 
 
-def test_gauge_shift_invariance(config4, well, gs_cache):
+def test_gauge_shift_invariance(config4, well, case):
     h = 0.5
     lat = assemble(config4, h, delta=0.1)
     shifted = lat.with_gauge_shift(lambda x, y: 0.3 * x + 0.1 * y)
-    sigma = gs_cache(well, h).e_sw - 0.1 * h
+    sigma = case(well, h).ground.e_sw - 0.1 * h
     v1, _, _ = lowest_two(lat, sigma=sigma)
     v2, _, _ = lowest_two(shifted, sigma=sigma)
     assert np.max(np.abs(v1 - v2)) <= 1e-10
 
 
-def test_delta_refinement_stability(well, gs_cache):
+def test_delta_refinement_stability(well, case):
     h = 0.3
-    ref = gs_cache(well, h).e_sw
+    ref = case(well, h).ground.e_sw
     es = []
     for delta in (0.06, 0.06 / math.sqrt(2.0)):
         lat = assemble(well, h, delta=delta)
@@ -68,9 +67,9 @@ def test_delta_refinement_stability(well, gs_cache):
     assert abs(es[1] - es[0]) / abs(es[0]) <= 0.01
 
 
-def test_box_growth_stability(well, gs_cache):
+def test_box_growth_stability(well, case):
     h = 0.3
-    ref = gs_cache(well, h).e_sw
+    ref = case(well, h).ground.e_sw
     mag = math.sqrt(2 * h)
     es = []
     for extra in (0.0, mag):
@@ -81,20 +80,13 @@ def test_box_growth_stability(well, gs_cache):
     assert abs(es[1] - es[0]) / abs(es[0]) <= 1e-3
 
 
-@pytest.fixture(scope="session")
-def gap_report(config85, profile85, well, gs_cache):
-    sols = [gs_cache(well, h, L=8.5) for h in (1.4, 1.2, 1.0, 0.8)]
-    return gap_vs_hopping(config85, [1.4, 1.2, 1.0, 0.8], profile=profile85,
-                          solutions=sols)
-
-
 @pytest.fixture(scope="module")
-def full_pairs(config85, well, gs_cache):
+def full_pairs(config85, well, case):
     """h -> (vals, vecs) of the full-matrix k=2 solve on each gap_report row."""
     out = {}
     for h in (1.4, 1.2, 1.0, 0.8):
         lat = assemble(config85, h)
-        sigma = gs_cache(well, h, L=8.5).e_sw - 0.1 * h
+        sigma = case(well, h, L=8.5).ground.e_sw - 0.1 * h
         vals, vecs, _ = lowest_two(lat, sigma=sigma, k=2)
         out[h] = (vals, vecs)
     return out
@@ -136,9 +128,8 @@ def test_gap_monotone(gap_report):
     assert all(x > y for x, y in zip(gaps, gaps[1:]))
 
 
-def test_floor_detection(config85, profile85):
-    report = gap_vs_hopping(config85, [0.5], profile=profile85,
-                            solutions=[None])
+def test_floor_detection(pipeline85):
+    report = gap_vs_hopping(pipeline85, [0.5])
     assert len(report.rows) == 1
     assert report.rows[0].floor_flag.startswith("unresolvable")
 

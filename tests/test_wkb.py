@@ -19,9 +19,9 @@ def test_a0_at_origin(well, amp6):
     assert amplitude_a0(well, 0.0) == pytest.approx(A0_CANON, rel=1e-10)
 
 
-def test_a0_matches_measured_ground_state(well, gs_cache, profile4):
+def test_a0_matches_measured_ground_state(well, case, profile4):
     # sqrt(h) e^{d/h} u_h(0+) -> a0(0); at h = 0.05 the drift is ~ 1.5%
-    sol = gs_cache(well, 0.05)
+    sol = case(well, 0.05).ground
     r0 = sol.grid[0]
     measured = math.sqrt(0.05) * math.exp(
         float(profile4.d(r0)) / 0.05 + float(sol.log_u(r0)))
@@ -57,17 +57,17 @@ def test_a0_positive_on_range(well):
     assert np.all(amp.a0(r) > 0.0)
 
 
-def test_wkb_error_exponent(well, gs_cache):
+def test_wkb_error_exponent(well, case):
     hs = [0.2, 0.14, 0.1, 0.07, 0.05]
-    sols = [gs_cache(well, h) for h in hs]
+    sols = [case(well, h).ground for h in hs]
     q, errors = wkb_error_exponent(well, hs, R=1.0, solutions=sols)
     assert 0.4 <= q <= 1.1
     assert np.all(np.isfinite(errors))
     assert np.all(np.diff(errors) < 0)  # decreasing along decreasing h
 
 
-def test_profile_error_finite_and_sign(well, gs_cache, profile4, amp6):
-    sol = gs_cache(well, 0.1)
+def test_profile_error_finite_and_sign(well, case, profile4, amp6):
+    sol = case(well, 0.1).ground
     err = wkb_profile_error(well, 0.1, 1.0, sol, amplitude=amp6,
                             profile=profile4)
     assert np.isfinite(err)
@@ -77,35 +77,34 @@ def test_profile_error_finite_and_sign(well, gs_cache, profile4, amp6):
     assert np.all(amp6.a0(sol.grid[mask]) > 0)
 
 
-def test_calibrated_alpha(well, gs_cache):
-    sol = gs_cache(well, 0.05)
-    outer = calibrate_outer(well, 0.05, sol, check_upto=5.0)
+def test_calibrated_alpha(well, case):
+    sol = case(well, 0.05).ground
+    outer = case(well, 0.05).outer
     assert outer.alpha == pytest.approx(0.5 - sol.e_sw / 0.1, rel=1e-14)
     # leading order: depth/(2h) - (sqrt5 - 1)/2
     assert outer.alpha == pytest.approx(10.0 - (SQRT5 - 1) / 2, abs=0.05)
 
 
-def test_outer_self_consistency(well, gs_cache):
+def test_outer_self_consistency(well, case):
     for h in (0.1, 0.05):
-        sol = gs_cache(well, h)
-        outer = calibrate_outer(well, h, sol, check_upto=5.0)
+        sol, outer = case(well, h).ground, case(well, h).outer
         for rho in (1.5, 2.0, 3.0, 4.0):
             rel = abs(math.exp(outer.log_u(rho) - float(sol.log_u(rho))) - 1)
             assert rel <= 1e-3, f"rho={rho}, h={h}: {rel}"
 
 
-def test_outer_violation_detected(well, gs_cache):
-    sol = gs_cache(well, 0.1)
+def test_outer_violation_detected(well, case):
+    sol = case(well, 0.1).ground
     with pytest.raises(OuterRepresentationError):
         calibrate_outer(well, 0.1, sol, check_upto=5.0, rtol_fail=1e-12)
 
 
-def test_alpha_correction_term(well, gs_cache):
+def test_alpha_correction_term(well, case):
     # alpha(h) 2h - depth -> -h (sqrt(1+2 v0''(0)) - 1) + o(h): fitted
     # correction within 20% of the coefficient
     slopes = []
     for h in (0.1, 0.05):
-        sol = gs_cache(well, h)
+        sol = case(well, h).ground
         alpha = 0.5 - sol.e_sw / (2 * h)
         slopes.append((alpha * 2 * h - 1.0) / h)
     target = -(SQRT5 - 1.0)
@@ -124,12 +123,12 @@ def test_matching_constants(well, profile4, amp6):
     assert consts["m_matched"] > 0
 
 
-def test_c_h_trend(well, gs_cache, profile4, amp6):
+def test_c_h_trend(well, case, profile4, amp6):
     # |h ln(C_h/C_h_asy)| decreasing along the sweep; final below 0.05
     consts = matching_constants(well, amplitude=amp6, d_a=profile4.d_a)
     gaps = []
     for h in (0.2, 0.1, 0.05, 0.035):
-        sol = gs_cache(well, h)
+        sol = case(well, h).ground
         outer = calibrate_outer(well, h, sol, check_upto=4.0)
         gaps.append(h * (outer.log_C_h - c_h_asymptotic(well, h, consts)))
     mags = [abs(g) for g in gaps]
@@ -137,14 +136,14 @@ def test_c_h_trend(well, gs_cache, profile4, amp6):
     assert mags[-1] <= 0.05
 
 
-def test_display_constant_offset_is_h_independent(well, gs_cache, profile4,
+def test_display_constant_offset_is_h_independent(well, case, profile4,
                                                   amp6):
     # with the compact display prefactor the log-ratio approaches a nonzero
     # constant (~ -1.02): record that it stabilizes rather than asserting 0
     consts = matching_constants(well, amplitude=amp6, d_a=profile4.d_a)
     ratios = []
     for h in (0.1, 0.05):
-        sol = gs_cache(well, h)
+        sol = case(well, h).ground
         outer = calibrate_outer(well, h, sol, check_upto=4.0)
         ratios.append(outer.log_C_h
                       - c_h_asymptotic(well, h, consts, prefactor="display"))
