@@ -25,15 +25,17 @@ for mu in (0.5, 1.0, 2.0):
           f"(exact sqrt(1+4mu) = {math.sqrt(1 + 4 * mu):.8f})")
 
 well = RadialWell.bump()
+hs = (0.2, 0.14, 0.1, 0.07, 0.05)
+sols = [ground_state(well, h) for h in hs]
 print("\nCanonical well, ground energy vs harmonic prediction:")
-for h in (0.2, 0.1, 0.05):
-    sol = ground_state(well, h)
+for h, sol in zip(hs, sols):
     pred = -1.0 + h * math.sqrt(5.0)
     print(f"  h = {h:<5} e_sw = {sol.e_sw:+.8f}  "
           f"v0_min + h sqrt(5) = {pred:+.8f}  residual {sol.e_sw - pred:+.2e}")
     print(f"          fiber scan {{m: e}}: "
           f"{ {m: round(e, 5) for m, e in sorted(sol.fiber_energies.items())} }")
 
-rep = harmonic_expansion_check(well, [0.2, 0.14, 0.1, 0.07, 0.05])
+rep = harmonic_expansion_check(well, hs, [s.e_sw for s in sols],
+                               [s.energy_error for s in sols])
 print(f"\nfitted residual exponent p = {rep.exponent:.3f} "
       f"(the expansion error is O(h^3/2); desk-scale fits land in [1.4, 2.1])")

@@ -30,7 +30,7 @@ for r in (0.2, 0.5, 1.0):
     lhs = math.exp(float(profile.d(r)) / h + float(sol.log_u(r)))
     rhs = float(amp.a0(r)) / math.sqrt(h)
     print(f"{r:4.2f}   {lhs:12.6f}     {rhs:12.6f}")
-err = wkb_profile_error(well, h, 1.0, sol, amplitude=amp, profile=profile)
+err = wkb_profile_error(well, sol, amp, profile)
 print(f"sup-norm mismatch on [0, 1]: {err:.4f} (decays like h^0.6)")
 
 outer = calibrate_outer(well, h, sol, check_upto=5.0)
@@ -48,5 +48,5 @@ print("h ln(C_h / C_h_asy) -> 0:")
 for hh in (0.2, 0.1, 0.05):
     s = ground_state(well, hh, L=4.0)
     o = calibrate_outer(well, hh, s, check_upto=4.0)
-    gap = hh * (o.log_C_h - c_h_asymptotic(well, hh, consts))
+    gap = hh * (o.log_C_h - c_h_asymptotic(hh, consts))
     print(f"  h = {hh:<5} {gap:+.4f}")

@@ -23,18 +23,18 @@ if _cap:
         _os.environ.setdefault(_var, _cap)
 
 from .potential import (DoubleWellConfig, RadialWell, WellValidationError,
-                        eval_V, eval_v0, v0_curvature)
-from .numerics import (AccuracyError, Minimum1D, NumericalError,
-                       QuadratureSpec, bessel_i0, integrate, log_bessel_i0,
-                       log_integral_exp, minimize_1d, symm_tridiag_lowest)
+                        eval_V)
+from .numerics import (AccuracyError, Minimum1D, NumericalError, integrate,
+                       log_bessel_i0, log_integral_exp, minimize_1d,
+                       symm_tridiag_lowest)
 from .agmon import (AgmonProfile, action_S0, action_S_eps, action_Sa,
-                    action_Shat, agmon_d, corridor_CL, remainder_Ra)
+                    action_Shat, corridor_CL, remainder_Ra)
 from .spectral import (FiberProblem, InvariantViolation, RadialEigenSolution,
                        agmon_identity_check, default_radius, ground_state,
                        harmonic_expansion_check, solve_fiber)
 from .wkb import (OuterRepresentation, OuterRepresentationError, WkbAmplitude,
-                  amplitude_a0, c_h_asymptotic, calibrate_outer,
-                  matching_constants, wkb_error_exponent, wkb_profile_error)
+                  c_h_asymptotic, calibrate_outer, matching_constants,
+                  wkb_error_exponent, wkb_profile_error)
 from .hopping import (HoppingEstimate, epsilon_lower_bound, hopping_bessel,
                       hopping_direct, hopping_slope_check,
                       hopping_wkb_envelope)

@@ -27,20 +27,23 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
-from .numerics import NumericalError, QuadratureSpec, integrate, minimize_1d
+from .numerics import NumericalError, integrate, minimize_1d
 
 __all__ = [
     "AgmonProfile",
-    "agmon_d",
     "action_S0",
     "action_Sa",
     "action_Shat",
     "action_S_eps",
-    "action_g0",
     "remainder_Ra",
     "corridor_CL",
     "free_action_primitive",
 ]
+
+N_TABLE = 20001   # AgmonProfile's Simpson table nodes on [0, a]
+# minimizer tolerances of the variational S0 and Sa, and of Shat and S(eps)
+TOL_S0_SA = 1e-10
+TOL_SHAT = 1e-9
 
 
 def free_action_primitive(rho, vmin_abs):
@@ -93,18 +96,17 @@ class AgmonProfile:
     are immutable after construction and safe to share.
     """
 
-    def __init__(self, well, L, quadrature=None, n_grid=20001):
+    def __init__(self, well, L):
         self.well = well
         self.L = float(L)
-        self.quadrature = quadrature or QuadratureSpec()
         a = well.a
-        rs = np.linspace(0.0, a, n_grid)
+        rs = np.linspace(0.0, a, N_TABLE)
         table = cumulative_simpson(self.integrand(rs), x=rs, initial=0.0)
         self._inner = CubicSpline(rs, table)
         self.d_a = float(table[-1])
         # independent quadrature cross-check carries the error bound
         val, err = integrate(lambda r: float(self.integrand(np.array([r]))[0]),
-                             0.0, a, self.quadrature, return_error=True)
+                             0.0, a, return_error=True)
         self.d_a_error = abs(val - self.d_a) + err
 
     def integrand(self, rho):
@@ -132,23 +134,16 @@ class AgmonProfile:
         return (1.0 - eps) * self.L * r / 2.0 + self.d(shifted) + self.d(r)
 
 
-def agmon_d(profile, r):
-    """d(r) for r >= 0."""
-    if np.any(np.asarray(r) < 0):
-        raise ValueError("radius must be nonnegative")
-    return profile.d(r)
-
-
-def action_S0(profile, tol=1e-10):
+def action_S0(profile):
     """S0 = d(L), with the variational value inf_{0<u<a} d(u) + d(L+u)."""
     a, L = profile.well.a, profile.L
     value = float(profile.d(L))
     res = minimize_1d(lambda u: float(profile.d(u) + profile.d(L + u)),
-                      0.0, a, tol=tol)
+                      0.0, a, tol=TOL_S0_SA)
     return S0Result(value, res.value, res.argmin)
 
 
-def action_Sa(profile, tol=1e-10):
+def action_Sa(profile):
     """Sa = d(L-a) + d(a), with the variational value inf d(u) + d(L-u).
 
     The variational identity needs v0 < L(L-2a)/4 on [0, a]; automatic for
@@ -157,17 +152,13 @@ def action_Sa(profile, tol=1e-10):
     a, L = profile.well.a, profile.L
     value = float(profile.d(L - a) + profile.d(a))
     res = minimize_1d(lambda u: float(profile.d(u) + profile.d(L - u)),
-                      0.0, a, tol=tol)
+                      0.0, a, tol=TOL_S0_SA)
     return SaResult(value, res.value, res.argmin)
 
 
-def action_g0(profile, r):
-    return profile.g0(r)
-
-
-def action_Shat(profile, tol=1e-9):
+def action_Shat(profile):
     """Shat = min_{[0,a]} g0 with its minimizer r0; r0 must be interior."""
-    a = profile.well.a
+    a, tol = profile.well.a, TOL_SHAT
     res = minimize_1d(lambda r: float(profile.g0(r)), 0.0, a, tol=tol)
     if not (tol < res.argmin < a - tol):
         raise NumericalError(
@@ -176,12 +167,13 @@ def action_Shat(profile, tol=1e-9):
     return ShatResult(res.value, res.argmin)
 
 
-def action_S_eps(profile, eps, tol=1e-9):
+def action_S_eps(profile, eps):
     """S(eps) = min_r g(r, eps) for 0 < eps <= 1."""
     if not 0.0 < eps <= 1.0:
         raise ValueError("need 0 < eps <= 1")
     a = profile.well.a
-    res = minimize_1d(lambda r: float(profile.g_eps(r, eps)), 0.0, a, tol=tol)
+    res = minimize_1d(lambda r: float(profile.g_eps(r, eps)), 0.0, a,
+                      tol=TOL_SHAT)
     return SepsResult(res.value, res.argmin)
 
 
@@ -195,7 +187,7 @@ def remainder_Ra(profile):
         return math.sqrt((L - rho) ** 2 / 4.0 + depth) - \
             float(profile.integrand(np.array([rho]))[0])
 
-    direct = integrate(ra_integrand, 0.0, a, profile.quadrature)
+    direct = integrate(ra_integrand, 0.0, a)
     bound = ((L - a) / 2.0 + math.sqrt(depth)) * a
     if not (0.0 < value <= bound + 1e-12):
         raise NumericalError(f"Ra={value} outside (0, {bound}]",

@@ -96,25 +96,33 @@ def minimizer_closed_form(well, L):
     return t_a, s_plus
 
 
-def psi_global_min(surface, n_r=400, n_t=400, t_window=(1e-3, 30.0),
-                   refinements=3):
+# psi_global_min: nodes per axis of its grid, its first t-window, and the
+# coordinate-descent refinements after it
+PSI_NODES = 400
+PSI_T_WINDOW = (1e-3, 30.0)
+PSI_REFINEMENTS = 3
+N_CHAIN = 300   # Gauss-Legendre r-nodes of w_chain on [eta, a]
+N_NONMAGNETIC = 20001   # Simpson nodes of nonmagnetic_action on [0, a]
+
+
+def psi_global_min(surface):
     """Brute-force grid search over [0,a] x log-spaced t, refined by
     coordinate descent; expands the t-window if the optimum hits its edge."""
     a = surface.well.a
-    t_lo, t_hi = t_window
+    t_lo, t_hi = PSI_T_WINDOW
     for _ in range(6):
-        rs = np.linspace(0.0, a, n_r)
-        ts = np.geomspace(t_lo, t_hi, n_t)
+        rs = np.linspace(0.0, a, PSI_NODES)
+        ts = np.geomspace(t_lo, t_hi, PSI_NODES)
         vals = surface.psi(rs[:, None], ts[None, :])
         k = np.unravel_index(np.argmin(vals), vals.shape)
-        if 0 < k[1] < n_t - 1:
+        if 0 < k[1] < PSI_NODES - 1:
             break
         t_lo, t_hi = t_lo / 10.0, t_hi * 10.0
     else:
         raise NumericalError("Psi minimum escaped every t-window tried",
                              estimate=ts[k[1]], error_bound=(ts[0], ts[-1]))
     r_star, t_star = rs[k[0]], ts[k[1]]
-    for _ in range(refinements):
+    for _ in range(PSI_REFINEMENTS):
         res_t = minimize_1d(lambda t: surface.psi(r_star, t),
                             t_star / 2.0, t_star * 2.0, tol=1e-12)
         t_star = res_t.argmin
@@ -165,7 +173,7 @@ def _g_term(a, depth):
                                                    / (4.0 * depth))
 
 
-def sharp_action(well, L, profile=None, check_corridor=True):
+def sharp_action(well, L, profile=None):
     """S(v0, L) by two independent assemblies, with the action corridor.
 
     Assembly 1: S = -F(v0) + Psi(a, t_a).
@@ -193,7 +201,7 @@ def sharp_action(well, L, profile=None, check_corridor=True):
                           D_mag=D_mag, interaction=interaction,
                           S_from_fg=S_fg, S0=S0, Sa=Sa,
                           Shat=shat.value, r0=shat.r0)
-    if check_corridor and not report.corridor_ok():
+    if not report.corridor_ok():
         raise ConsistencyError(
             f"action corridor violated: Sa={Sa}, S={S}, Shat={shat.value}, "
             f"S0={S0} (a numerics bug: these inequalities always hold)")
@@ -226,8 +234,7 @@ class WChainResult:
                 math.exp(self.log_W4 - self.log_W3))
 
 
-def w_chain(config, h, eta, solution, outer, amplitude, profile,
-            constants=None, n_gauss=300):
+def w_chain(config, h, eta, solution, outer, amplitude, profile):
     """The truncated reduction chain W1..W4 of the hopping integral.
 
     All four share the r-integral over [eta, a] and a t-integral over
@@ -241,14 +248,13 @@ def w_chain(config, h, eta, solution, outer, amplitude, profile,
     a = well.a
     if not 0.0 < eta < a:
         raise ValueError("need 0 < eta < a")
-    consts = constants or matching_constants(well, amplitude=amplitude,
-                                        d_a=profile.d_a)
+    consts = matching_constants(well, amplitude, profile.d_a)
     alpha = outer.alpha
     # alpha0_main / h, the leading-order exponent coefficient
     alpha_main = well.depth / (2.0 * h) \
         - 0.5 * (math.sqrt(1.0 + 2.0 * well.v0_second_deriv_at_0) - 1.0)
-    log_ch_asy = c_h_asymptotic(well, h, constants=consts)
-    x, wts = gauss_legendre(n_gauss)
+    log_ch_asy = c_h_asymptotic(h, consts)
+    x, wts = gauss_legendre(N_CHAIN)
     r_nodes = eta + 0.5 * (a - eta) * (x + 1.0)
     r_wts = 0.5 * (a - eta) * wts
     v0_abs = np.abs(well.v0(r_nodes))
@@ -310,12 +316,12 @@ def w_chain(config, h, eta, solution, outer, amplitude, profile,
     return WChainResult(h, eta, log_W1, log_W2, log_W3, log_W4, log_W4_alt)
 
 
-def nonmagnetic_action(well, L, n=20001):
+def nonmagnetic_action(well, L):
     """2 int_0^{L/2} sqrt(v0 - v0_min) d rho, the b = 0 tunneling action."""
     from scipy.integrate import simpson
 
     a = well.a
-    rs = np.linspace(0.0, a, n)
+    rs = np.linspace(0.0, a, N_NONMAGNETIC)
     inner = simpson(np.sqrt(np.maximum(well.v0(rs) + well.depth, 0.0)), x=rs)
     return 2.0 * float(inner) + (L - 2.0 * a) * math.sqrt(well.depth)
 

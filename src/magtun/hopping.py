@@ -42,21 +42,28 @@ __all__ = [
 ]
 
 
+# Gauss-Legendre r-nodes on [0, a]: one rule for the two routes that are
+# compared with each other, a finer one for the WKB envelopes
+N_ROUTE = 200
+N_ENVELOPE = 400
+DIRECT_RTOL = 1e-9   # angular refinement target of hopping_direct
+
+
 def _gauss_nodes(a, n):
     x, w = gauss_legendre(n)
     return 0.5 * a * (x + 1.0), 0.5 * a * w
 
 
-def hopping_direct(config, h, solution, n_gauss=200, rtol=1e-9):
+def hopping_direct(config, h, solution):
     """Nested quadrature of the oscillatory form; returns the complex value.
 
     The angular trapezoid rule (spectrally accurate for periodic integrands)
     is refined until doubling the node count moves the result by less than
-    rtol; under-resolved oscillation raises AccuracyError.
+    DIRECT_RTOL; under-resolved oscillation raises AccuracyError.
     """
     well, L = config.well, config.L
     a = well.a
-    r_nodes, r_weights = _gauss_nodes(a, n_gauss)
+    r_nodes, r_weights = _gauss_nodes(a, N_ROUTE)
 
     def assemble(mult):
         n_theta = int(max(256, 40 * math.ceil(L * a / (4.0 * math.pi * h)))
@@ -75,9 +82,9 @@ def hopping_direct(config, h, solution, n_gauss=200, rtol=1e-9):
 
     w1 = assemble(4)
     w2 = assemble(8)
-    if abs(w2 - w1) > rtol * abs(w2):
+    if abs(w2 - w1) > DIRECT_RTOL * abs(w2):
         w3 = assemble(16)
-        if abs(w3 - w2) > rtol * abs(w3):
+        if abs(w3 - w2) > DIRECT_RTOL * abs(w3):
             raise AccuracyError(
                 "angular quadrature not converged", estimate=w3,
                 error_bound=abs(w3 - w2))
@@ -85,12 +92,12 @@ def hopping_direct(config, h, solution, n_gauss=200, rtol=1e-9):
     return w2
 
 
-def hopping_bessel(config, h, outer, solution, n_gauss=200):
+def hopping_bessel(config, h, outer, solution):
     """Oscillation-free route through the Bessel kernel; real by construction."""
     well, L = config.well, config.L
     a = well.a
     alpha = outer.alpha
-    r_nodes, r_weights = _gauss_nodes(a, n_gauss)
+    r_nodes, r_weights = _gauss_nodes(a, N_ROUTE)
     rho2 = r_nodes * r_nodes + L * L
     log_t_int = log_t_integrals(
         lambda r: log_outer_integrand(h, alpha, r * r + L * L, L * r),
@@ -110,7 +117,7 @@ class EnvelopeResult:
     h: float
 
 
-def hopping_wkb_envelope(config, h, profile, amplitude, n_gauss=400):
+def hopping_wkb_envelope(config, h, profile, amplitude):
     """WKB envelopes w^{0,+/-} and remainders M_h^{+/-}, in log scale.
 
     w^{0,+-} = h^-1 int_0^a |v0| a0(L -+ r) a0(r) e^{-(d(r)+d(L -+ r))/h} r dr
@@ -118,7 +125,7 @@ def hopping_wkb_envelope(config, h, profile, amplitude, n_gauss=400):
     """
     well, L = config.well, config.L
     a = well.a
-    r_nodes, r_weights = _gauss_nodes(a, n_gauss)
+    r_nodes, r_weights = _gauss_nodes(a, N_ENVELOPE)
     rw = r_nodes * r_weights * np.abs(well.v0(r_nodes))
     out = {}
     for sign, tag in ((-1.0, "plus"), (+1.0, "minus")):
@@ -132,12 +139,12 @@ def hopping_wkb_envelope(config, h, profile, amplitude, n_gauss=400):
                           out["Mh_plus"], out["Mh_minus"], h)
 
 
-def epsilon_lower_bound(config, h, eps, solution, n_gauss=400):
+def epsilon_lower_bound(config, h, eps, solution):
     """RHS of the eps-family lower bound:
     int_0^a e^{-(1-eps) L r / 2h} |v0| u_h(sqrt((L-r)^2+2 eps L r)) u_h(r) r dr.
     """
     well, L = config.well, config.L
-    r_nodes, r_weights = _gauss_nodes(well.a, n_gauss)
+    r_nodes, r_weights = _gauss_nodes(well.a, N_ENVELOPE)
     shifted = np.sqrt((L - r_nodes) ** 2 + 2.0 * eps * L * r_nodes)
     log_terms = (-(1.0 - eps) * L * r_nodes / (2.0 * h)
                  + solution.log_u(shifted) + solution.log_u(r_nodes))
@@ -151,8 +158,6 @@ class HoppingEstimate:
     w_direct: complex
     w_bessel: float
     log_w: float                       # h ln |w|
-    wkb_upper: float = float("nan")    # log-scale corridor values
-    wkb_lower: float = float("nan")
 
     @property
     def imag_fraction(self):
@@ -173,7 +178,7 @@ class SlopeReport:
     contained: bool
     refined_contained: bool
     monotone_toward_S: bool
-    message: str = ""
+    message: str
 
 
 def hopping_slope_check(cases):

@@ -1,21 +1,20 @@
 """Self-contained numerical kernel.
 
-Adaptive quadrature (Gauss-Kronrod via QUADPACK, with the t -> s/(1-s) map
-for semi-infinite ranges), bracketed 1-D minimization with a global grid
-pre-scan, the modified Bessel function I0 in linear and log form (from
-scipy.special.i0 and the exponentially scaled i0e), cached Gauss-Legendre
-rules, the lowest eigenpairs of symmetric tridiagonal matrices (bisection
-for several, certified shifted inverse iteration on LAPACK's dptsv for the
-lowest one), and a log-stabilized evaluator for integrals of the form
-int exp(g), batched over rows of integrands.  Everything here is pure and
-reentrant.
+Adaptive quadrature (Gauss-Kronrod via QUADPACK), bracketed 1-D
+minimization with a global grid pre-scan, the modified Bessel function I0
+in log form (from the exponentially scaled scipy.special.i0e), cached
+Gauss-Legendre rules, the lowest eigenpairs of symmetric tridiagonal
+matrices (bisection for several, certified shifted inverse iteration on
+LAPACK's dptsv for the lowest one, each eigenvalue a cancellation-free
+Rayleigh quotient), and a log-stabilized evaluator for integrals of the
+form int exp(g), batched over rows of integrands.  Everything here is pure
+and reentrant.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate as _si
@@ -25,17 +24,16 @@ from scipy.linalg.lapack import dptsv
 from scipy.optimize import minimize_scalar
 
 __all__ = [
-    "QuadratureSpec",
     "NumericalError",
     "AccuracyError",
     "integrate",
     "Minimum1D",
     "minimize_1d",
-    "bessel_i0",
     "log_bessel_i0",
     "gauss_legendre",
     "symm_tridiag_lowest",
     "tridiag_ground_pair",
+    "tridiag_rayleigh",
     "log_integral_exp",
 ]
 
@@ -54,51 +52,24 @@ class AccuracyError(NumericalError):
     """Requested tolerance not reached; carries the best estimate."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_depth: int = 50
-    transform: str = "none"  # "none" | "semi_infinite"
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_depth < 10:
-            raise ValueError("max_depth must be at least 10")
-        if self.transform not in ("none", "semi_infinite"):
-            raise ValueError(f"unknown transform {self.transform!r}")
+# absolute and relative tolerance of every quadrature, and QUADPACK's
+# subinterval limit
+QUAD_ABS_TOL = 1e-12
+QUAD_REL_TOL = 1e-10
+QUAD_LIMIT = 200
 
 
-_DEFAULT_SPEC = QuadratureSpec()
-
-
-def integrate(f, lo, hi, spec=None, return_error=False):
-    """Integral of f over (lo, hi); hi may be +inf.
-
-    Semi-infinite ranges go through t = s/(1-s), which concentrates nodes
-    near the finite endpoint where every integrand in this package decays.
-    """
-    spec = spec or _DEFAULT_SPEC
-    if not np.isinf(hi) and lo >= hi:
+def integrate(f, lo, hi, return_error=False):
+    """Integral of f over the finite range (lo, hi)."""
+    if lo >= hi:
         raise ValueError("need lo < hi")
-    if np.isinf(hi) or spec.transform == "semi_infinite":
-        s0 = lo / (1.0 + lo)
-
-        def g(s):
-            t = s / (1.0 - s)
-            return f(t) / (1.0 - s) ** 2
-
-        fn, a, b = g, s0, 1.0
-    else:
-        fn, a, b = f, lo, hi
     # full_output turns QUADPACK's IntegrationWarning into a fourth tuple
     # entry, so one call both gives the estimate and reports the warning
     val, err, _info, *message = _si.quad(
-        fn, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=4 * spec.max_depth, full_output=1,
+        f, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
+        limit=QUAD_LIMIT, full_output=1,
     )
-    if message and err > spec.abs_tol + spec.rel_tol * abs(val):
+    if message and err > QUAD_ABS_TOL + QUAD_REL_TOL * abs(val):
         raise AccuracyError(
             f"quadrature did not converge (err={err:.2e})",
             estimate=val, error_bound=err,
@@ -112,22 +83,22 @@ class Minimum1D(NamedTuple):
     bracket: float
 
 
-def minimize_1d(f, lo, hi, tol=1e-8, prescan=200, assume_unimodal=False):
+PRESCAN = 200  # grid points of minimize_1d's global pre-scan
+
+
+def minimize_1d(f, lo, hi, tol=1e-8):
     """Bracketed scalar minimization (Brent) with a global grid pre-scan.
 
-    Unless the caller asserts unimodality, a uniform pre-scan of at least
-    `prescan` points picks the basin first; ties go to the smallest abscissa
-    (np.argmin returns the first hit).
+    A uniform pre-scan of PRESCAN points picks the basin first; ties go to
+    the smallest abscissa (np.argmin returns the first hit).
     """
     if lo >= hi:
         raise ValueError("need lo < hi")
-    a, b = lo, hi
-    if not assume_unimodal:
-        xs = np.linspace(lo, hi, max(int(prescan), 200))
-        vals = np.array([f(x) for x in xs])
-        k = int(np.argmin(vals))
-        a = xs[max(k - 1, 0)]
-        b = xs[min(k + 1, len(xs) - 1)]
+    xs = np.linspace(lo, hi, PRESCAN)
+    vals = np.array([f(x) for x in xs])
+    k = int(np.argmin(vals))
+    a = xs[max(k - 1, 0)]
+    b = xs[min(k + 1, len(xs) - 1)]
     res = minimize_scalar(f, bounds=(a, b), method="bounded",
                           options={"xatol": 0.25 * tol})
     # endpoint minima sit flush against the pre-scan cell edge
@@ -135,15 +106,6 @@ def minimize_1d(f, lo, hi, tol=1e-8, prescan=200, assume_unimodal=False):
     candidates.sort(key=lambda p: (p[1], p[0]))
     x, fx = candidates[0]
     return Minimum1D(float(x), float(fx), tol)
-
-
-def bessel_i0(z):
-    """I0(z) for z >= 0.  Overflows past z ~ 713; use log_bessel_i0 there."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("bessel_i0 requires z >= 0")
-    out = _sp.i0(z)
-    return float(out) if out.ndim == 0 else out
 
 
 def log_bessel_i0(z):
@@ -178,6 +140,21 @@ def symm_tridiag_lowest(diag, offdiag, k):
     return vals, vecs
 
 
+def tridiag_rayleigh(diag, offdiag):
+    """The Rayleigh quotient x -> x.T T x of the symmetric tridiagonal T,
+    for a unit vector x or for each unit column of x.
+
+    It is taken as sum rowsum x^2 - sum offdiag diff(x)^2, which has no
+    cancellation when T is Laplacian-like: its row sums are exact in
+    floating point.  The plain x.T (T x) form leaves 1e-11 to 2e-10 of
+    rounding on a fiber matrix, and bisection's eigenvalues eps |T|.
+    """
+    rowsum = diag.copy()
+    rowsum[:-1] += offdiag
+    rowsum[1:] += offdiag
+    return lambda x: rowsum @ x**2 - offdiag @ np.diff(x, axis=0) ** 2
+
+
 # solves per call, failed ones included; quadrupling from 16 eps max|diag|,
 # a failing margin outgrows max|diag| within 25 retries
 _MAX_SOLVES = 40
@@ -206,11 +183,7 @@ def tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
     x = np.asarray(x0, dtype=float)
     x = x / np.linalg.norm(x)
     noise = np.finfo(float).eps * np.abs(diag).max()
-    # x.T T x = sum rowsum x^2 - sum offdiag diff(x)^2 has no cancellation
-    # when T is Laplacian-like, whose row sums are exact in floating point
-    rowsum = diag.copy()
-    rowsum[:-1] += offdiag
-    rowsum[1:] += offdiag
+    rayleigh = tridiag_rayleigh(diag, offdiag)
     margin = max(margin, 16.0 * noise)
     change = np.inf
     for _ in range(_MAX_SOLVES):
@@ -224,7 +197,7 @@ def tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
         tx = diag * x
         tx[:-1] += offdiag * x[1:]
         tx[1:] += offdiag * x[:-1]
-        rho = float(rowsum @ x**2 - offdiag @ np.diff(x) ** 2)
+        rho = float(rayleigh(x))
         if change <= 4.0 * noise / gap * np.abs(x).max():
             return rho, x
         lam = rho
@@ -234,11 +207,16 @@ def tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
         f"(last change {change:.3e})", estimate=lam, error_bound=change)
 
 
-def log_integral_exp(g, lo, hi, n_scan=400, n_nodes=4001, keep=46.0):
+N_SCAN = 400     # log_integral_exp's scan for the maximum
+N_NODES = 4001   # its Simpson nodes per window
+KEEP = 46.0      # its window: g >= gmax - KEEP, truncation error ~ e^-KEEP
+
+
+def log_integral_exp(g, lo, hi):
     """log of int_lo^hi exp(g(y)) dy for a vectorized log-integrand g.
 
-    A coarse scan locates the maximum; Simpson integrates exp(g - gmax) on
-    the window where g >= gmax - keep (truncation error ~ e^-keep).
+    A coarse scan of N_SCAN points locates the maximum; Simpson on N_NODES
+    nodes integrates exp(g - gmax) on the window where g >= gmax - KEEP.
 
     g may also hold a batch of integrands, one per row: called with the
     shared scan (shape (n,)) or with per-row nodes (shape (rows, n)) it
@@ -247,7 +225,7 @@ def log_integral_exp(g, lo, hi, n_scan=400, n_nodes=4001, keep=46.0):
     each window, and the result is an array with -inf for every row whose
     maximum is not finite.  A 1-D g gives a float.
     """
-    ys = np.linspace(lo, hi, n_scan)
+    ys = np.linspace(lo, hi, N_SCAN)
     gs = g(ys)
     single = gs.ndim == 1
     gs = np.atleast_2d(gs)
@@ -255,14 +233,14 @@ def log_integral_exp(g, lo, hi, n_scan=400, n_nodes=4001, keep=46.0):
     finite = np.isfinite(gmax)
     if not finite.any():
         return -np.inf if single else np.full(len(gs), -np.inf)
-    mask = gs > (gmax - keep)[:, None]
+    mask = gs > (gmax - KEEP)[:, None]
     first = np.argmax(mask, axis=1)
-    last = n_scan - 1 - np.argmax(mask[:, ::-1], axis=1)
+    last = N_SCAN - 1 - np.argmax(mask[:, ::-1], axis=1)
     # pad one scan cell so the window edges sit below the cut
     step = ys[1] - ys[0]
     y1 = np.maximum(lo, ys[first] - step)
     y2 = np.minimum(hi, ys[last] + step)
-    yy = np.linspace(y1, y2, n_nodes, axis=1)
+    yy = np.linspace(y1, y2, N_NODES, axis=1)
     gg = np.atleast_2d(g(yy[0] if single else yy))
     gm = gg.max(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):

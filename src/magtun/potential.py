@@ -21,8 +21,6 @@ import numpy as np
 __all__ = [
     "RadialWell",
     "DoubleWellConfig",
-    "eval_v0",
-    "v0_curvature",
     "eval_V",
     "WellValidationError",
 ]
@@ -165,10 +163,6 @@ class RadialWell:
     def v0_min(self):
         return -self.depth
 
-    @property
-    def curvature(self):
-        return self.v0_second_deriv_at_0
-
     def scaled(self, factor):
         """A well with v0 multiplied by `factor` > 0 (same support radius)."""
         if self.profile == "bump":
@@ -197,20 +191,6 @@ class RadialWell:
 
     def __repr__(self):
         return f"RadialWell({self.profile}, depth={self.depth}, a={self.a})"
-
-
-def eval_v0(well, r):
-    """v0(r) for r >= 0; raises on negative radii."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radius must be nonnegative")
-    out = well.v0(r)
-    return float(out) if out.ndim == 0 else out
-
-
-def v0_curvature(well):
-    """v0''(0) > 0, exact for the analytic family."""
-    return well.v0_second_deriv_at_0
 
 
 class DoubleWellConfig:

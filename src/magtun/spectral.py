@@ -15,7 +15,8 @@ grid comes from shifted inverse iteration seeded from the grid below, every
 shift certified below the eigenvalue by a positive-definite solve.  Its
 eigenvalue error is far below bisection's eps*|T| (about 1e-9), which can
 exceed the change the Richardson rule allows for a grid doubling.  Several
-levels at once are bisected afresh on every grid.  The exponential tail of
+levels at once are bisected afresh on every grid, each eigenvalue then
+taken as the Rayleigh quotient of its vector.  The exponential tail of
 the ground state is re-solved as a linear boundary-value problem so that it
 is accurate in relative terms down to the underflow floor.
 """
@@ -24,14 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.interpolate import CubicSpline
 
 from .numerics import (AccuracyError, NumericalError, symm_tridiag_lowest,
-                       tridiag_ground_pair)
+                       tridiag_ground_pair, tridiag_rayleigh)
 
 __all__ = [
     "FiberProblem",
@@ -47,6 +48,9 @@ __all__ = [
 ]
 
 _LOG_FLOOR = -745.0  # below exp() underflow
+MAX_DOUBLINGS = 4    # grid doublings solve_fiber may add past n, 2n
+TAIL_FLOOR = 1e-9    # refine_tail re-solves where |w| < TAIL_FLOOR max|w|
+GROUND_TOL = 1e-8    # Richardson tolerance of the ground_state solve
 
 
 class InvariantViolation(NumericalError):
@@ -133,14 +137,11 @@ class RadialEigenSolution:
             self._build_spline()
         return self._log_u(rho)
 
-    def u_at(self, rho):
-        return np.exp(self.log_u(rho))
-
     def norm_check(self):
         """int |u|^2 2 pi r dr on the grid (should be 1)."""
         return 2.0 * np.pi * float(np.sum(self.w**2) * self.delta)
 
-    def refine_tail(self, rel_floor=1e-9):
+    def refine_tail(self):
         """Re-solve the decaying tail as a linear BVP at the converged energy.
 
         Inverse-iteration eigenvectors lose relative accuracy once the
@@ -151,7 +152,7 @@ class RadialEigenSolution:
         n = len(w)
         wmax = np.abs(w).max()
         imax = int(np.argmax(np.abs(w)))
-        idx = np.where((np.abs(w) < rel_floor * wmax) &
+        idx = np.where((np.abs(w) < TAIL_FLOOR * wmax) &
                        (np.arange(n) > imax))[0]
         if len(idx) == 0 or idx[0] >= n - 2:
             return self
@@ -172,11 +173,17 @@ class RadialEigenSolution:
 
 
 def _bisection_levels(problem, k):
-    """(vals, vecs, diag, off, r, delta) on n, 2n, 4n, ... by bisection."""
+    """(vals, vecs, diag, off, r, delta) on n, 2n, 4n, ... by bisection.
+
+    Each eigenvalue is the row-sum Rayleigh quotient of its bisection
+    vector: bisection's own eigenvalues carry rounding noise of order
+    eps |T|, which grows with n past the change the Richardson rule allows.
+    """
     n = problem.n
     while True:
         diag, off, r, delta = _fiber_tridiag(problem, n)
-        yield (*symm_tridiag_lowest(diag, off, k), diag, off, r, delta)
+        _, vecs = symm_tridiag_lowest(diag, off, k)
+        yield tridiag_rayleigh(diag, off)(vecs), vecs, diag, off, r, delta
         n *= 2
 
 
@@ -205,20 +212,21 @@ def _ground_levels(problem):
         n *= 2
 
 
-def solve_fiber(problem, k=1, tol=1e-8, max_doublings=4, clean_tail=True):
+def solve_fiber(problem, k=1, tol=1e-8, clean_tail=True):
     """Lowest k eigenpairs, Richardson-extrapolated over a grid doubling.
 
     Convergence requires the extrapolation residual |lam(n)-lam(2n)|/3 to
-    drop below tol; otherwise the grid doubles (up to max_doublings) and an
+    drop below tol; otherwise the grid doubles (up to MAX_DOUBLINGS) and an
     AccuracyError carrying both estimates is raised on exhaustion.  k = 1
     solves each grid by certified inverse iteration seeded from the grid
-    below (numerics.tridiag_ground_pair), whose eigenvalue error is far
-    below the Richardson tolerance; k > 1 bisects every grid afresh.
+    below (numerics.tridiag_ground_pair); k > 1 bisects every grid afresh
+    and takes each eigenvalue as its vector's Rayleigh quotient.  Either
+    way the eigenvalue error is far below the Richardson tolerance.
     """
     levels = _ground_levels(problem) if k == 1 else \
         _bisection_levels(problem, k)
     vals_c = next(levels)[0]
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         vals_f, vecs, diag, off, r, delta = next(levels)
         err = np.max(np.abs(vals_f - vals_c)) / 3.0
         if err <= tol:
@@ -255,29 +263,22 @@ def _default_n(R, delta=3e-4, cap=250_000):
     return min(int(math.ceil(R / delta)), cap)
 
 
-def ground_state(well, h, R=None, n=None, modes=(-2, -1, 0, 1, 2), tol=1e-8,
-                 L=None):
+def ground_state(well, h, L=None):
     """Radial single-well ground state: the m = 0 fiber, after checking that
     the minimum over the scanned fibers is attained there."""
-    if R is None:
-        R = default_radius(well, h, L=L)
-    if n is None:
-        n = _default_n(R)
-    fiber_energies = {}
+    R = default_radius(well, h, L=L)
     n_scan = max(_default_n(R, delta=1e-3), 4000)
-    scanned = {}
-    for m in modes:
-        if m == 0:
-            continue
-        if abs(m) not in scanned:
-            prob = FiberProblem(m=abs(m), h=h, R=R, n=n_scan, well=well)
-            scanned[abs(m)] = solve_fiber(prob, k=1, tol=100 * tol,
-                                          clean_tail=False).e_sw
-        # (hm/r - r/2)^2 at -m is the m > 0 diagonal plus 2hm, so fiber -m
-        # is fiber m shifted up by 2hm and never holds the minimum
-        fiber_energies[m] = scanned[abs(m)] + 2.0 * h * max(-m, 0)
-    sol = solve_fiber(FiberProblem(m=0, h=h, R=R, n=n, well=well),
-                      k=1, tol=tol)
+    scanned = {m: solve_fiber(FiberProblem(m=m, h=h, R=R, n=n_scan,
+                                           well=well),
+                              k=1, tol=100 * GROUND_TOL,
+                              clean_tail=False).e_sw
+               for m in (1, 2)}
+    # (hm/r - r/2)^2 at -m is the m > 0 diagonal plus 2hm, so fiber -m
+    # is fiber m shifted up by 2hm and never holds the minimum
+    fiber_energies = {m: scanned[abs(m)] + 2.0 * h * max(-m, 0)
+                      for m in (-2, -1, 1, 2)}
+    sol = solve_fiber(FiberProblem(m=0, h=h, R=R, n=_default_n(R),
+                                   well=well), k=1, tol=GROUND_TOL)
     fiber_energies[0] = sol.e_sw
     m_star = min(fiber_energies, key=fiber_energies.get)
     if m_star != 0:
@@ -299,28 +300,24 @@ class HarmonicReport(NamedTuple):
     message: str
 
 
-def harmonic_expansion_check(well, h_list, R=None, n=None, tol=1e-8):
+def harmonic_expansion_check(well, h_list, energies, energy_errors):
     """Fit |e_sw(h) - v0_min - h sqrt(1 + 2 v0''(0))| ~ C h^p.
 
-    The expansion error is dominated by the cubic Taylor remainder of the
-    well; the fitted p should be at least 1.4.
+    energies are ground-state energies e_sw at five or more h in (0, 0.3],
+    energy_errors their Richardson errors; a residual within 50 of its
+    error is noise, and the fit is then not made.  The expansion error is
+    dominated by the cubic Taylor remainder of the well; the fitted p
+    should be at least 1.4.
     """
-    h_list = np.asarray(sorted(h_list, reverse=True), dtype=float)
+    h_list = np.asarray(h_list, dtype=float)
     if len(h_list) < 5:
         raise ValueError("need at least 5 h-values")
     if np.any(h_list > 0.3) or np.any(h_list <= 0):
         raise ValueError("h_list must lie in (0, 0.3]")
     E1 = math.sqrt(1.0 + 2.0 * well.v0_second_deriv_at_0)
-    residuals, floors = [], []
-    for h in h_list:
-        Rh = R or default_radius(well, h)
-        nh = n or _default_n(Rh, delta=5e-4)
-        sol = solve_fiber(FiberProblem(m=0, h=h, R=Rh, n=nh, well=well),
-                          k=1, tol=tol, clean_tail=False)
-        residuals.append(abs(sol.e_sw - (well.v0_min + h * E1)))
-        floors.append(50.0 * max(sol.energy_error, 1e-14))
-    residuals = np.array(residuals)
-    if np.any(residuals < np.array(floors)):
+    residuals = np.abs(np.asarray(energies) - (well.v0_min + h_list * E1))
+    floors = 50.0 * np.maximum(energy_errors, 1e-14)
+    if np.any(residuals < floors):
         return HarmonicReport(float("nan"), float("nan"), residuals, h_list,
                               True, "residual floor reached")
     coef = np.polyfit(np.log(h_list), np.log(residuals), 1)

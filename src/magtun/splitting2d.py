@@ -86,7 +86,14 @@ def _symmetric_axis(half_width, delta):
     return (np.arange(n) - (n - 1) / 2.0) * delta
 
 
-def assemble(system, h, delta=None, box=None, margin=0.4):
+BOX_MARGIN = 0.4   # default box clearance beyond 3 magnetic lengths
+# the free Landau check: box half-width beyond 3 magnetic lengths, and
+# Lanczos vectors of its 2-level solve
+LANDAU_MARGIN = 1.5
+LANDAU_NCV = 40
+
+
+def assemble(system, h, delta=None, box=None):
     """Five-point gauge-covariant stencil on a node set symmetric in x and y.
 
     system: DoubleWellConfig, RadialWell (single well at the origin), or
@@ -111,8 +118,8 @@ def assemble(system, h, delta=None, box=None, margin=0.4):
     if box is None:
         if well is None:
             raise ValueError("free operator needs an explicit box")
-        X = L / 2.0 + well.a + mag_len + margin
-        Y = well.a + mag_len + margin
+        X = L / 2.0 + well.a + mag_len + BOX_MARGIN
+        Y = well.a + mag_len + BOX_MARGIN
     else:
         X, Y = box
         if well is not None and (X < L / 2.0 + well.a + mag_len or
@@ -203,21 +210,21 @@ def lowest_two(lattice, sigma, k=2, ncv=None, tol=0.0,
     return vals, vecs, residuals
 
 
-def landau_level_2d(h, deltas=None, box_halfwidth=None, k=2):
+def landau_level_2d(h, deltas=None):
     """Free-operator lowest eigenvalue, Richardson-extrapolated in delta.
 
     The lowest Landau level on a Dirichlet box is a near-degenerate cluster;
     a shift close under the cluster keeps the Lanczos iteration fast, and a
     relative tolerance of 1e-8 is far below the 3% acceptance gate.
     """
-    X = box_halfwidth or (3.0 * math.sqrt(2.0 * h) + 1.5)
+    X = 3.0 * math.sqrt(2.0 * h) + LANDAU_MARGIN
     if deltas is None:
         d0 = math.sqrt(h) / 6.0
         deltas = (d0, d0 / math.sqrt(2.0))
     es = []
     for delta in deltas:
         lat = assemble(None, h, delta=delta, box=(X, X))
-        vals, _, _ = lowest_two(lat, sigma=0.9 * h, k=k, ncv=max(40, 4 * k),
+        vals, _, _ = lowest_two(lat, sigma=0.9 * h, k=2, ncv=LANDAU_NCV,
                                 tol=1e-8, residual_rtol=1e-5)
         es.append(float(vals[0]))
     # second-order scheme: extrapolate on delta^2

@@ -2,17 +2,20 @@
 
 Each check is independent and reports pass/fail/skip with a one-line
 detail; checks that desk-scale floating point cannot resolve are skipped,
-not asserted.
+not asserted.  Every ground state comes from one pipeline.Case per h.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["CheckResult", "run_battery"]
+
+SWEEP_H = (0.2, 0.14, 0.1, 0.07, 0.05)   # h of the two exponent fits
 
 
 @dataclass
@@ -43,7 +46,7 @@ def run_battery(config, quick=False, landau_delta=None):
     from .pipeline import Case, Pipeline
     from .spectral import FiberProblem, harmonic_expansion_check, solve_fiber
     from .splitting2d import gap_vs_hopping, landau_level_2d
-    from .wkb import wkb_error_exponent
+    from .wkb import wkb_error_exponent, wkb_profile_error
 
     well, L = config.well, config.L
     results = []
@@ -82,16 +85,28 @@ def run_battery(config, quick=False, landau_delta=None):
                 worst = max(worst, abs(sm.e_sw - pred))
         return worst <= 1e-6, f"max deviation {worst:.2e}"
 
+    def sweep_point(h):
+        g = (cases[h] if h in cases else Case(pipe, h)).ground
+        return h, g.e_sw, g.energy_error, wkb_profile_error(
+            well, g, pipe.amplitude, pipe.profile)
+
+    @functools.cache
+    def sweep_columns():
+        """h, e_sw, its error and the WKB profile error at each SWEEP_H, for
+        both exponent fits: a sweep ground state outside the held cases is
+        dropped as soon as it is read."""
+        return np.array([sweep_point(h) for h in SWEEP_H]).T
+
     def harmonic():
-        hs = [0.2, 0.14, 0.1, 0.07, 0.05]
-        rep = harmonic_expansion_check(well, hs)
+        hs, e_sw, e_err, _ = sweep_columns()
+        rep = harmonic_expansion_check(well, hs, e_sw, e_err)
         if rep.floor_reached:
             raise _Skip(rep.message)
         return 1.4 <= rep.exponent <= 2.1, f"p = {rep.exponent:.3f}"
 
     def wkb_q():
-        hs = [0.2, 0.14, 0.1, 0.07, 0.05]
-        q, _ = wkb_error_exponent(well, hs, R=well.a)
+        hs, _, _, errors = sweep_columns()
+        q = wkb_error_exponent(hs, errors)
         return 0.4 <= q <= 1.1, f"q = {q:.3f}"
 
     def reality():

@@ -41,7 +41,6 @@ __all__ = [
     "log_outer_integrand",
     "log_t_integrals",
     "WkbAmplitude",
-    "amplitude_a0",
     "wkb_profile_error",
     "wkb_error_exponent",
     "OuterRepresentation",
@@ -54,6 +53,8 @@ __all__ = [
 
 T_BLOCK = 16  # radial nodes per batched t-integral: (16, 4001) work arrays
 Y_HI = 15.0   # upper limit of every t-integral, in y = log t
+N_AMPLITUDE = 8001   # WkbAmplitude's table nodes on [0, r_max]
+OUTER_RTOL = 1e-2    # calibrate_outer raises past this relative mismatch
 
 
 def log_outer_integrand(h, alpha, rho2, c=None):
@@ -102,7 +103,7 @@ class WkbAmplitude:
     where c2, c4 are the Taylor coefficients of rho^2/4 + v0 - v0_min.
     """
 
-    def __init__(self, well, r_max, n_grid=8001):
+    def __init__(self, well, r_max):
         self.well = well
         self.r_max = float(r_max)
         self.E1 = math.sqrt(1.0 + 2.0 * well.v0_second_deriv_at_0)
@@ -111,7 +112,7 @@ class WkbAmplitude:
         self._c2 = 0.25 + well.v0_second_deriv_at_0 / 2.0
         self._c4 = getattr(well, "_c4", 0.0)
         self._rho_cut = 1e-2 * well.a
-        rs = np.linspace(0.0, self.r_max, n_grid)
+        rs = np.linspace(0.0, self.r_max, N_AMPLITUDE)
         F = cumulative_simpson(self.f(rs), x=rs, initial=0.0)
         self._log_shape = CubicSpline(rs, -F)
 
@@ -135,45 +136,20 @@ class WkbAmplitude:
         return np.exp(self.log_a0(r))
 
 
-def amplitude_a0(well, r, r_max=None):
-    """a0(r); builds a throwaway amplitude table if none is cached."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radius must be nonnegative")
-    amp = WkbAmplitude(well, r_max or max(float(np.max(r)), 2.0 * well.a))
-    out = amp.a0(r)
-    return float(out) if out.ndim == 0 else out
-
-
-def wkb_profile_error(well, h, R, solution, amplitude=None, profile=None):
-    """max over the grid cap [0, R] of |e^{d/h} u_h - h^{-1/2} a0|."""
-    from .agmon import AgmonProfile
-
-    amp = amplitude or WkbAmplitude(well, max(R, 2 * well.a))
-    prof = profile or AgmonProfile(well, L=max(2.5 * well.a, R))
-    mask = solution.grid <= R
+def wkb_profile_error(well, solution, amplitude, profile):
+    """max over the support [0, a] of |e^{d/h} u_h - h^{-1/2} a0|."""
+    h = solution.h
+    mask = solution.grid <= well.a
     r = solution.grid[mask]
-    scaled = np.exp(prof.d(r) / h + np.log(np.maximum(solution.u[mask],
-                                                      1e-320)))
-    target = np.exp(amp.log_a0(r)) / math.sqrt(h)
+    scaled = np.exp(profile.d(r) / h + np.log(np.maximum(solution.u[mask],
+                                                         1e-320)))
+    target = np.exp(amplitude.log_a0(r)) / math.sqrt(h)
     return float(np.max(np.abs(scaled - target)))
 
 
-def wkb_error_exponent(well, h_list, R=1.0, solutions=None):
-    """Fit the profile error ~ C h^q over an h-sweep; returns (q, errors)."""
-    from .agmon import AgmonProfile
-    from .spectral import ground_state
-
-    h_list = np.asarray(sorted(h_list, reverse=True), dtype=float)
-    amp = WkbAmplitude(well, max(R, 2 * well.a))
-    prof = AgmonProfile(well, L=max(2.5 * well.a, R))
-    errors = []
-    for i, h in enumerate(h_list):
-        sol = solutions[i] if solutions else ground_state(well, h)
-        errors.append(wkb_profile_error(well, h, R, sol, amp, prof))
-    errors = np.array(errors)
-    q = float(np.polyfit(np.log(h_list), np.log(errors), 1)[0])
-    return q, errors
+def wkb_error_exponent(h_list, errors):
+    """q of the fit profile error ~ C h^q over an h-sweep."""
+    return float(np.polyfit(np.log(h_list), np.log(errors), 1)[0])
 
 
 @dataclass
@@ -207,34 +183,31 @@ class OuterRepresentation:
         return math.exp(self.log_u(rho))
 
 
-def calibrate_outer(well, h, solution, check_upto=None, rtol_fail=1e-2):
+def calibrate_outer(well, h, solution, check_upto):
     """Fit C_h at rho = a, then verify the representation on [a, check_upto].
 
     The single-point fit mirrors the matching argument; the remaining points
-    are genuine tests.  Mismatch beyond rtol_fail anywhere raises, since the
+    are genuine tests.  Mismatch beyond OUTER_RTOL anywhere raises, since the
     representation is exact in the free region and failure indicates an
     eigensolver or quadrature fault.
     """
     a = well.a
     alpha = 0.5 - solution.e_sw / (2.0 * h)
     rep = OuterRepresentation(h=h, alpha=alpha, log_C_h=0.0,
-                              rho_min=a, rho_max=solution.R)
+                              rho_min=a, rho_max=check_upto)
     rep.log_C_h = float(solution.log_u(a)) - rep.log_kernel(a)
-    hi = check_upto if check_upto is not None else \
-        min(solution.R - 1.0, 3.0 * a + 4.0)
-    rhos = np.linspace(a, hi, 9)
+    rhos = np.linspace(a, check_upto, 9)
     rels = np.abs(np.exp(rep.log_u(rhos) - solution.log_u(rhos)) - 1.0)
     for rho, rel in zip(rhos, rels):
-        if rel > rtol_fail:
+        if rel > OUTER_RTOL:
             raise OuterRepresentationError(
                 f"outer representation off by {rel:.2e} at rho={rho:.3f} "
                 f"(h={h}); eigensolution suspect", estimate=rel,
-                error_bound=rtol_fail)
-    rep.rho_max = hi
+                error_bound=OUTER_RTOL)
     return rep
 
 
-def matching_constants(well, amplitude=None, d_a=None):
+def matching_constants(well, amplitude, d_a):
     """Constants of the outer matching.
 
     t_star, eta, F are the saddle data of the Laplace evaluation of the
@@ -252,28 +225,24 @@ def matching_constants(well, amplitude=None, d_a=None):
     trends confirm m_matched.
     """
     a, depth = well.a, well.depth
-    if d_a is None:
-        from .agmon import AgmonProfile
-        d_a = AgmonProfile(well, L=2.5 * a).d_a
-    amp = amplitude or WkbAmplitude(well, 2.0 * a)
-    E1 = amp.E1
+    E1 = amplitude.E1
     t_star = 0.5 * (math.sqrt(1.0 + 4.0 * depth / a**2) - 1.0)
     eta = (1.0 + 2.0 * t_star) * a**2 / 4.0 + \
         depth / 2.0 * math.log(1.0 + 1.0 / t_star)
     F = eta - d_a
     root = math.sqrt(a**2 + 4.0 * depth)
-    m_display = amp.a0_0 * math.sqrt(2.0 * a * depth / math.pi) * \
+    m_display = amplitude.a0_0 * math.sqrt(2.0 * a * depth / math.pi) * \
         root**0.5 / (root + a)
     phi_pp = (depth / 2.0) * (2.0 * t_star + 1.0) / (t_star * (t_star + 1.0)) ** 2
     K = (1.0 / t_star) * math.sqrt(2.0 * math.pi / phi_pp) * \
         (1.0 + 1.0 / t_star) ** ((E1 - 1.0) / 2.0)
-    a0_a = float(amp.a0(a))
+    a0_a = float(amplitude.a0(a))
     return {
         "t_star": t_star,
         "eta": eta,
         "F": F,
         "d_a": d_a,
-        "a0_0": amp.a0_0,
+        "a0_0": amplitude.a0_0,
         "a0_a": a0_a,
         "m_display": m_display,
         "m_matched": a0_a / K,
@@ -281,8 +250,7 @@ def matching_constants(well, amplitude=None, d_a=None):
     }
 
 
-def c_h_asymptotic(well, h, constants=None, prefactor="matched"):
-    """log C_h_asy = log m + F/h - log h, in log form to avoid overflow."""
-    consts = constants or matching_constants(well)
-    m = consts["m_matched"] if prefactor == "matched" else consts["m_display"]
-    return math.log(m) - math.log(h) + consts["F"] / h
+def c_h_asymptotic(h, constants):
+    """log C_h_asy = log m + F/h - log h with the matched prefactor m, in
+    log form to avoid overflow."""
+    return math.log(constants["m_matched"]) - math.log(h) + constants["F"] / h

@@ -16,7 +16,8 @@ from magtun import (FiberProblem, action_S0, action_Sa, action_Shat,
                     hopping_slope_check, landau_level_2d,
                     minimizer_closed_form, nonmagnetic_action,
                     psi_global_min, sharp_action, solve_fiber,
-                    wkb_error_exponent, beta_scaling, PsiSurface)
+                    wkb_error_exponent, wkb_profile_error, beta_scaling,
+                    PsiSurface)
 from conftest import acceptance_line
 
 
@@ -54,8 +55,11 @@ def test_criterion_02_magnetic_oscillator():
                            f"(both <= 1e-6)")
 
 
-def test_criterion_03_harmonic_order(well):
-    rep = harmonic_expansion_check(well, [0.2, 0.14, 0.1, 0.07, 0.05])
+def test_criterion_03_harmonic_order(well, case):
+    hs = [0.2, 0.14, 0.1, 0.07, 0.05]
+    sols = [case(well, h).ground for h in hs]
+    rep = harmonic_expansion_check(well, hs, [s.e_sw for s in sols],
+                                   [s.energy_error for s in sols])
     ok = (not rep.floor_reached) and 1.4 <= rep.exponent <= 2.1
     acceptance_line(3, ok, f"harmonic expansion exponent p = "
                            f"{rep.exponent:.3f} in [1.4, 2.1]")
@@ -64,7 +68,8 @@ def test_criterion_03_harmonic_order(well):
 def test_criterion_04_wkb_order(well, case, profile4, amp6):
     hs = [0.2, 0.14, 0.1, 0.07, 0.05]
     sols = [case(well, h).ground for h in hs]
-    q, errors = wkb_error_exponent(well, hs, R=1.0, solutions=sols)
+    q = wkb_error_exponent(hs, [wkb_profile_error(well, s, amp6, profile4)
+                                for s in sols])
     positive = True
     for h, sol in zip(hs, sols):
         mask = sol.grid <= 1.0
@@ -88,8 +93,7 @@ def test_criterion_05_outer_representation(well, case, profile4, amp6):
     for h in (0.2, 0.1, 0.05, 0.035):
         sol = case(well, h).ground
         outer = calibrate_outer(well, h, sol, check_upto=4.0)
-        mags.append(abs(h * (outer.log_C_h - c_h_asymptotic(well, h,
-                                                            consts))))
+        mags.append(abs(h * (outer.log_C_h - c_h_asymptotic(h, consts))))
     trend = all(a > b for a, b in zip(mags, mags[1:]))
     ok = worst <= 1e-3 and trend and mags[-1] <= 0.05
     acceptance_line(5, ok, f"max rel mismatch on [a, L+1] = {worst:.2e} "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magtun import (AgmonProfile, action_S0, action_S_eps, action_Sa,
-                    action_Shat, agmon_d, corridor_CL, remainder_Ra)
+                    action_Shat, corridor_CL, remainder_Ra)
 from magtun.agmon import free_action_primitive
 
 # frozen from a 2e5-node midpoint-rule oracle over the canonical bump
@@ -17,12 +17,7 @@ R0_CANON = 0.1504956
 
 
 def test_d_at_zero(profile4):
-    assert agmon_d(profile4, 0.0) == 0.0
-
-
-def test_d_rejects_negative(profile4):
-    with pytest.raises(ValueError):
-        agmon_d(profile4, -1.0)
+    assert profile4.d(0.0) == 0.0
 
 
 def test_free_integrand_limit():
@@ -31,14 +26,14 @@ def test_free_integrand_limit():
 
 
 def test_d_against_midpoint_oracle(profile4):
-    assert agmon_d(profile4, 1.0) == pytest.approx(D_A, abs=1e-9)
-    assert agmon_d(profile4, 0.5) == pytest.approx(D_HALF, abs=1e-9)
+    assert profile4.d(1.0) == pytest.approx(D_A, abs=1e-9)
+    assert profile4.d(0.5) == pytest.approx(D_HALF, abs=1e-9)
     assert profile4.d_a_error < 1e-8
 
 
 def test_d_monotone(profile4):
     r = np.linspace(0.0, 8.0, 4001)
-    d = agmon_d(profile4, r)
+    d = profile4.d(r)
     assert np.all(np.diff(d) > 0)
 
 
@@ -130,7 +125,7 @@ def test_CL(profile4):
 def test_CL_degenerate_small_a():
     from magtun import RadialWell
     w = RadialWell.bump(depth=1.0, a=1e-3)
-    res = corridor_CL(AgmonProfile(w, 4.0, n_grid=2001))
+    res = corridor_CL(AgmonProfile(w, 4.0))
     assert res.value == pytest.approx(((4.0 - 1e-3) / 2 + 2.0) * 1e-3,
                                       abs=1e-15)
     assert res.value < 5e-3
@@ -140,5 +135,5 @@ def test_tail_closed_form(profile4):
     # for r >= a the tail is the free primitive; cross-check by quadrature
     from magtun import integrate
     tail = integrate(lambda r: math.sqrt(r * r / 4 + 1.0), 1.0, 3.0)
-    assert agmon_d(profile4, 3.0) - agmon_d(profile4, 1.0) == \
+    assert profile4.d(3.0) - profile4.d(1.0) == \
         pytest.approx(tail, abs=1e-10)

@@ -94,16 +94,27 @@ def test_every_numerical_error_exit_3(monkeypatch, capsys, stage, error,
 @pytest.mark.parametrize("argv, calls", [
     (["sweep", "--L", "8.5", "--h-range", "1.2:1.2:1", "--with-splitting"],
      {"ground_state": 1, "hopping_direct": 1}),
-    (["verify", "--quick"], {"hopping_direct": 1})], ids=["sweep", "verify"])
+    # one solve per distinct h: 0.5, 0.3 (full battery only), 0.1 and the
+    # exponent sweep's 0.2, 0.14, 0.07, 0.05 (its 0.1 is the held case)
+    (["verify", "--quick"], {"ground_state": 6, "hopping_direct": 1}),
+    (["verify"], {"ground_state": 7, "hopping_direct": 2})],
+    ids=["sweep", "verify", "verify-full"])
 def test_each_stage_solved_once(monkeypatch, capsys, argv, calls):
     from magtun import cli, pipeline
 
+    # count calls through every magtun module that binds the stage, so a
+    # solve outside the pipeline is counted too
+    modules = [m for k, m in sys.modules.items() if k.startswith("magtun.")]
     seen = dict.fromkeys(calls, 0)
     for name in calls:
-        def counted(*args, _name=name, _fn=getattr(pipeline, name), **kw):
+        fn = getattr(pipeline, name)
+
+        def counted(*args, _name=name, _fn=fn, **kw):
             seen[_name] += 1
             return _fn(*args, **kw)
-        monkeypatch.setattr(pipeline, name, counted)
+        for mod in modules:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
     assert cli.main(argv) == 0
     assert seen == calls
 

@@ -4,38 +4,32 @@ import math
 import numpy as np
 import pytest
 
-from magtun import (DoubleWellConfig, RadialWell, WellValidationError, eval_V,
-                    eval_v0, v0_curvature)
+from magtun import DoubleWellConfig, RadialWell, WellValidationError, eval_V
 
 
 def test_bump_minimum_and_support(well):
-    assert eval_v0(well, 0.0) == -1.0
-    assert eval_v0(well, 1.0) == 0.0
-    assert eval_v0(well, 5.0) == 0.0
+    assert well.v0(0.0) == -1.0
+    assert well.v0(1.0) == 0.0
+    assert well.v0(5.0) == 0.0
 
 
 def test_bump_symbolic_value(well):
     # independent symbolic evaluation of the bump formula at r = 0.5
     expected = -math.exp(1.0 - 1.0 / (1.0 - 0.25))
-    assert eval_v0(well, 0.5) == pytest.approx(expected, rel=1e-15)
-    assert -1.0 < eval_v0(well, 0.5) < 0.0
+    assert well.v0(0.5) == pytest.approx(expected, rel=1e-15)
+    assert -1.0 < well.v0(0.5) < 0.0
 
 
 def test_support_exact_zero(well):
     r = np.linspace(1.0, 3.0, 501)
-    assert np.all(eval_v0(well, r) == 0.0)
+    assert np.all(well.v0(r) == 0.0)
 
 
 def test_unique_minimum_grid_scan(well):
     r = np.arange(0.0, 1.0 + 1e-3, 1e-3)
-    vals = eval_v0(well, r)
+    vals = well.v0(r)
     near_min = np.abs(vals - well.v0_min) < 1e-12
     assert near_min[0] and near_min.sum() == 1
-
-
-def test_negative_radius_rejected(well):
-    with pytest.raises(ValueError):
-        eval_v0(well, -0.1)
 
 
 @pytest.mark.parametrize("depth,a,expected", [(1.0, 1.0, 2.0),
@@ -43,12 +37,12 @@ def test_negative_radius_rejected(well):
                                               (1.0, 2.0, 0.5)])
 def test_curvature_closed_form_and_fd(depth, a, expected):
     w = RadialWell.bump(depth=depth, a=a)
-    assert v0_curvature(w) == pytest.approx(expected, rel=1e-14)
+    assert w.v0_second_deriv_at_0 == pytest.approx(expected, rel=1e-14)
     # central finite-difference oracle at step 1e-4
     s = 1e-4 * a
-    fd = (eval_v0(w, 2 * s) - 2 * eval_v0(w, s) + eval_v0(w, 0.0)) / s**2
+    fd = (w.v0(2 * s) - 2 * w.v0(s) + w.v0(0.0)) / s**2
     assert fd == pytest.approx(expected, rel=1e-5)
-    assert v0_curvature(w) > 0
+    assert w.v0_second_deriv_at_0 > 0
 
 
 def test_v0_prime_matches_fd(well):
@@ -89,7 +83,7 @@ def test_custom_profile_accepted():
     base = RadialWell.bump(depth=2.0, a=1.5)
     w = RadialWell.from_callable(base.v0, a=1.5, depth=2.0,
                                  v0_prime_fn=base.v0_prime)
-    assert w.curvature == pytest.approx(2 * 2.0 / 1.5**2, rel=1e-4)
+    assert w.v0_second_deriv_at_0 == pytest.approx(2 * 2.0 / 1.5**2, rel=1e-4)
 
 
 def test_custom_profile_rejected():

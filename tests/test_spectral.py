@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from magtun import (FiberProblem, RadialWell, agmon_identity_check,
-                    ground_state, harmonic_expansion_check, solve_fiber)
-from magtun.spectral import _default_n, _ground_levels
+                    default_radius, ground_state, harmonic_expansion_check,
+                    solve_fiber)
+from magtun.spectral import _bisection_levels, _default_n, _ground_levels
 
 SQRT5 = math.sqrt(5.0)
 
@@ -97,17 +98,21 @@ def test_fiber_problem_validation(well):
         FiberProblem(m=0, h=1.0, R=2.0, n=1000)
 
 
-def test_harmonic_exponent(well):
-    rep = harmonic_expansion_check(well, [0.2, 0.14, 0.1, 0.07, 0.05])
+def test_harmonic_exponent(well, case):
+    hs = [0.2, 0.14, 0.1, 0.07, 0.05]
+    sols = [case(well, h).ground for h in hs]
+    rep = harmonic_expansion_check(well, hs, [s.e_sw for s in sols],
+                                   [s.energy_error for s in sols])
     assert not rep.floor_reached
     assert 1.4 <= rep.exponent <= 2.1
 
 
 def test_harmonic_check_validation(well):
     with pytest.raises(ValueError):
-        harmonic_expansion_check(well, [0.1, 0.05])
+        harmonic_expansion_check(well, [0.1, 0.05], [-0.8, -0.9], [0, 0])
     with pytest.raises(ValueError):
-        harmonic_expansion_check(well, [0.5, 0.4, 0.3, 0.2, 0.1])
+        harmonic_expansion_check(well, [0.5, 0.4, 0.3, 0.2, 0.1],
+                                 [0.0] * 5, [0.0] * 5)
 
 
 def test_pure_quadratic_residual_zero():
@@ -161,7 +166,8 @@ def test_weighted_mass_stable_under_radius_growth(well, profile4):
     h, delta = 0.1, 0.2
     reps = []
     for R in (8.0, 10.0):
-        sol = ground_state(well, h, R=R)
+        sol = solve_fiber(FiberProblem(m=0, h=h, R=R, n=_default_n(R),
+                                       well=well))
         reps.append(agmon_identity_check(
             sol, lambda r: (1 - delta) * profile4.d(r),
             phi_prime=lambda r: (1 - delta) * profile4.integrand(r),
@@ -193,8 +199,8 @@ def test_ground_state_converges_at_isolated_h(depth, L, h):
     assert sol.energy_error <= 1e-8
 
 
-def _sturm_lowest(diag, off, lo, hi, points=32, width=1e-12):
-    """Bracket of the lowest eigenvalue by np.longdouble Sturm counts."""
+def _sturm_level(diag, off, lo, hi, k=1, points=32, width=1e-12):
+    """Bracket of the k-th lowest eigenvalue by np.longdouble Sturm counts."""
     e2 = off.astype(np.longdouble) ** 2
 
     def below(xs):   # eigenvalue count below each x
@@ -205,11 +211,11 @@ def _sturm_lowest(diag, off, lo, hi, points=32, width=1e-12):
         return (q < 0).sum(axis=0)
 
     lo, hi = np.longdouble(lo), np.longdouble(hi)
-    assert list(below(np.array([lo, hi]))) == [0, 1]
+    assert list(below(np.array([lo, hi]))) == [k - 1, k]
     while hi - lo > width:
         xs = lo + (hi - lo) * np.arange(1, points + 1,
                                         dtype=np.longdouble) / (points + 1)
-        j = int(np.searchsorted(below(xs), 1))
+        j = int(np.searchsorted(below(xs), k))
         lo, hi = (xs[j - 1] if j else lo), (xs[j] if j < points else hi)
     return lo, hi
 
@@ -224,5 +230,39 @@ def test_ground_eigenvalue_matches_extended_precision(well):
     next(levels)
     vals, _, diag, off, _, _ = next(levels)
     assert len(diag) == 69284
-    lo, hi = _sturm_lowest(diag, off, vals[0] - 1e-7, vals[0] + 1e-7)
+    lo, hi = _sturm_level(diag, off, vals[0] - 1e-7, vals[0] + 1e-7)
     assert abs(float(vals[0] - lo)) <= 1e-10
+
+
+def _spectrum(capsys, *argv):
+    from magtun import cli
+    assert cli.main(["spectrum", *argv]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    return {(int(m), int(j)): float(e)
+            for m, j, e in (row.split(",") for row in rows)}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="np.longdouble is not extended precision here")
+def test_several_levels_match_extended_precision(well, capsys):
+    # bisection's own eigenvalues drift by up to 1e-6 from grid to grid at
+    # h 1.0, which once made this command fail its Richardson tolerance;
+    # their vectors' Rayleigh quotients converge
+    argv = ("--h", "1.0", "--modes", "2")
+    two = _spectrum(capsys, *argv, "--levels", "2")
+    one = _spectrum(capsys, *argv, "--levels", "1")
+    for m in range(-2, 3):
+        assert abs(two[(m, 1)] - one[(m, 1)]) <= 1e-8
+    # both levels of m = 0 on the finest grid of the same solve; bisection
+    # itself is off by 2e-8 and 3e-9 there
+    R = default_radius(well, 1.0)
+    problem = FiberProblem(m=0, h=1.0, R=R, n=max(int(R / 1e-3), 4000),
+                           well=well)
+    n_final = solve_fiber(problem, k=2).n
+    for vals, _, diag, off, _, _ in _bisection_levels(problem, 2):
+        if len(diag) == n_final:
+            break
+    for k in (1, 2):
+        lam = vals[k - 1]
+        lo, hi = _sturm_level(diag, off, lam - 1e-7, lam + 1e-7, k=k)
+        assert abs(float(lam - lo)) <= 1e-10

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from magtun import (OuterRepresentationError, WkbAmplitude, amplitude_a0,
-                    c_h_asymptotic, calibrate_outer, matching_constants,
-                    wkb_error_exponent, wkb_profile_error)
+from magtun import (OuterRepresentationError, WkbAmplitude, c_h_asymptotic,
+                    calibrate_outer, matching_constants, wkb_error_exponent,
+                    wkb_profile_error)
 
 SQRT5 = math.sqrt(5.0)
 # normalized-Gaussian-limit amplitude constant (1+2 v0''(0))^{1/4}/sqrt(2 pi)
@@ -16,7 +16,7 @@ F_CANON = 0.4439993860417526
 
 def test_a0_at_origin(well, amp6):
     assert amp6.a0_0 == pytest.approx(A0_CANON, rel=1e-12)
-    assert amplitude_a0(well, 0.0) == pytest.approx(A0_CANON, rel=1e-10)
+    assert float(amp6.a0(0.0)) == pytest.approx(A0_CANON, rel=1e-10)
 
 
 def test_a0_matches_measured_ground_state(well, case, profile4):
@@ -57,10 +57,11 @@ def test_a0_positive_on_range(well):
     assert np.all(amp.a0(r) > 0.0)
 
 
-def test_wkb_error_exponent(well, case):
+def test_wkb_error_exponent(well, case, profile4, amp6):
     hs = [0.2, 0.14, 0.1, 0.07, 0.05]
-    sols = [case(well, h).ground for h in hs]
-    q, errors = wkb_error_exponent(well, hs, R=1.0, solutions=sols)
+    errors = [wkb_profile_error(well, case(well, h).ground, amp6, profile4)
+              for h in hs]
+    q = wkb_error_exponent(hs, errors)
     assert 0.4 <= q <= 1.1
     assert np.all(np.isfinite(errors))
     assert np.all(np.diff(errors) < 0)  # decreasing along decreasing h
@@ -68,8 +69,7 @@ def test_wkb_error_exponent(well, case):
 
 def test_profile_error_finite_and_sign(well, case, profile4, amp6):
     sol = case(well, 0.1).ground
-    err = wkb_profile_error(well, 0.1, 1.0, sol, amplitude=amp6,
-                            profile=profile4)
+    err = wkb_profile_error(well, sol, amp6, profile4)
     assert np.isfinite(err)
     mask = sol.grid <= 1.0
     scaled = np.exp(profile4.d(sol.grid[mask]) / 0.1) * sol.u[mask]
@@ -94,9 +94,10 @@ def test_outer_self_consistency(well, case):
 
 
 def test_outer_violation_detected(well, case):
-    sol = case(well, 0.1).ground
+    # a ground state of another h is a faulty eigensolution for this one
+    sol = case(well, 0.05).ground
     with pytest.raises(OuterRepresentationError):
-        calibrate_outer(well, 0.1, sol, check_upto=5.0, rtol_fail=1e-12)
+        calibrate_outer(well, 0.1, sol, check_upto=5.0)
 
 
 def test_alpha_correction_term(well, case):
@@ -130,7 +131,7 @@ def test_c_h_trend(well, case, profile4, amp6):
     for h in (0.2, 0.1, 0.05, 0.035):
         sol = case(well, h).ground
         outer = calibrate_outer(well, h, sol, check_upto=4.0)
-        gaps.append(h * (outer.log_C_h - c_h_asymptotic(well, h, consts)))
+        gaps.append(h * (outer.log_C_h - c_h_asymptotic(h, consts)))
     mags = [abs(g) for g in gaps]
     assert all(a > b for a, b in zip(mags, mags[1:]))
     assert mags[-1] <= 0.05
@@ -145,6 +146,6 @@ def test_display_constant_offset_is_h_independent(well, case, profile4,
     for h in (0.1, 0.05):
         sol = case(well, h).ground
         outer = calibrate_outer(well, h, sol, check_upto=4.0)
-        ratios.append(outer.log_C_h
-                      - c_h_asymptotic(well, h, consts, prefactor="display"))
+        ratios.append(outer.log_C_h - c_h_asymptotic(h, consts)
+                      - math.log(consts["m_display"] / consts["m_matched"]))
     assert ratios[0] == pytest.approx(ratios[1], abs=0.06)
