@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .numerics import AccuracyError, gauss_legendre
-from .wkb import log_outer_integrand, log_t_integrals
+from .wkb import T_BLOCK, log_outer_integrand, log_t_integrals
 
 __all__ = [
     "hopping_direct",
@@ -54,42 +54,75 @@ def _gauss_nodes(a, n):
     return 0.5 * a * (x + 1.0), 0.5 * a * w
 
 
+def _circle_sums(solution, L, h, r_nodes, theta, take):
+    """Sums over the circle nodes theta of f = u(rho) e^{i L r sin t / 2h}
+    per r-node, T_BLOCK r-nodes at a time: of f on the even-numbered and on
+    the odd-numbered nodes, and of |f| on all of them.
+
+    rho depends on cos(theta) alone, so u is evaluated only on the nodes
+    theta[:take.max() + 1], which lie in [0, pi], and node j takes the
+    value at node take[j], its mirror image there.  The phase is taken at
+    every node.
+    """
+    half = np.cos(theta[:take.max() + 1])
+    copies = np.bincount(take)
+    sin_t = np.sin(theta)
+    even = np.empty(len(r_nodes), complex)
+    odd = np.empty(len(r_nodes), complex)
+    mag = np.empty(len(r_nodes))
+    for s in range(0, len(r_nodes), T_BLOCK):
+        rows = r_nodes[s:s + T_BLOCK, None]
+        rho = np.sqrt(rows * rows + L * L + 2.0 * L * rows * half)
+        u = np.exp(solution.log_u(rho))
+        f = np.exp(1j * (L * rows / (2.0 * h)) * sin_t) * u[:, take]
+        even[s:s + T_BLOCK] = f[:, ::2].sum(axis=1)
+        odd[s:s + T_BLOCK] = f[:, 1::2].sum(axis=1)
+        mag[s:s + T_BLOCK] = u @ copies
+    return even, odd, mag
+
+
 def hopping_direct(config, h, solution):
     """Nested quadrature of the oscillatory form; returns the complex value.
 
-    The angular trapezoid rule (spectrally accurate for periodic integrands)
-    is refined until doubling the node count moves the result by less than
-    DIRECT_RTOL; under-resolved oscillation raises AccuracyError.
+    The angular integral is a trapezoid rule on n equispaced nodes
+    (spectrally accurate for periodic integrands) at nested levels: x4 is
+    the even half of the x8 nodes, and x16 adds only its new odd nodes.
+    One pass over the r-nodes evaluates the x8 nodes; log u is taken on
+    theta in [0, pi] and mirrored, as rho depends on cos(theta) alone,
+    while the phase is taken at every node of the full circle.  When x4
+    and x8 differ by more than DIRECT_RTOL the x16 level is added, and when
+    that still moves the result by more than DIRECT_RTOL an AccuracyError
+    names the cancellation ratio kappa = sum|f| / |sum f| of the whole
+    integrand f on the x16 nodes.
     """
     well, L = config.well, config.L
     a = well.a
     r_nodes, r_weights = _gauss_nodes(a, N_ROUTE)
-
-    def assemble(mult):
-        n_theta = int(max(256, 40 * math.ceil(L * a / (4.0 * math.pi * h)))
-                      * mult)
-        theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-        sin_t, cos_t = np.sin(theta), np.cos(theta)
-        total = 0.0 + 0.0j
-        for ri, wi in zip(r_nodes, r_weights):
-            rho = np.sqrt(ri * ri + L * L + 2.0 * L * ri * cos_t)
-            inner = np.sum(np.exp(solution.log_u(rho)
-                                  + 1j * (L * ri / (2.0 * h)) * sin_t))
-            inner *= 2.0 * np.pi / n_theta
-            total += wi * ri * float(well.v0(np.array([ri]))[0]) \
-                * math.exp(float(solution.log_u(ri))) * inner
-        return total
-
-    w1 = assemble(4)
-    w2 = assemble(8)
-    if abs(w2 - w1) > DIRECT_RTOL * abs(w2):
-        w3 = assemble(16)
-        if abs(w3 - w2) > DIRECT_RTOL * abs(w3):
-            raise AccuracyError(
-                "angular quadrature not converged", estimate=w3,
-                error_bound=abs(w3 - w2))
-        return w3
-    return w2
+    radial = r_weights * r_nodes * well.v0(r_nodes) \
+        * np.exp(solution.log_u(r_nodes))
+    n4 = 4 * max(256, 40 * math.ceil(L * a / (4.0 * math.pi * h)))
+    n8, n16 = 2 * n4, 4 * n4
+    j = np.arange(n8)
+    even, odd, mag = _circle_sums(
+        solution, L, h, r_nodes,
+        np.linspace(0.0, 2.0 * np.pi, n8, endpoint=False),
+        np.minimum(j, n8 - j))
+    w4 = radial @ even * (2.0 * np.pi / n4)
+    w8 = radial @ (even + odd) * (2.0 * np.pi / n8)
+    if abs(w8 - w4) <= DIRECT_RTOL * abs(w8):
+        return w8
+    new_even, new_odd, new_mag = _circle_sums(
+        solution, L, h, r_nodes,
+        np.linspace(0.0, 2.0 * np.pi, n16, endpoint=False)[1::2],
+        np.minimum(j, n8 - 1 - j))
+    w16 = radial @ (even + odd + new_even + new_odd) * (2.0 * np.pi / n16)
+    if abs(w16 - w8) > DIRECT_RTOL * abs(w16):
+        kappa = np.abs(radial) @ (mag + new_mag) * (2.0 * np.pi / n16) \
+            / abs(w16)
+        raise AccuracyError(
+            f"angular quadrature not converged: cancellation ratio "
+            f"kappa {kappa:.3g}", estimate=w16, error_bound=abs(w16 - w8))
+    return w16
 
 
 def hopping_bessel(config, h, outer, solution):

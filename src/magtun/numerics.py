@@ -208,8 +208,15 @@ def tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
 
 
 N_SCAN = 400     # log_integral_exp's scan for the maximum
-N_NODES = 4001   # its Simpson nodes per window
+N_NODES = 4001   # its Simpson nodes per window (odd: an even cell count)
 KEEP = 46.0      # its window: g >= gmax - KEEP, truncation error ~ e^-KEEP
+
+# the Simpson nodes and weights 1, 4, 2, ..., 4, 1 (over 3 (N_NODES - 1))
+# of the unit interval; a window [y1, y2] maps them affinely
+_UNIT = np.linspace(0.0, 1.0, N_NODES)
+_SIMPSON = np.where(np.arange(N_NODES) % 2, 4.0, 2.0)
+_SIMPSON[[0, -1]] = 1.0
+_SIMPSON /= 3.0 * (N_NODES - 1)
 
 
 def log_integral_exp(g, lo, hi):
@@ -217,12 +224,14 @@ def log_integral_exp(g, lo, hi):
 
     A coarse scan of N_SCAN points locates the maximum; Simpson on N_NODES
     nodes integrates exp(g - gmax) on the window where g >= gmax - KEEP.
+    The window's nodes are y1 + (y2 - y1) * unit for one reference grid
+    unit on [0, 1], so the composite Simpson rule is one product with a
+    fixed weight vector, scaled by the window's width y2 - y1.
 
     g may also hold a batch of integrands, one per row: called with the
     shared scan (shape (n,)) or with per-row nodes (shape (rows, n)) it
     returns shape (rows, n).  Each row then gets its own window, cut and
-    padding, the Simpson grid is one reference grid mapped affinely into
-    each window, and the result is an array with -inf for every row whose
+    padding, and the result is an array with -inf for every row whose
     maximum is not finite.  A 1-D g gives a float.
     """
     ys = np.linspace(lo, hi, N_SCAN)
@@ -240,10 +249,10 @@ def log_integral_exp(g, lo, hi):
     step = ys[1] - ys[0]
     y1 = np.maximum(lo, ys[first] - step)
     y2 = np.minimum(hi, ys[last] + step)
-    yy = np.linspace(y1, y2, N_NODES, axis=1)
+    yy = y1[:, None] + (y2 - y1)[:, None] * _UNIT
     gg = np.atleast_2d(g(yy[0] if single else yy))
     gm = gg.max(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        val = _si.simpson(np.exp(gg - gm[:, None]), x=yy, axis=1)
+        val = np.exp(gg - gm[:, None]) @ _SIMPSON * (y2 - y1)
         out = np.where(finite, gm + np.log(val), -np.inf)
     return float(out[0]) if single else out

@@ -109,7 +109,7 @@ class RadialEigenSolution:
     that int |u|^2 2 pi r dr = 1 and positive."""
 
     def __init__(self, m, h, R, n, grid, delta, energies, energy_error,
-                 u, w, diag, off):
+                 u, w):
         self.m = m
         self.h = h
         self.R = R
@@ -120,8 +120,6 @@ class RadialEigenSolution:
         self.energy_error = energy_error
         self.u = u
         self.w = w
-        self._diag = diag
-        self._off = off
         self._log_u = None
         self.e_sw = float(energies[0])
         self.fiber_energies = None  # filled by ground_state
@@ -141,12 +139,13 @@ class RadialEigenSolution:
         """int |u|^2 2 pi r dr on the grid (should be 1)."""
         return 2.0 * np.pi * float(np.sum(self.w**2) * self.delta)
 
-    def refine_tail(self):
+    def refine_tail(self, diag, off):
         """Re-solve the decaying tail as a linear BVP at the converged energy.
 
         Inverse-iteration eigenvectors lose relative accuracy once the
         amplitude drops below ~1e-15 of the peak; the tridiagonal system
-        (T - E) w = 0 with the accurate boundary value regains it.
+        (T - E) w = 0, with T the finest grid's matrix (diag, off) and the
+        accurate boundary value, regains it.
         """
         w = self.w
         n = len(w)
@@ -158,10 +157,10 @@ class RadialEigenSolution:
             return self
         i0 = int(idx[0])
         E = self.energies[0]
-        d = self._diag[i0 + 1:] - E
-        e = self._off[i0 + 1:]
+        d = diag[i0 + 1:] - E
+        e = off[i0 + 1:]
         b = np.zeros(n - i0 - 1)
-        b[0] = -self._off[i0] * w[i0]
+        b[0] = -off[i0] * w[i0]
         ab = np.zeros((3, n - i0 - 1))
         ab[0, 1:] = e
         ab[1, :] = d
@@ -244,10 +243,10 @@ def solve_fiber(problem, k=1, tol=1e-8, clean_tail=True):
     w /= math.sqrt(2.0 * np.pi * float(np.sum(w**2)) * delta)
     u = w / np.sqrt(r)
     sol = RadialEigenSolution(problem.m, problem.h, problem.R, len(r), r,
-                              delta, energies, err, u, w, diag, off)
+                              delta, energies, err, u, w)
     sol.problem = problem
     if clean_tail:
-        sol.refine_tail()
+        sol.refine_tail(diag, off)
     return sol
 
 

@@ -57,8 +57,9 @@ def test_numerical_failure_exit_3():
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("numerical error: AccuracyError: angular "
-                               "quadrature not converged (estimate ")
-    assert ", bound " in lines[0]
+                               "quadrature not converged: cancellation "
+                               "ratio kappa ")
+    assert " (estimate " in lines[0] and ", bound " in lines[0]
 
 
 def test_invariant_violation_exit_3(monkeypatch, capsys):

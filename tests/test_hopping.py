@@ -3,11 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from magtun import (Case, DoubleWellConfig, Pipeline, epsilon_lower_bound,
-                    hopping_slope_check, hopping_wkb_envelope)
+from magtun import (AccuracyError, Case, DoubleWellConfig, Pipeline,
+                    epsilon_lower_bound, hopping_direct, hopping_slope_check,
+                    hopping_wkb_envelope)
+from magtun import hopping
 
 # frozen cross-route value at h = 0.5 (both routes agreed to 4e-8 when frozen)
 W_CANON_H05 = -4.390891e-05
+
+# w_direct of the loop-over-r-nodes implementation, which evaluated the x4
+# and x8 angular levels separately on the full circle; (depth, L, h) -> w
+FROZEN_W_DIRECT = {
+    (1.0, 4.2, 0.55): -4.657248268680341e-05,
+    (1.0, 4.2, 0.3): -1.4059591002062952e-08,
+    (1.0, 4.2, 0.17): -9.010694043902887e-15,
+    (4.0, 3.7, 0.3): -2.001085054995221e-09,
+    (4.0, 3.7, 0.15): -4.109555133510865e-19,
+    (1.0, 8.5, 1.2): -3.730655091463712e-08,
+    (1.0, 8.5, 0.9): -2.6246264432784615e-10,
+}
 
 H_SWEEP = [0.6, 0.5, 0.42, 0.35, 0.3, 0.25]
 
@@ -129,3 +143,65 @@ def test_route_agreement_tightness(estimates):
     for e in estimates.estimates:
         assert e.imag_fraction <= 1e-8
         assert e.route_agreement <= 1e-5
+
+
+@pytest.mark.parametrize("depth, L, h", list(FROZEN_W_DIRECT))
+def test_direct_frozen_values(well, well_deep, case, depth, L, h):
+    wd = case(well if depth == 1.0 else well_deep, h, L=L).w_direct
+    ref = FROZEN_W_DIRECT[depth, L, h]
+    assert abs(wd - ref) <= 1e-12 * abs(ref)
+
+
+def _angular_nodes(config, h, mult):
+    L, a = config.L, config.well.a
+    return mult * max(256, 40 * math.ceil(L * a / (4.0 * math.pi * h)))
+
+
+def _brute_force_direct(config, h, solution, n_theta):
+    """Every r-node's full-circle trapezoid sum of f, without levels or
+    mirroring; returns (w, sum |f| / |w|)."""
+    well, L = config.well, config.L
+    x, wx = np.polynomial.legendre.leggauss(hopping.N_ROUTE)
+    r, wr = 0.5 * well.a * (x + 1.0), 0.5 * well.a * wx
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    rho = np.sqrt(r[:, None] ** 2 + L * L
+                  + 2.0 * L * r[:, None] * np.cos(theta))
+    f = np.exp(solution.log_u(rho)
+               + 1j * (L * r[:, None] / (2.0 * h)) * np.sin(theta))
+    f *= (wr * r * well.v0(r) * np.exp(solution.log_u(r)))[:, None] \
+        * (2.0 * np.pi / n_theta)
+    w = f.sum()
+    return w, np.abs(f).sum() / abs(w)
+
+
+def test_direct_x16_level_matches_full_grid(config4, well, case, monkeypatch):
+    # a negative tolerance fails both refinement tests, so the route adds
+    # the x16 level and raises with it as the estimate
+    h = 0.5
+    sol = case(well, h).ground
+    monkeypatch.setattr(hopping, "DIRECT_RTOL", -1.0)
+    with pytest.raises(AccuracyError, match="kappa") as info:
+        hopping_direct(config4, h, sol)
+    w16, kappa = _brute_force_direct(config4, h, sol,
+                                     _angular_nodes(config4, h, 16))
+    assert abs(info.value.estimate - w16) <= 1e-12 * abs(w16)
+    assert abs(info.value.estimate - case(well, h).w_direct) \
+        <= 1e-12 * abs(w16)
+    got = float(str(info.value).split("kappa")[1])
+    assert got == pytest.approx(kappa, rel=1e-2)
+
+
+def test_direct_spline_points(config4, well, case, monkeypatch):
+    # log u is evaluated once per r-node and on the half circle of the x8
+    # nodes only: N_ROUTE (n8 / 2 + 2) points, a third of the separate x4
+    # and x8 full-circle rules
+    h = 0.5
+    sol = case(well, h).ground
+    points = []
+    log_u = sol.log_u
+    monkeypatch.setattr(sol, "log_u",
+                        lambda rho: points.append(np.size(rho)) or log_u(rho))
+    wd = hopping_direct(config4, h, sol)
+    assert wd == case(well, h).w_direct
+    n8 = _angular_nodes(config4, h, 8)
+    assert sum(points) <= hopping.N_ROUTE * (n8 // 2 + 2)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 
 from magtun import (AccuracyError, hopping_bessel, integrate, log_bessel_i0,
@@ -275,6 +276,22 @@ def test_log_t_integrals_across_block_boundary():
         scalar = log_integral_exp(
             log_outer_integrand(h, alpha, r * r + 16.0, 4.0 * r), lo, Y_HI)
         assert val == pytest.approx(scalar, rel=1e-12)
+
+
+def test_log_integral_exp_simpson_weights():
+    # the weight vector against scipy's Simpson rule for general x, on the
+    # nodes log_integral_exp chose for each row of a batched t-kernel
+    h, alpha = 0.3, 2.1
+    r = np.linspace(0.05, 1.0, T_BLOCK)[:, None]
+    g, calls = _recording(
+        log_outer_integrand(h, alpha, r * r + 16.0, 4.0 * r))
+    got = log_integral_exp(g, -700.0 / alpha, Y_HI)
+    yy = calls[1]
+    gg = g(yy)
+    gm = gg.max(axis=1, keepdims=True)
+    ref = gm[:, 0] + np.log(scipy.integrate.simpson(np.exp(gg - gm), x=yy,
+                                                    axis=1))
+    assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("h", [0.3, 0.5])
