@@ -208,11 +208,10 @@ def sharp_action(well, L, profile=None):
     return report
 
 
-def kernel_g0_log(t, curvature):
+def kernel_g0_log(t, E1):
     """log of the kernel amplitude g0(t) = t^{-5/4}(t+1)^{-1/4}
-    (1+1/t)^{(E1-1)/2} with E1 = sqrt(1+2 v0''(0))."""
+    (1+1/t)^{(E1-1)/2} with E1 = sqrt(1+2 v0''(0)) (WkbAmplitude.E1)."""
     t = np.asarray(t, dtype=float)
-    E1 = math.sqrt(1.0 + 2.0 * curvature)
     return (-1.25 * np.log(t) - 0.25 * np.log1p(t)
             + 0.5 * (E1 - 1.0) * np.log1p(1.0 / t))
 
@@ -251,8 +250,7 @@ def w_chain(config, h, eta, solution, outer, amplitude, profile):
     consts = matching_constants(well, amplitude, profile.d_a)
     alpha = outer.alpha
     # alpha0_main / h, the leading-order exponent coefficient
-    alpha_main = well.depth / (2.0 * h) \
-        - 0.5 * (math.sqrt(1.0 + 2.0 * well.v0_second_deriv_at_0) - 1.0)
+    alpha_main = well.depth / (2.0 * h) - 0.5 * (amplitude.E1 - 1.0)
     log_ch_asy = c_h_asymptotic(h, consts)
     x, wts = gauss_legendre(N_CHAIN)
     r_nodes = eta + 0.5 * (a - eta) * (x + 1.0)
@@ -301,7 +299,7 @@ def w_chain(config, h, eta, solution, outer, amplitude, profile):
         def g(y):
             t = np.exp(y)
             return (-(surface.psi(r, t) - consts["F"]) / h
-                    + kernel_g0_log(t, well.v0_second_deriv_at_0) + y)
+                    + kernel_g0_log(t, amplitude.E1) + y)
         return g
 
     lt4b = t_integral(g4)

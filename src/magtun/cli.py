@@ -137,11 +137,8 @@ def cmd_wkb(args):
 
 
 def cmd_hopping(args):
-    from .agmon import action_S0, action_Sa
-
     pipe = Pipeline(_load_config(args))
-    S0 = action_S0(pipe.profile).value
-    Sa = action_Sa(pipe.profile).value
+    S0, Sa = pipe.action.S0, pipe.action.Sa
     rows = []
     c_tilde = None
     for h in _h_range(args.h_range):

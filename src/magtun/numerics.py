@@ -80,7 +80,6 @@ def integrate(f, lo, hi, return_error=False):
 class Minimum1D(NamedTuple):
     argmin: float
     value: float
-    bracket: float
 
 
 PRESCAN = 200  # grid points of minimize_1d's global pre-scan
@@ -105,7 +104,7 @@ def minimize_1d(f, lo, hi, tol=1e-8):
     candidates = [(lo, f(lo)), (float(res.x), float(res.fun)), (hi, f(hi))]
     candidates.sort(key=lambda p: (p[1], p[0]))
     x, fx = candidates[0]
-    return Minimum1D(float(x), float(fx), tol)
+    return Minimum1D(float(x), float(fx))
 
 
 def log_bessel_i0(z):

@@ -25,7 +25,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .numerics import NumericalError
 from .pipeline import Case
-from .potential import DoubleWellConfig, RadialWell
+from .potential import DoubleWellConfig, RadialWell, eval_V
 
 __all__ = [
     "MagneticLattice",
@@ -42,13 +42,12 @@ __all__ = [
 class MagneticLattice:
     """Assembled lattice operator plus its geometry."""
 
-    def __init__(self, h, delta, x, y, matrix, potential_grid):
+    def __init__(self, h, delta, x, y, matrix):
         self.h = h
         self.delta = delta
         self.x = x
         self.y = y
         self.matrix = matrix
-        self.potential_grid = potential_grid
         self.n_nodes = matrix.shape[0]
 
     @property
@@ -77,8 +76,7 @@ class MagneticLattice:
         u = np.exp(-1j * chi(XX, YY).ravel() / self.h)
         U = sp.diags(u)
         M = (U @ self.matrix @ U.getH()).tocsr()
-        return MagneticLattice(self.h, self.delta, self.x, self.y, M,
-                               self.potential_grid)
+        return MagneticLattice(self.h, self.delta, self.x, self.y, M)
 
 
 def _symmetric_axis(half_width, delta):
@@ -134,9 +132,7 @@ def assemble(system, h, delta=None, box=None):
     if well is None:
         V = np.zeros_like(XX)
     elif L > 0:
-        rl = np.sqrt((XX + L / 2.0) ** 2 + YY**2)
-        rr = np.sqrt((XX - L / 2.0) ** 2 + YY**2)
-        V = well.v0(rl) + well.v0(rr)
+        V = eval_V(system, np.stack([XX, YY], axis=-1))
     else:
         V = well.v0(np.sqrt(XX**2 + YY**2))
     idx = np.arange(nx * ny).reshape(nx, ny)
@@ -151,7 +147,7 @@ def assemble(system, h, delta=None, box=None):
          (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
         shape=(nx * ny, nx * ny))
     M = (M + sp.diags((4.0 * t + V.ravel()).astype(complex))).tocsr()
-    return MagneticLattice(h, delta, x, y, M, V)
+    return MagneticLattice(h, delta, x, y, M)
 
 
 def lowest_two(lattice, sigma, k=2, ncv=None, tol=0.0,

@@ -3,6 +3,9 @@
 Each check is independent and reports pass/fail/skip with a one-line
 detail; checks that desk-scale floating point cannot resolve are skipped,
 not asserted.  Every ground state comes from one pipeline.Case per h.
+This list is the one implementation of the checks: acceptance criteria
+1-8 (tests/test_acceptance.py) assert its results on the default config
+and add only their independent oracles.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ def run_battery(config, quick=False, landau_delta=None):
     # each stage once per battery, never across calls
     pipe = Pipeline(config)
     cases = {h: Case(pipe, h) for h in (0.5, 0.3, 0.1)}
+    route_h = (0.5,) if quick else (0.5, 0.3)   # h of both hopping checks
 
     def landau():
         sol = solve_fiber(FiberProblem(m=0, h=1.0, R=19.0, n=20000),
@@ -110,14 +114,13 @@ def run_battery(config, quick=False, landau_delta=None):
         return 0.4 <= q <= 1.1, f"q = {q:.3f}"
 
     def reality():
-        wd = cases[0.5].w_direct
-        frac = abs(wd.imag) / abs(wd)
+        frac = max(abs(cases[h].w_direct.imag) / abs(cases[h].w_direct)
+                   for h in route_h)
         return frac <= 1e-8, f"|Im w|/|w| = {frac:.1e}"
 
     def routes():
-        hs = (0.5,) if quick else (0.5, 0.3)
         worst = 0.0
-        for h in hs:
+        for h in route_h:
             wd, wb = cases[h].w_direct, cases[h].w_bessel
             worst = max(worst, abs(wd.real - wb) / abs(wb))
         return worst <= 1e-5, f"max rel route gap {worst:.1e}"
@@ -127,7 +130,7 @@ def run_battery(config, quick=False, landau_delta=None):
         A2 = (L * L - well.a**2) ** 2
         B = 2.0 * well.depth * (L * L + well.a**2) + L**2 * well.a**2
         resid = abs(A2 * s_plus**2 - B * s_plus + well.depth**2) / \
-            max(A2 * s_plus**2, 1.0)
+            (A2 * s_plus**2)
         surface = PsiSurface(pipe.profile)
         r_s, t_s, val = psi_global_min(surface)
         ref = float(surface.psi(well.a, t_a))

@@ -159,12 +159,6 @@ class OuterRepresentation:
     h: float
     alpha: float
     log_C_h: float
-    rho_min: float
-    rho_max: float
-
-    @property
-    def C_h(self):
-        return math.exp(self.log_C_h)
 
     def log_kernel(self, rho):
         """log of the representation integral (without C_h); rho may be an
@@ -179,9 +173,6 @@ class OuterRepresentation:
     def log_u(self, rho):
         return self.log_C_h + self.log_kernel(rho)
 
-    def u(self, rho):
-        return math.exp(self.log_u(rho))
-
 
 def calibrate_outer(well, h, solution, check_upto):
     """Fit C_h at rho = a, then verify the representation on [a, check_upto].
@@ -193,8 +184,7 @@ def calibrate_outer(well, h, solution, check_upto):
     """
     a = well.a
     alpha = 0.5 - solution.e_sw / (2.0 * h)
-    rep = OuterRepresentation(h=h, alpha=alpha, log_C_h=0.0,
-                              rho_min=a, rho_max=check_upto)
+    rep = OuterRepresentation(h=h, alpha=alpha, log_C_h=0.0)
     rep.log_C_h = float(solution.log_u(a)) - rep.log_kernel(a)
     rhos = np.linspace(a, check_upto, 9)
     rels = np.abs(np.exp(rep.log_u(rhos) - solution.log_u(rhos)) - 1.0)

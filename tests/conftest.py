@@ -17,6 +17,14 @@ def config4(well):
 
 
 @pytest.fixture(scope="session")
+def battery(config4):
+    """The full `magtun verify` battery on config4, by check name."""
+    from magtun.verify import run_battery
+
+    return {r.name: r for r in run_battery(config4)}
+
+
+@pytest.fixture(scope="session")
 def profile4(well):
     return AgmonProfile(well, 4.0)
 

@@ -1,87 +1,72 @@
 """Acceptance suite: one test per criterion, each printing PASS/FAIL.
 
-Exact identities and oracle equivalences are asserted at their stated
-tolerances; h -> 0 limits are asserted as trend/corridor properties at desk
-scale.  Run with -s to see the per-criterion lines.
+Criteria 1-8 assert the named checks of `magtun verify`'s battery on the
+default config (the `battery` fixture), which holds their one
+implementation, and add only independent oracles the battery does not
+compute.  Exact identities and oracle equivalences are asserted at their
+stated tolerances; h -> 0 limits are asserted as trend/corridor properties
+at desk scale.  Run with -s to see the per-criterion lines.
 """
 
 import math
 
 import numpy as np
-import pytest
 
-from magtun import (FiberProblem, action_S0, action_Sa, action_Shat,
-                    calibrate_outer, c_h_asymptotic, matching_constants,
-                    gap_vs_hopping, harmonic_expansion_check,
-                    hopping_slope_check, landau_level_2d,
-                    minimizer_closed_form, nonmagnetic_action,
-                    psi_global_min, sharp_action, solve_fiber,
-                    wkb_error_exponent, wkb_profile_error, beta_scaling,
-                    PsiSurface)
+from magtun import (FiberProblem, action_S0, action_Sa, calibrate_outer,
+                    c_h_asymptotic, matching_constants, gap_vs_hopping,
+                    hopping_slope_check, nonmagnetic_action, sharp_action,
+                    solve_fiber, beta_scaling)
+from magtun.verify import SWEEP_H
 from conftest import acceptance_line
 
 
-def test_criterion_01_landau_level():
-    sol = solve_fiber(FiberProblem(m=0, h=1.0, R=19.0, n=20000), tol=1e-8)
-    fiber_err = abs(sol.e_sw - 1.0)
-    e2d, _ = landau_level_2d(0.5)
-    lat_rel = abs(e2d - 0.5) / 0.5
-    ok = fiber_err <= 1e-6 and lat_rel <= 0.03
-    acceptance_line(1, ok, f"fiber |lam1 - 1| = {fiber_err:.2e} (<= 1e-6), "
-                           f"lattice rel after extrapolation = {lat_rel:.2e} "
-                           f"(<= 3e-2)")
+def battery_line(num, battery, *names, ok=True, detail=""):
+    """Criterion num: its battery checks pass and its own oracles hold."""
+    checks = [battery[name] for name in names]
+    ok = ok and all(c.status == "pass" for c in checks)
+    text = "; ".join(f"{c.name} {c.status.upper()}: {c.detail}"
+                     for c in checks)
+    acceptance_line(num, ok, f"{text}; {detail}" if detail else text)
 
 
-def test_criterion_02_magnetic_oscillator():
-    worst_ev, worst_id = 0.0, 0.0
-    for mu in (0.5, 1.0, 2.0):
-        target = math.sqrt(1 + 4 * mu)
-        sol = solve_fiber(FiberProblem(m=0, h=1.0, R=12.0, n=9000,
-                                       well=lambda r, mu=mu: mu * r * r),
-                          tol=1e-8)
-        worst_ev = max(worst_ev, abs(sol.e_sw - target))
+def test_criterion_01_landau_level(battery):
+    battery_line(1, battery, "landau_level")
+
+
+def test_criterion_02_magnetic_oscillator(battery):
+    # free-fiber identity at mu = 1:
+    # lam1(m) = sqrt(5) lam1_free(m) + (sqrt(5) - 1) m
+    root = math.sqrt(5.0)
+    worst = 0.0
     for m in (1, 2):
-        mu = 1.0
-        root = math.sqrt(5.0)
         osc = solve_fiber(FiberProblem(m=m, h=1.0, R=12.0, n=9000,
-                                       well=lambda r: mu * r * r), tol=1e-7)
+                                       well=lambda r: r * r), tol=1e-7)
         free = solve_fiber(FiberProblem(m=m, h=1.0, R=16.0, n=9000),
                            tol=1e-7)
-        worst_id = max(worst_id,
-                       abs(osc.e_sw - (root * free.e_sw + (root - 1) * m)))
-    ok = worst_ev <= 1e-6 and worst_id <= 1e-6
-    acceptance_line(2, ok, f"max |lam1 - sqrt(1+4mu)| = {worst_ev:.2e}, "
-                           f"fiber-identity deviation = {worst_id:.2e} "
-                           f"(both <= 1e-6)")
+        worst = max(worst,
+                    abs(osc.e_sw - (root * free.e_sw + (root - 1) * m)))
+    battery_line(2, battery, "oscillator", ok=worst <= 1e-6,
+                 detail=f"fiber-identity deviation = {worst:.2e} (<= 1e-6)")
 
 
-def test_criterion_03_harmonic_order(well, case):
-    hs = [0.2, 0.14, 0.1, 0.07, 0.05]
-    sols = [case(well, h).ground for h in hs]
-    rep = harmonic_expansion_check(well, hs, [s.e_sw for s in sols],
-                                   [s.energy_error for s in sols])
-    ok = (not rep.floor_reached) and 1.4 <= rep.exponent <= 2.1
-    acceptance_line(3, ok, f"harmonic expansion exponent p = "
-                           f"{rep.exponent:.3f} in [1.4, 2.1]")
+def test_criterion_03_harmonic_order(battery):
+    battery_line(3, battery, "harmonic_exponent")
 
 
-def test_criterion_04_wkb_order(well, case, profile4, amp6):
-    hs = [0.2, 0.14, 0.1, 0.07, 0.05]
-    sols = [case(well, h).ground for h in hs]
-    q = wkb_error_exponent(hs, [wkb_profile_error(well, s, amp6, profile4)
-                                for s in sols])
+def test_criterion_04_wkb_order(battery, well, case, profile4, amp6):
     positive = True
-    for h, sol in zip(hs, sols):
+    for h in SWEEP_H:
+        sol = case(well, h).ground
         mask = sol.grid <= 1.0
         scaled = np.exp(profile4.d(sol.grid[mask]) / h) * sol.u[mask]
         positive &= bool(np.all(scaled > 0)) and \
             bool(np.all(amp6.a0(sol.grid[mask]) > 0))
-    ok = 0.4 <= q <= 1.1 and positive
-    acceptance_line(4, ok, f"WKB profile error exponent q = {q:.3f} in "
-                           f"[0.4, 1.1]; profiles positive: {positive}")
+    battery_line(4, battery, "wkb_exponent", ok=positive,
+                 detail=f"scaled profiles positive: {positive}")
 
 
-def test_criterion_05_outer_representation(well, case, profile4, amp6):
+def test_criterion_05_outer_representation(battery, well, case, profile4,
+                                           amp6):
     worst = 0.0
     for h in (0.1, 0.05):
         sol, outer = case(well, h).ground, case(well, h).outer
@@ -96,54 +81,29 @@ def test_criterion_05_outer_representation(well, case, profile4, amp6):
         mags.append(abs(h * (outer.log_C_h - c_h_asymptotic(h, consts))))
     trend = all(a > b for a, b in zip(mags, mags[1:]))
     ok = worst <= 1e-3 and trend and mags[-1] <= 0.05
-    acceptance_line(5, ok, f"max rel mismatch on [a, L+1] = {worst:.2e} "
-                           f"(<= 1e-3); |h ln(C_h/C_h_asy)| decreasing to "
-                           f"{mags[-1]:.3f} (<= 0.05)")
+    battery_line(5, battery, "outer_representation", ok=ok,
+                 detail=f"h 0.1 and 0.05 at 17 points: max rel mismatch "
+                        f"{worst:.2e} (<= 1e-3); |h ln(C_h/C_h_asy)| "
+                        f"decreasing to {mags[-1]:.3f} (<= 0.05)")
 
 
-def test_criterion_06_hopping_routes(well, case):
-    worst_im, worst_gap = 0.0, 0.0
-    for h in (0.5, 0.3):
-        wd, wb = case(well, h).w_direct, case(well, h).w_bessel
-        worst_im = max(worst_im, abs(wd.imag) / abs(wd))
-        worst_gap = max(worst_gap, abs(wd.real - wb) / abs(wb))
-    ok = worst_im <= 1e-8 and worst_gap <= 1e-5
-    acceptance_line(6, ok, f"|Im w|/|w| = {worst_im:.1e} (<= 1e-8); "
-                           f"route disagreement = {worst_gap:.1e} (<= 1e-5)")
+def test_criterion_06_hopping_routes(battery):
+    battery_line(6, battery, "hopping_reality", "route_agreement")
 
 
-def test_criterion_07_action_corridor(well, profile4):
-    s0 = action_S0(profile4)
-    sa = action_Sa(profile4)
-    shat = action_Shat(profile4)
-    rep = sharp_action(well, 4.0, profile=profile4)
-    chain = sa.value < shat.value < min(s0.value, sa.value + 2.0)
-    sharp_ok = (sa.value <= rep.S <= shat.value < s0.value
-                and rep.S < 2 * shat.value)
+def test_criterion_07_action_corridor(battery, profile4):
     # brute-force grid oracles for the variational identities
     us = np.linspace(1e-9, 1.0, 100001)
     v_s0 = float(np.min(profile4.d(us) + profile4.d(4.0 + us)))
     v_sa = float(np.min(profile4.d(us) + profile4.d(4.0 - us)))
-    var_ok = abs(v_s0 - s0.value) <= 1e-8 and abs(v_sa - sa.value) <= 1e-8
-    ok = chain and sharp_ok and var_ok
-    acceptance_line(7, ok, f"Sa={sa.value:.5f} < Shat={shat.value:.5f} < "
-                           f"min(S0={s0.value:.5f}, Sa+La/2); "
-                           f"Sa <= S={rep.S:.5f} <= Shat < S0; S < 2 Shat; "
-                           f"variational ids within 1e-8: {var_ok}")
+    gaps = (abs(v_s0 - action_S0(profile4).value),
+            abs(v_sa - action_Sa(profile4).value))
+    battery_line(7, battery, "action_corridor", ok=max(gaps) <= 1e-8,
+                 detail=f"grid minima vs S0, Sa: {max(gaps):.1e} (<= 1e-8)")
 
 
-def test_criterion_08_psi_minimizer(well, profile4):
-    t_a, s_plus = minimizer_closed_form(well, 4.0)
-    surface = PsiSurface(profile4)
-    r_s, t_s, val = psi_global_min(surface)
-    ref = float(surface.psi(1.0, t_a))
-    rel = abs(val - ref) / abs(ref)
-    resid = abs(225.0 * s_plus**2 - 50.0 * s_plus + 1.0) / \
-        (225.0 * s_plus**2)
-    ok = rel <= 1e-6 and resid <= 1e-10
-    acceptance_line(8, ok, f"grid-vs-closed-form Psi gap = {rel:.1e} "
-                           f"(<= 1e-6); quadratic-root residual = "
-                           f"{resid:.1e} (<= 1e-10)")
+def test_criterion_08_psi_minimizer(battery):
+    battery_line(8, battery, "psi_minimizer")
 
 
 def test_criterion_09_hopping_slope(well, case):

@@ -1,6 +1,9 @@
 import subprocess
 import sys
 
+from magtun import Case
+from magtun.verify import run_battery
+
 BASE = [sys.executable, "-m", "magtun.cli"]
 
 
@@ -33,3 +36,24 @@ def test_verify_splitting_detail_plain_floats():
     assert any(l.startswith("PASS") and "splitting_gap" in l
                and "ratios [" in l for l in lines), proc.stdout
     assert not [l for l in lines if "np." in l]
+
+
+def test_hopping_reality_reads_every_route_h(config4, monkeypatch):
+    # a w_direct at h 0.3 with Im/|w| = 1e-6 fails the full battery, which
+    # checks both routes at h 0.5 and 0.3; --quick never reads h 0.3
+    read = []
+
+    def w_direct(case):
+        read.append(case.h)
+        return complex(1.0, 1e-6 if case.h == 0.3 else 0.0)
+
+    monkeypatch.setattr(Case, "w_direct", property(w_direct))
+    monkeypatch.setattr(Case, "w_bessel", property(lambda case: 1.0))
+    full = {r.name: r for r in run_battery(config4)}
+    assert full["hopping_reality"].status == "fail"
+    assert full["hopping_reality"].detail == "|Im w|/|w| = 1.0e-06"
+    assert 0.3 in read
+    read.clear()
+    quick = {r.name: r for r in run_battery(config4, quick=True)}
+    assert quick["hopping_reality"].status == "pass"
+    assert 0.3 not in read
