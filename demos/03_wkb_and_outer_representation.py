@@ -30,10 +30,10 @@ for r in (0.2, 0.5, 1.0):
     lhs = math.exp(float(profile.d(r)) / h + float(sol.log_u(r)))
     rhs = float(amp.a0(r)) / math.sqrt(h)
     print(f"{r:4.2f}   {lhs:12.6f}     {rhs:12.6f}")
-err = wkb_profile_error(well, sol, amp, profile)
+err = wkb_profile_error(sol, amp, profile)
 print(f"sup-norm mismatch on [0, 1]: {err:.4f} (decays like h^0.6)")
 
-outer = calibrate_outer(well, h, sol, check_upto=5.0)
+outer = calibrate_outer(well, sol, check_upto=5.0)
 print(f"\nouter representation: alpha = {outer.alpha:.6f}, "
       f"ln C_h = {outer.log_C_h:.6f}")
 print("rho    rel. mismatch of the representation")
@@ -41,12 +41,12 @@ for rho in (1.0, 1.5, 2.0, 3.0, 4.0, 5.0):
     rel = math.exp(outer.log_u(rho) - float(sol.log_u(rho))) - 1.0
     print(f"{rho:4.1f}   {rel:+.2e}")
 
-consts = matching_constants(well, amplitude=amp, d_a=profile.d_a)
+consts = matching_constants(amplitude=amp, d_a=profile.d_a)
 print(f"\nmatching constants: t* = {consts['t_star']:.6f}, "
       f"F = {consts['F']:.6f}, m = {consts['m_matched']:.6f}")
 print("h ln(C_h / C_h_asy) -> 0:")
 for hh in (0.2, 0.1, 0.05):
     s = ground_state(well, hh, L=4.0)
-    o = calibrate_outer(well, hh, s, check_upto=4.0)
+    o = calibrate_outer(well, s, check_upto=4.0)
     gap = hh * (o.log_C_h - c_h_asymptotic(hh, consts))
     print(f"  h = {hh:<5} {gap:+.4f}")

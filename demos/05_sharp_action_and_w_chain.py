@@ -30,7 +30,7 @@ print(f"closed-form minimizer: t_a = {t_a:.8f} (s+ = {s_plus:.8f})")
 print(f"grid + descent search: (r*, t*) = ({r_g:.6f}, {t_g:.6f}), "
       f"Psi = {v_g:.8f} vs Psi(a, t_a) = {float(surface.psi(1.0, t_a)):.8f}")
 
-rep = sharp_action(well, config.L, profile=profile)
+rep = sharp_action(well, config.L)
 print(f"\nsharp action S = {rep.S:.8f}")
 print(f"  = 2 x (magnetic Agmon distance {rep.D_mag:.6f}) "
       f"+ interaction {rep.interaction:.6f}")
@@ -40,8 +40,8 @@ print(f"corridor: Sa = {rep.Sa:.5f} <= S <= Shat = {rep.Shat:.5f} "
 print("\nW-chain (eta = 0.05): h ln W4 -> -S")
 for h in (0.3, 0.14, 0.05):
     sol = ground_state(well, h, L=config.L)
-    outer = calibrate_outer(well, h, sol, check_upto=5.0)
-    res = w_chain(config, h, 0.05, sol, outer, amp, profile)
+    outer = calibrate_outer(well, sol, check_upto=5.0)
+    res = w_chain(sol, outer, amp, profile, 0.05)
     r21, r32, r43 = res.ratios()
     print(f"  h = {h:<5} h ln W4 = {h * res.log_W4:+.4f}   ratios "
           f"W2/(W1 sqrt h) = {r21:.3f}, W3/W2 = {r32:.3f}, "

@@ -173,7 +173,7 @@ def _g_term(a, depth):
                                                    / (4.0 * depth))
 
 
-def sharp_action(well, L, profile=None):
+def sharp_action(well, L):
     """S(v0, L) by two independent assemblies, with the action corridor.
 
     Assembly 1: S = -F(v0) + Psi(a, t_a).
@@ -181,7 +181,7 @@ def sharp_action(well, L, profile=None):
     the same half-log convention as F (the displayed g with a full log
     coefficient is inconsistent with assembly 1 by construction).
     """
-    prof = profile or AgmonProfile(well, L)
+    prof = AgmonProfile(well, L)
     a, depth = well.a, well.depth
     t_a, s_plus = minimizer_closed_form(well, L)
     surface = PsiSurface(prof)
@@ -233,8 +233,9 @@ class WChainResult:
                 math.exp(self.log_W4 - self.log_W3))
 
 
-def w_chain(config, h, eta, solution, outer, amplitude, profile):
-    """The truncated reduction chain W1..W4 of the hopping integral.
+def w_chain(solution, outer, amplitude, profile, eta):
+    """The truncated reduction chain W1..W4 of the hopping integral, at
+    h = solution.h for the well and L of the profile.
 
     All four share the r-integral over [eta, a] and a t-integral over
     [eta, inf); they differ in which ingredients are replaced by their
@@ -243,11 +244,11 @@ def w_chain(config, h, eta, solution, outer, amplitude, profile):
     second time from (m, g0, Psi, F) as a consistency check.  Every
     t-integral is row-batched over the radial nodes (wkb.log_t_integrals).
     """
-    well, L = config.well, config.L
+    well, L, h = profile.well, profile.L, solution.h
     a = well.a
     if not 0.0 < eta < a:
         raise ValueError("need 0 < eta < a")
-    consts = matching_constants(well, amplitude, profile.d_a)
+    consts = matching_constants(amplitude, profile.d_a)
     alpha = outer.alpha
     # alpha0_main / h, the leading-order exponent coefficient
     alpha_main = well.depth / (2.0 * h) - 0.5 * (amplitude.E1 - 1.0)

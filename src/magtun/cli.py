@@ -98,8 +98,8 @@ def cmd_spectrum(args):
 
     config = _load_config(args)
     well = config.well
-    R = args.radius or default_radius(well, args.h)
-    n = args.grid or max(int(R / 1e-3), 4000)
+    R = default_radius(well, args.h) if args.radius is None else args.radius
+    n = max(int(R / 1e-3), 4000) if args.grid is None else args.grid
     rows = []
     dump = None
     for m in range(-args.modes, args.modes + 1):
@@ -182,8 +182,8 @@ def cmd_asymptotics(args):
         rows = []
         for h in _h_range(args.h_range):
             case = Case(pipe, h)
-            res = w_chain(pipe.config, h, args.eta, case.ground, case.outer,
-                          pipe.amplitude, pipe.profile)
+            res = w_chain(case.ground, case.outer, pipe.amplitude,
+                          pipe.profile, args.eta)
             rows.append((h, res.log_W1, res.log_W2, res.log_W3, res.log_W4))
         _emit(rows, ("h", "log_W1", "log_W2", "log_W3", "log_W4"),
               args.format, args.output)

@@ -15,8 +15,9 @@ via int_0^{2pi} e^{-A cos t + i B sin t} dt = 2 pi I0(sqrt(A^2 - B^2)) and
 the outer representation of u_h, which removes the oscillatory phase and
 makes the integrand positive.  The third route replaces u_h by its WKB
 profile, giving the explicit envelopes w^{0,+/-} and the remainders M_h^+/-.
-All exponential quantities are assembled in log space.  pipeline.Case
-builds u_h and the outer representation once per h for both routes.
+All exponential quantities are assembled in log space.  The first two
+routes, and the eps bound, read h from the solution that carries u_h;
+pipeline.Case builds it and the outer representation once per h.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _circle_sums(solution, L, h, r_nodes, theta, take):
     return even, odd, mag
 
 
-def hopping_direct(config, h, solution):
+def hopping_direct(config, solution):
     """Nested quadrature of the oscillatory form; returns the complex value.
 
     The angular integral is a trapezoid rule on n equispaced nodes
@@ -95,7 +96,7 @@ def hopping_direct(config, h, solution):
     names the cancellation ratio kappa = sum|f| / |sum f| of the whole
     integrand f on the x16 nodes.
     """
-    well, L = config.well, config.L
+    well, L, h = config.well, config.L, solution.h
     a = well.a
     r_nodes, r_weights = _gauss_nodes(a, N_ROUTE)
     radial = r_weights * r_nodes * well.v0(r_nodes) \
@@ -125,16 +126,16 @@ def hopping_direct(config, h, solution):
     return w16
 
 
-def hopping_bessel(config, h, outer, solution):
+def hopping_bessel(config, outer, solution):
     """Oscillation-free route through the Bessel kernel; real by construction."""
-    well, L = config.well, config.L
+    well, L, h = config.well, config.L, solution.h
     a = well.a
     alpha = outer.alpha
     r_nodes, r_weights = _gauss_nodes(a, N_ROUTE)
     rho2 = r_nodes * r_nodes + L * L
     log_t_int = log_t_integrals(
         lambda r: log_outer_integrand(h, alpha, r * r + L * L, L * r),
-        r_nodes, -700.0 / max(alpha, 0.25))
+        r_nodes, outer.y_lo)
     log_mag = (outer.log_C_h - rho2 / (4.0 * h) + log_t_int
                + solution.log_u(r_nodes))
     total = np.sum(r_weights * r_nodes * well.v0(r_nodes) * np.exp(log_mag))
@@ -147,36 +148,36 @@ class EnvelopeResult:
     log_w0_minus: float
     log_Mh_plus: float
     log_Mh_minus: float
-    h: float
 
 
-def hopping_wkb_envelope(config, h, profile, amplitude):
-    """WKB envelopes w^{0,+/-} and remainders M_h^{+/-}, in log scale.
+def hopping_wkb_envelope(profile, amplitude, h):
+    """WKB envelopes w^{0,+/-} and remainders M_h^{+/-}, in log scale, for
+    the well and L of the profile.
 
     w^{0,+-} = h^-1 int_0^a |v0| a0(L -+ r) a0(r) e^{-(d(r)+d(L -+ r))/h} r dr
     M_h^{+-} =      int_0^a |v0|              e^{-(d(r)+d(L -+ r))/h} r dr
     """
-    well, L = config.well, config.L
+    well, L = profile.well, profile.L
     a = well.a
     r_nodes, r_weights = _gauss_nodes(a, N_ENVELOPE)
     rw = r_nodes * r_weights * np.abs(well.v0(r_nodes))
     out = {}
     for sign, tag in ((-1.0, "plus"), (+1.0, "minus")):
-        far = L + sign * r_nodes if sign > 0 else L - r_nodes
+        far = L + sign * r_nodes
         log_exp = -(profile.d(r_nodes) + profile.d(far)) / h
         out["w0_" + tag] = -math.log(h) + float(logsumexp(
             log_exp + amplitude.log_a0(far) + amplitude.log_a0(r_nodes),
             b=rw))
         out["Mh_" + tag] = float(logsumexp(log_exp, b=rw))
     return EnvelopeResult(out["w0_plus"], out["w0_minus"],
-                          out["Mh_plus"], out["Mh_minus"], h)
+                          out["Mh_plus"], out["Mh_minus"])
 
 
-def epsilon_lower_bound(config, h, eps, solution):
+def epsilon_lower_bound(config, eps, solution):
     """RHS of the eps-family lower bound:
     int_0^a e^{-(1-eps) L r / 2h} |v0| u_h(sqrt((L-r)^2+2 eps L r)) u_h(r) r dr.
     """
-    well, L = config.well, config.L
+    well, L, h = config.well, config.L, solution.h
     r_nodes, r_weights = _gauss_nodes(well.a, N_ENVELOPE)
     shifted = np.sqrt((L - r_nodes) ** 2 + 2.0 * eps * L * r_nodes)
     log_terms = (-(1.0 - eps) * L * r_nodes / (2.0 * h)
@@ -190,7 +191,11 @@ class HoppingEstimate:
     h: float
     w_direct: complex
     w_bessel: float
-    log_w: float                       # h ln |w|
+
+    @property
+    def log_w(self):
+        """h ln |w|, from the Bessel route."""
+        return self.h * math.log(abs(self.w_bessel))
 
     @property
     def imag_fraction(self):
@@ -226,9 +231,7 @@ def hopping_slope_check(cases):
     S0, Sa, shat = action.S0, action.Sa, action.Shat
     delta = 0.15 * shat
     estimates = [HoppingEstimate(h=c.h, w_direct=c.w_direct,
-                                 w_bessel=c.w_bessel,
-                                 log_w=c.h * math.log(abs(c.w_bessel)))
-                 for c in cases]
+                                 w_bessel=c.w_bessel) for c in cases]
     logs = [e.log_w for e in estimates]
     contained = all(-S0 - delta <= v <= -Sa + delta for v in logs)
     refined = all(v >= -shat - delta for v in logs)

@@ -41,7 +41,7 @@ class Pipeline:
     @cached_property
     def action(self):
         """ActionReport: S with S0, Sa, Shat and r0 of this profile."""
-        return sharp_action(self.well, self.L, profile=self.profile)
+        return sharp_action(self.well, self.L)
 
 
 class Case:
@@ -59,20 +59,19 @@ class Case:
     @cached_property
     def outer(self):
         """Outer representation, checked against u_h on [a, L + 1]."""
-        return calibrate_outer(self.config.well, self.h, self.ground,
+        return calibrate_outer(self.config.well, self.ground,
                                check_upto=self.config.L + 1.0)
 
     @cached_property
     def w_direct(self):
         """Complex w from the oscillatory nested quadrature."""
-        return hopping_direct(self.config, self.h, self.ground)
+        return hopping_direct(self.config, self.ground)
 
     @cached_property
     def w_bessel(self):
-        return hopping_bessel(self.config, self.h, self.outer, self.ground)
+        return hopping_bessel(self.config, self.outer, self.ground)
 
     @cached_property
     def envelope(self):
         p = self.pipeline
-        return hopping_wkb_envelope(self.config, self.h, p.profile,
-                                    p.amplitude)
+        return hopping_wkb_envelope(p.profile, p.amplitude, self.h)

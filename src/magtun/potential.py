@@ -68,50 +68,45 @@ class RadialWell:
     Parameters
     ----------
     depth : float
-        |v0_min|, the well depth (> 0).
+        |v0_min|, the well depth (> 0, finite).
     a : float
-        Support radius (> 0); v0(r) = 0 for all r >= a.
-    profile : str
-        Identifier of the analytic family ("bump" is built in).
+        Support radius (> 0, finite); v0(r) = 0 for all r >= a.
     v0_fn, v0_prime_fn : callable, optional
-        For profile="custom": vectorized v0(r) and v0'(r).
+        Vectorized v0(r) and v0'(r) of a "custom" profile; without v0_fn
+        the well is the built-in "bump".
     """
 
-    def __init__(self, depth, a, profile="bump", v0_fn=None, v0_prime_fn=None):
-        if depth <= 0:
-            raise WellValidationError("depth must be positive")
-        if a <= 0:
-            raise WellValidationError("support radius a must be positive")
+    def __init__(self, depth, a, v0_fn=None, v0_prime_fn=None):
+        if not 0 < depth < math.inf:
+            raise WellValidationError(f"need finite depth > 0 (got {depth})")
+        if not 0 < a < math.inf:
+            raise WellValidationError(f"need finite a > 0 (got {a})")
         self.depth = float(depth)
         self.a = float(a)
-        self.profile = profile
-        if profile == "bump":
+        self.profile = "bump" if v0_fn is None else "custom"
+        if v0_fn is None:
             self._v0 = lambda r: _bump_v0(r, self.depth, self.a)
             self._v0_prime = lambda r: _bump_v0_prime(r, self.depth, self.a)
             self.v0_second_deriv_at_0 = 2.0 * self.depth / self.a**2
             # quartic Taylor coefficient of v0 - v0_min (used by the WKB patch)
             self._c4 = self.depth / (2.0 * self.a**4)
-        elif profile == "custom":
-            if v0_fn is None:
-                raise WellValidationError("custom profile needs v0_fn")
+        else:
             self._v0 = v0_fn
             self._v0_prime = v0_prime_fn
             self.v0_second_deriv_at_0 = self._fd_curvature(v0_fn)
             self._c4 = self._fd_quartic(v0_fn)
             self._validate_custom()
-        else:
-            raise WellValidationError(f"unknown profile {profile!r}")
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def bump(cls, depth=1.0, a=1.0):
-        return cls(depth, a, profile="bump")
+        return cls(depth, a)
 
     @classmethod
     def from_callable(cls, v0_fn, a, depth, v0_prime_fn=None):
         """Wrap a user-supplied radial profile, validating the hypotheses."""
-        return cls(depth, a, profile="custom", v0_fn=v0_fn, v0_prime_fn=v0_prime_fn)
+        return cls(depth, a, v0_fn=v0_fn, v0_prime_fn=v0_prime_fn)
 
     def _fd_curvature(self, fn, step=1e-4):
         s = step * self.a
@@ -197,8 +192,8 @@ class DoubleWellConfig:
     """Two copies of a radial well centered at (-L/2, 0) and (L/2, 0)."""
 
     def __init__(self, well, L):
-        if L <= 2.0 * well.a:
-            raise ValueError(f"need L > 2a (got L={L}, a={well.a})")
+        if not 2.0 * well.a < L < math.inf:
+            raise ValueError(f"need finite L > 2a (got L={L}, a={well.a})")
         self.well = well
         self.L = float(L)
 

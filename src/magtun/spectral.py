@@ -73,8 +73,8 @@ class FiberProblem:
     well: object = None
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"need finite h > 0 (got {self.h})")
         if self.n < 400:
             raise ValueError("need n >= 400")
         # Gaussian weight at the truncation radius must be negligible
@@ -105,15 +105,13 @@ def _fiber_tridiag(problem, n):
 
 
 class RadialEigenSolution:
-    """Eigenpairs of one fiber; the ground eigenfunction is normalized so
-    that int |u|^2 2 pi r dr = 1 and positive."""
+    """Eigenpairs of one FiberProblem, with its m, h and R; the ground
+    eigenfunction is normalized to int |u|^2 2 pi r dr = 1 and positive."""
 
-    def __init__(self, m, h, R, n, grid, delta, energies, energy_error,
-                 u, w):
-        self.m = m
-        self.h = h
-        self.R = R
-        self.n = n
+    def __init__(self, problem, grid, delta, energies, energy_error, u, w):
+        self.problem = problem
+        self.m, self.h, self.R = problem.m, problem.h, problem.R
+        self.n = len(grid)
         self.grid = grid
         self.delta = delta
         self.energies = energies
@@ -123,7 +121,6 @@ class RadialEigenSolution:
         self._log_u = None
         self.e_sw = float(energies[0])
         self.fiber_energies = None  # filled by ground_state
-        self.problem = None
 
     def _build_spline(self):
         safe = np.maximum(np.abs(self.u), 1e-320)
@@ -242,9 +239,7 @@ def solve_fiber(problem, k=1, tol=1e-8, clean_tail=True):
         w = -w
     w /= math.sqrt(2.0 * np.pi * float(np.sum(w**2)) * delta)
     u = w / np.sqrt(r)
-    sol = RadialEigenSolution(problem.m, problem.h, problem.R, len(r), r,
-                              delta, energies, err, u, w)
-    sol.problem = problem
+    sol = RadialEigenSolution(problem, r, delta, energies, err, u, w)
     if clean_tail:
         sol.refine_tail(diag, off)
     return sol
@@ -252,6 +247,8 @@ def solve_fiber(problem, k=1, tol=1e-8, clean_tail=True):
 
 def default_radius(well, h, L=None):
     """Truncation radius: Gaussian tail below 1e-14 plus well/hopping margins."""
+    if not 0 < h < math.inf:
+        raise ValueError(f"need finite h > 0 (got {h})")
     R = max(3.0 * math.sqrt(40.0 * h), well.a + 6.0)
     if L is not None:
         R = max(R, L + 4.0)
@@ -332,11 +329,11 @@ class IdentityReport(NamedTuple):
     weighted_mass: float
 
 
-def agmon_identity_check(solution, phi, phi_prime=None, well=None):
+def agmon_identity_check(solution, phi, phi_prime=None):
     """Evaluate both sides of the weighted energy identity for u = u_h.
 
     With v = e^{phi/h} u and the effective radial potential
-    w(r) = r^2/4 + v0(r):
+    w(r) = r^2/4 + v0(r), v0 being the potential of solution.problem:
 
         h^2 ||grad v||^2 + int (w - |phi'|^2) v^2  =  E int e^{2 phi/h} u^2.
 
@@ -356,13 +353,7 @@ def agmon_identity_check(solution, phi, phi_prime=None, well=None):
     log_v = np.clip(phi_vals / h, -np.inf, 700.0) + \
         np.log(np.maximum(np.abs(u), 1e-320))
     v = np.sign(u) * np.exp(np.maximum(log_v, _LOG_FLOOR))
-    if well is not None:
-        v0_vals = well.v0(r)
-    elif getattr(solution, "problem", None) is not None:
-        v0_vals = solution.problem.potential(r)
-    else:
-        v0_vals = np.zeros_like(r)
-    weff = r * r / 4.0 + v0_vals
+    weff = r * r / 4.0 + solution.problem.potential(r)
     rmid = 0.5 * (r[:-1] + r[1:])
     kinetic = h * h * (np.sum(rmid * np.diff(v) ** 2) / delta
                        + (r[-1] + delta / 2.0) * v[-1] ** 2 / delta)

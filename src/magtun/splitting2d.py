@@ -96,8 +96,8 @@ def assemble(system, h, delta=None, box=None):
 
     system: DoubleWellConfig, RadialWell (single well at the origin), or
     None (free Landau operator; box must then be given).
-    Preconditions: delta <= min(sqrt(h)/6, a/10) and the box must clear the
-    wells by >= 3 magnetic lengths 3 sqrt(2h).
+    Preconditions: 0 < delta <= min(sqrt(h)/6, a/10) and the box must clear
+    the wells by >= 3 magnetic lengths 3 sqrt(2h).
     """
     if isinstance(system, DoubleWellConfig):
         well, L = system.well, system.L
@@ -110,6 +110,8 @@ def assemble(system, h, delta=None, box=None):
         min(math.sqrt(h) / 6.0, well.a / 10.0)
     if delta is None:
         delta = delta_max
+    if not delta > 0:
+        raise ValueError(f"need delta > 0 (got {delta})")
     if delta > delta_max * (1 + 1e-12):
         raise ValueError(
             f"delta={delta} too coarse for h={h}: need <= {delta_max:.4g}")

@@ -44,6 +44,9 @@ class _Skip(Exception):
 
 
 def run_battery(config, quick=False, landau_delta=None):
+    # a bad spacing is a config error, not one more failed check
+    if landau_delta is not None and not 0 < landau_delta < math.inf:
+        raise ValueError(f"need finite delta > 0 (got {landau_delta})")
     from .agmon import action_S0, action_Sa
     from .asymptotics import PsiSurface, minimizer_closed_form, psi_global_min
     from .pipeline import Case, Pipeline
@@ -63,7 +66,7 @@ def run_battery(config, quick=False, landau_delta=None):
                           k=1, tol=1e-9)
         fiber_ok = abs(sol.e_sw - 1.0) <= 1e-6
         deltas = (landau_delta, landau_delta / math.sqrt(2.0)) \
-            if landau_delta else None
+            if landau_delta is not None else None
         e2d, _ = landau_level_2d(0.5, deltas=deltas)
         lat_ok = abs(e2d - 0.5) / 0.5 <= 0.03
         return fiber_ok and lat_ok, (
@@ -92,7 +95,7 @@ def run_battery(config, quick=False, landau_delta=None):
     def sweep_point(h):
         g = (cases[h] if h in cases else Case(pipe, h)).ground
         return h, g.e_sw, g.energy_error, wkb_profile_error(
-            well, g, pipe.amplitude, pipe.profile)
+            g, pipe.amplitude, pipe.profile)
 
     @functools.cache
     def sweep_columns():

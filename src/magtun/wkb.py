@@ -136,10 +136,10 @@ class WkbAmplitude:
         return np.exp(self.log_a0(r))
 
 
-def wkb_profile_error(well, solution, amplitude, profile):
-    """max over the support [0, a] of |e^{d/h} u_h - h^{-1/2} a0|."""
+def wkb_profile_error(solution, amplitude, profile):
+    """max over the profile's support [0, a] of |e^{d/h} u_h - h^{-1/2} a0|."""
     h = solution.h
-    mask = solution.grid <= well.a
+    mask = solution.grid <= profile.well.a
     r = solution.grid[mask]
     scaled = np.exp(profile.d(r) / h + np.log(np.maximum(solution.u[mask],
                                                          1e-320)))
@@ -160,13 +160,19 @@ class OuterRepresentation:
     alpha: float
     log_C_h: float
 
+    @property
+    def y_lo(self):
+        """Lower limit in y = log t of every t-integral on this
+        representation: t^alpha underflows below it."""
+        return -700.0 / max(self.alpha, 0.25)
+
     def log_kernel(self, rho):
         """log of the representation integral (without C_h); rho may be an
         array."""
         h, alpha = self.h, self.alpha
         rho = np.asarray(rho, dtype=float)
         lv = log_t_integrals(lambda r: log_outer_integrand(h, alpha, r * r),
-                             rho.ravel(), -700.0 / max(alpha, 0.25))
+                             rho.ravel(), self.y_lo)
         out = -rho * rho / (4.0 * h) + lv.reshape(rho.shape)
         return float(out) if out.ndim == 0 else out
 
@@ -174,15 +180,15 @@ class OuterRepresentation:
         return self.log_C_h + self.log_kernel(rho)
 
 
-def calibrate_outer(well, h, solution, check_upto):
+def calibrate_outer(well, solution, check_upto):
     """Fit C_h at rho = a, then verify the representation on [a, check_upto].
 
-    The single-point fit mirrors the matching argument; the remaining points
-    are genuine tests.  Mismatch beyond OUTER_RTOL anywhere raises, since the
-    representation is exact in the free region and failure indicates an
-    eigensolver or quadrature fault.
+    h is that of the solution.  The single-point fit mirrors the matching
+    argument; the remaining points are genuine tests.  Mismatch beyond
+    OUTER_RTOL anywhere raises, since the representation is exact in the
+    free region and failure indicates an eigensolver or quadrature fault.
     """
-    a = well.a
+    a, h = well.a, solution.h
     alpha = 0.5 - solution.e_sw / (2.0 * h)
     rep = OuterRepresentation(h=h, alpha=alpha, log_C_h=0.0)
     rep.log_C_h = float(solution.log_u(a)) - rep.log_kernel(a)
@@ -197,8 +203,8 @@ def calibrate_outer(well, h, solution, check_upto):
     return rep
 
 
-def matching_constants(well, amplitude, d_a):
-    """Constants of the outer matching.
+def matching_constants(amplitude, d_a):
+    """Constants of the outer matching, for the well of the amplitude.
 
     t_star, eta, F are the saddle data of the Laplace evaluation of the
     representation integral at rho = a; F = eta - d(a) is the exponent of
@@ -214,7 +220,7 @@ def matching_constants(well, amplitude, d_a):
     (1+1/t*)^{(E1-1)/2}, and a0(a) vs a0(0)); measured h ln(C_h/C_h_asy)
     trends confirm m_matched.
     """
-    a, depth = well.a, well.depth
+    a, depth = amplitude.well.a, amplitude.well.depth
     E1 = amplitude.E1
     t_star = 0.5 * (math.sqrt(1.0 + 4.0 * depth / a**2) - 1.0)
     eta = (1.0 + 2.0 * t_star) * a**2 / 4.0 + \

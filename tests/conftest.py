@@ -40,11 +40,6 @@ def well_deep():
 
 
 @pytest.fixture(scope="session")
-def config_deep(well_deep):
-    return DoubleWellConfig(well_deep, 4.0)
-
-
-@pytest.fixture(scope="session")
 def profile_deep(well_deep):
     return AgmonProfile(well_deep, 4.0)
 
@@ -85,7 +80,7 @@ def case():
 
 
 @pytest.fixture(scope="session")
-def deep_chain(config_deep, well_deep, profile_deep, amp_deep, case):
+def deep_chain(well_deep, profile_deep, amp_deep, case):
     """W-chain sweep on the deep well (t_a = 0.392 keeps the eta-policy
     window inside the truncation-error regime)."""
     from magtun import w_chain
@@ -94,8 +89,7 @@ def deep_chain(config_deep, well_deep, profile_deep, amp_deep, case):
     for h in (0.3, 0.2, 0.14, 0.1, 0.07, 0.05):
         c = case(well_deep, h)
         out[h] = {
-            eta: w_chain(config_deep, h, eta, c.ground, c.outer, amp_deep,
-                         profile_deep)
+            eta: w_chain(c.ground, c.outer, amp_deep, profile_deep, eta)
             for eta in ((0.05, 0.1, 0.2) if h == 0.05 else (0.05,))
         }
     return out

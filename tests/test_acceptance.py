@@ -73,11 +73,11 @@ def test_criterion_05_outer_representation(battery, well, case, profile4,
         for rho in np.linspace(1.0, 5.0, 17):
             worst = max(worst, abs(math.exp(
                 outer.log_u(rho) - float(sol.log_u(rho))) - 1.0))
-    consts = matching_constants(well, amplitude=amp6, d_a=profile4.d_a)
+    consts = matching_constants(amplitude=amp6, d_a=profile4.d_a)
     mags = []
     for h in (0.2, 0.1, 0.05, 0.035):
         sol = case(well, h).ground
-        outer = calibrate_outer(well, h, sol, check_upto=4.0)
+        outer = calibrate_outer(well, sol, check_upto=4.0)
         mags.append(abs(h * (outer.log_C_h - c_h_asymptotic(h, consts))))
     trend = all(a > b for a, b in zip(mags, mags[1:]))
     ok = worst <= 1e-3 and trend and mags[-1] <= 0.05

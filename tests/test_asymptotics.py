@@ -90,7 +90,7 @@ def test_dr_psi_negative_at_origin(surface):
 
 
 def test_sharp_action_canonical(well, profile4):
-    rep = sharp_action(well, 4.0, profile=profile4)
+    rep = sharp_action(well, 4.0)
     assert rep.S == pytest.approx(S_CANON, abs=1e-8)
     assert rep.S == pytest.approx(rep.S_from_fg, rel=1e-12)
     assert rep.corridor_ok()
@@ -102,7 +102,7 @@ def test_sharp_action_canonical(well, profile4):
 
 def test_sharp_action_identity_S0_minus_F(well, profile4):
     # empirical identity: Psi(a, t_a) = S0, hence S = S0 - F
-    rep = sharp_action(well, 4.0, profile=profile4)
+    rep = sharp_action(well, 4.0)
     assert rep.psi_min == pytest.approx(float(profile4.d(4.0)), abs=1e-10)
     assert rep.S == pytest.approx(float(profile4.d(4.0)) - rep.F, abs=1e-10)
 
@@ -111,7 +111,7 @@ def test_interaction_large_L_trend(well):
     # i(a, L, depth) = L^2/4 + depth ln L + O(1)
     vals = []
     for L in (8.0, 16.0, 32.0, 64.0):
-        rep = sharp_action(well, L, profile=AgmonProfile(well, L))
+        rep = sharp_action(well, L)
         vals.append(rep.interaction - L * L / 4.0 - math.log(L))
     assert max(vals) - min(vals) < 0.5
     assert all(abs(v) < 2.0 for v in vals)
@@ -123,7 +123,7 @@ def test_interaction_small_a_trend():
     gaps = []
     for a in (0.5, 0.25, 0.1, 0.05):
         w = RadialWell.bump(depth=1.0, a=a)
-        rep = sharp_action(w, 4.0, profile=AgmonProfile(w, 4.0))
+        rep = sharp_action(w, 4.0)
         gaps.append(abs(rep.interaction - limit))
     assert all(x > y for x, y in zip(gaps, gaps[1:]))
     # the gap closes linearly: i = prim(L) - 2 prim(a) exactly
@@ -131,14 +131,14 @@ def test_interaction_small_a_trend():
         2.0 * float(free_action_primitive(0.05, 1.0)), rel=0.01)
 
 
-def test_w_chain_canonical(config4, well, profile4, amp6, case):
-    h, eta, c = 0.3, 0.05, case(well, 0.3)
-    res = w_chain(config4, h, eta, c.ground, c.outer, amp6, profile4)
+def test_w_chain_canonical(well, profile4, amp6, case):
+    eta, c = 0.05, case(well, 0.3)
+    res = w_chain(c.ground, c.outer, amp6, profile4, eta)
     for lw in (res.log_W1, res.log_W2, res.log_W3, res.log_W4):
         assert np.isfinite(lw)  # strictly positive integrals
     assert res.log_W4 == pytest.approx(res.log_W4_alt, abs=1e-8)
     with pytest.raises(ValueError):
-        w_chain(config4, h, 1.5, c.ground, c.outer, amp6, profile4)
+        w_chain(c.ground, c.outer, amp6, profile4, 1.5)
 
 
 def test_w1_eta_stability_deep(deep_chain):
@@ -174,8 +174,8 @@ def test_w4_approaches_sharp_action_deep(well_deep, deep_chain):
     assert gaps[-1] <= 0.15 * S
 
 
-def test_beta_identity(well, profile4):
-    rep = sharp_action(well, 4.0, profile=profile4)
+def test_beta_identity(well):
+    rep = sharp_action(well, 4.0)
     assert beta_scaling(well, 4.0, 1.0) == pytest.approx(rep.S, rel=1e-12)
 
 

@@ -42,13 +42,43 @@ def test_constants_json_matches_csv(tmp_path):
         assert float(value) == pytest.approx(entry["value"], rel=1e-15)
 
 
-def test_invalid_config_exit_2(tmp_path):
+SPLIT = ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["constants", "--config", "CFG"], "L > 2a (got L=1.5"),
+    (["constants", "--L", "nan"], "L > 2a (got L=nan"),
+    (["constants", "--L", "inf"], "L > 2a (got L=inf"),
+    (["constants", "--depth", "inf"], "depth > 0 (got inf)"),
+    (["constants", "--depth", "nan"], "depth > 0 (got nan)"),
+    (["constants", "--a", "nan"], "a > 0 (got nan)"),
+    (["spectrum", "--h", "inf", "--modes", "0"], "h > 0 (got inf)"),
+    (["spectrum", "--h", "nan", "--modes", "0"], "h > 0 (got nan)"),
+    (["spectrum", "--h", "nan", "--radius", "20", "--modes", "0"],
+     "h > 0 (got nan)"),
+    (["spectrum", "--h", "1.0", "--modes", "0", "--grid", "0"], "n >= 400"),
+    (["spectrum", "--h", "1.0", "--modes", "0", "--radius", "0"],
+     "R=0.0 too small"),
+    (SPLIT + ["--grid", "0"], "delta > 0 (got 0.0)"),
+    (SPLIT + ["--grid", "-0.1"], "delta > 0 (got -0.1)"),
+    (SPLIT + ["--grid", "nan"], "delta > 0 (got nan)"),
+    (["verify", "--quick", "--grid", "0"], "delta > 0 (got 0.0)"),
+    (["verify", "--quick", "--grid", "-0.1"], "delta > 0 (got -0.1)")],
+    ids=["config-file", "L-nan", "L-inf", "depth-inf", "depth-nan", "a-nan",
+         "spectrum-h-inf", "spectrum-h-nan", "spectrum-h-nan-radius",
+         "spectrum-grid-0", "spectrum-radius-0", "splitting-grid-0",
+         "splitting-grid-negative", "splitting-grid-nan", "verify-grid-0",
+         "verify-grid-negative"])
+def test_invalid_config_exit_2(tmp_path, capsys, argv, names):
+    from magtun import cli
+
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"well": {"profile": "bump", "depth": 1.0,
                                         "a": 1.0}, "L": 1.5}))
-    proc = run("constants", "--config", str(cfg), check=False)
-    assert proc.returncode == 2
-    assert "config error" in proc.stderr
+    assert cli.main([str(cfg) if a == "CFG" else a for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("config error: ") and names in err[0], err
 
 
 def test_numerical_failure_exit_3():

@@ -86,7 +86,7 @@ def test_envelope_powers(config4, profile4, amp6):
     hs = np.array([0.4, 0.3, 0.2, 0.15, 0.1])
     lead_minus, bound_plus = [], []
     for h in hs:
-        env = hopping_wkb_envelope(config4, h, profile4, amp6)
+        env = hopping_wkb_envelope(profile4, amp6, h)
         lead_minus.append(env.log_w0_minus + S0 / h)
         bound_plus.append(env.log_w0_plus + Sa / h + math.log(h))
         # M_h^+ <= e^{-Sa/h} int |v0| r dr
@@ -104,11 +104,11 @@ def test_envelope_powers(config4, profile4, amp6):
     assert all(x > y for x, y in zip(bound_plus, bound_plus[1:]))
 
 
-def test_envelope_sandwich(config4, profile4, amp6, estimates):
+def test_envelope_sandwich(profile4, amp6, estimates):
     # ln w0_minus - C <= ln|w| <= ln w0_plus + C with one h-independent C
     rows = []
     for e in estimates.estimates:
-        env = hopping_wkb_envelope(config4, e.h, profile4, amp6)
+        env = hopping_wkb_envelope(profile4, amp6, e.h)
         lw = math.log(abs(e.w_bessel))
         rows.append((env.log_w0_minus - lw, lw - env.log_w0_plus))
     C = max(max(lo, hi, 0.0) for lo, hi in rows[:1]) + 0.1
@@ -132,7 +132,7 @@ def test_epsilon_family_lower_bound(config4, well, case):
         ratios = []
         for h in (0.5, 0.35, 0.25):
             c = case(well, h)
-            rhs = epsilon_lower_bound(config4, h, eps, c.ground)
+            rhs = epsilon_lower_bound(config4, eps, c.ground)
             w = abs(c.w_direct)
             ratios.append(w / rhs)
         c_eps = ratios[0]
@@ -181,7 +181,7 @@ def test_direct_x16_level_matches_full_grid(config4, well, case, monkeypatch):
     sol = case(well, h).ground
     monkeypatch.setattr(hopping, "DIRECT_RTOL", -1.0)
     with pytest.raises(AccuracyError, match="kappa") as info:
-        hopping_direct(config4, h, sol)
+        hopping_direct(config4, sol)
     w16, kappa = _brute_force_direct(config4, h, sol,
                                      _angular_nodes(config4, h, 16))
     assert abs(info.value.estimate - w16) <= 1e-12 * abs(w16)
@@ -201,7 +201,7 @@ def test_direct_spline_points(config4, well, case, monkeypatch):
     log_u = sol.log_u
     monkeypatch.setattr(sol, "log_u",
                         lambda rho: points.append(np.size(rho)) or log_u(rho))
-    wd = hopping_direct(config4, h, sol)
+    wd = hopping_direct(config4, sol)
     assert wd == case(well, h).w_direct
     n8 = _angular_nodes(config4, h, 8)
     assert sum(points) <= hopping.N_ROUTE * (n8 // 2 + 2)

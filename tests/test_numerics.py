@@ -297,8 +297,8 @@ def test_log_integral_exp_simpson_weights():
 @pytest.mark.parametrize("h", [0.3, 0.5])
 def test_t_kernel_frozen_values(config4, well, profile4, amp6, case, h):
     sol, outer = case(well, h).ground, case(well, h).outer
-    wb = hopping_bessel(config4, h, outer, sol)
+    wb = hopping_bessel(config4, outer, sol)
     assert wb == pytest.approx(FROZEN_W_BESSEL[h], rel=1e-10, abs=0)
-    res = w_chain(config4, h, 0.05, sol, outer, amp6, profile4)
+    res = w_chain(sol, outer, amp6, profile4, 0.05)
     got = (res.log_W1, res.log_W2, res.log_W3, res.log_W4, res.log_W4_alt)
     assert got == pytest.approx(FROZEN_W_CHAIN[h], rel=1e-10)

@@ -145,7 +145,7 @@ def test_second_eigenvalue_tracks_fiber_prediction(well):
 
 def test_agmon_identity_phi_zero(well, case):
     sol = case(well, 0.1).ground
-    rep = agmon_identity_check(sol, np.zeros_like(sol.grid), well=well)
+    rep = agmon_identity_check(sol, np.zeros_like(sol.grid))
     assert rep.residual <= 1e-6
 
 
@@ -154,7 +154,7 @@ def test_agmon_identity_weighted(well, profile4, case):
     delta = 0.2
     rep = agmon_identity_check(
         sol, lambda r: (1 - delta) * profile4.d(r),
-        phi_prime=lambda r: (1 - delta) * profile4.integrand(r), well=well)
+        phi_prime=lambda r: (1 - delta) * profile4.integrand(r))
     # the (w - E)-shifted left side vanishes for an exact eigenfunction:
     # nonnegative within tolerance
     assert rep.lhs - rep.rhs >= -1e-6 * (abs(rep.lhs) + abs(rep.rhs))
@@ -170,8 +170,7 @@ def test_weighted_mass_stable_under_radius_growth(well, profile4):
                                        well=well))
         reps.append(agmon_identity_check(
             sol, lambda r: (1 - delta) * profile4.d(r),
-            phi_prime=lambda r: (1 - delta) * profile4.integrand(r),
-            well=well))
+            phi_prime=lambda r: (1 - delta) * profile4.integrand(r)))
     assert reps[0].weighted_mass == pytest.approx(reps[1].weighted_mass,
                                                   rel=1e-6)
     assert reps[0].weighted_sup == pytest.approx(reps[1].weighted_sup,

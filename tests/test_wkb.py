@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -59,7 +60,7 @@ def test_a0_positive_on_range(well):
 
 def test_wkb_error_exponent(well, case, profile4, amp6):
     hs = [0.2, 0.14, 0.1, 0.07, 0.05]
-    errors = [wkb_profile_error(well, case(well, h).ground, amp6, profile4)
+    errors = [wkb_profile_error(case(well, h).ground, amp6, profile4)
               for h in hs]
     q = wkb_error_exponent(hs, errors)
     assert 0.4 <= q <= 1.1
@@ -69,7 +70,7 @@ def test_wkb_error_exponent(well, case, profile4, amp6):
 
 def test_profile_error_finite_and_sign(well, case, profile4, amp6):
     sol = case(well, 0.1).ground
-    err = wkb_profile_error(well, sol, amp6, profile4)
+    err = wkb_profile_error(sol, amp6, profile4)
     assert np.isfinite(err)
     mask = sol.grid <= 1.0
     scaled = np.exp(profile4.d(sol.grid[mask]) / 0.1) * sol.u[mask]
@@ -95,9 +96,10 @@ def test_outer_self_consistency(well, case):
 
 def test_outer_violation_detected(well, case):
     # a ground state of another h is a faulty eigensolution for this one
-    sol = case(well, 0.05).ground
+    faulty = copy.copy(case(well, 0.05).ground)
+    faulty.h = 0.1
     with pytest.raises(OuterRepresentationError):
-        calibrate_outer(well, 0.1, sol, check_upto=5.0)
+        calibrate_outer(well, faulty, check_upto=5.0)
 
 
 def test_alpha_correction_term(well, case):
@@ -113,7 +115,7 @@ def test_alpha_correction_term(well, case):
 
 
 def test_matching_constants(well, profile4, amp6):
-    consts = matching_constants(well, amplitude=amp6, d_a=profile4.d_a)
+    consts = matching_constants(amplitude=amp6, d_a=profile4.d_a)
     assert consts["t_star"] == pytest.approx((SQRT5 - 1) / 2, rel=1e-14)
     # F from the explicit closed form, checked against eta - d(a)
     F_explicit = 0.25 * SQRT5 + 0.5 * math.log((SQRT5 + 1) ** 2 / 4.0) \
@@ -126,11 +128,11 @@ def test_matching_constants(well, profile4, amp6):
 
 def test_c_h_trend(well, case, profile4, amp6):
     # |h ln(C_h/C_h_asy)| decreasing along the sweep; final below 0.05
-    consts = matching_constants(well, amplitude=amp6, d_a=profile4.d_a)
+    consts = matching_constants(amplitude=amp6, d_a=profile4.d_a)
     gaps = []
     for h in (0.2, 0.1, 0.05, 0.035):
         sol = case(well, h).ground
-        outer = calibrate_outer(well, h, sol, check_upto=4.0)
+        outer = calibrate_outer(well, sol, check_upto=4.0)
         gaps.append(h * (outer.log_C_h - c_h_asymptotic(h, consts)))
     mags = [abs(g) for g in gaps]
     assert all(a > b for a, b in zip(mags, mags[1:]))
@@ -141,11 +143,11 @@ def test_display_constant_offset_is_h_independent(well, case, profile4,
                                                   amp6):
     # with the compact display prefactor the log-ratio approaches a nonzero
     # constant (~ -1.02): record that it stabilizes rather than asserting 0
-    consts = matching_constants(well, amplitude=amp6, d_a=profile4.d_a)
+    consts = matching_constants(amplitude=amp6, d_a=profile4.d_a)
     ratios = []
     for h in (0.1, 0.05):
         sol = case(well, h).ground
-        outer = calibrate_outer(well, h, sol, check_upto=4.0)
+        outer = calibrate_outer(well, sol, check_upto=4.0)
         ratios.append(outer.log_C_h - c_h_asymptotic(h, consts)
                       - math.log(consts["m_display"] / consts["m_matched"]))
     assert ratios[0] == pytest.approx(ratios[1], abs=0.06)
