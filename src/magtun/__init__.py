@@ -35,9 +35,8 @@ from .spectral import (FiberProblem, InvariantViolation, RadialEigenSolution,
 from .wkb import (OuterRepresentation, OuterRepresentationError, WkbAmplitude,
                   c_h_asymptotic, calibrate_outer, matching_constants,
                   wkb_error_exponent, wkb_profile_error)
-from .hopping import (HoppingEstimate, epsilon_lower_bound, hopping_bessel,
-                      hopping_direct, hopping_slope_check,
-                      hopping_wkb_envelope)
+from .hopping import (epsilon_lower_bound, hopping_bessel, hopping_direct,
+                      hopping_slope_check, hopping_wkb_envelope)
 from .asymptotics import (ActionReport, ConsistencyError, PsiSurface,
                           beta_scaling, kernel_g0_log, minimizer_closed_form,
                           nonmagnetic_action, psi_global_min, sharp_action,

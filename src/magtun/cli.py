@@ -61,8 +61,9 @@ def _h_range(spec):
     """lo:hi:n -> geometric grid from hi down to lo (n = 1 gives just hi)."""
     lo, hi, n = spec.split(":")
     lo, hi, n = float(lo), float(hi), int(n)
-    if not (0 < lo <= hi) or n < 1:
-        raise ValueError("bad h-range")
+    if not (0 < lo <= hi < math.inf) or n < 1:
+        raise ValueError(f"bad h-range {spec}: need 0 < lo <= hi < inf, "
+                         "n >= 1")
     return list(np.geomspace(hi, lo, n))
 
 
@@ -219,7 +220,7 @@ def cmd_sweep(args):
             row = [h, wd, wb, h * math.log(abs(wb)),
                    env.log_w0_minus, env.log_w0_plus]
             note = ""
-        except Exception as exc:   # annotate, keep streaming
+        except NumericalError as exc:   # annotate, keep streaming
             row = [h] + [float("nan")] * 5
             note = f"error:{type(exc).__name__}"
         if args.with_splitting:

@@ -13,8 +13,12 @@ The angular integral has the closed form
 
 via int_0^{2pi} e^{-A cos t + i B sin t} dt = 2 pi I0(sqrt(A^2 - B^2)) and
 the outer representation of u_h, which removes the oscillatory phase and
-makes the integrand positive.  The third route replaces u_h by its WKB
-profile, giving the explicit envelopes w^{0,+/-} and the remainders M_h^+/-.
+makes the integrand positive.  The first route sums the oscillatory
+integrand f, whose cancellation ratio kappa = sum|f| / |sum f| grows like
+e^{c/h}; it returns only while its rounding bound kappa eps stays within
+DIRECT_RTOL, and raises AccuracyError below that h.  The third route
+replaces u_h by its WKB profile, giving the explicit envelopes w^{0,+/-}
+and the remainders M_h^+/-.
 All exponential quantities are assembled in log space.  The first two
 routes, and the eps bound, read h from the solution that carries u_h;
 pipeline.Case builds it and the outer representation once per h.
@@ -37,7 +41,6 @@ __all__ = [
     "hopping_wkb_envelope",
     "hopping_slope_check",
     "epsilon_lower_bound",
-    "HoppingEstimate",
     "EnvelopeResult",
     "SlopeReport",
 ]
@@ -47,7 +50,7 @@ __all__ = [
 # compared with each other, a finer one for the WKB envelopes
 N_ROUTE = 200
 N_ENVELOPE = 400
-DIRECT_RTOL = 1e-9   # angular refinement target of hopping_direct
+DIRECT_RTOL = 1e-9   # largest kappa eps that hopping_direct returns
 
 
 def _gauss_nodes(a, n):
@@ -55,75 +58,60 @@ def _gauss_nodes(a, n):
     return 0.5 * a * (x + 1.0), 0.5 * a * w
 
 
-def _circle_sums(solution, L, h, r_nodes, theta, take):
-    """Sums over the circle nodes theta of f = u(rho) e^{i L r sin t / 2h}
-    per r-node, T_BLOCK r-nodes at a time: of f on the even-numbered and on
-    the odd-numbered nodes, and of |f| on all of them.
+def _circle_sums(solution, L, h, r_nodes, n):
+    """Sums of f = u(rho) e^{i L r sin t / 2h} and of |f| over the n
+    equispaced circle nodes t_j = 2 pi j / n, per r-node, T_BLOCK r-nodes
+    at a time.
 
-    rho depends on cos(theta) alone, so u is evaluated only on the nodes
-    theta[:take.max() + 1], which lie in [0, pi], and node j takes the
-    value at node take[j], its mirror image there.  The phase is taken at
-    every node.
+    rho depends on cos(t) alone, so u is evaluated only on the nodes in
+    [0, pi], and node j takes the value at its mirror image min(j, n - j)
+    there.  The phase is taken at every node.
     """
-    half = np.cos(theta[:take.max() + 1])
-    copies = np.bincount(take)
+    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    j = np.arange(n)
+    mirror = np.minimum(j, n - j)
+    half = np.cos(theta[:n // 2 + 1])
+    copies = np.bincount(mirror)
     sin_t = np.sin(theta)
-    even = np.empty(len(r_nodes), complex)
-    odd = np.empty(len(r_nodes), complex)
+    total = np.empty(len(r_nodes), complex)
     mag = np.empty(len(r_nodes))
     for s in range(0, len(r_nodes), T_BLOCK):
         rows = r_nodes[s:s + T_BLOCK, None]
         rho = np.sqrt(rows * rows + L * L + 2.0 * L * rows * half)
         u = np.exp(solution.log_u(rho))
-        f = np.exp(1j * (L * rows / (2.0 * h)) * sin_t) * u[:, take]
-        even[s:s + T_BLOCK] = f[:, ::2].sum(axis=1)
-        odd[s:s + T_BLOCK] = f[:, 1::2].sum(axis=1)
+        f = np.exp(1j * (L * rows / (2.0 * h)) * sin_t) * u[:, mirror]
+        total[s:s + T_BLOCK] = f.sum(axis=1)
         mag[s:s + T_BLOCK] = u @ copies
-    return even, odd, mag
+    return total, mag
 
 
 def hopping_direct(config, solution):
-    """Nested quadrature of the oscillatory form; returns the complex value.
+    """Quadrature of the oscillatory form; returns the complex value.
 
-    The angular integral is a trapezoid rule on n equispaced nodes
-    (spectrally accurate for periodic integrands) at nested levels: x4 is
-    the even half of the x8 nodes, and x16 adds only its new odd nodes.
-    One pass over the r-nodes evaluates the x8 nodes; log u is taken on
-    theta in [0, pi] and mirrored, as rho depends on cos(theta) alone,
-    while the phase is taken at every node of the full circle.  When x4
-    and x8 differ by more than DIRECT_RTOL the x16 level is added, and when
-    that still moves the result by more than DIRECT_RTOL an AccuracyError
-    names the cancellation ratio kappa = sum|f| / |sum f| of the whole
-    integrand f on the x16 nodes.
+    The angular integral is one trapezoid rule on n equispaced nodes, n
+    well above the integrand's bandwidth, where the rule on a periodic
+    analytic integrand has converged geometrically (Trefethen & Weideman,
+    SIAM Review 56, 2014).  What is left is rounding, about kappa eps
+    relative, with the cancellation ratio kappa = sum|f| / |sum f| of the
+    whole integrand f taken from the same pass.  When kappa eps exceeds
+    DIRECT_RTOL an AccuracyError names kappa and carries the value and the
+    bound kappa eps |w|.
     """
     well, L, h = config.well, config.L, solution.h
     a = well.a
     r_nodes, r_weights = _gauss_nodes(a, N_ROUTE)
     radial = r_weights * r_nodes * well.v0(r_nodes) \
         * np.exp(solution.log_u(r_nodes))
-    n4 = 4 * max(256, 40 * math.ceil(L * a / (4.0 * math.pi * h)))
-    n8, n16 = 2 * n4, 4 * n4
-    j = np.arange(n8)
-    even, odd, mag = _circle_sums(
-        solution, L, h, r_nodes,
-        np.linspace(0.0, 2.0 * np.pi, n8, endpoint=False),
-        np.minimum(j, n8 - j))
-    w4 = radial @ even * (2.0 * np.pi / n4)
-    w8 = radial @ (even + odd) * (2.0 * np.pi / n8)
-    if abs(w8 - w4) <= DIRECT_RTOL * abs(w8):
-        return w8
-    new_even, new_odd, new_mag = _circle_sums(
-        solution, L, h, r_nodes,
-        np.linspace(0.0, 2.0 * np.pi, n16, endpoint=False)[1::2],
-        np.minimum(j, n8 - 1 - j))
-    w16 = radial @ (even + odd + new_even + new_odd) * (2.0 * np.pi / n16)
-    if abs(w16 - w8) > DIRECT_RTOL * abs(w16):
-        kappa = np.abs(radial) @ (mag + new_mag) * (2.0 * np.pi / n16) \
-            / abs(w16)
+    n = 4 * max(256, 40 * math.ceil(L * a / (4.0 * math.pi * h)))
+    total, mag = _circle_sums(solution, L, h, r_nodes, n)
+    w = radial @ total * (2.0 * np.pi / n)
+    kappa = np.abs(radial) @ mag * (2.0 * np.pi / n) / abs(w)
+    rounding = kappa * np.finfo(float).eps
+    if rounding > DIRECT_RTOL:
         raise AccuracyError(
             f"angular quadrature not converged: cancellation ratio "
-            f"kappa {kappa:.3g}", estimate=w16, error_bound=abs(w16 - w8))
-    return w16
+            f"kappa {kappa:.3g}", estimate=w, error_bound=rounding * abs(w))
+    return w
 
 
 def hopping_bessel(config, outer, solution):
@@ -187,28 +175,8 @@ def epsilon_lower_bound(config, eps, solution):
 
 
 @dataclass
-class HoppingEstimate:
-    h: float
-    w_direct: complex
-    w_bessel: float
-
-    @property
-    def log_w(self):
-        """h ln |w|, from the Bessel route."""
-        return self.h * math.log(abs(self.w_bessel))
-
-    @property
-    def imag_fraction(self):
-        return abs(self.w_direct.imag) / max(abs(self.w_direct), 1e-320)
-
-    @property
-    def route_agreement(self):
-        return abs(self.w_direct.real - self.w_bessel) / abs(self.w_bessel)
-
-
-@dataclass
 class SlopeReport:
-    estimates: list
+    h_ln_w: list
     S0: float
     Sa: float
     Shat: float
@@ -222,17 +190,16 @@ class SlopeReport:
 def hopping_slope_check(cases):
     """h ln|w| containment in [-S0 - d, -Sa + d] with d = 0.15 Shat, plus the
     refined lower containment >= -Shat - d for strictly negative wells, and
-    the monotone trend of h ln|w| toward -S as h decreases.  Reads both
-    routes from >= 5 cases of one pipeline, and the actions from it."""
+    the monotone trend of h ln|w| toward -S as h decreases.  Reads the
+    Bessel route from >= 5 cases of one pipeline, and the actions from it.
+    h_ln_w lists h ln|w| in descending h."""
     cases = sorted(cases, key=lambda c: c.h, reverse=True)
     if len(cases) < 5:
         raise ValueError("insufficient points: need >= 5 h-values")
     action = cases[0].pipeline.action
     S0, Sa, shat = action.S0, action.Sa, action.Shat
     delta = 0.15 * shat
-    estimates = [HoppingEstimate(h=c.h, w_direct=c.w_direct,
-                                 w_bessel=c.w_bessel) for c in cases]
-    logs = [e.log_w for e in estimates]
+    logs = [c.h * math.log(abs(c.w_bessel)) for c in cases]
     contained = all(-S0 - delta <= v <= -Sa + delta for v in logs)
     refined = all(v >= -shat - delta for v in logs)
     gaps = [abs(v + action.S) for v in logs]
@@ -240,5 +207,5 @@ def hopping_slope_check(cases):
     msg = "ok" if (contained and refined) else (
         f"containment violated: h ln|w|={logs}, "
         f"corridor=[{-S0-delta:.4f},{-Sa+delta:.4f}], floor={-shat-delta:.4f}")
-    return SlopeReport(estimates, S0, Sa, shat, delta, contained, refined,
+    return SlopeReport(logs, S0, Sa, shat, delta, contained, refined,
                        monotone, msg)

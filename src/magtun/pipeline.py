@@ -64,7 +64,7 @@ class Case:
 
     @cached_property
     def w_direct(self):
-        """Complex w from the oscillatory nested quadrature."""
+        """Complex w from the oscillatory quadrature."""
         return hopping_direct(self.config, self.ground)
 
     @cached_property

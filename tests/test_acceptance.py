@@ -112,7 +112,7 @@ def test_criterion_09_hopping_slope(well, case):
     S = case(well, hs[0]).pipeline.action.S
     ok = (report.contained and report.refined_contained
           and report.monotone_toward_S)
-    logs = [round(e.log_w, 3) for e in report.estimates]
+    logs = [round(v, 3) for v in report.h_ln_w]
     acceptance_line(9, ok, f"h ln|w| = {logs} inside "
                            f"[{-report.S0 - report.delta:.3f}, "
                            f"{-report.Sa + report.delta:.3f}], refined floor "

@@ -63,12 +63,14 @@ SPLIT = ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1"]
     (SPLIT + ["--grid", "-0.1"], "delta > 0 (got -0.1)"),
     (SPLIT + ["--grid", "nan"], "delta > 0 (got nan)"),
     (["verify", "--quick", "--grid", "0"], "delta > 0 (got 0.0)"),
-    (["verify", "--quick", "--grid", "-0.1"], "delta > 0 (got -0.1)")],
+    (["verify", "--quick", "--grid", "-0.1"], "delta > 0 (got -0.1)"),
+    (["sweep", "--h-range", "0.3:inf:2"], "bad h-range 0.3:inf:2"),
+    (["hopping", "--h-range", "0.3:inf:2"], "bad h-range 0.3:inf:2")],
     ids=["config-file", "L-nan", "L-inf", "depth-inf", "depth-nan", "a-nan",
          "spectrum-h-inf", "spectrum-h-nan", "spectrum-h-nan-radius",
          "spectrum-grid-0", "spectrum-radius-0", "splitting-grid-0",
          "splitting-grid-negative", "splitting-grid-nan", "verify-grid-0",
-         "verify-grid-negative"])
+         "verify-grid-negative", "sweep-h-inf", "hopping-h-inf"])
 def test_invalid_config_exit_2(tmp_path, capsys, argv, names):
     from magtun import cli
 
@@ -182,6 +184,15 @@ def test_sweep_five_rows():
     rows = out.strip().splitlines()
     assert len(rows) == 6  # header + 5 data rows
     assert rows[0].startswith("h,w_direct,w_bessel,h_ln_w")
+
+
+def test_sweep_row_notes_numerical_error(capsys):
+    # the direct route raises at h 0.02; the row is annotated, not fatal
+    from magtun import cli
+
+    assert cli.main(["sweep", "--h-range", "0.02:0.02:1"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert rows[1] == "0.02,nan,nan,nan,nan,nan,error:AccuracyError"
 
 
 def test_repeat_runs_byte_identical():

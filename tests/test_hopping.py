@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from magtun import (AccuracyError, Case, DoubleWellConfig, Pipeline,
-                    epsilon_lower_bound, hopping_direct, hopping_slope_check,
-                    hopping_wkb_envelope)
+                    RadialWell, epsilon_lower_bound, hopping_direct,
+                    hopping_slope_check, hopping_wkb_envelope)
 from magtun import hopping
 
 # frozen cross-route value at h = 0.5 (both routes agreed to 4e-8 when frozen)
@@ -27,8 +27,13 @@ H_SWEEP = [0.6, 0.5, 0.42, 0.35, 0.3, 0.25]
 
 
 @pytest.fixture(scope="module")
-def estimates(well, case):
-    return hopping_slope_check([case(well, h) for h in H_SWEEP])
+def sweep(well, case):
+    return [case(well, h) for h in H_SWEEP]
+
+
+@pytest.fixture(scope="module")
+def slope(sweep):
+    return hopping_slope_check(sweep)
 
 
 def test_reality(well, case):
@@ -63,8 +68,8 @@ def test_frozen_value(well, case):
     assert wb == pytest.approx(W_CANON_H05, rel=1e-4)
 
 
-def test_sign_constant_across_sweep(estimates):
-    signs = {math.copysign(1.0, e.w_bessel) for e in estimates.estimates}
+def test_sign_constant_across_sweep(sweep):
+    signs = {math.copysign(1.0, c.w_bessel) for c in sweep}
     assert signs == {-1.0}  # v0 <= 0 forces one sign
 
 
@@ -104,21 +109,21 @@ def test_envelope_powers(config4, profile4, amp6):
     assert all(x > y for x, y in zip(bound_plus, bound_plus[1:]))
 
 
-def test_envelope_sandwich(profile4, amp6, estimates):
+def test_envelope_sandwich(profile4, amp6, sweep):
     # ln w0_minus - C <= ln|w| <= ln w0_plus + C with one h-independent C
     rows = []
-    for e in estimates.estimates:
-        env = hopping_wkb_envelope(profile4, amp6, e.h)
-        lw = math.log(abs(e.w_bessel))
+    for c in sweep:
+        env = hopping_wkb_envelope(profile4, amp6, c.h)
+        lw = math.log(abs(c.w_bessel))
         rows.append((env.log_w0_minus - lw, lw - env.log_w0_plus))
     C = max(max(lo, hi, 0.0) for lo, hi in rows[:1]) + 0.1
     assert all(lo <= C and hi <= C for lo, hi in rows)
 
 
-def test_slope_containment(estimates):
-    assert estimates.contained, estimates.message
-    assert estimates.refined_contained, estimates.message
-    assert estimates.monotone_toward_S
+def test_slope_containment(slope):
+    assert slope.contained, slope.message
+    assert slope.refined_contained, slope.message
+    assert slope.monotone_toward_S
 
 
 def test_slope_check_requires_points(well, case):
@@ -139,10 +144,11 @@ def test_epsilon_family_lower_bound(config4, well, case):
         assert all(r >= c_eps / 10.0 for r in ratios)
 
 
-def test_route_agreement_tightness(estimates):
-    for e in estimates.estimates:
-        assert e.imag_fraction <= 1e-8
-        assert e.route_agreement <= 1e-5
+def test_route_agreement_tightness(sweep):
+    for c in sweep:
+        wd, wb = c.w_direct, c.w_bessel
+        assert abs(wd.imag) / abs(wd) <= 1e-8
+        assert abs(wd.real - wb) / abs(wb) <= 1e-5
 
 
 @pytest.mark.parametrize("depth, L, h", list(FROZEN_W_DIRECT))
@@ -152,13 +158,13 @@ def test_direct_frozen_values(well, well_deep, case, depth, L, h):
     assert abs(wd - ref) <= 1e-12 * abs(ref)
 
 
-def _angular_nodes(config, h, mult):
+def _angular_nodes(config, h):
     L, a = config.L, config.well.a
-    return mult * max(256, 40 * math.ceil(L * a / (4.0 * math.pi * h)))
+    return 4 * max(256, 40 * math.ceil(L * a / (4.0 * math.pi * h)))
 
 
 def _brute_force_direct(config, h, solution, n_theta):
-    """Every r-node's full-circle trapezoid sum of f, without levels or
+    """Every r-node's full-circle trapezoid sum of f, without blocks or
     mirroring; returns (w, sum |f| / |w|)."""
     well, L = config.well, config.L
     x, wx = np.polynomial.legendre.leggauss(hopping.N_ROUTE)
@@ -174,34 +180,48 @@ def _brute_force_direct(config, h, solution, n_theta):
     return w, np.abs(f).sum() / abs(w)
 
 
-def test_direct_x16_level_matches_full_grid(config4, well, case, monkeypatch):
-    # a negative tolerance fails both refinement tests, so the route adds
-    # the x16 level and raises with it as the estimate
+def _kappa(error):
+    return float(str(error).split("kappa")[1])
+
+
+def test_direct_one_rule_matches_full_grid(config4, well, case, monkeypatch):
+    # a negative tolerance forces the raise, with the one rule's value as
+    # the estimate and kappa eps |w| as the bound
     h = 0.5
-    sol = case(well, h).ground
+    sol, wd = case(well, h).ground, case(well, h).w_direct
     monkeypatch.setattr(hopping, "DIRECT_RTOL", -1.0)
     with pytest.raises(AccuracyError, match="kappa") as info:
         hopping_direct(config4, sol)
-    w16, kappa = _brute_force_direct(config4, h, sol,
-                                     _angular_nodes(config4, h, 16))
-    assert abs(info.value.estimate - w16) <= 1e-12 * abs(w16)
-    assert abs(info.value.estimate - case(well, h).w_direct) \
-        <= 1e-12 * abs(w16)
-    got = float(str(info.value).split("kappa")[1])
-    assert got == pytest.approx(kappa, rel=1e-2)
+    w, kappa = _brute_force_direct(config4, h, sol, _angular_nodes(config4, h))
+    assert abs(info.value.estimate - w) <= 1e-12 * abs(w)
+    assert abs(info.value.estimate - wd) <= 1e-12 * abs(w)
+    assert _kappa(info.value) == pytest.approx(kappa, rel=1e-2)
+    assert info.value.error_bound == pytest.approx(
+        kappa * np.finfo(float).eps * abs(w), rel=1e-2, abs=0.0)
+
+
+def test_direct_raises_on_rounding_bound():
+    # kappa 3.5e7, so kappa eps is about 8 DIRECT_RTOL: the one rule's value
+    # is rounding-limited there and sits 1.4e-5 off the Bessel route
+    config = DoubleWellConfig(RadialWell.bump(depth=0.5, a=1.0), 5.0)
+    with pytest.raises(AccuracyError, match="kappa") as info:
+        Case(Pipeline(config), 0.07).w_direct
+    err = info.value
+    kappa = _kappa(err)
+    assert kappa * np.finfo(float).eps > hopping.DIRECT_RTOL
+    assert err.error_bound == pytest.approx(
+        kappa * np.finfo(float).eps * abs(err.estimate), rel=1e-2, abs=0.0)
 
 
 def test_direct_spline_points(config4, well, case, monkeypatch):
-    # log u is evaluated once per r-node and on the half circle of the x8
-    # nodes only: N_ROUTE (n8 / 2 + 2) points, a third of the separate x4
-    # and x8 full-circle rules
+    # log u is evaluated once per r-node and on the half circle of the
+    # angular nodes only: N_ROUTE (n / 2 + 2) points
     h = 0.5
-    sol = case(well, h).ground
+    sol, wd = case(well, h).ground, case(well, h).w_direct
     points = []
     log_u = sol.log_u
     monkeypatch.setattr(sol, "log_u",
                         lambda rho: points.append(np.size(rho)) or log_u(rho))
-    wd = hopping_direct(config4, sol)
-    assert wd == case(well, h).w_direct
-    n8 = _angular_nodes(config4, h, 8)
-    assert sum(points) <= hopping.N_ROUTE * (n8 // 2 + 2)
+    assert hopping_direct(config4, sol) == wd
+    n = _angular_nodes(config4, h)
+    assert sum(points) <= hopping.N_ROUTE * (n // 2 + 2)
