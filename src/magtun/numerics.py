@@ -7,8 +7,9 @@ Gauss-Legendre rules, the lowest eigenpairs of symmetric tridiagonal
 matrices (bisection for several, certified shifted inverse iteration on
 LAPACK's dptsv for the lowest one, each eigenvalue a cancellation-free
 Rayleigh quotient), and a log-stabilized evaluator for integrals of the
-form int exp(g), batched over rows of integrands.  Everything here is pure
-and reentrant.
+form int exp(g), batched over rows of integrands (a scan for the peak, then
+two Gauss-Legendre panels split at it).  Everything here is pure and
+reentrant.
 """
 
 from __future__ import annotations
@@ -207,30 +208,23 @@ def tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
 
 
 N_SCAN = 400     # log_integral_exp's scan for the maximum
-N_NODES = 4001   # its Simpson nodes per window (odd: an even cell count)
+N_NODES = 128    # its Gauss-Legendre nodes per panel, two panels per window
 KEEP = 46.0      # its window: g >= gmax - KEEP, truncation error ~ e^-KEEP
-
-# the Simpson nodes and weights 1, 4, 2, ..., 4, 1 (over 3 (N_NODES - 1))
-# of the unit interval; a window [y1, y2] maps them affinely
-_UNIT = np.linspace(0.0, 1.0, N_NODES)
-_SIMPSON = np.where(np.arange(N_NODES) % 2, 4.0, 2.0)
-_SIMPSON[[0, -1]] = 1.0
-_SIMPSON /= 3.0 * (N_NODES - 1)
 
 
 def log_integral_exp(g, lo, hi):
     """log of int_lo^hi exp(g(y)) dy for a vectorized log-integrand g.
 
-    A coarse scan of N_SCAN points locates the maximum; Simpson on N_NODES
-    nodes integrates exp(g - gmax) on the window where g >= gmax - KEEP.
-    The window's nodes are y1 + (y2 - y1) * unit for one reference grid
-    unit on [0, 1], so the composite Simpson rule is one product with a
-    fixed weight vector, scaled by the window's width y2 - y1.
+    A coarse scan of N_SCAN points locates the maximum yp and the window
+    [y1, y2] where g >= gmax - KEEP, padded by one scan cell.  Two mapped
+    Gauss-Legendre panels of N_NODES nodes, [y1, yp] and [yp, y2],
+    integrate exp(g - gmax): their nodes cluster at the panel ends, so the
+    split puts them at the peak, where a wide window's sharp side sits.
 
     g may also hold a batch of integrands, one per row: called with the
     shared scan (shape (n,)) or with per-row nodes (shape (rows, n)) it
-    returns shape (rows, n).  Each row then gets its own window, cut and
-    padding, and the result is an array with -inf for every row whose
+    returns shape (rows, n).  Each row then gets its own window, split and
+    panels, and the result is an array with -inf for every row whose
     maximum is not finite.  A 1-D g gives a float.
     """
     ys = np.linspace(lo, hi, N_SCAN)
@@ -248,10 +242,16 @@ def log_integral_exp(g, lo, hi):
     step = ys[1] - ys[0]
     y1 = np.maximum(lo, ys[first] - step)
     y2 = np.minimum(hi, ys[last] + step)
-    yy = y1[:, None] + (y2 - y1)[:, None] * _UNIT
+    # yp lies in the window; the panel [e, e + d] maps the rule on [-1, 1]
+    # to nodes e + d (x + 1) / 2 and weights d w / 2
+    edges = np.stack([y1, ys[np.argmax(gs, axis=1)], y2], axis=1)
+    widths = np.diff(edges, axis=1)[:, :, None]
+    x, w = gauss_legendre(N_NODES)
+    yy = (edges[:, :2, None] + widths * (0.5 * (x + 1.0))).reshape(len(gs), -1)
+    wts = (widths * (0.5 * w)).reshape(len(gs), -1)
     gg = np.atleast_2d(g(yy[0] if single else yy))
     gm = gg.max(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        val = np.exp(gg - gm[:, None]) @ _SIMPSON * (y2 - y1)
+        val = np.sum(np.exp(gg - gm[:, None]) * wts, axis=1)
         out = np.where(finite, gm + np.log(val), -np.inf)
     return float(out[0]) if single else out

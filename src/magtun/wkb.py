@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-T_BLOCK = 16  # radial nodes per batched t-integral: (16, 4001) work arrays
+T_BLOCK = 16  # radial nodes per batched t-integral: (16, 400) arrays at most
 Y_HI = 15.0   # upper limit of every t-integral, in y = log t
 N_AMPLITUDE = 8001   # WkbAmplitude's table nodes on [0, r_max]
 OUTER_RTOL = 1e-2    # calibrate_outer raises past this relative mismatch
@@ -80,8 +80,8 @@ def log_t_integrals(make_g, rows, lo):
     """log int_lo^Y_HI exp(g_r(y)) dy for every entry r of rows.
 
     make_g maps a (k, 1) column of rows to their batched log-integrand.
-    Rows go T_BLOCK at a time, so the work arrays stay (T_BLOCK, 4001)
-    whatever the number of rows.
+    Rows go T_BLOCK at a time, so log_integral_exp's work arrays stay at
+    most (T_BLOCK, N_SCAN) whatever the number of rows.
     """
     rows = np.asarray(rows, dtype=float)
     out = np.empty(len(rows))

@@ -1,8 +1,8 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.special
 
 from magtun import (AccuracyError, hopping_bessel, integrate, log_bessel_i0,
@@ -10,7 +10,8 @@ from magtun import (AccuracyError, hopping_bessel, integrate, log_bessel_i0,
                     w_chain)
 from magtun import numerics
 from magtun.numerics import gauss_legendre, tridiag_ground_pair
-from magtun.wkb import T_BLOCK, Y_HI, log_outer_integrand, log_t_integrals
+from magtun.wkb import (T_BLOCK, Y_HI, OuterRepresentation, log_outer_integrand,
+                        log_t_integrals)
 
 # Bump well depth 1, a 1, L 4, outer check to L + 1, eta 0.05.  The values
 # follow the fiber eigensolver through alpha = 1/2 - e_sw/2h: a shift of
@@ -252,7 +253,7 @@ def test_log_integral_exp_rows_match_scalar():
         g1, calls1 = _recording(lambda y: one(y)[0])
         scalar = log_integral_exp(g1, -40.0, 40.0)
         assert isinstance(scalar, float)
-        # the same scan, and each row on exactly its own Simpson grid
+        # the same scan, and each row on exactly its own panel nodes
         assert np.array_equal(calls[0], calls1[0])
         assert np.array_equal(calls[1][k], calls1[1])
         assert batched[k] == pytest.approx(scalar, rel=1e-12)
@@ -278,20 +279,70 @@ def test_log_t_integrals_across_block_boundary():
         assert val == pytest.approx(scalar, rel=1e-12)
 
 
-def test_log_integral_exp_simpson_weights():
-    # the weight vector against scipy's Simpson rule for general x, on the
-    # nodes log_integral_exp chose for each row of a batched t-kernel
-    h, alpha = 0.3, 2.1
-    r = np.linspace(0.05, 1.0, T_BLOCK)[:, None]
-    g, calls = _recording(
-        log_outer_integrand(h, alpha, r * r + 16.0, 4.0 * r))
-    got = log_integral_exp(g, -700.0 / alpha, Y_HI)
-    yy = calls[1]
-    gg = g(yy)
-    gm = gg.max(axis=1, keepdims=True)
-    ref = gm[:, 0] + np.log(scipy.integrate.simpson(np.exp(gg - gm), x=yy,
-                                                    axis=1))
-    assert np.max(np.abs(got - ref)) <= 1e-13
+def test_log_integral_exp_evaluation_budget():
+    # a batched call evaluates g twice: once on the shared scan and once on
+    # two 128-node panels per row
+    g, calls = _recording(_gaussian_rows([-30.0, 0.5, 17.0], [0.1, 3.0, 0.7]))
+    log_integral_exp(g, -40.0, 40.0)
+    assert [y.shape for y in calls] == [(numerics.N_SCAN,), (3, 256)]
+
+
+# (depth, L, h, alpha) of the bump well (a 1): alpha = 1/2 - e_sw/2h from
+# its ground state.  Small alpha at large h gives windows up to ~2000 wide
+# in y, large alpha at small h sharp peaks.
+KERNEL_CASES = [
+    (0.1, 3.0, 1.4, 0.0047379872180151605),
+    (0.5, 5.0, 1.4, 0.02447225746338877),
+    (1.0, 4.0, 1.0, 0.100915678159409),
+    (1.0, 4.0, 0.3, 0.9925272878015146),
+    (2.0, 4.2, 0.1, 8.956182986726693),
+    (1.0, 4.0, 0.05, 9.361991130999419),
+    (4.0, 4.5, 0.045, 42.8617655474705),
+]
+
+
+def _mp_log_t_integral(h, alpha, rho2, c, lo):
+    """mpmath oracle for log int_lo^Y_HI exp(g) of log_outer_integrand,
+    on the range where g >= gmax - 90 (the rest is below e^-90 of it),
+    split towards the peak found by a dense float scan."""
+    ys = np.linspace(lo, Y_HI, 100001)
+    gs = log_outer_integrand(h, alpha, rho2, c)(ys)
+    k = int(np.argmax(gs))
+    near = np.flatnonzero(gs > gs[k] - 90.0)
+    ends = ys[max(near[0] - 1, 0)], ys[min(near[-1] + 1, len(ys) - 1)]
+    pts = sorted({ys[k], *ends, *(ys[k] + (e - ys[k]) * 2.0**-j
+                                   for e in ends for j in range(1, 6))})
+    with mpmath.workdps(20):
+        h, alpha, rho2 = mpmath.mpf(h), mpmath.mpf(alpha), mpmath.mpf(rho2)
+
+        def f(y):
+            t = mpmath.exp(y)
+            val = alpha * y - alpha * mpmath.log1p(t) - rho2 * t / (2 * h)
+            if c is not None:
+                val += mpmath.log(mpmath.besseli(
+                    0, c * mpmath.sqrt(t * (t + 1)) / h))
+            return mpmath.exp(val - gs[k])
+
+        return float(gs[k] + mpmath.log(
+            mpmath.quad(f, pts, method="gauss-legendre")))
+
+
+@pytest.mark.parametrize("depth,L,h,alpha", KERNEL_CASES)
+def test_log_integral_exp_matches_mpmath(depth, L, h, alpha):
+    # the outer integrand at rho = a and L + 1, the ends of calibrate_outer's
+    # check, and the Bessel integrand of hopping_bessel at r = 0.05 and a
+    lo = OuterRepresentation(h=h, alpha=alpha, log_C_h=0.0).y_lo
+    bound = 1e-12 if alpha >= 0.05 else 1e-10
+    rho = np.array([1.0, L + 1.0])
+    r = np.array([0.05, 1.0])
+    got = np.concatenate([
+        log_integral_exp(log_outer_integrand(h, alpha, rho[:, None] ** 2),
+                         lo, Y_HI),
+        log_integral_exp(log_outer_integrand(
+            h, alpha, r[:, None] ** 2 + L * L, L * r[:, None]), lo, Y_HI)])
+    want = [_mp_log_t_integral(h, alpha, x * x, None, lo) for x in rho] \
+        + [_mp_log_t_integral(h, alpha, x * x + L * L, L * x, lo) for x in r]
+    assert np.max(np.abs(got - want)) <= bound
 
 
 @pytest.mark.parametrize("h", [0.3, 0.5])
