@@ -54,13 +54,7 @@ def free_action_primitive(rho, vmin_abs):
         vmin_abs * np.arcsinh(rho / (2.0 * c))
 
 
-class S0Result(NamedTuple):
-    value: float
-    variational: float
-    u_star: float
-
-
-class SaResult(NamedTuple):
+class VariationalResult(NamedTuple):   # S0 or Sa
     value: float
     variational: float
     u_star: float
@@ -140,7 +134,7 @@ def action_S0(profile):
     value = float(profile.d(L))
     res = minimize_1d(lambda u: float(profile.d(u) + profile.d(L + u)),
                       0.0, a, tol=TOL_S0_SA)
-    return S0Result(value, res.value, res.argmin)
+    return VariationalResult(value, res.value, res.argmin)
 
 
 def action_Sa(profile):
@@ -153,7 +147,7 @@ def action_Sa(profile):
     value = float(profile.d(L - a) + profile.d(a))
     res = minimize_1d(lambda u: float(profile.d(u) + profile.d(L - u)),
                       0.0, a, tol=TOL_S0_SA)
-    return SaResult(value, res.value, res.argmin)
+    return VariationalResult(value, res.value, res.argmin)
 
 
 def action_Shat(profile):

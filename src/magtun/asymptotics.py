@@ -16,8 +16,8 @@ with s_plus the larger root of
 The sharp action is S = -F(v0) + Psi(a, t_a); it decomposes as twice the
 magnetic Agmon distance d(a) plus an interaction term depending only on
 (a, L, depth).  The module also evaluates the four-stage reduction chain
-W1..W4 of the hopping integral and the weak-field scaling that recovers
-the non-magnetic action.
+W1..W4 of the hopping integral, on one pipeline.Case, and the weak-field
+scaling that recovers the non-magnetic action.
 """
 
 from __future__ import annotations
@@ -57,15 +57,13 @@ class PsiSurface:
 
     def __init__(self, profile):
         self.profile = profile
-        self.well = profile.well
-        self.L = profile.L
 
     def psi(self, r, t):
         r = np.asarray(r, dtype=float)
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0):
             raise ValueError("Psi requires t > 0")
-        L, depth = self.L, self.well.depth
+        L, depth = self.profile.L, self.profile.well.depth
         val = (self.profile.d(r) + (r * r + L * L) * (2.0 * t + 1.0) / 4.0
                + depth / 2.0 * np.log1p(1.0 / t)
                - L * r * np.sqrt(t * (t + 1.0)))
@@ -73,7 +71,7 @@ class PsiSurface:
 
     def psi_axis_min(self):
         """Closed-form minimum over t of Psi(0, t): s = t(t+1) = depth/L^2."""
-        L, depth = self.L, self.well.depth
+        L, depth = self.profile.L, self.profile.well.depth
         t0 = math.sqrt(0.25 + depth / L**2) - 0.5
         return float(self.psi(0.0, t0)), t0
 
@@ -108,7 +106,7 @@ N_NONMAGNETIC = 20001   # Simpson nodes of nonmagnetic_action on [0, a]
 def psi_global_min(surface):
     """Brute-force grid search over [0,a] x log-spaced t, refined by
     coordinate descent; expands the t-window if the optimum hits its edge."""
-    a = surface.well.a
+    a = surface.profile.well.a
     t_lo, t_hi = PSI_T_WINDOW
     for _ in range(6):
         rs = np.linspace(0.0, a, PSI_NODES)
@@ -233,9 +231,9 @@ class WChainResult:
                 math.exp(self.log_W4 - self.log_W3))
 
 
-def w_chain(solution, outer, amplitude, profile, eta):
-    """The truncated reduction chain W1..W4 of the hopping integral, at
-    h = solution.h for the well and L of the profile.
+def w_chain(case, eta):
+    """The truncated reduction chain W1..W4 of the hopping integral, from
+    the u_h, outer representation and WKB tables of the case.
 
     All four share the r-integral over [eta, a] and a t-integral over
     [eta, inf); they differ in which ingredients are replaced by their
@@ -244,12 +242,13 @@ def w_chain(solution, outer, amplitude, profile, eta):
     second time from (m, g0, Psi, F) as a consistency check.  Every
     t-integral is row-batched over the radial nodes (wkb.log_t_integrals).
     """
-    well, L, h = profile.well, profile.L, solution.h
+    well, L, h = case.config.well, case.config.L, case.h
     a = well.a
     if not 0.0 < eta < a:
         raise ValueError("need 0 < eta < a")
-    consts = matching_constants(amplitude, profile.d_a)
-    alpha = outer.alpha
+    outer = case.outer   # before the tables, which would add to its peak RSS
+    profile, amplitude = case.pipeline.profile, case.pipeline.amplitude
+    consts = matching_constants(case.pipeline)
     # alpha0_main / h, the leading-order exponent coefficient
     alpha_main = well.depth / (2.0 * h) - 0.5 * (amplitude.E1 - 1.0)
     log_ch_asy = c_h_asymptotic(h, consts)
@@ -258,10 +257,9 @@ def w_chain(solution, outer, amplitude, profile, eta):
     r_wts = 0.5 * (a - eta) * wts
     v0_abs = np.abs(well.v0(r_nodes))
     log_base = np.log(r_nodes * np.maximum(v0_abs, 1e-320))
-    y_lo = math.log(eta)
 
-    def t_integral(make_g):
-        return log_t_integrals(make_g, r_nodes, y_lo)
+    def t_integral(make_g):   # from t = eta
+        return log_t_integrals(make_g, r_nodes, math.log(eta))
 
     def g_asy(al):
         def make_g(r):
@@ -278,8 +276,8 @@ def w_chain(solution, outer, amplitude, profile, eta):
 
     # W1: numeric u_h and calibrated C_h, exact Bessel kernel
     lt = t_integral(
-        lambda r: log_outer_integrand(h, alpha, r * r + L * L, L * r))
-    log_u = solution.log_u(r_nodes)
+        lambda r: log_outer_integrand(h, outer.alpha, r * r + L * L, L * r))
+    log_u = case.ground.log_u(r_nodes)
     log_W1 = math.log(2.0 * math.pi) + outer.log_C_h + logsumexp(
         log_base + log_u - (r_nodes**2 + L * L) / (4.0 * h) + lt, b=r_wts)
     # W2..W4: WKB profile and C_h_asy
@@ -290,9 +288,9 @@ def w_chain(solution, outer, amplitude, profile, eta):
         return math.log(2.0 * math.pi) + log_ch_asy + logsumexp(
             log_r_wkb + log_t, b=r_wts)
 
-    log_W2 = log_w_wkb(lt)                             # exact kernel
-    log_W3 = log_w_wkb(t_integral(g_asy(alpha)))       # asymptotic kernel
-    log_W4 = log_w_wkb(t_integral(g_asy(alpha_main)))  # leading-order alpha
+    log_W2 = log_w_wkb(lt)                              # exact kernel
+    log_W3 = log_w_wkb(t_integral(g_asy(outer.alpha)))  # asymptotic kernel
+    log_W4 = log_w_wkb(t_integral(g_asy(alpha_main)))   # leading-order alpha
     # W4 rebuilt from (m, g0, Psi, F)
     surface = PsiSurface(profile)
 

@@ -48,13 +48,9 @@ def _emit(rows, header, fmt, output, comments=()):
 def _load_config(args):
     if args.config:
         with open(args.config) as fh:
-            data = json.load(fh)
-        well = RadialWell.from_dict(data["well"])
-        L = float(data.get("L", 4.0))
-    else:
-        well = RadialWell.bump(depth=args.depth, a=args.a)
-        L = args.L
-    return DoubleWellConfig(well, L)
+            return DoubleWellConfig.from_json(fh.read())
+    return DoubleWellConfig(RadialWell.bump(depth=args.depth, a=args.a),
+                            args.L)
 
 
 def _h_range(spec):
@@ -182,9 +178,7 @@ def cmd_asymptotics(args):
     if args.wchain:
         rows = []
         for h in _h_range(args.h_range):
-            case = Case(pipe, h)
-            res = w_chain(case.ground, case.outer, pipe.amplitude,
-                          pipe.profile, args.eta)
+            res = w_chain(Case(pipe, h), args.eta)
             rows.append((h, res.log_W1, res.log_W2, res.log_W3, res.log_W4))
         _emit(rows, ("h", "log_W1", "log_W2", "log_W3", "log_W4"),
               args.format, args.output)

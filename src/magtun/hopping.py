@@ -19,9 +19,9 @@ e^{c/h}; it returns only while its rounding bound kappa eps stays within
 DIRECT_RTOL, and raises AccuracyError below that h.  The third route
 replaces u_h by its WKB profile, giving the explicit envelopes w^{0,+/-}
 and the remainders M_h^+/-.
-All exponential quantities are assembled in log space.  The first two
-routes, and the eps bound, read h from the solution that carries u_h;
-pipeline.Case builds it and the outer representation once per h.
+All exponential quantities are assembled in log space.  Every route
+reads h, the well, L, u_h, the outer representation and the WKB tables
+from one pipeline.Case, which builds each of them once.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .numerics import AccuracyError, gauss_legendre
-from .wkb import T_BLOCK, log_outer_integrand, log_t_integrals
+from .wkb import T_BLOCK
 
 __all__ = [
     "hopping_direct",
@@ -85,7 +85,7 @@ def _circle_sums(solution, L, h, r_nodes, n):
     return total, mag
 
 
-def hopping_direct(config, solution):
+def hopping_direct(case):
     """Quadrature of the oscillatory form; returns the complex value.
 
     The angular integral is one trapezoid rule on n equispaced nodes, n
@@ -97,13 +97,13 @@ def hopping_direct(config, solution):
     DIRECT_RTOL an AccuracyError names kappa and carries the value and the
     bound kappa eps |w|.
     """
-    well, L, h = config.well, config.L, solution.h
+    well, L, h = case.config.well, case.config.L, case.h
     a = well.a
     r_nodes, r_weights = _gauss_nodes(a, N_ROUTE)
     radial = r_weights * r_nodes * well.v0(r_nodes) \
-        * np.exp(solution.log_u(r_nodes))
+        * np.exp(case.ground.log_u(r_nodes))
     n = 4 * max(256, 40 * math.ceil(L * a / (4.0 * math.pi * h)))
-    total, mag = _circle_sums(solution, L, h, r_nodes, n)
+    total, mag = _circle_sums(case.ground, L, h, r_nodes, n)
     w = radial @ total * (2.0 * np.pi / n)
     kappa = np.abs(radial) @ mag * (2.0 * np.pi / n) / abs(w)
     rounding = kappa * np.finfo(float).eps
@@ -114,18 +114,14 @@ def hopping_direct(config, solution):
     return w
 
 
-def hopping_bessel(config, outer, solution):
+def hopping_bessel(case):
     """Oscillation-free route through the Bessel kernel; real by construction."""
-    well, L, h = config.well, config.L, solution.h
-    a = well.a
-    alpha = outer.alpha
-    r_nodes, r_weights = _gauss_nodes(a, N_ROUTE)
+    well, L, h, outer = case.config.well, case.config.L, case.h, case.outer
+    r_nodes, r_weights = _gauss_nodes(well.a, N_ROUTE)
     rho2 = r_nodes * r_nodes + L * L
-    log_t_int = log_t_integrals(
-        lambda r: log_outer_integrand(h, alpha, r * r + L * L, L * r),
-        r_nodes, outer.y_lo)
-    log_mag = (outer.log_C_h - rho2 / (4.0 * h) + log_t_int
-               + solution.log_u(r_nodes))
+    log_mag = (outer.log_C_h - rho2 / (4.0 * h)
+               + outer.log_t_integral(rho2, L * r_nodes)
+               + case.ground.log_u(r_nodes))
     total = np.sum(r_weights * r_nodes * well.v0(r_nodes) * np.exp(log_mag))
     return 2.0 * np.pi * float(total)
 
@@ -138,38 +134,37 @@ class EnvelopeResult:
     log_Mh_minus: float
 
 
-def hopping_wkb_envelope(profile, amplitude, h):
-    """WKB envelopes w^{0,+/-} and remainders M_h^{+/-}, in log scale, for
-    the well and L of the profile.
+def hopping_wkb_envelope(case):
+    """WKB envelopes w^{0,+/-} and remainders M_h^{+/-}, in log scale, at
+    case.h from the pipeline's Agmon profile and amplitude.
 
     w^{0,+-} = h^-1 int_0^a |v0| a0(L -+ r) a0(r) e^{-(d(r)+d(L -+ r))/h} r dr
     M_h^{+-} =      int_0^a |v0|              e^{-(d(r)+d(L -+ r))/h} r dr
     """
-    well, L = profile.well, profile.L
-    a = well.a
-    r_nodes, r_weights = _gauss_nodes(a, N_ENVELOPE)
+    well, L, h = case.config.well, case.config.L, case.h
+    profile, amplitude = case.pipeline.profile, case.pipeline.amplitude
+    r_nodes, r_weights = _gauss_nodes(well.a, N_ENVELOPE)
     rw = r_nodes * r_weights * np.abs(well.v0(r_nodes))
-    out = {}
-    for sign, tag in ((-1.0, "plus"), (+1.0, "minus")):
-        far = L + sign * r_nodes
+    w0, Mh = [], []
+    for far in (L - r_nodes, L + r_nodes):   # the plus, then the minus term
         log_exp = -(profile.d(r_nodes) + profile.d(far)) / h
-        out["w0_" + tag] = -math.log(h) + float(logsumexp(
+        w0.append(-math.log(h) + float(logsumexp(
             log_exp + amplitude.log_a0(far) + amplitude.log_a0(r_nodes),
-            b=rw))
-        out["Mh_" + tag] = float(logsumexp(log_exp, b=rw))
-    return EnvelopeResult(out["w0_plus"], out["w0_minus"],
-                          out["Mh_plus"], out["Mh_minus"])
+            b=rw)))
+        Mh.append(float(logsumexp(log_exp, b=rw)))
+    return EnvelopeResult(*w0, *Mh)
 
 
-def epsilon_lower_bound(config, eps, solution):
-    """RHS of the eps-family lower bound:
+def epsilon_lower_bound(case, eps):
+    """RHS of the eps-family lower bound at case.h:
     int_0^a e^{-(1-eps) L r / 2h} |v0| u_h(sqrt((L-r)^2+2 eps L r)) u_h(r) r dr.
     """
-    well, L, h = config.well, config.L, solution.h
+    well, L, h, log_u = case.config.well, case.config.L, case.h, \
+        case.ground.log_u
     r_nodes, r_weights = _gauss_nodes(well.a, N_ENVELOPE)
     shifted = np.sqrt((L - r_nodes) ** 2 + 2.0 * eps * L * r_nodes)
     log_terms = (-(1.0 - eps) * L * r_nodes / (2.0 * h)
-                 + solution.log_u(shifted) + solution.log_u(r_nodes))
+                 + log_u(shifted) + log_u(r_nodes))
     vals = r_weights * r_nodes * np.abs(well.v0(r_nodes)) * np.exp(log_terms)
     return float(np.sum(vals))
 

@@ -6,6 +6,10 @@ holds the stages of a configuration and `Case(pipeline, h)` those of one h;
 each is computed on first access and kept by its object.  Nothing else is
 cached: a Case lives only as long as its holder keeps it, so a loop over h
 drops each ground state (about 20 MB with its spline) before the next.
+
+Every stage after the ground state reads h, the config, u_h, the outer
+representation and the tables from its case.  To run one on an input from
+elsewhere, assign it on a fresh case first: `case.ground = solution`.
 """
 
 from __future__ import annotations
@@ -59,19 +63,17 @@ class Case:
     @cached_property
     def outer(self):
         """Outer representation, checked against u_h on [a, L + 1]."""
-        return calibrate_outer(self.config.well, self.ground,
-                               check_upto=self.config.L + 1.0)
+        return calibrate_outer(self)
 
     @cached_property
     def w_direct(self):
         """Complex w from the oscillatory quadrature."""
-        return hopping_direct(self.config, self.ground)
+        return hopping_direct(self)
 
     @cached_property
     def w_bessel(self):
-        return hopping_bessel(self.config, self.outer, self.ground)
+        return hopping_bessel(self)
 
     @cached_property
     def envelope(self):
-        p = self.pipeline
-        return hopping_wkb_envelope(p.profile, p.amplitude, self.h)
+        return hopping_wkb_envelope(self)

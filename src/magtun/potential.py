@@ -33,6 +33,15 @@ class WellValidationError(ValueError):
     """A proposed radial profile violates the structural hypotheses."""
 
 
+def _entry(d, key, what):
+    """d[key] of the parsed JSON object d, or a ValueError naming key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} is not a JSON object: {d!r}")
+    if key not in d:
+        raise ValueError(f"{what} has no key {key!r}")
+    return d[key]
+
+
 def _bump_v0(r, depth, a):
     r = np.asarray(r, dtype=float)
     s = np.square(r / a)
@@ -180,9 +189,10 @@ class RadialWell:
 
     @classmethod
     def from_dict(cls, d):
+        depth, a = _entry(d, "depth", "well"), _entry(d, "a", "well")
         if d.get("profile", "bump") != "bump":
             raise ValueError("only the bump family can be parsed")
-        return cls.bump(depth=float(d["depth"]), a=float(d["a"]))
+        return cls.bump(depth=float(depth), a=float(a))
 
     def __repr__(self):
         return f"RadialWell({self.profile}, depth={self.depth}, a={self.a})"
@@ -215,7 +225,9 @@ class DoubleWellConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(RadialWell.from_dict(d["well"]), float(d["L"]))
+        """From {"well": {...}, "L": ...}; L defaults to 4.0."""
+        well = RadialWell.from_dict(_entry(d, "well", "config"))
+        return cls(well, float(d.get("L", 4.0)))
 
     @classmethod
     def from_json(cls, text):

@@ -93,9 +93,9 @@ def run_battery(config, quick=False, landau_delta=None):
         return worst <= 1e-6, f"max deviation {worst:.2e}"
 
     def sweep_point(h):
-        g = (cases[h] if h in cases else Case(pipe, h)).ground
-        return h, g.e_sw, g.energy_error, wkb_profile_error(
-            g, pipe.amplitude, pipe.profile)
+        case = cases[h] if h in cases else Case(pipe, h)
+        g = case.ground
+        return h, g.e_sw, g.energy_error, wkb_profile_error(case)
 
     @functools.cache
     def sweep_columns():

@@ -23,7 +23,8 @@ point of the outer region is then an independent test.
 The t-integrals of this representation, and the Bessel-kernel t-integrals
 of the hopping coefficient and the W chain built on it, go through one
 row-batched evaluator: log_t_integrals integrates a block of radial nodes
-per call of numerics.log_integral_exp.
+per call of numerics.log_integral_exp.  calibrate_outer and
+wkb_profile_error read every input from one pipeline.Case.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def log_t_integrals(make_g, rows, lo):
     Rows go T_BLOCK at a time, so log_integral_exp's work arrays stay at
     most (T_BLOCK, N_SCAN) whatever the number of rows.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = np.asarray(rows)
     out = np.empty(len(rows))
     for s in range(0, len(rows), T_BLOCK):
         col = rows[s:s + T_BLOCK, None]
@@ -136,14 +137,14 @@ class WkbAmplitude:
         return np.exp(self.log_a0(r))
 
 
-def wkb_profile_error(solution, amplitude, profile):
-    """max over the profile's support [0, a] of |e^{d/h} u_h - h^{-1/2} a0|."""
-    h = solution.h
-    mask = solution.grid <= profile.well.a
+def wkb_profile_error(case):
+    """max over the support [0, a] of |e^{d/h} u_h - h^{-1/2} a0| at case.h."""
+    h, solution = case.h, case.ground
+    mask = solution.grid <= case.config.well.a
     r = solution.grid[mask]
-    scaled = np.exp(profile.d(r) / h + np.log(np.maximum(solution.u[mask],
-                                                         1e-320)))
-    target = np.exp(amplitude.log_a0(r)) / math.sqrt(h)
+    scaled = np.exp(case.pipeline.profile.d(r) / h
+                    + np.log(np.maximum(solution.u[mask], 1e-320)))
+    target = np.exp(case.pipeline.amplitude.log_a0(r)) / math.sqrt(h)
     return float(np.max(np.abs(scaled - target)))
 
 
@@ -162,37 +163,40 @@ class OuterRepresentation:
 
     @property
     def y_lo(self):
-        """Lower limit in y = log t of every t-integral on this
-        representation: t^alpha underflows below it."""
+        """log_t_integral's quadrature starts here; t = e^y underflows below."""
         return -700.0 / max(self.alpha, 0.25)
 
-    def log_kernel(self, rho):
-        """log of the representation integral (without C_h); rho may be an
-        array."""
-        h, alpha = self.h, self.alpha
-        rho = np.asarray(rho, dtype=float)
-        lv = log_t_integrals(lambda r: log_outer_integrand(h, alpha, r * r),
-                             rho.ravel(), self.y_lo)
-        out = -rho * rho / (4.0 * h) + lv.reshape(rho.shape)
-        return float(out) if out.ndim == 0 else out
+    def log_t_integral(self, rho2, c=None):
+        """log int_{-inf}^{Y_HI} e^g dy, g = log_outer_integrand(h, alpha,
+        rho2[i], c[i]), for each i.  Below y_lo, g = alpha y exactly in
+        floating point: that tail, e^{alpha y_lo} / alpha, is added in
+        closed form (1.7e-6 of the integral at alpha 0.0047)."""
+        h, alpha, lo = self.h, self.alpha, self.y_lo
+        lv = log_t_integrals(lambda i: log_outer_integrand(
+            h, alpha, rho2[i], None if c is None else c[i]),
+            np.arange(len(rho2)), lo)
+        return np.logaddexp(lv, alpha * lo - math.log(alpha))
 
     def log_u(self, rho):
-        return self.log_C_h + self.log_kernel(rho)
+        rho = np.asarray(rho, dtype=float)
+        lv = self.log_t_integral(np.ravel(rho * rho)).reshape(rho.shape)
+        out = self.log_C_h + (-rho * rho / (4.0 * self.h) + lv)
+        return float(out) if out.ndim == 0 else out
 
 
-def calibrate_outer(well, solution, check_upto):
-    """Fit C_h at rho = a, then verify the representation on [a, check_upto].
+def calibrate_outer(case):
+    """Fit C_h at rho = a, then verify the representation on [a, L + 1].
 
-    h is that of the solution.  The single-point fit mirrors the matching
-    argument; the remaining points are genuine tests.  Mismatch beyond
-    OUTER_RTOL anywhere raises, since the representation is exact in the
-    free region and failure indicates an eigensolver or quadrature fault.
+    The single-point fit mirrors the matching argument; the remaining
+    points are genuine tests.  Mismatch beyond OUTER_RTOL anywhere raises,
+    since the representation is exact in the free region and failure
+    indicates an eigensolver or quadrature fault.
     """
-    a, h = well.a, solution.h
+    a, h, solution = case.config.well.a, case.h, case.ground
     alpha = 0.5 - solution.e_sw / (2.0 * h)
     rep = OuterRepresentation(h=h, alpha=alpha, log_C_h=0.0)
-    rep.log_C_h = float(solution.log_u(a)) - rep.log_kernel(a)
-    rhos = np.linspace(a, check_upto, 9)
+    rep.log_C_h = float(solution.log_u(a)) - rep.log_u(a)
+    rhos = np.linspace(a, case.config.L + 1.0, 9)
     rels = np.abs(np.exp(rep.log_u(rhos) - solution.log_u(rhos)) - 1.0)
     for rho, rel in zip(rhos, rels):
         if rel > OUTER_RTOL:
@@ -203,8 +207,8 @@ def calibrate_outer(well, solution, check_upto):
     return rep
 
 
-def matching_constants(amplitude, d_a):
-    """Constants of the outer matching, for the well of the amplitude.
+def matching_constants(pipeline):
+    """Constants of the outer matching, from the pipeline's tables.
 
     t_star, eta, F are the saddle data of the Laplace evaluation of the
     representation integral at rho = a; F = eta - d(a) is the exponent of
@@ -220,7 +224,8 @@ def matching_constants(amplitude, d_a):
     (1+1/t*)^{(E1-1)/2}, and a0(a) vs a0(0)); measured h ln(C_h/C_h_asy)
     trends confirm m_matched.
     """
-    a, depth = amplitude.well.a, amplitude.well.depth
+    amplitude, d_a = pipeline.amplitude, pipeline.profile.d_a
+    a, depth = pipeline.well.a, pipeline.well.depth
     E1 = amplitude.E1
     t_star = 0.5 * (math.sqrt(1.0 + 4.0 * depth / a**2) - 1.0)
     eta = (1.0 + 2.0 * t_star) * a**2 / 4.0 + \

@@ -2,8 +2,7 @@
 
 import pytest
 
-from magtun import (AgmonProfile, Case, DoubleWellConfig, Pipeline,
-                    RadialWell, WkbAmplitude, gap_vs_hopping)
+from magtun import Case, DoubleWellConfig, Pipeline, RadialWell, gap_vs_hopping
 
 
 @pytest.fixture(scope="session")
@@ -25,13 +24,26 @@ def battery(config4):
 
 
 @pytest.fixture(scope="session")
-def profile4(well):
-    return AgmonProfile(well, 4.0)
+def pipe():
+    """pipe(well, L=4.0) -> the session's one Pipeline for (well, L)."""
+    pipes = {}
+
+    def get(well, L=4.0):
+        return pipes.setdefault((id(well), L),
+                                Pipeline(DoubleWellConfig(well, L)))
+
+    return get
 
 
 @pytest.fixture(scope="session")
-def amp6(well):
-    return WkbAmplitude(well, 6.0)
+def profile4(well, pipe):
+    return pipe(well).profile
+
+
+@pytest.fixture(scope="session")
+def amp6(well, pipe):
+    """The amplitude on [0, L + a + 1] = [0, 6]."""
+    return pipe(well).amplitude
 
 
 @pytest.fixture(scope="session")
@@ -40,23 +52,13 @@ def well_deep():
 
 
 @pytest.fixture(scope="session")
-def profile_deep(well_deep):
-    return AgmonProfile(well_deep, 4.0)
-
-
-@pytest.fixture(scope="session")
-def amp_deep(well_deep):
-    return WkbAmplitude(well_deep, 6.0)
-
-
-@pytest.fixture(scope="session")
 def config85(well):
     return DoubleWellConfig(well, 8.5)
 
 
 @pytest.fixture(scope="session")
-def pipeline85(config85):
-    return Pipeline(config85)
+def pipeline85(well, pipe):
+    return pipe(well, 8.5)
 
 
 @pytest.fixture(scope="session")
@@ -66,33 +68,27 @@ def gap_report(pipeline85):
 
 
 @pytest.fixture(scope="session")
-def case():
+def case(pipe):
     """case(well, h, L=4.0) -> the session's one pipeline.Case for that
     (well, L, h): each of its stages is solved once across modules."""
-    pipes, cases = {}, {}
+    cases = {}
 
     def get(well, h, L=4.0):
-        pipe = pipes.setdefault((id(well), L),
-                                Pipeline(DoubleWellConfig(well, L)))
-        return cases.setdefault((id(well), L, round(h, 6)), Case(pipe, h))
+        return cases.setdefault((id(well), L, round(h, 6)),
+                                Case(pipe(well, L), h))
 
     return get
 
 
 @pytest.fixture(scope="session")
-def deep_chain(well_deep, profile_deep, amp_deep, case):
+def deep_chain(well_deep, case):
     """W-chain sweep on the deep well (t_a = 0.392 keeps the eta-policy
     window inside the truncation-error regime)."""
     from magtun import w_chain
 
-    out = {}
-    for h in (0.3, 0.2, 0.14, 0.1, 0.07, 0.05):
-        c = case(well_deep, h)
-        out[h] = {
-            eta: w_chain(c.ground, c.outer, amp_deep, profile_deep, eta)
-            for eta in ((0.05, 0.1, 0.2) if h == 0.05 else (0.05,))
-        }
-    return out
+    return {h: {eta: w_chain(case(well_deep, h), eta)
+                for eta in ((0.05, 0.1, 0.2) if h == 0.05 else (0.05,))}
+            for h in (0.3, 0.2, 0.14, 0.1, 0.07, 0.05)}
 
 
 def acceptance_line(num, ok, detail):

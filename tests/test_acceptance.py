@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from magtun import (FiberProblem, action_S0, action_Sa, calibrate_outer,
+from magtun import (FiberProblem, action_S0, action_Sa,
                     c_h_asymptotic, matching_constants, gap_vs_hopping,
                     hopping_slope_check, nonmagnetic_action, sharp_action,
                     solve_fiber, beta_scaling)
@@ -65,19 +65,17 @@ def test_criterion_04_wkb_order(battery, well, case, profile4, amp6):
                  detail=f"scaled profiles positive: {positive}")
 
 
-def test_criterion_05_outer_representation(battery, well, case, profile4,
-                                           amp6):
+def test_criterion_05_outer_representation(battery, well, pipe, case):
     worst = 0.0
     for h in (0.1, 0.05):
         sol, outer = case(well, h).ground, case(well, h).outer
         for rho in np.linspace(1.0, 5.0, 17):
             worst = max(worst, abs(math.exp(
                 outer.log_u(rho) - float(sol.log_u(rho))) - 1.0))
-    consts = matching_constants(amplitude=amp6, d_a=profile4.d_a)
+    consts = matching_constants(pipe(well))
     mags = []
     for h in (0.2, 0.1, 0.05, 0.035):
-        sol = case(well, h).ground
-        outer = calibrate_outer(well, sol, check_upto=4.0)
+        outer = case(well, h).outer
         mags.append(abs(h * (outer.log_C_h - c_h_asymptotic(h, consts))))
     trend = all(a > b for a, b in zip(mags, mags[1:]))
     ok = worst <= 1e-3 and trend and mags[-1] <= 0.05

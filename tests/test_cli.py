@@ -43,10 +43,21 @@ def test_constants_json_matches_csv(tmp_path):
 
 
 SPLIT = ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1"]
+# --config file bodies, by the placeholder that names them in argv
+CONFIGS = {
+    "CFG": {"well": {"profile": "bump", "depth": 1.0, "a": 1.0}, "L": 1.5},
+    "CFG-NO-WELL": {"L": 4.0},
+    "CFG-NO-DEPTH": {"well": {"profile": "bump", "a": 1.0}, "L": 4.0},
+    "CFG-LIST": [1, 2],
+}
 
 
 @pytest.mark.parametrize("argv, names", [
     (["constants", "--config", "CFG"], "L > 2a (got L=1.5"),
+    (["constants", "--config", "CFG-NO-WELL"], "config has no key 'well'"),
+    (["constants", "--config", "CFG-NO-DEPTH"], "well has no key 'depth'"),
+    (["constants", "--config", "CFG-LIST"],
+     "config is not a JSON object: [1, 2]"),
     (["constants", "--L", "nan"], "L > 2a (got L=nan"),
     (["constants", "--L", "inf"], "L > 2a (got L=inf"),
     (["constants", "--depth", "inf"], "depth > 0 (got inf)"),
@@ -66,7 +77,8 @@ SPLIT = ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1"]
     (["verify", "--quick", "--grid", "-0.1"], "delta > 0 (got -0.1)"),
     (["sweep", "--h-range", "0.3:inf:2"], "bad h-range 0.3:inf:2"),
     (["hopping", "--h-range", "0.3:inf:2"], "bad h-range 0.3:inf:2")],
-    ids=["config-file", "L-nan", "L-inf", "depth-inf", "depth-nan", "a-nan",
+    ids=["config-file", "config-no-well", "config-no-depth", "config-list",
+         "L-nan", "L-inf", "depth-inf", "depth-nan", "a-nan",
          "spectrum-h-inf", "spectrum-h-nan", "spectrum-h-nan-radius",
          "spectrum-grid-0", "spectrum-radius-0", "splitting-grid-0",
          "splitting-grid-negative", "splitting-grid-nan", "verify-grid-0",
@@ -75,9 +87,9 @@ def test_invalid_config_exit_2(tmp_path, capsys, argv, names):
     from magtun import cli
 
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"well": {"profile": "bump", "depth": 1.0,
-                                        "a": 1.0}, "L": 1.5}))
-    assert cli.main([str(cfg) if a == "CFG" else a for a in argv]) == 2
+    for a in set(argv) & set(CONFIGS):
+        cfg.write_text(json.dumps(CONFIGS[a]))
+    assert cli.main([str(cfg) if a in CONFIGS else a for a in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert err[0].startswith("config error: ") and names in err[0], err

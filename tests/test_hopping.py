@@ -5,7 +5,7 @@ import pytest
 
 from magtun import (AccuracyError, Case, DoubleWellConfig, Pipeline,
                     RadialWell, epsilon_lower_bound, hopping_direct,
-                    hopping_slope_check, hopping_wkb_envelope)
+                    hopping_slope_check)
 from magtun import hopping
 
 # frozen cross-route value at h = 0.5 (both routes agreed to 4e-8 when frozen)
@@ -84,14 +84,14 @@ def test_bessel_envelope_bound(well, case):
     assert wd <= bound
 
 
-def test_envelope_powers(config4, profile4, amp6):
+def test_envelope_powers(config4, well, profile4, case):
     # w0_minus ~ h^2 e^{-S0/h}, w0_plus <= C h^{-1} e^{-Sa/h}
     S0 = float(profile4.d(4.0))
     Sa = float(profile4.d(3.0) + profile4.d(1.0))
     hs = np.array([0.4, 0.3, 0.2, 0.15, 0.1])
     lead_minus, bound_plus = [], []
     for h in hs:
-        env = hopping_wkb_envelope(profile4, amp6, h)
+        env = case(well, h).envelope
         lead_minus.append(env.log_w0_minus + S0 / h)
         bound_plus.append(env.log_w0_plus + Sa / h + math.log(h))
         # M_h^+ <= e^{-Sa/h} int |v0| r dr
@@ -109,11 +109,11 @@ def test_envelope_powers(config4, profile4, amp6):
     assert all(x > y for x, y in zip(bound_plus, bound_plus[1:]))
 
 
-def test_envelope_sandwich(profile4, amp6, sweep):
+def test_envelope_sandwich(sweep):
     # ln w0_minus - C <= ln|w| <= ln w0_plus + C with one h-independent C
     rows = []
     for c in sweep:
-        env = hopping_wkb_envelope(profile4, amp6, c.h)
+        env = c.envelope
         lw = math.log(abs(c.w_bessel))
         rows.append((env.log_w0_minus - lw, lw - env.log_w0_plus))
     C = max(max(lo, hi, 0.0) for lo, hi in rows[:1]) + 0.1
@@ -131,13 +131,13 @@ def test_slope_check_requires_points(well, case):
         hopping_slope_check([case(well, 0.5)])
 
 
-def test_epsilon_family_lower_bound(config4, well, case):
+def test_epsilon_family_lower_bound(well, case):
     # fit c_eps at the largest h; the ratio may drift but never by 10x
     for eps in (0.25, 0.5, 1.0):
         ratios = []
         for h in (0.5, 0.35, 0.25):
             c = case(well, h)
-            rhs = epsilon_lower_bound(config4, eps, c.ground)
+            rhs = epsilon_lower_bound(c, eps)
             w = abs(c.w_direct)
             ratios.append(w / rhs)
         c_eps = ratios[0]
@@ -191,7 +191,7 @@ def test_direct_one_rule_matches_full_grid(config4, well, case, monkeypatch):
     sol, wd = case(well, h).ground, case(well, h).w_direct
     monkeypatch.setattr(hopping, "DIRECT_RTOL", -1.0)
     with pytest.raises(AccuracyError, match="kappa") as info:
-        hopping_direct(config4, sol)
+        hopping_direct(case(well, h))
     w, kappa = _brute_force_direct(config4, h, sol, _angular_nodes(config4, h))
     assert abs(info.value.estimate - w) <= 1e-12 * abs(w)
     assert abs(info.value.estimate - wd) <= 1e-12 * abs(w)
@@ -222,6 +222,6 @@ def test_direct_spline_points(config4, well, case, monkeypatch):
     log_u = sol.log_u
     monkeypatch.setattr(sol, "log_u",
                         lambda rho: points.append(np.size(rho)) or log_u(rho))
-    assert hopping_direct(config4, sol) == wd
+    assert hopping_direct(case(well, h)) == wd
     n = _angular_nodes(config4, h)
     assert sum(points) <= hopping.N_ROUTE * (n // 2 + 2)

@@ -301,10 +301,12 @@ KERNEL_CASES = [
 ]
 
 
-def _mp_log_t_integral(h, alpha, rho2, c, lo):
+def _mp_log_t_integral(h, alpha, rho2, c, lo, from_t0=False):
     """mpmath oracle for log int_lo^Y_HI exp(g) of log_outer_integrand,
     on the range where g >= gmax - 90 (the rest is below e^-90 of it),
-    split towards the peak found by a dense float scan."""
+    split towards the peak found by a dense float scan; with from_t0, the
+    integral from y = -inf (t = 0), whose part below that range mpmath
+    takes on its own."""
     ys = np.linspace(lo, Y_HI, 100001)
     gs = log_outer_integrand(h, alpha, rho2, c)(ys)
     k = int(np.argmax(gs))
@@ -323,8 +325,10 @@ def _mp_log_t_integral(h, alpha, rho2, c, lo):
                     0, c * mpmath.sqrt(t * (t + 1)) / h))
             return mpmath.exp(val - gs[k])
 
-        return float(gs[k] + mpmath.log(
-            mpmath.quad(f, pts, method="gauss-legendre")))
+        total = mpmath.quad(f, pts, method="gauss-legendre")
+        if from_t0:
+            total += mpmath.quad(f, [-mpmath.inf, pts[0]])
+        return float(gs[k] + mpmath.log(total))
 
 
 @pytest.mark.parametrize("depth,L,h,alpha", KERNEL_CASES)
@@ -345,11 +349,29 @@ def test_log_integral_exp_matches_mpmath(depth, L, h, alpha):
     assert np.max(np.abs(got - want)) <= bound
 
 
+@pytest.mark.parametrize("depth,L,h,alpha", KERNEL_CASES + [
+    (0.1, 3.0, 2.0, 0.002377235549065826)])
+def test_outer_t_integral_matches_mpmath_from_t0(depth, L, h, alpha):
+    # OuterRepresentation.log_t_integral integrates from t = 0: at small
+    # alpha the part below y_lo is a share e^{alpha y_lo} of the integral
+    # (1.3e-3 at alpha 0.0024), which quadrature from y_lo alone misses
+    outer = OuterRepresentation(h=h, alpha=alpha, log_C_h=0.0)
+    bound = 1e-12 if alpha >= 0.05 else 1e-10
+    rho = np.array([1.0, L + 1.0])
+    r = np.array([0.05, 1.0])
+    got = np.concatenate([outer.log_t_integral(rho * rho),
+                          outer.log_t_integral(r * r + L * L, L * r)])
+    want = [_mp_log_t_integral(h, alpha, x * x, None, outer.y_lo, True)
+            for x in rho] + \
+        [_mp_log_t_integral(h, alpha, x * x + L * L, L * x, outer.y_lo, True)
+         for x in r]
+    assert np.max(np.abs(got - want)) <= bound
+
+
 @pytest.mark.parametrize("h", [0.3, 0.5])
-def test_t_kernel_frozen_values(config4, well, profile4, amp6, case, h):
-    sol, outer = case(well, h).ground, case(well, h).outer
-    wb = hopping_bessel(config4, outer, sol)
+def test_t_kernel_frozen_values(well, case, h):
+    wb = hopping_bessel(case(well, h))
     assert wb == pytest.approx(FROZEN_W_BESSEL[h], rel=1e-10, abs=0)
-    res = w_chain(sol, outer, amp6, profile4, 0.05)
+    res = w_chain(case(well, h), 0.05)
     got = (res.log_W1, res.log_W2, res.log_W3, res.log_W4, res.log_W4_alt)
     assert got == pytest.approx(FROZEN_W_CHAIN[h], rel=1e-10)

@@ -1,12 +1,11 @@
-import copy
 import math
 
 import numpy as np
 import pytest
 
-from magtun import (OuterRepresentationError, WkbAmplitude, c_h_asymptotic,
-                    calibrate_outer, matching_constants, wkb_error_exponent,
-                    wkb_profile_error)
+from magtun import (Case, OuterRepresentationError, WkbAmplitude,
+                    c_h_asymptotic, calibrate_outer, matching_constants,
+                    wkb_error_exponent, wkb_profile_error)
 
 SQRT5 = math.sqrt(5.0)
 # normalized-Gaussian-limit amplitude constant (1+2 v0''(0))^{1/4}/sqrt(2 pi)
@@ -58,10 +57,9 @@ def test_a0_positive_on_range(well):
     assert np.all(amp.a0(r) > 0.0)
 
 
-def test_wkb_error_exponent(well, case, profile4, amp6):
+def test_wkb_error_exponent(well, case):
     hs = [0.2, 0.14, 0.1, 0.07, 0.05]
-    errors = [wkb_profile_error(case(well, h).ground, amp6, profile4)
-              for h in hs]
+    errors = [wkb_profile_error(case(well, h)) for h in hs]
     q = wkb_error_exponent(hs, errors)
     assert 0.4 <= q <= 1.1
     assert np.all(np.isfinite(errors))
@@ -70,7 +68,7 @@ def test_wkb_error_exponent(well, case, profile4, amp6):
 
 def test_profile_error_finite_and_sign(well, case, profile4, amp6):
     sol = case(well, 0.1).ground
-    err = wkb_profile_error(sol, amp6, profile4)
+    err = wkb_profile_error(case(well, 0.1))
     assert np.isfinite(err)
     mask = sol.grid <= 1.0
     scaled = np.exp(profile4.d(sol.grid[mask]) / 0.1) * sol.u[mask]
@@ -96,10 +94,10 @@ def test_outer_self_consistency(well, case):
 
 def test_outer_violation_detected(well, case):
     # a ground state of another h is a faulty eigensolution for this one
-    faulty = copy.copy(case(well, 0.05).ground)
-    faulty.h = 0.1
+    faulty = Case(case(well, 0.1).pipeline, 0.1)
+    faulty.ground = case(well, 0.05).ground
     with pytest.raises(OuterRepresentationError):
-        calibrate_outer(well, faulty, check_upto=5.0)
+        calibrate_outer(faulty)
 
 
 def test_alpha_correction_term(well, case):
@@ -114,8 +112,8 @@ def test_alpha_correction_term(well, case):
     assert slopes[1] == pytest.approx(target, rel=0.2)
 
 
-def test_matching_constants(well, profile4, amp6):
-    consts = matching_constants(amplitude=amp6, d_a=profile4.d_a)
+def test_matching_constants(well, pipe, profile4):
+    consts = matching_constants(pipe(well))
     assert consts["t_star"] == pytest.approx((SQRT5 - 1) / 2, rel=1e-14)
     # F from the explicit closed form, checked against eta - d(a)
     F_explicit = 0.25 * SQRT5 + 0.5 * math.log((SQRT5 + 1) ** 2 / 4.0) \
@@ -126,28 +124,25 @@ def test_matching_constants(well, profile4, amp6):
     assert consts["m_matched"] > 0
 
 
-def test_c_h_trend(well, case, profile4, amp6):
+def test_c_h_trend(well, pipe, case):
     # |h ln(C_h/C_h_asy)| decreasing along the sweep; final below 0.05
-    consts = matching_constants(amplitude=amp6, d_a=profile4.d_a)
+    consts = matching_constants(pipe(well))
     gaps = []
     for h in (0.2, 0.1, 0.05, 0.035):
-        sol = case(well, h).ground
-        outer = calibrate_outer(well, sol, check_upto=4.0)
+        outer = case(well, h).outer
         gaps.append(h * (outer.log_C_h - c_h_asymptotic(h, consts)))
     mags = [abs(g) for g in gaps]
     assert all(a > b for a, b in zip(mags, mags[1:]))
     assert mags[-1] <= 0.05
 
 
-def test_display_constant_offset_is_h_independent(well, case, profile4,
-                                                  amp6):
+def test_display_constant_offset_is_h_independent(well, pipe, case):
     # with the compact display prefactor the log-ratio approaches a nonzero
     # constant (~ -1.02): record that it stabilizes rather than asserting 0
-    consts = matching_constants(amplitude=amp6, d_a=profile4.d_a)
+    consts = matching_constants(pipe(well))
     ratios = []
     for h in (0.1, 0.05):
-        sol = case(well, h).ground
-        outer = calibrate_outer(well, sol, check_upto=4.0)
+        outer = case(well, h).outer
         ratios.append(outer.log_C_h - c_h_asymptotic(h, consts)
                       - math.log(consts["m_display"] / consts["m_matched"]))
     assert ratios[0] == pytest.approx(ratios[1], abs=0.06)
