@@ -28,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .agmon import AgmonProfile, action_S0, action_Sa, action_Shat
-from .numerics import NumericalError, gauss_legendre, minimize_1d
-from .wkb import (c_h_asymptotic, log_outer_integrand, log_t_integrals,
-                  matching_constants)
+from .agmon import (AgmonProfile, action_S0, action_Sa, action_Shat,
+                    free_action_primitive)
+from .numerics import (NumericalError, gauss_legendre, log_integral_exp,
+                       minimize_1d)
+from .wkb import Y_HI, c_h_asymptotic, log_outer_integrand, matching_constants
 
 __all__ = [
     "PsiSurface",
@@ -165,12 +166,6 @@ def _f_term(a, L, depth, t_a):
             - L * a * math.sqrt(t_a * (t_a + 1.0)))
 
 
-def _g_term(a, depth):
-    root = math.sqrt(a * a + 4.0 * depth)
-    return a / 4.0 * root + depth / 2.0 * math.log((root + a) ** 2
-                                                   / (4.0 * depth))
-
-
 def sharp_action(well, L):
     """S(v0, L) by two independent assemblies, with the action corridor.
 
@@ -184,7 +179,7 @@ def sharp_action(well, L):
     t_a, s_plus = minimizer_closed_form(well, L)
     surface = PsiSurface(prof)
     psi_min = float(surface.psi(a, t_a))
-    g_term = _g_term(a, depth)
+    g_term = float(free_action_primitive(a, depth))
     F = g_term - prof.d_a
     S = -F + psi_min
     S_fg = _f_term(a, L, depth, t_a) - g_term + 2.0 * prof.d_a
@@ -239,8 +234,9 @@ def w_chain(case, eta):
     [eta, inf); they differ in which ingredients are replaced by their
     asymptotic forms (u_h -> WKB profile, C_h -> C_h_asy, I0 -> its
     exponential asymptote, alpha -> its leading term).  W4 is assembled a
-    second time from (m, g0, Psi, F) as a consistency check.  Every
-    t-integral is row-batched over the radial nodes (wkb.log_t_integrals).
+    second time from (m, g0, Psi, F) as a consistency check.  Each
+    t-integral is one call of numerics.log_integral_exp, one row per
+    radial node.
     """
     well, L, h = case.config.well, case.config.L, case.h
     a = well.a
@@ -257,26 +253,23 @@ def w_chain(case, eta):
     r_wts = 0.5 * (a - eta) * wts
     v0_abs = np.abs(well.v0(r_nodes))
     log_base = np.log(r_nodes * np.maximum(v0_abs, 1e-320))
+    r = r_nodes[:, None]   # the batch: one t-integrand per radial node
+    rho2, c = r * r + L * L, L * r
 
-    def t_integral(make_g):   # from t = eta
-        return log_t_integrals(make_g, r_nodes, math.log(eta))
+    def t_integral(g):   # from t = eta
+        return log_integral_exp(g, math.log(eta), Y_HI)
 
     def g_asy(al):
-        def make_g(r):
-            rho2, c = r * r + L * L, L * r
-
-            def g(y):
-                t = np.exp(y)
-                return (-rho2 * t / (2.0 * h) + c * np.sqrt(t * (t + 1.0)) / h
-                        - al * np.log1p(1.0 / t) + 0.5 * math.log(h)
-                        - 0.5 * np.log(2.0 * math.pi * c)
-                        - 1.25 * np.log(t) - 0.25 * np.log1p(t) + y)
-            return g
-        return make_g
+        def g(y):
+            t = np.exp(y)
+            return (-rho2 * t / (2.0 * h) + c * np.sqrt(t * (t + 1.0)) / h
+                    - al * np.log1p(1.0 / t) + 0.5 * math.log(h)
+                    - 0.5 * np.log(2.0 * math.pi * c)
+                    - 1.25 * np.log(t) - 0.25 * np.log1p(t) + y)
+        return g
 
     # W1: numeric u_h and calibrated C_h, exact Bessel kernel
-    lt = t_integral(
-        lambda r: log_outer_integrand(h, outer.alpha, r * r + L * L, L * r))
+    lt = t_integral(log_outer_integrand(h, outer.alpha, rho2, c))
     log_u = case.ground.log_u(r_nodes)
     log_W1 = math.log(2.0 * math.pi) + outer.log_C_h + logsumexp(
         log_base + log_u - (r_nodes**2 + L * L) / (4.0 * h) + lt, b=r_wts)
@@ -294,12 +287,10 @@ def w_chain(case, eta):
     # W4 rebuilt from (m, g0, Psi, F)
     surface = PsiSurface(profile)
 
-    def g4(r):
-        def g(y):
-            t = np.exp(y)
-            return (-(surface.psi(r, t) - consts["F"]) / h
-                    + kernel_g0_log(t, amplitude.E1) + y)
-        return g
+    def g4(y):
+        t = np.exp(y)
+        return (-(surface.psi(r, t) - consts["F"]) / h
+                + kernel_g0_log(t, amplitude.E1) + y)
 
     lt4b = t_integral(g4)
     # the exact rewrite carries sqrt(r/L), not the bare sqrt(r) of the

@@ -7,9 +7,9 @@ Gauss-Legendre rules, the lowest eigenpairs of symmetric tridiagonal
 matrices (bisection for several, certified shifted inverse iteration on
 LAPACK's dptsv for the lowest one, each eigenvalue a cancellation-free
 Rayleigh quotient), and a log-stabilized evaluator for integrals of the
-form int exp(g), batched over rows of integrands (a scan for the peak, then
-two Gauss-Legendre panels split at it).  Everything here is pure and
-reentrant.
+form int exp(g), one per row of a batched integrand g (a scan for each
+row's peak, then two Gauss-Legendre panels split at it).  Everything here
+is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -213,28 +213,25 @@ KEEP = 46.0      # its window: g >= gmax - KEEP, truncation error ~ e^-KEEP
 
 
 def log_integral_exp(g, lo, hi):
-    """log of int_lo^hi exp(g(y)) dy for a vectorized log-integrand g.
+    """log of int_lo^hi exp(g_k(y)) dy for each row k of a batched
+    log-integrand g.
 
-    A coarse scan of N_SCAN points locates the maximum yp and the window
-    [y1, y2] where g >= gmax - KEEP, padded by one scan cell.  Two mapped
-    Gauss-Legendre panels of N_NODES nodes, [y1, yp] and [yp, y2],
-    integrate exp(g - gmax): their nodes cluster at the panel ends, so the
-    split puts them at the peak, where a wide window's sharp side sits.
-
-    g may also hold a batch of integrands, one per row: called with the
-    shared scan (shape (n,)) or with per-row nodes (shape (rows, n)) it
-    returns shape (rows, n).  Each row then gets its own window, split and
-    panels, and the result is an array with -inf for every row whose
-    maximum is not finite.  A 1-D g gives a float.
+    g is called twice: with the shared scan of N_SCAN points (shape (n,))
+    and with per-row nodes (shape (rows, n)); both times it returns shape
+    (rows, n), one integrand per row.  For each row the scan locates the
+    maximum yp and the window [y1, y2] where g >= gmax - KEEP, padded by
+    one scan cell.  Two mapped Gauss-Legendre panels of N_NODES nodes,
+    [y1, yp] and [yp, y2], integrate exp(g - gmax): their nodes cluster at
+    the panel ends, so the split puts them at the peak, where a wide
+    window's sharp side sits.  Returns an array of shape (rows,), -inf for
+    every row whose maximum is not finite.
     """
     ys = np.linspace(lo, hi, N_SCAN)
     gs = g(ys)
-    single = gs.ndim == 1
-    gs = np.atleast_2d(gs)
     gmax = gs.max(axis=1)
     finite = np.isfinite(gmax)
     if not finite.any():
-        return -np.inf if single else np.full(len(gs), -np.inf)
+        return np.full(len(gs), -np.inf)
     mask = gs > (gmax - KEEP)[:, None]
     first = np.argmax(mask, axis=1)
     last = N_SCAN - 1 - np.argmax(mask[:, ::-1], axis=1)
@@ -249,9 +246,8 @@ def log_integral_exp(g, lo, hi):
     x, w = gauss_legendre(N_NODES)
     yy = (edges[:, :2, None] + widths * (0.5 * (x + 1.0))).reshape(len(gs), -1)
     wts = (widths * (0.5 * w)).reshape(len(gs), -1)
-    gg = np.atleast_2d(g(yy[0] if single else yy))
+    gg = g(yy)
     gm = gg.max(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         val = np.sum(np.exp(gg - gm[:, None]) * wts, axis=1)
-        out = np.where(finite, gm + np.log(val), -np.inf)
-    return float(out[0]) if single else out
+        return np.where(finite, gm + np.log(val), -np.inf)

@@ -42,6 +42,14 @@ def _entry(d, key, what):
     return d[key]
 
 
+def _number(value, key):
+    """value as a float, or a ValueError naming its key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} is not a number: {value!r}") from None
+
+
 def _bump_v0(r, depth, a):
     r = np.asarray(r, dtype=float)
     s = np.square(r / a)
@@ -192,7 +200,7 @@ class RadialWell:
         depth, a = _entry(d, "depth", "well"), _entry(d, "a", "well")
         if d.get("profile", "bump") != "bump":
             raise ValueError("only the bump family can be parsed")
-        return cls.bump(depth=float(depth), a=float(a))
+        return cls.bump(depth=_number(depth, "depth"), a=_number(a, "a"))
 
     def __repr__(self):
         return f"RadialWell({self.profile}, depth={self.depth}, a={self.a})"
@@ -227,7 +235,7 @@ class DoubleWellConfig:
     def from_dict(cls, d):
         """From {"well": {...}, "L": ...}; L defaults to 4.0."""
         well = RadialWell.from_dict(_entry(d, "well", "config"))
-        return cls(well, float(d.get("L", 4.0)))
+        return cls(well, _number(d.get("L", 4.0), "L"))
 
     @classmethod
     def from_json(cls, text):

@@ -49,7 +49,7 @@ __all__ = [
 
 _LOG_FLOOR = -745.0  # below exp() underflow
 MAX_DOUBLINGS = 4    # grid doublings solve_fiber may add past n, 2n
-TAIL_FLOOR = 1e-9    # refine_tail re-solves where |w| < TAIL_FLOOR max|w|
+TAIL_FLOOR = 1e-9    # _refine_tail re-solves where |w| < TAIL_FLOOR max|w|
 GROUND_TOL = 1e-8    # Richardson tolerance of the ground_state solve
 
 
@@ -136,37 +136,6 @@ class RadialEigenSolution:
         """int |u|^2 2 pi r dr on the grid (should be 1)."""
         return 2.0 * np.pi * float(np.sum(self.w**2) * self.delta)
 
-    def refine_tail(self, diag, off):
-        """Re-solve the decaying tail as a linear BVP at the converged energy.
-
-        Inverse-iteration eigenvectors lose relative accuracy once the
-        amplitude drops below ~1e-15 of the peak; the tridiagonal system
-        (T - E) w = 0, with T the finest grid's matrix (diag, off) and the
-        accurate boundary value, regains it.
-        """
-        w = self.w
-        n = len(w)
-        wmax = np.abs(w).max()
-        imax = int(np.argmax(np.abs(w)))
-        idx = np.where((np.abs(w) < TAIL_FLOOR * wmax) &
-                       (np.arange(n) > imax))[0]
-        if len(idx) == 0 or idx[0] >= n - 2:
-            return self
-        i0 = int(idx[0])
-        E = self.energies[0]
-        d = diag[i0 + 1:] - E
-        e = off[i0 + 1:]
-        b = np.zeros(n - i0 - 1)
-        b[0] = -off[i0] * w[i0]
-        ab = np.zeros((3, n - i0 - 1))
-        ab[0, 1:] = e
-        ab[1, :] = d
-        ab[2, :-1] = e
-        w[i0 + 1:] = sla.solve_banded((1, 1), ab, b)
-        self.u = w / np.sqrt(self.grid)
-        self._log_u = None
-        return self
-
 
 def _bisection_levels(problem, k):
     """(vals, vecs, diag, off, r, delta) on n, 2n, 4n, ... by bisection.
@@ -208,7 +177,34 @@ def _ground_levels(problem):
         n *= 2
 
 
-def solve_fiber(problem, k=1, tol=1e-8, clean_tail=True):
+def _refine_tail(w, diag, off, E):
+    """Re-solve the decaying tail of w in place as a linear BVP at energy E.
+
+    Inverse-iteration eigenvectors lose relative accuracy once the
+    amplitude drops below ~1e-15 of the peak; the tridiagonal system
+    (T - E) w = 0, with T the finest grid's matrix (diag, off) and the
+    accurate boundary value, regains it.
+    """
+    n = len(w)
+    wmax = np.abs(w).max()
+    imax = int(np.argmax(np.abs(w)))
+    idx = np.where((np.abs(w) < TAIL_FLOOR * wmax) &
+                   (np.arange(n) > imax))[0]
+    if len(idx) == 0 or idx[0] >= n - 2:
+        return
+    i0 = int(idx[0])
+    d = diag[i0 + 1:] - E
+    e = off[i0 + 1:]
+    b = np.zeros(n - i0 - 1)
+    b[0] = -off[i0] * w[i0]
+    ab = np.zeros((3, n - i0 - 1))
+    ab[0, 1:] = e
+    ab[1, :] = d
+    ab[2, :-1] = e
+    w[i0 + 1:] = sla.solve_banded((1, 1), ab, b)
+
+
+def solve_fiber(problem, k=1, tol=1e-8):
     """Lowest k eigenpairs, Richardson-extrapolated over a grid doubling.
 
     Convergence requires the extrapolation residual |lam(n)-lam(2n)|/3 to
@@ -217,7 +213,9 @@ def solve_fiber(problem, k=1, tol=1e-8, clean_tail=True):
     solves each grid by certified inverse iteration seeded from the grid
     below (numerics.tridiag_ground_pair); k > 1 bisects every grid afresh
     and takes each eigenvalue as its vector's Rayleigh quotient.  Either
-    way the eigenvalue error is far below the Richardson tolerance.
+    way the eigenvalue error is far below the Richardson tolerance.  The
+    ground vector's tail is re-solved at the extrapolated energy
+    (_refine_tail) before the solution is built.
     """
     levels = _ground_levels(problem) if k == 1 else \
         _bisection_levels(problem, k)
@@ -238,11 +236,9 @@ def solve_fiber(problem, k=1, tol=1e-8, clean_tail=True):
     if w[np.argmax(np.abs(w))] < 0:
         w = -w
     w /= math.sqrt(2.0 * np.pi * float(np.sum(w**2)) * delta)
-    u = w / np.sqrt(r)
-    sol = RadialEigenSolution(problem, r, delta, energies, err, u, w)
-    if clean_tail:
-        sol.refine_tail(diag, off)
-    return sol
+    _refine_tail(w, diag, off, energies[0])
+    return RadialEigenSolution(problem, r, delta, energies, err,
+                               w / np.sqrt(r), w)
 
 
 def default_radius(well, h, L=None):
@@ -266,8 +262,7 @@ def ground_state(well, h, L=None):
     n_scan = max(_default_n(R, delta=1e-3), 4000)
     scanned = {m: solve_fiber(FiberProblem(m=m, h=h, R=R, n=n_scan,
                                            well=well),
-                              k=1, tol=100 * GROUND_TOL,
-                              clean_tail=False).e_sw
+                              k=1, tol=100 * GROUND_TOL).e_sw
                for m in (1, 2)}
     # (hm/r - r/2)^2 at -m is the m > 0 diagonal plus 2hm, so fiber -m
     # is fiber m shifted up by 2hm and never holds the minimum

@@ -21,10 +21,11 @@ valid for rho >= a.  C_h is calibrated by matching at rho = a; every other
 point of the outer region is then an independent test.
 
 The t-integrals of this representation, and the Bessel-kernel t-integrals
-of the hopping coefficient and the W chain built on it, go through one
-row-batched evaluator: log_t_integrals integrates a block of radial nodes
-per call of numerics.log_integral_exp.  calibrate_outer and
-wkb_profile_error read every input from one pipeline.Case.
+of the hopping coefficient and the W chain built on it, are each one
+batched call of numerics.log_integral_exp, one row per radial node.
+OuterRepresentation.log_t_integral, which takes arrays of any size, makes
+that call T_BLOCK rows at a time.  calibrate_outer and wkb_profile_error
+read every input from one pipeline.Case.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .numerics import NumericalError, log_bessel_i0, log_integral_exp
 
 __all__ = [
     "log_outer_integrand",
-    "log_t_integrals",
     "WkbAmplitude",
     "wkb_profile_error",
     "wkb_error_exponent",
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-T_BLOCK = 16  # radial nodes per batched t-integral: (16, 400) arrays at most
+T_BLOCK = 16  # rows per block of a caller-sized batch
 Y_HI = 15.0   # upper limit of every t-integral, in y = log t
 N_AMPLITUDE = 8001   # WkbAmplitude's table nodes on [0, r_max]
 OUTER_RTOL = 1e-2    # calibrate_outer raises past this relative mismatch
@@ -65,8 +65,8 @@ def log_outer_integrand(h, alpha, rho2, c=None):
                [+ log I0(c sqrt(t (t + 1)) / h)],
 
     the Bessel term being the angular average that the hopping integral
-    adds (c = L r).  rho2 and c may be (rows, 1) columns, one row per
-    radial node, which makes g a batched integrand for log_integral_exp.
+    adds (c = L r).  rho2 and c are (rows, 1) columns, one row per radial
+    node, which makes g a batched integrand for log_integral_exp.
     """
     def g(y):
         t = np.exp(y)
@@ -75,21 +75,6 @@ def log_outer_integrand(h, alpha, rho2, c=None):
             val = val + log_bessel_i0(c * np.sqrt(t * (t + 1.0)) / h)
         return val
     return g
-
-
-def log_t_integrals(make_g, rows, lo):
-    """log int_lo^Y_HI exp(g_r(y)) dy for every entry r of rows.
-
-    make_g maps a (k, 1) column of rows to their batched log-integrand.
-    Rows go T_BLOCK at a time, so log_integral_exp's work arrays stay at
-    most (T_BLOCK, N_SCAN) whatever the number of rows.
-    """
-    rows = np.asarray(rows)
-    out = np.empty(len(rows))
-    for s in range(0, len(rows), T_BLOCK):
-        col = rows[s:s + T_BLOCK, None]
-        out[s:s + T_BLOCK] = log_integral_exp(make_g(col), lo, Y_HI)
-    return out
 
 
 class OuterRepresentationError(NumericalError):
@@ -170,11 +155,16 @@ class OuterRepresentation:
         """log int_{-inf}^{Y_HI} e^g dy, g = log_outer_integrand(h, alpha,
         rho2[i], c[i]), for each i.  Below y_lo, g = alpha y exactly in
         floating point: that tail, e^{alpha y_lo} / alpha, is added in
-        closed form (1.7e-6 of the integral at alpha 0.0047)."""
+        closed form (1.7e-6 of the integral at alpha 0.0047).  The rows
+        go T_BLOCK at a time, which bounds the work arrays whatever the
+        length of rho2."""
         h, alpha, lo = self.h, self.alpha, self.y_lo
-        lv = log_t_integrals(lambda i: log_outer_integrand(
-            h, alpha, rho2[i], None if c is None else c[i]),
-            np.arange(len(rho2)), lo)
+        lv = np.empty(len(rho2))
+        for s in range(0, len(rho2), T_BLOCK):
+            block = slice(s, s + T_BLOCK)
+            lv[block] = log_integral_exp(log_outer_integrand(
+                h, alpha, rho2[block, None],
+                None if c is None else c[block, None]), lo, Y_HI)
         return np.logaddexp(lv, alpha * lo - math.log(alpha))
 
     def log_u(self, rho):
@@ -194,10 +184,13 @@ def calibrate_outer(case):
     """
     a, h, solution = case.config.well.a, case.h, case.ground
     alpha = 0.5 - solution.e_sw / (2.0 * h)
-    rep = OuterRepresentation(h=h, alpha=alpha, log_C_h=0.0)
-    rep.log_C_h = float(solution.log_u(a)) - rep.log_u(a)
-    rhos = np.linspace(a, case.config.L + 1.0, 9)
-    rels = np.abs(np.exp(rep.log_u(rhos) - solution.log_u(rhos)) - 1.0)
+    rhos = np.linspace(a, case.config.L + 1.0, 9)   # rhos[0] is a exactly
+    # one pass gives both the fit at rhos[0] and the check
+    log_shape = OuterRepresentation(h=h, alpha=alpha, log_C_h=0.0).log_u(rhos)
+    log_u = solution.log_u(rhos)
+    rep = OuterRepresentation(h=h, alpha=alpha,
+                              log_C_h=float(log_u[0] - log_shape[0]))
+    rels = np.abs(np.exp(rep.log_C_h + log_shape - log_u) - 1.0)
     for rho, rel in zip(rhos, rels):
         if rel > OUTER_RTOL:
             raise OuterRepresentationError(

@@ -14,7 +14,7 @@ import inspect
 
 MODULES = ("agmon", "asymptotics", "hopping", "numerics", "pipeline",
            "potential", "spectral", "splitting2d", "verify", "wkb")
-BUDGET = 212
+BUDGET = 206
 
 
 def _params(fn, bound):

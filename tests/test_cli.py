@@ -49,6 +49,10 @@ CONFIGS = {
     "CFG-NO-WELL": {"L": 4.0},
     "CFG-NO-DEPTH": {"well": {"profile": "bump", "a": 1.0}, "L": 4.0},
     "CFG-LIST": [1, 2],
+    "CFG-NULL-DEPTH": {"well": {"profile": "bump", "depth": None, "a": 1.0}},
+    "CFG-LIST-L": {"well": {"profile": "bump", "depth": 1.0, "a": 1.0},
+                   "L": [4]},
+    "CFG-STR-A": {"well": {"profile": "bump", "depth": 1.0, "a": "x"}},
 }
 
 
@@ -58,6 +62,10 @@ CONFIGS = {
     (["constants", "--config", "CFG-NO-DEPTH"], "well has no key 'depth'"),
     (["constants", "--config", "CFG-LIST"],
      "config is not a JSON object: [1, 2]"),
+    (["constants", "--config", "CFG-NULL-DEPTH"],
+     "depth is not a number: None"),
+    (["constants", "--config", "CFG-LIST-L"], "L is not a number: [4]"),
+    (["constants", "--config", "CFG-STR-A"], "a is not a number: 'x'"),
     (["constants", "--L", "nan"], "L > 2a (got L=nan"),
     (["constants", "--L", "inf"], "L > 2a (got L=inf"),
     (["constants", "--depth", "inf"], "depth > 0 (got inf)"),
@@ -78,6 +86,7 @@ CONFIGS = {
     (["sweep", "--h-range", "0.3:inf:2"], "bad h-range 0.3:inf:2"),
     (["hopping", "--h-range", "0.3:inf:2"], "bad h-range 0.3:inf:2")],
     ids=["config-file", "config-no-well", "config-no-depth", "config-list",
+         "config-null-depth", "config-list-L", "config-str-a",
          "L-nan", "L-inf", "depth-inf", "depth-nan", "a-nan",
          "spectrum-h-inf", "spectrum-h-nan", "spectrum-h-nan-radius",
          "spectrum-grid-0", "spectrum-radius-0", "splitting-grid-0",

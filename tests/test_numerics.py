@@ -10,8 +10,8 @@ from magtun import (AccuracyError, hopping_bessel, integrate, log_bessel_i0,
                     w_chain)
 from magtun import numerics
 from magtun.numerics import gauss_legendre, tridiag_ground_pair
-from magtun.wkb import (T_BLOCK, Y_HI, OuterRepresentation, log_outer_integrand,
-                        log_t_integrals)
+from magtun.wkb import (T_BLOCK, Y_HI, OuterRepresentation, calibrate_outer,
+                        log_outer_integrand)
 
 # Bump well depth 1, a 1, L 4, outer check to L + 1, eta 0.05.  The values
 # follow the fiber eigensolver through alpha = 1/2 - e_sw/2h: a shift of
@@ -203,13 +203,15 @@ def test_tridiag_random_vs_dense_oracle():
 
 
 def test_log_integral_exp_gaussian():
-    # int exp(-y^2/2) dy = sqrt(2 pi)
-    val = log_integral_exp(lambda y: -0.5 * y * y, -40.0, 40.0)
-    assert val == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-9)
+    # int exp(-y^2/2) dy = sqrt(2 pi), as a one-row batch
+    row = np.zeros((1, 1))
+    val = log_integral_exp(lambda y: -0.5 * y * y + row, -40.0, 40.0)
+    assert val.shape == (1,)
+    assert val[0] == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-9)
     # shifted by a huge constant: pure log-space stability
-    val = log_integral_exp(lambda y: -0.5 * y * y - 5000.0, -40.0, 40.0)
-    assert val == pytest.approx(0.5 * math.log(2 * math.pi) - 5000.0,
-                                abs=1e-9)
+    val = log_integral_exp(lambda y: -0.5 * y * y - 5000.0 + row, -40.0, 40.0)
+    assert val[0] == pytest.approx(0.5 * math.log(2 * math.pi) - 5000.0,
+                                   abs=1e-9)
 
 
 def test_gauss_legendre_cached_read_only():
@@ -242,41 +244,62 @@ def _recording(g):
 
 def test_log_integral_exp_rows_match_scalar():
     # rows whose peaks, and so whose windows, differ; the last row is -inf
-    # everywhere and must give -inf, not nan
+    # everywhere and must give -inf, not nan.  Each row alone, as a one-row
+    # batch, must give the same value
     centers, widths = [-30.0, -2.0, 0.5, 17.0, 0.0], [0.1, 1.0, 3.0, 0.7, 1.0]
     dead = [False, False, False, False, True]
     g, calls = _recording(_gaussian_rows(centers, widths, dead))
     batched = log_integral_exp(g, -40.0, 40.0)
     assert batched.shape == (5,)
     for k, (c, s) in enumerate(zip(centers[:-1], widths[:-1])):
-        one = _gaussian_rows([c], [s])
-        g1, calls1 = _recording(lambda y: one(y)[0])
-        scalar = log_integral_exp(g1, -40.0, 40.0)
-        assert isinstance(scalar, float)
+        g1, calls1 = _recording(_gaussian_rows([c], [s]))
+        one = log_integral_exp(g1, -40.0, 40.0)
+        assert one.shape == (1,)
         # the same scan, and each row on exactly its own panel nodes
         assert np.array_equal(calls[0], calls1[0])
-        assert np.array_equal(calls[1][k], calls1[1])
-        assert batched[k] == pytest.approx(scalar, rel=1e-12)
+        assert np.array_equal(calls[1][k], calls1[1][0])
+        assert batched[k] == pytest.approx(one[0], rel=1e-12)
         assert batched[k] == pytest.approx(
             0.5 * math.log(2 * math.pi * s * s) - c, abs=1e-9)
     assert batched[-1] == -np.inf
-    assert log_integral_exp(lambda y: np.full(y.shape, -np.inf), 0.0, 1.0) \
-        == -np.inf
+    assert np.array_equal(log_integral_exp(
+        lambda y: np.full((1, y.shape[-1]), -np.inf), 0.0, 1.0), [-np.inf])
 
 
-def test_log_t_integrals_across_block_boundary():
-    # more rows than one block, so a block boundary falls inside the batch;
-    # every row must equal its own scalar evaluation
-    h, alpha = 0.3, 2.1
+def test_outer_t_integral_across_block_boundary():
+    # more rows than one block, so a block boundary falls inside the
+    # caller's array; every row must equal its own one-row evaluation
+    outer = OuterRepresentation(h=0.3, alpha=2.1, log_C_h=0.0)
     rows = np.linspace(0.05, 1.0, T_BLOCK + 5)
-    lo = -700.0 / alpha
-    batched = log_t_integrals(
-        lambda r: log_outer_integrand(h, alpha, r * r + 16.0, 4.0 * r),
-        rows, lo)
-    for r, val in zip(rows, batched):
-        scalar = log_integral_exp(
-            log_outer_integrand(h, alpha, r * r + 16.0, 4.0 * r), lo, Y_HI)
-        assert val == pytest.approx(scalar, rel=1e-12)
+    rho2, c = rows * rows + 16.0, 4.0 * rows
+    blocked = outer.log_t_integral(rho2, c)
+    assert blocked.shape == rows.shape
+    for k in range(len(rows)):
+        one = outer.log_t_integral(rho2[k:k + 1], c[k:k + 1])
+        assert blocked[k] == pytest.approx(one[0], rel=1e-12)
+
+
+def test_one_kernel_call_per_t_integral(well, case, monkeypatch):
+    # w_chain integrates all its radial nodes in one batched call per
+    # t-integral, four in all, and calibrate_outer fits and checks its 9
+    # points in one
+    from magtun import asymptotics, wkb
+
+    calls = []
+
+    def counted(g, lo, hi):
+        calls.append(lo)
+        return numerics.log_integral_exp(g, lo, hi)
+
+    c = case(well, 0.3)
+    c.outer   # built before the count starts
+    monkeypatch.setattr(asymptotics, "log_integral_exp", counted)
+    monkeypatch.setattr(wkb, "log_integral_exp", counted)
+    w_chain(c, 0.05)
+    assert calls == [math.log(0.05)] * 4
+    calls.clear()
+    calibrate_outer(c)
+    assert calls == [c.outer.y_lo]
 
 
 def test_log_integral_exp_evaluation_budget():

@@ -77,7 +77,7 @@ def test_negative_fibers_from_shift_identity(well, case, h):
     for m in (1, 2):
         direct = solve_fiber(FiberProblem(m=-m, h=h, R=sol.R, n=n_scan,
                                           well=well),
-                             k=1, tol=1e-6, clean_tail=False).e_sw
+                             k=1, tol=1e-6).e_sw
         assert abs(sol.fiber_energies[-m] - direct) <= 1e-8
 
 
