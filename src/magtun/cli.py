@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -96,12 +97,16 @@ def cmd_spectrum(args):
     config = _load_config(args)
     well = config.well
     R = default_radius(well, args.h) if args.radius is None else args.radius
-    n = max(int(R / 1e-3), 4000) if args.grid is None else args.grid
+    # FiberProblem checks h and R before the default grid takes int(R)
+    problem = FiberProblem(m=0, h=args.h, R=R, well=well,
+                           n=400 if args.grid is None else args.grid)
+    if args.grid is None:
+        problem = replace(problem, n=max(int(R / 1e-3), 4000))
     rows = []
     dump = None
     for m in range(-args.modes, args.modes + 1):
-        sol = solve_fiber(FiberProblem(m=m, h=args.h, R=R, n=n, well=well),
-                          k=args.levels, tol=args.tol)
+        sol = solve_fiber(replace(problem, m=m), k=args.levels,
+                          tol=args.tol)
         for j, e in enumerate(sol.energies, start=1):
             rows.append((m, j, float(e)))
         if m == 0:

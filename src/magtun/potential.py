@@ -43,11 +43,10 @@ def _entry(d, key, what):
 
 
 def _number(value, key):
-    """value as a float, or a ValueError naming its key."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} is not a number: {value!r}") from None
+    """A JSON number (not a bool) as a float, or a ValueError naming key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} is not a number: {value!r}")
+    return float(value)
 
 
 def _bump_v0(r, depth, a):

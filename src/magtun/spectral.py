@@ -77,8 +77,11 @@ class FiberProblem:
             raise ValueError(f"need finite h > 0 (got {self.h})")
         if self.n < 400:
             raise ValueError("need n >= 400")
+        if not self.R < math.inf:
+            raise ValueError(f"need finite R (got {self.R})")
         # Gaussian weight at the truncation radius must be negligible
-        if self.R * self.R / (4.0 * self.h) < 14.0 * math.log(10.0):
+        if not (self.R > 0 and
+                self.R * self.R / (4.0 * self.h) >= 14.0 * math.log(10.0)):
             raise ValueError(
                 f"R={self.R} too small for h={self.h}: "
                 f"need exp(-R^2/4h) < 1e-14")
@@ -217,6 +220,8 @@ def solve_fiber(problem, k=1, tol=1e-8):
     ground vector's tail is re-solved at the extrapolated energy
     (_refine_tail) before the solution is built.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"need finite tol > 0 (got {tol})")
     levels = _ground_levels(problem) if k == 1 else \
         _bisection_levels(problem, k)
     vals_c = next(levels)[0]

@@ -14,7 +14,7 @@ import inspect
 
 MODULES = ("agmon", "asymptotics", "hopping", "numerics", "pipeline",
            "potential", "spectral", "splitting2d", "verify", "wkb")
-BUDGET = 206
+BUDGET = 202
 
 
 def _params(fn, bound):

@@ -53,6 +53,9 @@ CONFIGS = {
     "CFG-LIST-L": {"well": {"profile": "bump", "depth": 1.0, "a": 1.0},
                    "L": [4]},
     "CFG-STR-A": {"well": {"profile": "bump", "depth": 1.0, "a": "x"}},
+    "CFG-BOOL-DEPTH": {"well": {"profile": "bump", "depth": True, "a": 1.0}},
+    "CFG-STR-L": {"well": {"profile": "bump", "depth": 1.0, "a": 1.0},
+                  "L": "4.0"},
 }
 
 
@@ -66,6 +69,9 @@ CONFIGS = {
      "depth is not a number: None"),
     (["constants", "--config", "CFG-LIST-L"], "L is not a number: [4]"),
     (["constants", "--config", "CFG-STR-A"], "a is not a number: 'x'"),
+    (["constants", "--config", "CFG-BOOL-DEPTH"],
+     "depth is not a number: True"),
+    (["constants", "--config", "CFG-STR-L"], "L is not a number: '4.0'"),
     (["constants", "--L", "nan"], "L > 2a (got L=nan"),
     (["constants", "--L", "inf"], "L > 2a (got L=inf"),
     (["constants", "--depth", "inf"], "depth > 0 (got inf)"),
@@ -78,19 +84,31 @@ CONFIGS = {
     (["spectrum", "--h", "1.0", "--modes", "0", "--grid", "0"], "n >= 400"),
     (["spectrum", "--h", "1.0", "--modes", "0", "--radius", "0"],
      "R=0.0 too small"),
+    (["spectrum", "--h", "1", "--radius", "inf"], "need finite R (got inf)"),
+    (["spectrum", "--h", "1", "--radius", "nan"], "need finite R (got nan)"),
+    (["spectrum", "--h", "1", "--tol", "0"], "need finite tol > 0 (got 0.0)"),
+    (["spectrum", "--h", "1", "--tol", "-1"],
+     "need finite tol > 0 (got -1.0)"),
+    (["spectrum", "--h", "1", "--tol", "nan"],
+     "need finite tol > 0 (got nan)"),
     (SPLIT + ["--grid", "0"], "delta > 0 (got 0.0)"),
     (SPLIT + ["--grid", "-0.1"], "delta > 0 (got -0.1)"),
     (SPLIT + ["--grid", "nan"], "delta > 0 (got nan)"),
+    (SPLIT + ["--box", "inf", "inf"], "box (inf,inf) is not finite"),
     (["verify", "--quick", "--grid", "0"], "delta > 0 (got 0.0)"),
     (["verify", "--quick", "--grid", "-0.1"], "delta > 0 (got -0.1)"),
     (["sweep", "--h-range", "0.3:inf:2"], "bad h-range 0.3:inf:2"),
     (["hopping", "--h-range", "0.3:inf:2"], "bad h-range 0.3:inf:2")],
     ids=["config-file", "config-no-well", "config-no-depth", "config-list",
          "config-null-depth", "config-list-L", "config-str-a",
+         "config-bool-depth", "config-str-L",
          "L-nan", "L-inf", "depth-inf", "depth-nan", "a-nan",
          "spectrum-h-inf", "spectrum-h-nan", "spectrum-h-nan-radius",
-         "spectrum-grid-0", "spectrum-radius-0", "splitting-grid-0",
-         "splitting-grid-negative", "splitting-grid-nan", "verify-grid-0",
+         "spectrum-grid-0", "spectrum-radius-0", "spectrum-radius-inf",
+         "spectrum-radius-nan", "spectrum-tol-0", "spectrum-tol-negative",
+         "spectrum-tol-nan", "splitting-grid-0",
+         "splitting-grid-negative", "splitting-grid-nan", "splitting-box-inf",
+         "verify-grid-0",
          "verify-grid-negative", "sweep-h-inf", "hopping-h-inf"])
 def test_invalid_config_exit_2(tmp_path, capsys, argv, names):
     from magtun import cli

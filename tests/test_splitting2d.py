@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from magtun import assemble, gap_vs_hopping, landau_level_2d, lowest_two
+from magtun.splitting2d import LANDAU_MARGIN
 
 
 def test_plaquette_and_hermiticity(config4):
@@ -27,11 +28,26 @@ def test_landau_level_2d():
     assert abs(e_ext - 0.5) / 0.5 <= 0.03
 
 
+@pytest.mark.parametrize("h", [0.5, 1.0])
+def test_even_sector_holds_free_ground_state(h):
+    # the full spectrum is the union of the two sectors, so the even level
+    # is the lowest one when it lies below the odd sector's lowest
+    _, raw = landau_level_2d(h)
+    X = 3.0 * math.sqrt(2.0 * h) + LANDAU_MARGIN
+    d0 = math.sqrt(h) / 6.0
+    for e, delta in zip(raw, (d0, d0 / math.sqrt(2.0))):
+        lat = assemble(None, h, delta=delta, box=(X, X))
+        even, _, _ = lowest_two(lat, sigma=0.9 * h, parity=1)
+        odd, _, _ = lowest_two(lat, sigma=0.9 * h, parity=-1)
+        assert e == even[0]
+        assert e < odd[0]
+
+
 def test_single_well_control(well, case):
     h = 0.3
     lat = assemble(well, h, delta=0.06)
     ref = case(well, h).ground.e_sw
-    vals, _, _ = lowest_two(lat, sigma=ref - 0.2 * h, k=2)
+    vals, _, _ = lowest_two(lat, sigma=ref - 0.2 * h)
     assert abs(vals[0] - ref) / abs(ref) <= 0.02
 
 
@@ -62,7 +78,7 @@ def test_delta_refinement_stability(well, case):
     es = []
     for delta in (0.06, 0.06 / math.sqrt(2.0)):
         lat = assemble(well, h, delta=delta)
-        vals, _, _ = lowest_two(lat, sigma=ref - 0.2 * h, k=2)
+        vals, _, _ = lowest_two(lat, sigma=ref - 0.2 * h)
         es.append(vals[0])
     assert abs(es[1] - es[0]) / abs(es[0]) <= 0.01
 
@@ -75,19 +91,20 @@ def test_box_growth_stability(well, case):
     for extra in (0.0, mag):
         X = 1.0 + 3 * mag + 0.4 + extra
         lat = assemble(well, h, delta=0.06, box=(X, X))
-        vals, _, _ = lowest_two(lat, sigma=ref - 0.2 * h, k=2)
+        vals, _, _ = lowest_two(lat, sigma=ref - 0.2 * h)
         es.append(vals[0])
     assert abs(es[1] - es[0]) / abs(es[0]) <= 1e-3
 
 
 @pytest.fixture(scope="module")
 def full_pairs(config85, well, case):
-    """h -> (vals, vecs) of the full-matrix k=2 solve on each gap_report row."""
+    """h -> (vals, vecs) of the full-matrix two-level solve on each gap_report
+    row."""
     out = {}
     for h in (1.4, 1.2, 1.0, 0.8):
         lat = assemble(config85, h)
         sigma = case(well, h, L=8.5).ground.e_sw - 0.1 * h
-        vals, vecs, _ = lowest_two(lat, sigma=sigma, k=2)
+        vals, vecs, _ = lowest_two(lat, sigma=sigma)
         out[h] = (vals, vecs)
     return out
 
@@ -111,7 +128,7 @@ def test_sector_needs_rotation_symmetry(config4):
     lat = assemble(config4, 0.5, delta=0.1)
     shifted = lat.with_gauge_shift(lambda x, y: 0.3 * x + 0.1 * y)
     with pytest.raises(ValueError, match="rotation by pi"):
-        lowest_two(shifted, sigma=0.0, k=1, parity=1)
+        lowest_two(shifted, sigma=0.0, parity=1)
 
 
 def test_gap_rows_resolvable(gap_report):
