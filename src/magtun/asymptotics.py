@@ -320,8 +320,8 @@ def beta_scaling(well, L, beta):
     As beta -> 0 this approaches the non-magnetic action
     2 int_0^{L/2} sqrt(v0 - v0_min).
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"need finite beta > 0 (got {beta})")
     scaled = well.scaled(beta**-2)
     report = sharp_action(scaled, L)
     return beta * report.S

@@ -94,6 +94,8 @@ def cmd_constants(args):
 def cmd_spectrum(args):
     from .spectral import FiberProblem, default_radius, solve_fiber
 
+    if args.modes < 0:
+        raise ValueError(f"need --modes >= 0 (got {args.modes})")
     config = _load_config(args)
     well = config.well
     R = default_radius(well, args.h) if args.radius is None else args.radius
@@ -119,6 +121,8 @@ def cmd_spectrum(args):
 
 
 def cmd_wkb(args):
+    if args.points < 1:
+        raise ValueError(f"need --points >= 1 (got {args.points})")
     pipe = Pipeline(_load_config(args))
     case = Case(pipe, args.h)
     sol, outer = case.ground, case.outer

@@ -12,8 +12,14 @@ between the lowest levels of its even and odd half-size sector blocks: each
 is simple, and Lanczos never has to separate the exponentially close pair.
 The free Landau check takes the lowest level of the even sector, where the
 m = 0 Landau state lies, away from the near-degenerate Landau cluster.
-`gap_row` sets that gap at one h against 2|w| from the same pipeline.Case
-(its ground state gives the shift); `gap_vs_hopping` runs it over an h-list.
+`gap_row` sets that gap at one h against 2|w| from the same pipeline.Case;
+`gap_vs_hopping` runs it over an h-list.  Its ground state gives the shift
+sigma = e_sw - D/10, where D is the distance from e_sw to the next fiber
+level: the pair sits about D/10 from sigma and every other level at least
+D away, so a 4-vector Krylov basis converges in about ten LU solves per
+sector.  Both sectors share that one shift: the gap is a difference of two
+nearly equal eigenvalues, and their rounding cancels only when both come
+from the same shifted operator.
 """
 
 from __future__ import annotations
@@ -97,8 +103,9 @@ def assemble(system, h, delta=None, box=None):
 
     system: DoubleWellConfig, RadialWell (single well at the origin), or
     None (free Landau operator; box must then be given).
-    Preconditions: 0 < delta <= min(sqrt(h)/6, a/10) and the box must clear
-    the wells by >= 3 magnetic lengths 3 sqrt(2h).
+    Preconditions: 0 < delta <= min(sqrt(h)/6, a/10), and the box
+    half-widths must be positive and clear the wells by >= 3 magnetic
+    lengths 3 sqrt(2h).
     """
     if isinstance(system, DoubleWellConfig):
         well, L = system.well, system.L
@@ -125,6 +132,8 @@ def assemble(system, h, delta=None, box=None):
         X, Y = box
         if not (math.isfinite(X) and math.isfinite(Y)):
             raise ValueError(f"box ({X},{Y}) is not finite")
+        if not (X > 0 and Y > 0):
+            raise ValueError(f"box half-widths ({X},{Y}) must be positive")
         if well is not None and (X < L / 2.0 + well.a + mag_len or
                                  Y < well.a + mag_len):
             raise ValueError(
@@ -155,9 +164,45 @@ def assemble(system, h, delta=None, box=None):
     return MagneticLattice(h, delta, x, y, M)
 
 
+# parity value of lowest_two that solves both sectors at one shift
+BOTH_SECTORS = (1, -1)
+SHORT_NCV = 4   # Krylov basis of the two-sector solve
+
+
+def _sectors(M):
+    """parity -> the sector block A + parity B J of M (see lowest_two); the
+    symmetry check and the top half's COO form are made once for both."""
+    n = M.shape[0]
+    if n % 2 or (M[::-1, ::-1] != M).nnz:
+        raise ValueError("matrix does not commute with rotation by pi "
+                         "(reversal of the node order)")
+    half = n // 2
+    top = M[:half].tocoo()
+    far = top.col >= half
+    cols = np.where(far, n - 1 - top.col, top.col)
+    return lambda parity: sp.csr_matrix(
+        (np.where(far, parity * top.data, top.data), (top.row, cols)),
+        shape=(half, half))
+
+
+def _shift_invert(op, sigma, k, v0=None, ncv=None):
+    """The k eigenpairs of op nearest sigma, ascending: one LU of op - sigma
+    and eigsh on it (eigsh's default basis when ncv is None)."""
+    m = op.shape[0]
+    lu = splu((op - sigma * sp.identity(m)).tocsc(),
+              permc_spec="MMD_AT_PLUS_A")
+    if v0 is None:
+        v0 = np.full(m, 1.0 / math.sqrt(m))
+    vals, vecs = eigsh(op, k=k, sigma=sigma, which="LM", v0=v0, ncv=ncv,
+                       OPinv=LinearOperator((m, m), matvec=lu.solve,
+                                            dtype=op.dtype))
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
 def lowest_two(lattice, sigma, parity=None):
     """The lowest eigenvalues near the shift sigma: two on the full matrix,
-    one on a pi-rotation sector.
+    one on a pi-rotation sector, one per sector for BOTH_SECTORS.
 
     Shift-invert separates exponentially close pairs; H - sigma is factored
     once with a symmetric fill-reducing ordering (H is Hermitian), and the
@@ -169,35 +214,33 @@ def lowest_two(lattice, sigma, parity=None):
     [J B J, J A J]] the sector block is A +/- B J, of half the size, and each
     of its eigenvectors x lifts to [x; +/-J x]/sqrt(2).  Residuals are always
     taken against the full matrix.
+
+    parity=BOTH_SECTORS returns the even sector's lowest level, then the odd
+    one's, both at the one shift sigma.  The odd solve starts from the even
+    vector and both use a SHORT_NCV-vector Krylov basis, which converges
+    quickly only when sigma lies much closer to the pair than to any other
+    level (gap_row's shift); elsewhere it restarts thousands of times.
     """
     M = lattice.matrix
-    n = lattice.n_nodes
-    op = M
-    if parity is not None:
-        if parity not in (1, -1):
-            raise ValueError(f"parity must be +1 or -1, not {parity!r}")
-        if n % 2 or (M[::-1, ::-1] != M).nnz:
-            raise ValueError("matrix does not commute with rotation by pi "
-                             "(reversal of the node order)")
-        half = n // 2
-        top = M[:half].tocoo()
-        far = top.col >= half
-        op = sp.csr_matrix(
-            (np.where(far, parity * top.data, top.data),
-             (top.row, np.where(far, n - 1 - top.col, top.col))),
-            shape=(half, half))
-    m = op.shape[0]
-    lu = splu((op - sigma * sp.identity(m)).tocsc(),
-              permc_spec="MMD_AT_PLUS_A")
-    v0 = np.full(m, 1.0 / math.sqrt(m))
-    vals, vecs = eigsh(op, k=2 if parity is None else 1, sigma=sigma,
-                       which="LM", v0=v0,
-                       OPinv=LinearOperator((m, m), matvec=lu.solve,
-                                            dtype=op.dtype))
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    if parity is not None:
-        vecs = np.concatenate([vecs, parity * vecs[::-1]]) / math.sqrt(2.0)
+    if parity is None:
+        vals, vecs = _shift_invert(M, sigma, k=2)
+    elif parity in (1, -1, BOTH_SECTORS):
+        sector = _sectors(M)
+        if parity == BOTH_SECTORS:
+            even, x_even = _shift_invert(sector(1), sigma, k=1,
+                                         ncv=SHORT_NCV)
+            odd, x_odd = _shift_invert(sector(-1), sigma, k=1,
+                                       v0=x_even[:, 0], ncv=SHORT_NCV)
+            vals = np.concatenate([even, odd])
+            x = np.hstack([x_even, x_odd])
+            signs = np.array(BOTH_SECTORS)
+        else:
+            vals, x = _shift_invert(sector(parity), sigma, k=1)
+            signs = parity
+        vecs = np.concatenate([x, signs * x[::-1]]) / math.sqrt(2.0)
+    else:
+        raise ValueError(f"parity must be +1, -1 or BOTH_SECTORS, not "
+                         f"{parity!r}")
     scale = float(np.abs(M.diagonal()).max())
     residuals = [float(np.linalg.norm(M @ v - e * v))
                  for e, v in zip(vals, vecs.T)]
@@ -263,7 +306,11 @@ def gap_row(case, delta=None, box=None):
 
     A row whose predicted gap e^{-S/h} sits below the eigensolver floor is
     reported as unresolvable rather than asserted (exponentially small
-    splittings underflow double precision quickly).
+    splittings underflow double precision quickly).  Both sectors are solved
+    at the one shift sigma = e_sw - D/10, where D is the distance from the
+    ground state's e_sw to its next fiber level: the shared shift lets the
+    rounding of the two nearly equal levels cancel in their difference.  An
+    even level more than D/2 from e_sw is the wrong level (NumericalError).
     """
     config, h, S = case.config, case.h, case.pipeline.action.S
     floor = 1e-12   # double precision cannot separate a closer pair
@@ -271,21 +318,29 @@ def gap_row(case, delta=None, box=None):
     if predicted < floor:
         return GapRow(h, *[float("nan")] * 6, f"unresolvable(predicted "
                       f"{predicted:.1e} < floor {floor:.1e})")
-    sigma = case.ground.e_sw - 0.1 * h
+    ground = case.ground
+    fiber_energies = getattr(ground, "fiber_energies", None)
+    if fiber_energies is None:
+        raise ValueError("gap_row needs the ground state's fiber_energies "
+                         "(set by spectral.ground_state) to place its shift")
+    e_sw = ground.e_sw
+    spacing = min(e for m, e in fiber_energies.items() if m != 0) - e_sw
+    sigma = e_sw - spacing / 10.0
     lat = assemble(config, h, delta=delta, box=box)
-    # the lowest level of each pi-rotation sector: one of the pair each
-    levels, residual = [], 0.0
-    for parity in (1, -1):
-        vals, _, res = lowest_two(lat, sigma=sigma, parity=parity)
-        levels.append((float(vals[0]), parity))
-        residual = max(residual, res[0])
-    (e1, ground_parity), (e2, _) = sorted(levels)
+    vals, _, res = lowest_two(lat, sigma=sigma, parity=BOTH_SECTORS)
+    even, odd = float(vals[0]), float(vals[1])
+    if abs(even - e_sw) > spacing / 2.0:
+        raise NumericalError(
+            f"even level {even:.6g} lies {abs(even - e_sw):.2e} from e_sw "
+            f"{e_sw:.6g}, beyond half the fiber gap {spacing:.2e}",
+            estimate=abs(even - e_sw), error_bound=spacing / 2.0)
+    (e1, ground_parity), (e2, _) = sorted([(even, 1), (odd, -1)])
     gap = e2 - e1
     two_w = ratio = float("nan")
     if config.fsw_condition:
         two_w = 2.0 * abs(case.w_direct.real)
         ratio = gap / two_w
-    flag = "ok" if gap > 100.0 * residual else \
+    flag = "ok" if gap > 100.0 * max(res) else \
         "floor(gap below 100x residual)"
     return GapRow(h, e1, e2, gap, two_w, ratio,
                   h * math.log(gap) if gap > 0 else float("nan"),

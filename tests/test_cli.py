@@ -91,6 +91,12 @@ CONFIGS = {
      "need finite tol > 0 (got -1.0)"),
     (["spectrum", "--h", "1", "--tol", "nan"],
      "need finite tol > 0 (got nan)"),
+    (["spectrum", "--h", "1", "--modes", "-1"], "need --modes >= 0 (got -1)"),
+    (["wkb", "--h", "0.3", "--points", "0"], "need --points >= 1 (got 0)"),
+    (["asymptotics", "--beta-sweep", "nan"],
+     "need finite beta > 0 (got nan)"),
+    (["asymptotics", "--beta-sweep", "0.5,inf"],
+     "need finite beta > 0 (got inf)"),
     (SPLIT + ["--grid", "0"], "delta > 0 (got 0.0)"),
     (SPLIT + ["--grid", "-0.1"], "delta > 0 (got -0.1)"),
     (SPLIT + ["--grid", "nan"], "delta > 0 (got nan)"),
@@ -106,7 +112,8 @@ CONFIGS = {
          "spectrum-h-inf", "spectrum-h-nan", "spectrum-h-nan-radius",
          "spectrum-grid-0", "spectrum-radius-0", "spectrum-radius-inf",
          "spectrum-radius-nan", "spectrum-tol-0", "spectrum-tol-negative",
-         "spectrum-tol-nan", "splitting-grid-0",
+         "spectrum-tol-nan", "spectrum-modes-negative", "wkb-points-0",
+         "beta-sweep-nan", "beta-sweep-inf", "splitting-grid-0",
          "splitting-grid-negative", "splitting-grid-nan", "splitting-box-inf",
          "verify-grid-0",
          "verify-grid-negative", "sweep-h-inf", "hopping-h-inf"])

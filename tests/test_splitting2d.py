@@ -1,10 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from magtun import assemble, gap_vs_hopping, landau_level_2d, lowest_two
-from magtun.splitting2d import LANDAU_MARGIN
+from magtun import (Case, NumericalError, assemble, gap_vs_hopping,
+                    landau_level_2d, lowest_two)
+from magtun import splitting2d
+from magtun.splitting2d import LANDAU_MARGIN, gap_row
 
 
 def test_plaquette_and_hermiticity(config4):
@@ -21,6 +24,12 @@ def test_delta_precondition(config4):
 def test_box_precondition(config4):
     with pytest.raises(ValueError, match="clear the wells"):
         assemble(config4, 0.5, delta=0.1, box=(3.0, 2.0))
+
+
+@pytest.mark.parametrize("box", [(-5.0, -5.0), (0.0, 0.0), (5.0, 0.0)])
+def test_box_must_be_positive(box):
+    with pytest.raises(ValueError, match="must be positive"):
+        assemble(None, 0.5, box=box)
 
 
 def test_landau_level_2d():
@@ -122,6 +131,68 @@ def test_ground_parity_matches_full_vector(gap_report, full_pairs):
         overlap = np.vdot(v, v[::-1])
         assert abs(abs(overlap) - 1.0) <= 1e-6  # a parity eigenvector
         assert row.ground_parity == np.sign(overlap.real)
+
+
+def _rayleigh_longdouble(M, v):
+    """v^H M v / v^H v, every product and sum in extended precision."""
+    coo = M.tocoo()
+    v = v.astype(np.clongdouble)
+    Mv = np.zeros_like(v)
+    np.add.at(Mv, coo.row, coo.data.astype(np.clongdouble) * v[coo.col])
+    return (np.sum(v.conj() * Mv) / np.sum(v.conj() * v)).real
+
+
+def test_sector_gap_matches_extended_precision(config85, gap_report,
+                                               full_pairs):
+    # an oracle outside the sector code: each full-matrix vector projected
+    # onto its own pi-rotation sector, its Rayleigh quotient in long double
+    for row in gap_report.rows:
+        M = assemble(config85, row.h).matrix
+        levels = []
+        for v in full_pairs[row.h][1].T:
+            parity = np.sign(np.vdot(v, v[::-1]).real)
+            levels.append(_rayleigh_longdouble(M, v + parity * v[::-1]))
+        oracle = float(abs(levels[1] - levels[0]))
+        assert abs(row.gap - oracle) <= 1e-4 * oracle
+
+
+def test_gap_row_solve_budget(well, case, monkeypatch):
+    # both sectors at one close shift on a 4-vector basis: 20 LU solves
+    # here, where one default 20-vector basis per sector took 42
+    solves = []
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            solves.append(1)
+            return self.lu.solve(b)
+
+    splu = splitting2d.splu
+    monkeypatch.setattr(splitting2d, "splu",
+                        lambda *a, **kw: CountingLU(splu(*a, **kw)))
+    row = gap_row(case(well, 1.2, L=8.5))
+    assert row.floor_flag == "ok"
+    assert len(solves) <= 24
+
+
+def test_gap_row_needs_fiber_energies(well, pipe):
+    c = Case(pipe(well), 0.5)
+    c.ground = SimpleNamespace(e_sw=0.1, fiber_energies=None)
+    with pytest.raises(ValueError, match="fiber_energies"):
+        gap_row(c, delta=0.1)
+
+
+def test_gap_row_rejects_level_far_from_e_sw(well, pipe, case):
+    # a ground 0.2 below the true one, with a fiber gap of 0.2: the shift
+    # still finds the true even level, which lies beyond half that gap
+    e_sw = case(well, 0.5).ground.e_sw - 0.2
+    c = Case(pipe(well), 0.5)
+    c.ground = SimpleNamespace(e_sw=e_sw,
+                               fiber_energies={0: e_sw, 1: e_sw + 0.2})
+    with pytest.raises(NumericalError, match="beyond half the fiber gap"):
+        gap_row(c, delta=0.1)
 
 
 def test_sector_needs_rotation_symmetry(config4):
