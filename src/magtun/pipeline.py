@@ -10,6 +10,8 @@ drops each ground state (about 20 MB with its spline) before the next.
 Every stage after the ground state reads h, the config, u_h, the outer
 representation and the tables from its case.  To run one on an input from
 elsewhere, assign it on a fresh case first: `case.ground = solution`.
+`splitting2d.gap_row` places its shift with the solution's fiber_energies,
+which only `spectral.ground_state` fills in.
 """
 
 from __future__ import annotations

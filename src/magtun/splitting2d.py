@@ -164,9 +164,9 @@ def assemble(system, h, delta=None, box=None):
     return MagneticLattice(h, delta, x, y, M)
 
 
-# parity value of lowest_two that solves both sectors at one shift
-BOTH_SECTORS = (1, -1)
-SHORT_NCV = 4   # Krylov basis of the two-sector solve
+SHORT_NCV = 4   # Krylov basis of gap_row's two-sector solve
+# gap_row's private parity for lowest_two: both sectors by _sector_pair
+_GAP_ROW_PAIR = object()
 
 
 def _sectors(M):
@@ -200,9 +200,29 @@ def _shift_invert(op, sigma, k, v0=None, ncv=None):
     return vals[order], vecs[:, order]
 
 
+def _lift(x, parity):
+    """Sector vectors x (columns) -> full vectors [x; parity J x]/sqrt(2)."""
+    return np.concatenate([x, parity * x[::-1]]) / math.sqrt(2.0)
+
+
+def _sector_pair(M, sigma):
+    """gap_row's solve: the even sector's lowest level, then the odd one's,
+    both at the one shift sigma, on a SHORT_NCV-vector basis, the odd solve
+    started from the even vector.  That basis converges in about ten LU
+    solves only because gap_row's sigma lies much closer to the pair than
+    to any other level; at a shift chosen without that knowledge (the free
+    Landau cluster) it restarts thousands of times."""
+    sector = _sectors(M)
+    even, x_even = _shift_invert(sector(1), sigma, k=1, ncv=SHORT_NCV)
+    odd, x_odd = _shift_invert(sector(-1), sigma, k=1, v0=x_even[:, 0],
+                               ncv=SHORT_NCV)
+    return (np.concatenate([even, odd]),
+            np.hstack([_lift(x_even, 1), _lift(x_odd, -1)]))
+
+
 def lowest_two(lattice, sigma, parity=None):
     """The lowest eigenvalues near the shift sigma: two on the full matrix,
-    one on a pi-rotation sector, one per sector for BOTH_SECTORS.
+    one on a pi-rotation sector.
 
     Shift-invert separates exponentially close pairs; H - sigma is factored
     once with a symmetric fill-reducing ordering (H is Hermitian), and the
@@ -213,34 +233,20 @@ def lowest_two(lattice, sigma, parity=None):
     set rotation by pi reverses the flattened vector (J), so with M = [[A, B],
     [J B J, J A J]] the sector block is A +/- B J, of half the size, and each
     of its eigenvectors x lifts to [x; +/-J x]/sqrt(2).  Residuals are always
-    taken against the full matrix.
-
-    parity=BOTH_SECTORS returns the even sector's lowest level, then the odd
-    one's, both at the one shift sigma.  The odd solve starts from the even
-    vector and both use a SHORT_NCV-vector Krylov basis, which converges
-    quickly only when sigma lies much closer to the pair than to any other
-    level (gap_row's shift); elsewhere it restarts thousands of times.
+    taken against the full matrix.  Any other parity is a ValueError; only
+    gap_row passes a private one, for its two-sector solve (_sector_pair),
+    so that this function's residual gate and profiling span cover it.
     """
     M = lattice.matrix
     if parity is None:
         vals, vecs = _shift_invert(M, sigma, k=2)
-    elif parity in (1, -1, BOTH_SECTORS):
-        sector = _sectors(M)
-        if parity == BOTH_SECTORS:
-            even, x_even = _shift_invert(sector(1), sigma, k=1,
-                                         ncv=SHORT_NCV)
-            odd, x_odd = _shift_invert(sector(-1), sigma, k=1,
-                                       v0=x_even[:, 0], ncv=SHORT_NCV)
-            vals = np.concatenate([even, odd])
-            x = np.hstack([x_even, x_odd])
-            signs = np.array(BOTH_SECTORS)
-        else:
-            vals, x = _shift_invert(sector(parity), sigma, k=1)
-            signs = parity
-        vecs = np.concatenate([x, signs * x[::-1]]) / math.sqrt(2.0)
+    elif parity is _GAP_ROW_PAIR:
+        vals, vecs = _sector_pair(M, sigma)
+    elif parity in (1, -1):
+        vals, x = _shift_invert(_sectors(M)(parity), sigma, k=1)
+        vecs = _lift(x, parity)
     else:
-        raise ValueError(f"parity must be +1, -1 or BOTH_SECTORS, not "
-                         f"{parity!r}")
+        raise ValueError(f"parity must be +1 or -1, not {parity!r}")
     scale = float(np.abs(M.diagonal()).max())
     residuals = [float(np.linalg.norm(M @ v - e * v))
                  for e, v in zip(vals, vecs.T)]
@@ -311,6 +317,9 @@ def gap_row(case, delta=None, box=None):
     ground state's e_sw to its next fiber level: the shared shift lets the
     rounding of the two nearly equal levels cancel in their difference.  An
     even level more than D/2 from e_sw is the wrong level (NumericalError).
+    D comes from the fiber energies that spectral.ground_state stores on its
+    solution, so a ground state assigned to the case must carry them
+    (ValueError otherwise).
     """
     config, h, S = case.config, case.h, case.pipeline.action.S
     floor = 1e-12   # double precision cannot separate a closer pair
@@ -318,16 +327,14 @@ def gap_row(case, delta=None, box=None):
     if predicted < floor:
         return GapRow(h, *[float("nan")] * 6, f"unresolvable(predicted "
                       f"{predicted:.1e} < floor {floor:.1e})")
-    ground = case.ground
-    fiber_energies = getattr(ground, "fiber_energies", None)
+    e_sw, fiber_energies = case.ground.e_sw, case.ground.fiber_energies
     if fiber_energies is None:
         raise ValueError("gap_row needs the ground state's fiber_energies "
                          "(set by spectral.ground_state) to place its shift")
-    e_sw = ground.e_sw
     spacing = min(e for m, e in fiber_energies.items() if m != 0) - e_sw
     sigma = e_sw - spacing / 10.0
     lat = assemble(config, h, delta=delta, box=box)
-    vals, _, res = lowest_two(lat, sigma=sigma, parity=BOTH_SECTORS)
+    vals, _, res = lowest_two(lat, sigma=sigma, parity=_GAP_ROW_PAIR)
     even, odd = float(vals[0]), float(vals[1])
     if abs(even - e_sw) > spacing / 2.0:
         raise NumericalError(

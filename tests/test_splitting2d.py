@@ -4,8 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from magtun import (Case, NumericalError, assemble, gap_vs_hopping,
-                    landau_level_2d, lowest_two)
+from magtun import (Case, NumericalError, RadialWell, assemble,
+                    gap_vs_hopping, landau_level_2d, lowest_two)
 from magtun import splitting2d
 from magtun.splitting2d import LANDAU_MARGIN, gap_row
 
@@ -156,9 +156,15 @@ def test_sector_gap_matches_extended_precision(config85, gap_report,
         assert abs(row.gap - oracle) <= 1e-4 * oracle
 
 
-def test_gap_row_solve_budget(well, case, monkeypatch):
+@pytest.mark.parametrize("depth, L, h", [
+    (1.0, 8.5, 1.2),
+    # shallow, short and at large h: the even level lies 3.4e-3 below e_sw,
+    # three quarters of the way down to the shift
+    (0.5, 5.0, 2.0),
+])
+def test_gap_row_solve_budget(well, case, monkeypatch, depth, L, h):
     # both sectors at one close shift on a 4-vector basis: 20 LU solves
-    # here, where one default 20-vector basis per sector took 42
+    # at each input, where one default 20-vector basis per sector took 42
     solves = []
 
     class CountingLU:
@@ -172,7 +178,9 @@ def test_gap_row_solve_budget(well, case, monkeypatch):
     splu = splitting2d.splu
     monkeypatch.setattr(splitting2d, "splu",
                         lambda *a, **kw: CountingLU(splu(*a, **kw)))
-    row = gap_row(case(well, 1.2, L=8.5))
+    if depth != well.depth:
+        well = RadialWell.bump(depth=depth, a=well.a)
+    row = gap_row(case(well, h, L=L))
     assert row.floor_flag == "ok"
     assert len(solves) <= 24
 
@@ -193,6 +201,13 @@ def test_gap_row_rejects_level_far_from_e_sw(well, pipe, case):
                                fiber_energies={0: e_sw, 1: e_sw + 0.2})
     with pytest.raises(NumericalError, match="beyond half the fiber gap"):
         gap_row(c, delta=0.1)
+
+
+@pytest.mark.parametrize("parity", [0, 2, (1, -1)])
+def test_parity_is_one_sector_or_none(config4, parity):
+    lat = assemble(config4, 0.5, delta=0.1)
+    with pytest.raises(ValueError, match="parity must be"):
+        lowest_two(lat, sigma=0.0, parity=parity)
 
 
 def test_sector_needs_rotation_symmetry(config4):
