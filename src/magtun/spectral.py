@@ -9,16 +9,19 @@ The substitution w = sqrt(r) u turns this into a standard symmetric problem
 on L^2(dr); we realize it at the discrete level with a finite-volume stencil
 on half-integer nodes r_i = (i - 1/2) delta, which keeps the matrix symmetric
 tridiagonal, imposes the natural (zero-flux) condition at r = 0, and retains
-clean O(delta^2) convergence for every m including m = 0.  Eigenvalues are
-Richardson-extrapolated over a grid doubling.  The lowest eigenpair of each
-grid comes from shifted inverse iteration seeded from the grid below, every
-shift certified below the eigenvalue by a positive-definite solve.  Its
-eigenvalue error is far below bisection's eps*|T| (about 1e-9), which can
-exceed the change the Richardson rule allows for a grid doubling.  Several
-levels at once are bisected afresh on every grid, each eigenvalue then
-taken as the Rayleigh quotient of its vector.  The exponential tail of
-the ground state is re-solved as a linear boundary-value problem so that it
-is accurate in relative terms down to the underflow floor.
+clean O(delta^2) convergence for every m including m = 0.  The grid
+doubles, n, 2n, 4n, ..., and each pair of successive grids gives a
+Richardson-extrapolated energy, O(delta^4); the doubling stops once two
+successive extrapolated energies agree.  The ground profile is extrapolated
+the same way, in log form, over the last two grids, so that u_h is O(delta^4)
+too, out along its tail.  The lowest eigenpair of each grid comes from
+shifted inverse iteration seeded from the grid below, every shift certified
+below the eigenvalue by a positive-definite solve.  Its eigenvalue error is
+far below bisection's eps*|T|, which grows like n^2.  Several levels at once
+are bisected afresh on every grid, each eigenvalue then taken as the
+Rayleigh quotient of its vector.  The exponential tail of the ground state
+is re-solved on each grid as a linear boundary-value problem so that it is
+accurate in relative terms down to the underflow floor.
 """
 
 from __future__ import annotations
@@ -48,9 +51,14 @@ __all__ = [
 ]
 
 _LOG_FLOOR = -745.0  # below exp() underflow
-MAX_DOUBLINGS = 4    # grid doublings solve_fiber may add past n, 2n
+MAX_DOUBLINGS = 4    # grid doublings solve_fiber may add past n, 2n, 4n
 TAIL_FLOOR = 1e-9    # _refine_tail re-solves where |w| < TAIL_FLOOR max|w|
 GROUND_TOL = 1e-8    # Richardson tolerance of the ground_state solve
+# first grid spacing of ground_state's m = 0 solve and of its m = 1, 2 scans;
+# from the m = 0 grid the two routes to w agree within 7.2e-9 at depth
+# 0.5-4, L 3.5-5, h >= 0.15
+GROUND_DELTA = 2.4e-3
+SCAN_DELTA = 8e-3
 
 
 class InvariantViolation(NumericalError):
@@ -121,23 +129,39 @@ class RadialEigenSolution:
         self.energy_error = energy_error
         self.u = u
         self.w = w
-        self._log_u = None
+        self._coef = None
         self.e_sw = float(energies[0])
         self.fiber_energies = None  # filled by ground_state
 
-    def _build_spline(self):
-        safe = np.maximum(np.abs(self.u), 1e-320)
-        self._log_u = CubicSpline(self.grid, np.log(safe))
-
     def log_u(self, rho):
-        """log u(rho) by cubic interpolation of the log-profile."""
-        if self._log_u is None:
-            self._build_spline()
-        return self._log_u(rho)
+        """log u(rho) by cubic interpolation of the log-profile.
+
+        The spline is scipy's not-a-knot CubicSpline on the grid.  The grid
+        is uniform, so each point's interval comes from the spacing, with a
+        one-step fix-up for rounding, in place of scipy's binary search;
+        the power form is summed in scipy's order, which gives bit-identical
+        values.  Points off the grid take the end intervals, as in scipy.
+        """
+        if self._coef is None:
+            safe = np.maximum(np.abs(self.u), 1e-320)
+            self._coef = CubicSpline(self.grid, np.log(safe)).c
+        x, c = self.grid, self._coef
+        rho = np.asarray(rho, dtype=float)
+        last = len(x) - 2
+        i = np.clip(np.floor((rho - x[0]) / self.delta), 0, last).astype(int)
+        i -= (rho < x[i]) & (i > 0)
+        i += (rho >= x[i + 1]) & (i < last)
+        s = rho - x[i]
+        s2 = s * s
+        return c[3, i] + c[2, i] * s + c[1, i] * s2 + c[0, i] * (s2 * s)
 
     def norm_check(self):
-        """int |u|^2 2 pi r dr on the grid (should be 1)."""
-        return 2.0 * np.pi * float(np.sum(self.w**2) * self.delta)
+        """int |u|^2 2 pi r dr on the grid (should be 1): the midpoint sum
+        less its Euler-Maclaurin endpoint term at r = 0, delta^2 / 24 times
+        the integrand's slope 2 pi u(0)^2 there.  The profile is
+        extrapolated to O(delta^4), so the bare sum is off by that term."""
+        return 2.0 * np.pi * (float(np.sum(self.w**2)) * self.delta
+                              - self.delta**2 * self.u[0]**2 / 24.0)
 
 
 def _bisection_levels(problem, k):
@@ -185,8 +209,8 @@ def _refine_tail(w, diag, off, E):
 
     Inverse-iteration eigenvectors lose relative accuracy once the
     amplitude drops below ~1e-15 of the peak; the tridiagonal system
-    (T - E) w = 0, with T the finest grid's matrix (diag, off) and the
-    accurate boundary value, regains it.
+    (T - E) w = 0, with T the level's matrix (diag, off) and the accurate
+    boundary value, regains it.
     """
     n = len(w)
     wmax = np.abs(w).max()
@@ -207,43 +231,68 @@ def _refine_tail(w, diag, off, E):
     w[i0 + 1:] = sla.solve_banded((1, 1), ab, b)
 
 
-def solve_fiber(problem, k=1, tol=1e-8):
-    """Lowest k eigenpairs, Richardson-extrapolated over a grid doubling.
+def _log_profile(level, E):
+    """log u of a level's ground vector: positive, normalized on the
+    level's own grid, its tail re-solved with the level's matrix at E."""
+    _, vecs, diag, off, r, delta = level
+    w = vecs[:, 0].copy()
+    if w[np.argmax(np.abs(w))] < 0:
+        w = -w
+    w /= math.sqrt(2.0 * np.pi * float(np.sum(w**2)) * delta)
+    _refine_tail(w, diag, off, E)
+    return np.log(np.maximum(np.abs(w), 1e-320) / np.sqrt(r))
 
-    Convergence requires the extrapolation residual |lam(n)-lam(2n)|/3 to
-    drop below tol; otherwise the grid doubles (up to MAX_DOUBLINGS) and an
-    AccuracyError carrying both estimates is raised on exhaustion.  k = 1
+
+def solve_fiber(problem, k=1, tol=1e-8):
+    """Lowest k eigenpairs and the ground profile, Richardson-extrapolated
+    over the last two of the grids n, 2n, 4n, ...
+
+    Each level's eigenvalues carry an O(delta^2) error with a smooth
+    expansion in delta^2, so with q = (delta_c / delta_f)^2 (about 4) the
+    pair (coarse, fine) gives E = lam_f + (lam_f - lam_c) / (q - 1),
+    accurate to O(delta^4).  The grid doubles until two successive values
+    agree, |E(n, 2n) - E(n/2, n)| <= tol; that difference, the error bound
+    of the coarser value, is energy_error.  After MAX_DOUBLINGS doublings
+    past the first three levels an AccuracyError carries both.  k = 1
     solves each grid by certified inverse iteration seeded from the grid
     below (numerics.tridiag_ground_pair); k > 1 bisects every grid afresh
     and takes each eigenvalue as its vector's Rayleigh quotient.  Either
-    way the eigenvalue error is far below the Richardson tolerance.  The
-    ground vector's tail is re-solved at the extrapolated energy
-    (_refine_tail) before the solution is built.
+    way the eigenvalue error is far below the tolerance.
+
+    The ground profile is extrapolated the same way, in log form: the log
+    profile of each of the last two levels (_log_profile), the coarse one
+    splined onto the fine nodes, gives log u = l_f + (l_f - l_c) / (q - 1)
+    on the fine grid, O(delta^4) like E, far out along the decaying tail.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"need finite tol > 0 (got {tol})")
     levels = _ground_levels(problem) if k == 1 else \
         _bisection_levels(problem, k)
-    vals_c = next(levels)[0]
+
+    def extrapolate(coarse, fine):
+        q = (coarse[-1] / fine[-1]) ** 2
+        return fine[0] + (fine[0] - coarse[0]) / (q - 1.0), q
+
+    coarse, fine = next(levels), next(levels)
+    last, _ = extrapolate(coarse, fine)
     for _ in range(MAX_DOUBLINGS + 1):
-        vals_f, vecs, diag, off, r, delta = next(levels)
-        err = np.max(np.abs(vals_f - vals_c)) / 3.0
+        coarse, fine = fine, next(levels)
+        energies, q = extrapolate(coarse, fine)
+        err = float(np.max(np.abs(energies - last)))
         if err <= tol:
             break
-        vals_c = vals_f
+        last = energies
     else:
         raise AccuracyError(
-            f"fiber eigenvalues not converged to {tol} "
-            f"(last doubling changed them by {3 * err:.3e})",
-            estimate=vals_f, error_bound=err)
-    energies = (4.0 * vals_f - vals_c) / 3.0
-    w = vecs[:, 0].copy()
-    if w[np.argmax(np.abs(w))] < 0:
-        w = -w
-    w /= math.sqrt(2.0 * np.pi * float(np.sum(w**2)) * delta)
-    _refine_tail(w, diag, off, energies[0])
-    return RadialEigenSolution(problem, r, delta, energies, err,
-                               w / np.sqrt(r), w)
+            f"fiber eigenvalues not converged to {tol} (the last two "
+            f"extrapolated values differ by {err:.3e})",
+            estimate=energies, error_bound=err)
+    r, delta = fine[4:]
+    l_f = _log_profile(fine, energies[0])
+    l_c = CubicSpline(coarse[4], _log_profile(coarse, energies[0]))(r)
+    u = np.exp(l_f + (l_f - l_c) / (q - 1.0))
+    return RadialEigenSolution(problem, r, delta, energies, err, u,
+                               np.sqrt(r) * u)
 
 
 def default_radius(well, h, L=None):
@@ -256,15 +305,17 @@ def default_radius(well, h, L=None):
     return R
 
 
-def _default_n(R, delta=3e-4, cap=250_000):
-    return min(int(math.ceil(R / delta)), cap)
+def _default_n(R, delta=GROUND_DELTA, cap=250_000):
+    return min(int(R / delta), cap)
 
 
 def ground_state(well, h, L=None):
     """Radial single-well ground state: the m = 0 fiber, after checking that
-    the minimum over the scanned fibers is attained there."""
+    the minimum over the scanned fibers is attained there.  The m = 0 solve
+    starts at spacing GROUND_DELTA, the m = 1, 2 scans at SCAN_DELTA with at
+    least 400 nodes."""
     R = default_radius(well, h, L=L)
-    n_scan = max(_default_n(R, delta=1e-3), 4000)
+    n_scan = max(_default_n(R, SCAN_DELTA), 400)
     scanned = {m: solve_fiber(FiberProblem(m=m, h=h, R=R, n=n_scan,
                                            well=well),
                               k=1, tol=100 * GROUND_TOL).e_sw
@@ -337,8 +388,12 @@ def agmon_identity_check(solution, phi, phi_prime=None):
 
         h^2 ||grad v||^2 + int (w - |phi'|^2) v^2  =  E int e^{2 phi/h} u^2.
 
-    All integrals are the discrete (finite-volume) ones, so phi = 0
-    reproduces the eigen-identity to machine precision.
+    All integrals are the discrete (finite-volume) ones on the solution's
+    grid.  For that grid's own eigenpair, phi = 0 would reproduce the
+    eigen-identity to rounding.  The solution carries the extrapolated
+    energy E and profile instead, so at phi = 0 the relative residual is
+    the grid's own O(delta^2) eigenvalue error, |lam - E| / (|lam| + |E|):
+    8.1e-8 for the default bump well at L 4, h 0.1.
     """
     r = solution.grid
     h = solution.h

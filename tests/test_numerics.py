@@ -16,12 +16,12 @@ from magtun.wkb import (T_BLOCK, Y_HI, OuterRepresentation, calibrate_outer,
 # Bump well depth 1, a 1, L 4, outer check to L + 1, eta 0.05.  The values
 # follow the fiber eigensolver through alpha = 1/2 - e_sw/2h: a shift of
 # 1e-9 in e_sw moves log_W2 and log_W3 by 2e-9 to 4e-9.
-FROZEN_W_BESSEL = {0.3: -6.056438103747156e-08, 0.5: -4.390891338742484e-05}
+FROZEN_W_BESSEL = {0.3: -6.056438260738497e-08, 0.5: -4.3908913659126126e-05}
 FROZEN_W_CHAIN = {  # log_W1, log_W2, log_W3, log_W4, log_W4_alt
-    0.3: (-17.614590600962373, -18.066722975687938, -18.159067700088396,
-          -18.297869636040392, -18.29786963604039),
-    0.5: (-11.643503748432108, -11.524955800051497, -11.642681505578798,
-          -11.593131741125825, -11.593131741125825),
+    0.3: (-17.614590573365238, -18.06672297576426, -18.15906770016447,
+          -18.29786963604039, -18.29786963604039),
+    0.5: (-11.643503741767983, -11.524955800014917, -11.642681505542296,
+          -11.593131741125818, -11.593131741125818),
 }
 
 

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from magtun import (FiberProblem, RadialWell, agmon_identity_check,
                     default_radius, ground_state, harmonic_expansion_check,
                     solve_fiber)
-from magtun.spectral import _bisection_levels, _default_n, _ground_levels
+from magtun.spectral import (GROUND_TOL, _bisection_levels, _default_n,
+                             _ground_levels)
 
 SQRT5 = math.sqrt(5.0)
 
@@ -73,7 +75,7 @@ def test_mode_gap(well, case):
 def test_negative_fibers_from_shift_identity(well, case, h):
     # fiber -m is fiber m shifted by 2hm, so ground_state derives it
     sol = case(well, h).ground
-    n_scan = max(_default_n(sol.R, delta=1e-3), 4000)
+    n_scan = max(_default_n(sol.R, delta=8e-3), 400)
     for m in (1, 2):
         direct = solve_fiber(FiberProblem(m=-m, h=h, R=sol.R, n=n_scan,
                                           well=well),
@@ -89,6 +91,27 @@ def test_normalization_and_positivity(well, case):
 
 def test_grid_doubling_converged(well, case):
     assert case(well, 0.1).ground.energy_error <= 1e-8
+
+
+def test_ground_state_solve_size(well, case):
+    # the doubling stops on the extrapolated energies, not the raw ones:
+    # a quarter of the 69,284 nodes the raw rule took at this input
+    sol = case(well, 0.3).ground
+    assert sol.n <= 69_284 // 4
+    assert sol.energy_error <= GROUND_TOL
+
+
+def test_log_u_matches_scipy_spline(well, case):
+    # the interval index taken from the uniform spacing and the power form
+    # summed in scipy's order reproduce scipy's spline bit for bit
+    sol = case(well, 0.3).ground
+    x = sol.grid
+    spline = CubicSpline(x, np.log(np.maximum(np.abs(sol.u), 1e-320)))
+    rng = np.random.default_rng(1)
+    rho = np.concatenate([rng.uniform(-0.1, sol.R + 0.1, 10**6), x,
+                          np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    assert np.array_equal(sol.log_u(rho), spline(rho))
+    assert sol.log_u(1.0) == spline(1.0)
 
 
 def test_fiber_problem_validation(well):
