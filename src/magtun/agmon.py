@@ -132,8 +132,8 @@ def action_S0(profile):
     """S0 = d(L), with the variational value inf_{0<u<a} d(u) + d(L+u)."""
     a, L = profile.well.a, profile.L
     value = float(profile.d(L))
-    res = minimize_1d(lambda u: float(profile.d(u) + profile.d(L + u)),
-                      0.0, a, tol=TOL_S0_SA)
+    res = minimize_1d(lambda u: profile.d(u) + profile.d(L + u), 0.0, a,
+                      tol=TOL_S0_SA)
     return VariationalResult(value, res.value, res.argmin)
 
 
@@ -145,15 +145,15 @@ def action_Sa(profile):
     """
     a, L = profile.well.a, profile.L
     value = float(profile.d(L - a) + profile.d(a))
-    res = minimize_1d(lambda u: float(profile.d(u) + profile.d(L - u)),
-                      0.0, a, tol=TOL_S0_SA)
+    res = minimize_1d(lambda u: profile.d(u) + profile.d(L - u), 0.0, a,
+                      tol=TOL_S0_SA)
     return VariationalResult(value, res.value, res.argmin)
 
 
 def action_Shat(profile):
     """Shat = min_{[0,a]} g0 with its minimizer r0; r0 must be interior."""
     a, tol = profile.well.a, TOL_SHAT
-    res = minimize_1d(lambda r: float(profile.g0(r)), 0.0, a, tol=tol)
+    res = minimize_1d(profile.g0, 0.0, a, tol=tol)
     if not (tol < res.argmin < a - tol):
         raise NumericalError(
             f"hat-action minimizer r0={res.argmin} not interior to (0, {a})",
@@ -166,8 +166,7 @@ def action_S_eps(profile, eps):
     if not 0.0 < eps <= 1.0:
         raise ValueError("need 0 < eps <= 1")
     a = profile.well.a
-    res = minimize_1d(lambda r: float(profile.g_eps(r, eps)), 0.0, a,
-                      tol=TOL_SHAT)
+    res = minimize_1d(lambda r: profile.g_eps(r, eps), 0.0, a, tol=TOL_SHAT)
     return SepsResult(res.value, res.argmin)
 
 

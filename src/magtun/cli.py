@@ -92,7 +92,7 @@ def cmd_constants(args):
 
 
 def cmd_spectrum(args):
-    from .spectral import FiberProblem, default_radius, solve_fiber
+    from .spectral import FiberProblem, _default_n, default_radius, solve_fiber
 
     if args.modes < 0:
         raise ValueError(f"need --modes >= 0 (got {args.modes})")
@@ -103,7 +103,7 @@ def cmd_spectrum(args):
     problem = FiberProblem(m=0, h=args.h, R=R, well=well,
                            n=400 if args.grid is None else args.grid)
     if args.grid is None:
-        problem = replace(problem, n=max(int(R / 1e-3), 4000))
+        problem = replace(problem, n=max(_default_n(R), 400))
     rows = []
     dump = None
     for m in range(-args.modes, args.modes + 1):
@@ -127,16 +127,15 @@ def cmd_wkb(args):
     case = Case(pipe, args.h)
     sol, outer = case.ground, case.outer
     prof, amp = pipe.profile, pipe.amplitude
-    rs = np.linspace(sol.grid[0], pipe.L + 1.0, args.points)
+    # r_k = k (L + 1) / points, independent of the solver's grid
+    rs = (pipe.L + 1.0) * np.arange(1, args.points + 1) / args.points
     outside = rs >= pipe.well.a
     log_outer = np.full(rs.shape, np.nan)   # the representation needs r >= a
     log_outer[outside] = outer.log_u(rs[outside])
-    rows = []
-    for r, log_out in zip(rs, log_outer):
-        u = math.exp(float(sol.log_u(r)))
-        wkb = math.exp(float(amp.log_a0(r)) - float(prof.d(r)) / args.h) \
-            / math.sqrt(args.h)
-        rows.append((float(r), u, wkb, math.exp(log_out)))
+    u = np.exp(sol.log_u(rs))
+    wkb = np.exp(amp.log_a0(rs) - prof.d(rs) / args.h) / math.sqrt(args.h)
+    rows = list(zip(rs.tolist(), u.tolist(), wkb.tolist(),
+                    np.exp(log_outer).tolist()))
     _emit(rows, ("r", "u_h", "wkb_prediction", "outer_prediction"),
           args.format, args.output)
     return 0
@@ -297,7 +296,8 @@ def build_parser():
     sp = sub.add_parser("wkb", help="ground state vs WKB/outer predictions")
     common(sp)
     sp.add_argument("--h", type=float, required=True)
-    sp.add_argument("--points", type=int, default=200)
+    sp.add_argument("--points", type=int, default=200,
+                    help="rows at r = k (L+1)/points, k = 1..points")
     sp.set_defaults(func=cmd_wkb)
 
     sp = sub.add_parser("hopping", help="hopping coefficient sweep")

@@ -90,12 +90,18 @@ def minimize_1d(f, lo, hi, tol=1e-8):
     """Bracketed scalar minimization (Brent) with a global grid pre-scan.
 
     A uniform pre-scan of PRESCAN points picks the basin first; ties go to
-    the smallest abscissa (np.argmin returns the first hit).
+    the smallest abscissa (np.argmin returns the first hit).  The pre-scan
+    is one call f(xs) on the whole node array, so f must accept an array
+    and return one of the same shape (a scalar-only f is a TypeError);
+    Brent's refinement and the endpoints call f with scalars.
     """
     if lo >= hi:
         raise ValueError("need lo < hi")
     xs = np.linspace(lo, hi, PRESCAN)
-    vals = np.array([f(x) for x in xs])
+    vals = np.asarray(f(xs))
+    if vals.shape != xs.shape:
+        raise TypeError(f"f must map shape {xs.shape} to the same shape "
+                        f"(got {vals.shape})")
     k = int(np.argmin(vals))
     a = xs[max(k - 1, 0)]
     b = xs[min(k + 1, len(xs) - 1)]

@@ -62,7 +62,7 @@ def run_battery(config, quick=False, landau_delta=None):
     route_h = (0.5,) if quick else (0.5, 0.3)   # h of both hopping checks
 
     def landau():
-        sol = solve_fiber(FiberProblem(m=0, h=1.0, R=19.0, n=20000),
+        sol = solve_fiber(FiberProblem(m=0, h=1.0, R=19.0, n=5000),
                           k=1, tol=1e-9)
         fiber_ok = abs(sol.e_sw - 1.0) <= 1e-6
         deltas = (landau_delta, landau_delta / math.sqrt(2.0)) \
@@ -79,13 +79,13 @@ def run_battery(config, quick=False, landau_delta=None):
         for mu in mus:
             target = math.sqrt(1.0 + 4.0 * mu)
             sol = solve_fiber(
-                FiberProblem(m=0, h=1.0, R=12.0, n=9000,
+                FiberProblem(m=0, h=1.0, R=12.0, n=2250,
                              well=lambda r, mu=mu: mu * r * r),
                 k=1, tol=1e-8)
             worst = max(worst, abs(sol.e_sw - target))
             for m in (1, 2):
                 sm = solve_fiber(
-                    FiberProblem(m=m, h=1.0, R=12.0, n=9000,
+                    FiberProblem(m=m, h=1.0, R=12.0, n=2250,
                                  well=lambda r, mu=mu: mu * r * r),
                     k=1, tol=1e-7)
                 pred = target + (target - 1.0) * m

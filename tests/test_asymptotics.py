@@ -6,7 +6,8 @@ import pytest
 from magtun import (AgmonProfile, ConsistencyError, PsiSurface, RadialWell,
                     beta_scaling, minimize_1d, minimizer_closed_form,
                     nonmagnetic_action, psi_global_min, sharp_action, w_chain)
-from magtun.agmon import action_S0, action_Sa, action_Shat, \
+from magtun import agmon, asymptotics, numerics
+from magtun.agmon import action_S0, action_S_eps, action_Sa, action_Shat, \
     free_action_primitive
 
 # frozen from closed forms + midpoint oracle (canonical depth=1, a=1, L=4)
@@ -18,6 +19,31 @@ NONMAG_CANON = 3.0824097458716895       # 2 int sqrt(v0+1) + (L-2a)
 @pytest.fixture(scope="module")
 def surface(profile4):
     return PsiSurface(profile4)
+
+
+@pytest.mark.parametrize("depth", [0.5, 1.0, 4.0])
+def test_prescan_objectives_array_equals_pointwise(depth, monkeypatch):
+    # minimize_1d evaluates its pre-scan as one array call; every objective
+    # the package hands it (S0, Sa, Shat, S(eps), and Psi's t, r and
+    # boundary slices) must give the per-point values bit for bit there
+    objectives = []
+
+    def recording(f, lo, hi, tol=1e-8):
+        objectives.append((f, lo, hi))
+        return numerics.minimize_1d(f, lo, hi, tol=tol)
+
+    monkeypatch.setattr(agmon, "minimize_1d", recording)
+    monkeypatch.setattr(asymptotics, "minimize_1d", recording)
+    prof = AgmonProfile(RadialWell.bump(depth=depth, a=1.0), 4.0)
+    for action in (action_S0, action_Sa, action_Shat):
+        action(prof)
+    action_S_eps(prof, 0.5)
+    psi_global_min(PsiSurface(prof))
+    assert len(objectives) == 4 + 2 * asymptotics.PSI_REFINEMENTS + 1
+    for f, lo, hi in objectives:
+        xs = np.linspace(lo, hi, numerics.PRESCAN)
+        pointwise = np.array([f(x) for x in xs])
+        assert np.asarray(f(xs)).tobytes() == pointwise.tobytes()
 
 
 def test_psi_domain(surface):

@@ -308,6 +308,9 @@ def test_wkb_subcommand():
     rows = out.strip().splitlines()
     assert rows[0] == "r,u_h,wkb_prediction,outer_prediction"
     assert len(rows) == 51
+    # r_k = k (L + 1) / points, whatever grid the solver ended on
+    assert [float(r.split(",")[0]) for r in rows[1:]] == \
+        [5.0 * k / 50 for k in range(1, 51)]
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

@@ -94,12 +94,30 @@ def test_minimize_parabola():
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
+def test_minimize_prescan_is_one_array_call():
+    shapes = []
+
+    def f(x):
+        shapes.append(np.shape(x))
+        return (x - 0.3) ** 2
+
+    res = minimize_1d(f, 0.0, 1.0)
+    assert res.argmin == pytest.approx(0.3, abs=1e-7)
+    # the whole pre-scan first, then Brent and the endpoints on scalars
+    assert shapes[0] == (numerics.PRESCAN,)
+    assert len(shapes) > 2 and all(s == () for s in shapes[1:])
+    with pytest.raises(TypeError):
+        minimize_1d(lambda x: math.exp(x), 0.0, 1.0)   # scalar-only f
+    with pytest.raises(TypeError):
+        minimize_1d(lambda x: 1.0, 0.0, 1.0)   # array in, scalar out
+
+
 def test_minimize_g0_interior(profile4):
     # brute-force grid scan oracle at 1e-4 resolution
     rs = np.arange(1e-4, 1.0, 1e-4)
     scan = profile4.g0(rs)
     k = int(np.argmin(scan))
-    res = minimize_1d(lambda r: float(profile4.g0(r)), 0.0, 1.0, tol=1e-9)
+    res = minimize_1d(profile4.g0, 0.0, 1.0, tol=1e-9)
     assert 0.0 < res.argmin < 1.0
     assert res.argmin == pytest.approx(rs[k], abs=2e-4)
     assert res.value <= scan[k] + 1e-12

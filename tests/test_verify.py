@@ -1,7 +1,7 @@
 import subprocess
 import sys
 
-from magtun import Case
+from magtun import Case, spectral
 from magtun.verify import run_battery
 
 BASE = [sys.executable, "-m", "magtun.cli"]
@@ -57,3 +57,23 @@ def test_hopping_reality_reads_every_route_h(config4, monkeypatch):
     quick = {r.name: r for r in run_battery(config4, quick=True)}
     assert quick["hopping_reality"].status == "pass"
     assert 0.3 not in read
+
+
+def test_fixed_fiber_solves_final_grids(config4, monkeypatch):
+    # the Landau (R 19) and oscillator (R 12) fiber solves at h 1 start on
+    # a quarter of their final grids, 20,000 and 9,000 nodes, and both
+    # checks still pass their 1e-6 bounds
+    grids = []
+    solve = spectral.solve_fiber
+
+    def recording(problem, k=1, tol=1e-8):
+        sol = solve(problem, k=k, tol=tol)
+        if problem.h == 1.0:
+            grids.append((problem.R, problem.n, sol.n))
+        return sol
+
+    monkeypatch.setattr(spectral, "solve_fiber", recording)
+    results = {r.name: r for r in run_battery(config4)}
+    assert grids == [(19.0, 5000, 20000)] + [(12.0, 2250, 9000)] * 9
+    assert results["landau_level"].status == "pass"
+    assert results["oscillator"].status == "pass"
