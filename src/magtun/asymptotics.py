@@ -100,7 +100,9 @@ def minimizer_closed_form(well, L):
 PSI_NODES = 400
 PSI_T_WINDOW = (1e-3, 30.0)
 PSI_REFINEMENTS = 3
-N_CHAIN = 300   # Gauss-Legendre r-nodes of w_chain on [eta, a]
+# Gauss-Legendre r-nodes of w_chain on [eta, a]: against 3x the nodes, 64
+# move log W1..W4 by at most 1.4e-11 (depth 0.5-4, L 3.5-12, h 0.05-0.6)
+N_CHAIN = 64
 N_NONMAGNETIC = 20001   # Simpson nodes of nonmagnetic_action on [0, a]
 
 

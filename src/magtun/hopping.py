@@ -46,10 +46,12 @@ __all__ = [
 ]
 
 
-# Gauss-Legendre r-nodes on [0, a]: one rule for the two routes that are
-# compared with each other, a finer one for the WKB envelopes
-N_ROUTE = 200
-N_ENVELOPE = 400
+# Gauss-Legendre r-nodes on [0, a], one rule for both routes, the WKB
+# envelopes and the eps-family bound.  Against 3x the nodes (depth 0.5-4,
+# L 3.5-12, h 0.045-0.6), 64 move w_bessel by at most 7.6e-14 and the eps
+# bound by 2.2e-12 relative, and the envelope logs by 5.8e-10 up to L 8.5
+# and 2.2e-9 at L 12: their integrand sharpens like L a / 2h
+N_ROUTE = 64
 DIRECT_RTOL = 1e-9   # largest kappa eps that hopping_direct returns
 
 
@@ -91,18 +93,22 @@ def hopping_direct(case):
     The angular integral is one trapezoid rule on n equispaced nodes, n
     well above the integrand's bandwidth, where the rule on a periodic
     analytic integrand has converged geometrically (Trefethen & Weideman,
-    SIAM Review 56, 2014).  What is left is rounding, about kappa eps
-    relative, with the cancellation ratio kappa = sum|f| / |sum f| of the
-    whole integrand f taken from the same pass.  When kappa eps exceeds
-    DIRECT_RTOL an AccuracyError names kappa and carries the value and the
-    bound kappa eps |w|.
+    SIAM Review 56, 2014).  With beta = L a / 2h the integrand behaves like
+    e^{-beta e^{-it}}, whose Fourier coefficients beta^k / k! fall below
+    eps e^beta near k = e beta; measured, the rule reaches its rounding
+    floor at 2.6-2.9 beta nodes (beta 27-50).  n is about 6.4 beta, at
+    least 256.  What is left is rounding, of order kappa eps relative (up
+    to 28 kappa eps between rules of nearby sizes), with the cancellation
+    ratio kappa = sum|f| / |sum f| of the whole integrand f taken from the
+    same pass.  When kappa eps exceeds DIRECT_RTOL an AccuracyError names
+    kappa and carries the value and the bound kappa eps |w|.
     """
     well, L, h = case.config.well, case.config.L, case.h
     a = well.a
     r_nodes, r_weights = _gauss_nodes(a, N_ROUTE)
     radial = r_weights * r_nodes * well.v0(r_nodes) \
         * np.exp(case.ground.log_u(r_nodes))
-    n = 4 * max(256, 40 * math.ceil(L * a / (4.0 * math.pi * h)))
+    n = 4 * max(64, 10 * math.ceil(L * a / (4.0 * math.pi * h)))
     total, mag = _circle_sums(case.ground, L, h, r_nodes, n)
     w = radial @ total * (2.0 * np.pi / n)
     kappa = np.abs(radial) @ mag * (2.0 * np.pi / n) / abs(w)
@@ -143,7 +149,7 @@ def hopping_wkb_envelope(case):
     """
     well, L, h = case.config.well, case.config.L, case.h
     profile, amplitude = case.pipeline.profile, case.pipeline.amplitude
-    r_nodes, r_weights = _gauss_nodes(well.a, N_ENVELOPE)
+    r_nodes, r_weights = _gauss_nodes(well.a, N_ROUTE)
     rw = r_nodes * r_weights * np.abs(well.v0(r_nodes))
     w0, Mh = [], []
     for far in (L - r_nodes, L + r_nodes):   # the plus, then the minus term
@@ -156,12 +162,14 @@ def hopping_wkb_envelope(case):
 
 
 def epsilon_lower_bound(case, eps):
-    """RHS of the eps-family lower bound at case.h:
+    """RHS of the eps-family lower bound at case.h, for 0 < eps <= 1:
     int_0^a e^{-(1-eps) L r / 2h} |v0| u_h(sqrt((L-r)^2+2 eps L r)) u_h(r) r dr.
     """
+    if not 0.0 < eps <= 1.0:
+        raise ValueError("need 0 < eps <= 1")
     well, L, h, log_u = case.config.well, case.config.L, case.h, \
         case.ground.log_u
-    r_nodes, r_weights = _gauss_nodes(well.a, N_ENVELOPE)
+    r_nodes, r_weights = _gauss_nodes(well.a, N_ROUTE)
     shifted = np.sqrt((L - r_nodes) ** 2 + 2.0 * eps * L * r_nodes)
     log_terms = (-(1.0 - eps) * L * r_nodes / (2.0 * h)
                  + log_u(shifted) + log_u(r_nodes))

@@ -52,6 +52,11 @@ def well_deep():
 
 
 @pytest.fixture(scope="session")
+def well_shallow():
+    return RadialWell.bump(depth=0.5, a=1.0)
+
+
+@pytest.fixture(scope="session")
 def config85(well):
     return DoubleWellConfig(well, 8.5)
 

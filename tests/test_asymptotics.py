@@ -167,6 +167,19 @@ def test_w_chain_canonical(well, case):
         w_chain(c, 1.5)
 
 
+@pytest.mark.parametrize("depth, L", [(d, L) for d in (0.5, 4.0)
+                                      for L in (3.5, 5.0, 8.5)])
+def test_w_chain_r_rule_converged(well_shallow, well_deep, case, monkeypatch,
+                                  depth, L):
+    # N_CHAIN against 3x its nodes at the chain's smallest h; measured
+    # worst 8.8e-12 (depth 0.5, L 8.5)
+    c = case(well_shallow if depth == 0.5 else well_deep, 0.05, L=L)
+    coarse = vars(w_chain(c, 0.05))
+    monkeypatch.setattr(asymptotics, "N_CHAIN", 3 * asymptotics.N_CHAIN)
+    for name, fine in vars(w_chain(c, 0.05)).items():
+        assert abs(fine - coarse[name]) <= 1e-10, name
+
+
 def test_w1_eta_stability_deep(deep_chain):
     res = deep_chain[0.05]
     w1 = {eta: math.exp(r.log_W1) for eta, r in res.items()}

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from magtun import (AccuracyError, Case, DoubleWellConfig, Pipeline,
-                    RadialWell, epsilon_lower_bound, hopping_direct,
-                    hopping_slope_check)
+                    RadialWell, epsilon_lower_bound, hopping_bessel,
+                    hopping_direct, hopping_slope_check, hopping_wkb_envelope)
 from magtun import hopping
 
 # frozen cross-route value at h = 0.5 (both routes agreed to 4e-8 when frozen)
@@ -144,6 +144,57 @@ def test_epsilon_family_lower_bound(well, case):
         assert all(r >= c_eps / 10.0 for r in ratios)
 
 
+@pytest.mark.parametrize("eps", [-5.0, 0.0, 1.5, math.nan])
+def test_epsilon_lower_bound_domain(well, case, eps):
+    # the eps-family has 0 < eps <= 1, as agmon.action_S_eps
+    with pytest.raises(ValueError, match="0 < eps <= 1"):
+        epsilon_lower_bound(case(well, 0.5), eps)
+    assert epsilon_lower_bound(case(well, 0.5), 1.0) > 0.0
+
+
+# the shallow and the deep well at the three L of the benchmark and the
+# lattice, each at the smallest h of the Bessel route's domain
+R_CORNERS = [(depth, L) for depth in (0.5, 4.0) for L in (3.5, 5.0, 8.5)]
+
+
+@pytest.mark.parametrize("depth, L", R_CORNERS)
+def test_r_rule_converged(well_shallow, well_deep, case, monkeypatch,
+                          depth, L):
+    # N_ROUTE against 3x its nodes.  Measured worst: w_bessel 7.6e-14
+    # relative, the eps bound 3.1e-14, the envelope logs 5.8e-10 (depth
+    # 0.5, L 8.5, whose integrand sharpens like L a / 2h)
+    c = case(well_shallow if depth == 0.5 else well_deep, 0.045, L=L)
+    wb, lb = hopping_bessel(c), epsilon_lower_bound(c, 0.5)
+    env = vars(hopping_wkb_envelope(c))
+    monkeypatch.setattr(hopping, "N_ROUTE", 3 * hopping.N_ROUTE)
+    assert abs(hopping_bessel(c) - wb) <= 1e-12 * abs(wb)
+    assert abs(epsilon_lower_bound(c, 0.5) - lb) <= 1e-11 * lb
+    for name, fine in vars(hopping_wkb_envelope(c)).items():
+        assert abs(fine - env[name]) <= 1e-9, name
+
+
+@pytest.mark.parametrize("depth, L, h", [
+    (1.0, 4.0, 0.07), (0.5, 3.5, 0.05), (0.5, 5.0, 0.08), (0.5, 8.5, 0.155),
+    (4.0, 3.5, 0.045), (4.0, 5.0, 0.055), (4.0, 8.5, 0.125)])
+def test_direct_rules_converged(well, well_shallow, well_deep, case,
+                                monkeypatch, depth, L, h):
+    # at each corner's smallest h (on a 0.005 step) where the route returns,
+    # the shipped rules against 4x the angular and 3x the r-nodes.  What
+    # is left is rounding, which kappa eps understates: u = e^{log u}
+    # carries |log u| eps (up to about 170 eps here), and rules of n to
+    # n + 16 nodes spread by up to 28 kappa eps.  Measured worst 10.5
+    # kappa eps (depth 4, L 5); a rule short of the bandwidth misses by
+    # 1e-5 or more
+    c = case({0.5: well_shallow, 1.0: well, 4.0: well_deep}[depth], h, L=L)
+    wd = hopping_direct(c)
+    w4, kappa = _brute_force_direct(c.config, h, c.ground,
+                                    4 * _angular_nodes(c.config, h))
+    bound = max(1e-10, 30.0 * kappa * np.finfo(float).eps) * abs(w4)
+    assert abs(wd - w4) <= bound
+    monkeypatch.setattr(hopping, "N_ROUTE", 3 * hopping.N_ROUTE)
+    assert abs(hopping_direct(c) - wd) <= bound
+
+
 def test_route_agreement_tightness(sweep):
     for c in sweep:
         wd, wb = c.w_direct, c.w_bessel
@@ -175,7 +226,7 @@ def test_direct_frozen_values(well, well_deep, case, depth, L, h):
 
 def _angular_nodes(config, h):
     L, a = config.L, config.well.a
-    return 4 * max(256, 40 * math.ceil(L * a / (4.0 * math.pi * h)))
+    return 4 * max(64, 10 * math.ceil(L * a / (4.0 * math.pi * h)))
 
 
 def _brute_force_direct(config, h, solution, n_theta):
@@ -239,4 +290,4 @@ def test_direct_spline_points(config4, well, case, monkeypatch):
                         lambda rho: points.append(np.size(rho)) or log_u(rho))
     assert hopping_direct(case(well, h)) == wd
     n = _angular_nodes(config4, h)
-    assert sum(points) <= hopping.N_ROUTE * (n // 2 + 2)
+    assert sum(points) == hopping.N_ROUTE * (n // 2 + 2)

@@ -298,26 +298,32 @@ def test_outer_t_integral_across_block_boundary():
 
 
 def test_one_kernel_call_per_t_integral(well, case, monkeypatch):
-    # w_chain integrates all its radial nodes in one batched call per
-    # t-integral, four in all, and calibrate_outer fits and checks its 9
-    # points in one
-    from magtun import asymptotics, wkb
+    # w_chain integrates all its N_CHAIN radial nodes in one batched call
+    # per t-integral, four in all; hopping_bessel its N_ROUTE nodes in
+    # T_BLOCK-row calls; and calibrate_outer fits and checks its 9 points
+    # in one
+    from magtun import asymptotics, hopping, wkb
 
     calls = []
 
     def counted(g, lo, hi):
-        calls.append(lo)
-        return numerics.log_integral_exp(g, lo, hi)
+        out = numerics.log_integral_exp(g, lo, hi)
+        calls.append((lo, len(out)))
+        return out
 
     c = case(well, 0.3)
     c.outer   # built before the count starts
     monkeypatch.setattr(asymptotics, "log_integral_exp", counted)
     monkeypatch.setattr(wkb, "log_integral_exp", counted)
     w_chain(c, 0.05)
-    assert calls == [math.log(0.05)] * 4
+    assert calls == [(math.log(0.05), asymptotics.N_CHAIN)] * 4
+    calls.clear()
+    hopping_bessel(c)
+    assert len(calls) == math.ceil(hopping.N_ROUTE / T_BLOCK)
+    assert sum(rows for _, rows in calls) == hopping.N_ROUTE
     calls.clear()
     calibrate_outer(c)
-    assert calls == [c.outer.y_lo]
+    assert calls == [(c.outer.y_lo, 9)]
 
 
 def test_log_integral_exp_evaluation_budget():
