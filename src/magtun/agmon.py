@@ -99,8 +99,7 @@ class AgmonProfile:
         self._inner = CubicSpline(rs, table)
         self.d_a = float(table[-1])
         # independent quadrature cross-check carries the error bound
-        val, err = integrate(lambda r: float(self.integrand(np.array([r]))[0]),
-                             0.0, a, return_error=True)
+        val, err = integrate(self.integrand, 0.0, a, return_error=True)
         self.d_a_error = abs(val - self.d_a) + err
 
     def integrand(self, rho):
@@ -178,7 +177,7 @@ def remainder_Ra(profile):
 
     def ra_integrand(rho):
         return math.sqrt((L - rho) ** 2 / 4.0 + depth) - \
-            float(profile.integrand(np.array([rho]))[0])
+            profile.integrand(rho)
 
     direct = integrate(ra_integrand, 0.0, a)
     bound = ((L - a) / 2.0 + math.sqrt(depth)) * a

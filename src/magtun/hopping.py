@@ -15,8 +15,8 @@ via int_0^{2pi} e^{-A cos t + i B sin t} dt = 2 pi I0(sqrt(A^2 - B^2)) and
 the outer representation of u_h, which removes the oscillatory phase and
 makes the integrand positive.  The first route sums the oscillatory
 integrand f, whose cancellation ratio kappa = sum|f| / |sum f| grows like
-e^{c/h}; it returns only while its rounding bound kappa eps stays within
-DIRECT_RTOL, and raises AccuracyError below that h.  The third route
+e^{c/h}; it returns only while kappa eps, the scale of its rounding, stays
+within DIRECT_RTOL, and raises AccuracyError below that h.  The third route
 replaces u_h by its WKB profile, giving the explicit envelopes w^{0,+/-}
 and the remainders M_h^+/-.
 All exponential quantities are assembled in log space.  Every route
@@ -33,7 +33,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .numerics import AccuracyError, gauss_legendre
-from .wkb import T_BLOCK
 
 __all__ = [
     "hopping_direct",
@@ -60,33 +59,6 @@ def _gauss_nodes(a, n):
     return 0.5 * a * (x + 1.0), 0.5 * a * w
 
 
-def _circle_sums(solution, L, h, r_nodes, n):
-    """Sums of f = u(rho) e^{i L r sin t / 2h} and of |f| over the n
-    equispaced circle nodes t_j = 2 pi j / n, per r-node, T_BLOCK r-nodes
-    at a time.
-
-    rho depends on cos(t) alone, so u is evaluated only on the nodes in
-    [0, pi], and node j takes the value at its mirror image min(j, n - j)
-    there.  The phase is taken at every node.
-    """
-    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    j = np.arange(n)
-    mirror = np.minimum(j, n - j)
-    half = np.cos(theta[:n // 2 + 1])
-    copies = np.bincount(mirror)
-    sin_t = np.sin(theta)
-    total = np.empty(len(r_nodes), complex)
-    mag = np.empty(len(r_nodes))
-    for s in range(0, len(r_nodes), T_BLOCK):
-        rows = r_nodes[s:s + T_BLOCK, None]
-        rho = np.sqrt(rows * rows + L * L + 2.0 * L * rows * half)
-        u = np.exp(solution.log_u(rho))
-        f = np.exp(1j * (L * rows / (2.0 * h)) * sin_t) * u[:, mirror]
-        total[s:s + T_BLOCK] = f.sum(axis=1)
-        mag[s:s + T_BLOCK] = u @ copies
-    return total, mag
-
-
 def hopping_direct(case):
     """Quadrature of the oscillatory form; returns the complex value.
 
@@ -102,15 +74,26 @@ def hopping_direct(case):
     ratio kappa = sum|f| / |sum f| of the whole integrand f taken from the
     same pass.  When kappa eps exceeds DIRECT_RTOL an AccuracyError names
     kappa and carries the value and the bound kappa eps |w|.
+
+    rho depends on cos(t) alone, so u is evaluated, in one pass over all
+    r-nodes, only on the nodes t_j = 2 pi j / n in [0, pi], and node j
+    takes the value at its mirror image min(j, n - j) there.  The phase is
+    taken at every node.
     """
-    well, L, h = case.config.well, case.config.L, case.h
+    well, L, h, log_u = case.config.well, case.config.L, case.h, \
+        case.ground.log_u
     a = well.a
     r_nodes, r_weights = _gauss_nodes(a, N_ROUTE)
-    radial = r_weights * r_nodes * well.v0(r_nodes) \
-        * np.exp(case.ground.log_u(r_nodes))
+    radial = r_weights * r_nodes * well.v0(r_nodes) * np.exp(log_u(r_nodes))
     n = 4 * max(64, 10 * math.ceil(L * a / (4.0 * math.pi * h)))
-    total, mag = _circle_sums(case.ground, L, h, r_nodes, n)
-    w = radial @ total * (2.0 * np.pi / n)
+    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    mirror = np.minimum(np.arange(n), n - np.arange(n))
+    rows = r_nodes[:, None]
+    u = np.exp(log_u(np.sqrt(rows * rows + L * L
+                             + 2.0 * L * rows * np.cos(theta[:n // 2 + 1]))))
+    f = np.exp(1j * (L * rows / (2.0 * h)) * np.sin(theta)) * u[:, mirror]
+    w = radial @ f.sum(axis=1) * (2.0 * np.pi / n)
+    mag = u @ np.bincount(mirror)   # sum of |f| per r-node
     kappa = np.abs(radial) @ mag * (2.0 * np.pi / n) / abs(w)
     rounding = kappa * np.finfo(float).eps
     if rounding > DIRECT_RTOL:

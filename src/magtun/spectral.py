@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -119,7 +120,7 @@ class RadialEigenSolution:
     """Eigenpairs of one FiberProblem, with its m, h and R; the ground
     eigenfunction is normalized to int |u|^2 2 pi r dr = 1 and positive."""
 
-    def __init__(self, problem, grid, delta, energies, energy_error, u, w):
+    def __init__(self, problem, grid, delta, energies, energy_error, u):
         self.problem = problem
         self.m, self.h, self.R = problem.m, problem.h, problem.R
         self.n = len(grid)
@@ -128,40 +129,25 @@ class RadialEigenSolution:
         self.energies = energies
         self.energy_error = energy_error
         self.u = u
-        self.w = w
-        self._coef = None
         self.e_sw = float(energies[0])
         self.fiber_energies = None  # filled by ground_state
 
-    def log_u(self, rho):
-        """log u(rho) by cubic interpolation of the log-profile.
-
-        The spline is scipy's not-a-knot CubicSpline on the grid.  The grid
-        is uniform, so each point's interval comes from the spacing, with a
-        one-step fix-up for rounding, in place of scipy's binary search;
-        the power form is summed in scipy's order, which gives bit-identical
-        values.  Points off the grid take the end intervals, as in scipy.
-        """
-        if self._coef is None:
-            safe = np.maximum(np.abs(self.u), 1e-320)
-            self._coef = CubicSpline(self.grid, np.log(safe)).c
-        x, c = self.grid, self._coef
-        rho = np.asarray(rho, dtype=float)
-        last = len(x) - 2
-        i = np.clip(np.floor((rho - x[0]) / self.delta), 0, last).astype(int)
-        i -= (rho < x[i]) & (i > 0)
-        i += (rho >= x[i + 1]) & (i < last)
-        s = rho - x[i]
-        s2 = s * s
-        return c[3, i] + c[2, i] * s + c[1, i] * s2 + c[0, i] * (s2 * s)
+    @cached_property
+    def log_u(self):
+        """log u(rho): scipy's not-a-knot CubicSpline of the log-profile on
+        the grid, built on first use.  Points off the grid take the end
+        intervals."""
+        return CubicSpline(self.grid,
+                           np.log(np.maximum(np.abs(self.u), 1e-320)))
 
     def norm_check(self):
         """int |u|^2 2 pi r dr on the grid (should be 1): the midpoint sum
         less its Euler-Maclaurin endpoint term at r = 0, delta^2 / 24 times
         the integrand's slope 2 pi u(0)^2 there.  The profile is
         extrapolated to O(delta^4), so the bare sum is off by that term."""
-        return 2.0 * np.pi * (float(np.sum(self.w**2)) * self.delta
-                              - self.delta**2 * self.u[0]**2 / 24.0)
+        d = self.delta
+        return 2.0 * np.pi * (float(np.sum(self.grid * self.u**2)) * d
+                              - d**2 * self.u[0]**2 / 24.0)
 
 
 def _bisection_levels(problem, k):
@@ -291,8 +277,7 @@ def solve_fiber(problem, k=1, tol=1e-8):
     l_f = _log_profile(fine, energies[0])
     l_c = CubicSpline(coarse[4], _log_profile(coarse, energies[0]))(r)
     u = np.exp(l_f + (l_f - l_c) / (q - 1.0))
-    return RadialEigenSolution(problem, r, delta, energies, err, u,
-                               np.sqrt(r) * u)
+    return RadialEigenSolution(problem, r, delta, energies, err, u)
 
 
 def default_radius(well, h, L=None):

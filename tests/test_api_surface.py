@@ -14,7 +14,7 @@ import inspect
 
 MODULES = ("agmon", "asymptotics", "hopping", "numerics", "pipeline",
            "potential", "spectral", "splitting2d", "verify", "wkb")
-BUDGET = 202
+BUDGET = 200
 
 
 def _params(fn, bound):

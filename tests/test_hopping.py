@@ -230,8 +230,8 @@ def _angular_nodes(config, h):
 
 
 def _brute_force_direct(config, h, solution, n_theta):
-    """Every r-node's full-circle trapezoid sum of f, without blocks or
-    mirroring; returns (w, sum |f| / |w|)."""
+    """Every r-node's full-circle trapezoid sum of f, without mirroring;
+    returns (w, sum |f| / |w|)."""
     well, L = config.well, config.L
     x, wx = np.polynomial.legendre.leggauss(hopping.N_ROUTE)
     r, wr = 0.5 * well.a * (x + 1.0), 0.5 * well.a * wx
@@ -280,8 +280,9 @@ def test_direct_raises_on_rounding_bound():
 
 
 def test_direct_spline_points(config4, well, case, monkeypatch):
-    # log u is evaluated once per r-node and on the half circle of the
-    # angular nodes only: N_ROUTE (n / 2 + 2) points
+    # log u is evaluated in two calls, once on the r-nodes and once on the
+    # half circle of the angular nodes of every r-node: N_ROUTE (n / 2 + 2)
+    # points
     h = 0.5
     sol, wd = case(well, h).ground, case(well, h).w_direct
     points = []
@@ -290,4 +291,4 @@ def test_direct_spline_points(config4, well, case, monkeypatch):
                         lambda rho: points.append(np.size(rho)) or log_u(rho))
     assert hopping_direct(case(well, h)) == wd
     n = _angular_nodes(config4, h)
-    assert sum(points) == hopping.N_ROUTE * (n // 2 + 2)
+    assert points == [hopping.N_ROUTE, hopping.N_ROUTE * (n // 2 + 1)]
