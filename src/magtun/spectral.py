@@ -120,7 +120,8 @@ class RadialEigenSolution:
     """Eigenpairs of one FiberProblem, with its m, h and R; the ground
     eigenfunction is normalized to int |u|^2 2 pi r dr = 1 and positive."""
 
-    def __init__(self, problem, grid, delta, energies, energy_error, u):
+    def __init__(self, problem, grid, delta, energies, energy_error,
+                 vectors):
         self.problem = problem
         self.m, self.h, self.R = problem.m, problem.h, problem.R
         self.n = len(grid)
@@ -128,9 +129,24 @@ class RadialEigenSolution:
         self.delta = delta
         self.energies = energies
         self.energy_error = energy_error
-        self.u = u
+        # the ground vectors of the last two grids, until u is first read
+        self._vectors = vectors
         self.e_sw = float(energies[0])
         self.fiber_energies = None  # filled by ground_state
+
+    @cached_property
+    def u(self):
+        """The ground profile on the grid, extrapolated in log form over the
+        last two grids (see solve_fiber).  It is built on first read, and
+        the two ground vectors are then dropped: most solves only need
+        their energies."""
+        E = self.energies[0]
+        r_c, delta_c, l_c = _log_profile(self.problem, self._vectors[0], E)
+        _, _, l_f = _log_profile(self.problem, self._vectors[1], E)
+        l_c = CubicSpline(r_c, l_c)(self.grid)
+        q = (delta_c / self.delta) ** 2
+        del self._vectors
+        return np.exp(l_f + (l_f - l_c) / (q - 1.0))
 
     @cached_property
     def log_u(self):
@@ -217,16 +233,17 @@ def _refine_tail(w, diag, off, E):
     w[i0 + 1:] = sla.solve_banded((1, 1), ab, b)
 
 
-def _log_profile(level, E):
-    """log u of a level's ground vector: positive, normalized on the
-    level's own grid, its tail re-solved with the level's matrix at E."""
-    _, vecs, diag, off, r, delta = level
-    w = vecs[:, 0].copy()
+def _log_profile(problem, w, E):
+    """(r, delta, log u) of a ground vector w on the problem's grid of
+    len(w) nodes: u positive, normalized on that grid, its tail re-solved
+    with that grid's matrix at E."""
+    diag, off, r, delta = _fiber_tridiag(problem, len(w))
+    w = w.copy()
     if w[np.argmax(np.abs(w))] < 0:
         w = -w
     w /= math.sqrt(2.0 * np.pi * float(np.sum(w**2)) * delta)
     _refine_tail(w, diag, off, E)
-    return np.log(np.maximum(np.abs(w), 1e-320) / np.sqrt(r))
+    return r, delta, np.log(np.maximum(np.abs(w), 1e-320) / np.sqrt(r))
 
 
 def solve_fiber(problem, k=1, tol=1e-8):
@@ -249,6 +266,8 @@ def solve_fiber(problem, k=1, tol=1e-8):
     profile of each of the last two levels (_log_profile), the coarse one
     splined onto the fine nodes, gives log u = l_f + (l_f - l_c) / (q - 1)
     on the fine grid, O(delta^4) like E, far out along the decaying tail.
+    The solution keeps the two ground vectors and builds u from them on
+    its first read, so a solve whose profile is never read skips it.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"need finite tol > 0 (got {tol})")
@@ -257,13 +276,13 @@ def solve_fiber(problem, k=1, tol=1e-8):
 
     def extrapolate(coarse, fine):
         q = (coarse[-1] / fine[-1]) ** 2
-        return fine[0] + (fine[0] - coarse[0]) / (q - 1.0), q
+        return fine[0] + (fine[0] - coarse[0]) / (q - 1.0)
 
     coarse, fine = next(levels), next(levels)
-    last, _ = extrapolate(coarse, fine)
+    last = extrapolate(coarse, fine)
     for _ in range(MAX_DOUBLINGS + 1):
         coarse, fine = fine, next(levels)
-        energies, q = extrapolate(coarse, fine)
+        energies = extrapolate(coarse, fine)
         err = float(np.max(np.abs(energies - last)))
         if err <= tol:
             break
@@ -274,10 +293,9 @@ def solve_fiber(problem, k=1, tol=1e-8):
             f"extrapolated values differ by {err:.3e})",
             estimate=energies, error_bound=err)
     r, delta = fine[4:]
-    l_f = _log_profile(fine, energies[0])
-    l_c = CubicSpline(coarse[4], _log_profile(coarse, energies[0]))(r)
-    u = np.exp(l_f + (l_f - l_c) / (q - 1.0))
-    return RadialEigenSolution(problem, r, delta, energies, err, u)
+    return RadialEigenSolution(
+        problem, r, delta, energies, err,
+        [np.ascontiguousarray(level[1][:, 0]) for level in (coarse, fine)])
 
 
 def default_radius(well, h, L=None):

@@ -10,8 +10,6 @@ vector is fixed for run-to-run determinism.  The double-well operator
 commutes with rotation by pi about the midpoint, so the splitting is taken
 between the lowest levels of its even and odd half-size sector blocks: each
 is simple, and Lanczos never has to separate the exponentially close pair.
-The free Landau check takes the lowest level of the even sector, where the
-m = 0 Landau state lies, away from the near-degenerate Landau cluster.
 `gap_row` sets that gap at one h against 2|w| from the same pipeline.Case;
 `gap_vs_hopping` runs it over an h-list.  Its ground state gives the shift
 sigma = e_sw - D/10, where D is the distance from e_sw to the next fiber
@@ -19,7 +17,11 @@ level: the pair sits about D/10 from sigma and every other level at least
 D away, so a 4-vector Krylov basis converges in about ten LU solves per
 sector.  Both sectors share that one shift: the gap is a difference of two
 nearly equal eigenvalues, and their rounding cancels only when both come
-from the same shifted operator.
+from the same shifted operator.  The free Landau check runs on a square
+box, where the free operator also commutes with rotation by pi/2: it takes
+the lowest level of the quarter-size sector of rotation-invariant vectors,
+where the m = 0 Landau state lies, away from the rest of the
+near-degenerate Landau cluster.
 """
 
 from __future__ import annotations
@@ -165,24 +167,64 @@ def assemble(system, h, delta=None, box=None):
 
 
 SHORT_NCV = 4   # Krylov basis of gap_row's two-sector solve
-# gap_row's private parity for lowest_two: both sectors by _sector_pair
+# private parities for lowest_two: gap_row's two pi-rotation sectors by
+# _sector_pair, and landau_level_2d's quarter-turn-invariant sector
 _GAP_ROW_PAIR = object()
+_QUARTER_TURN = object()
 
 
-def _sectors(M):
-    """parity -> the sector block A + parity B J of M (see lowest_two); the
-    symmetry check and the top half's COO form are made once for both."""
+def _rotation_sectors(lattice, order):
+    """(block, lift) for the sectors of the lattice matrix M under rotation
+    of the nodes by 2 pi / order about the midpoint: order 2 is
+    (x, y) -> (-x, -y), which reverses the flattened node order (J); order
+    4 is (x, y) -> (-y, x) on a square node set.  In the symmetric gauge
+    either one maps every Peierls phase to itself, so M commutes with it
+    exactly or not at all (ValueError).
+
+    No node is fixed by a rotation short of the full turn, so every orbit
+    has `order` nodes, one of them a representative: the first half of the
+    nodes for order 2, the x, y < 0 quadrant for order 4.  The sector of
+    parity p (+1/-1) holds the vectors with v(R^k q) = p^k v(q), so its
+    block sums the rotation images, sum_k p^k M[reps, R^k reps]; for order
+    2 that is A + p B J (see lowest_two).  block(parity) is that block and
+    lift(x, parity) turns its eigenvectors (columns) into unit full ones.
+    """
+    M = lattice.matrix
     n = M.shape[0]
-    if n % 2 or (M[::-1, ::-1] != M).nnz:
-        raise ValueError("matrix does not commute with rotation by pi "
-                         "(reversal of the node order)")
-    half = n // 2
-    top = M[:half].tocoo()
-    far = top.col >= half
-    cols = np.where(far, n - 1 - top.col, top.col)
-    return lambda parity: sp.csr_matrix(
-        (np.where(far, parity * top.data, top.data), (top.row, cols)),
-        shape=(half, half))
+    if order == 2:
+        rot, reps = np.arange(n)[::-1], np.arange(n // 2)
+        turn = "pi (reversal of the node order)"
+    else:
+        nx, ny = lattice.shape
+        if nx != ny:
+            raise ValueError(f"rotation by pi/2 needs a square node set "
+                             f"(got {nx} x {ny})")
+        idx = np.arange(n).reshape(nx, nx)
+        rot, reps = idx[::-1].T.ravel(), idx[:nx // 2, :nx // 2].ravel()
+        turn = "pi/2"
+    if n % order or (M[rot][:, rot] != M).nnz:
+        raise ValueError(f"matrix does not commute with rotation by {turn}")
+    # node -> (its representative's position in reps, the power k of R)
+    pos, power = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    orbit = reps
+    for k in range(order):
+        pos[orbit], power[orbit] = np.arange(len(reps)), k
+        orbit = rot[orbit]
+    odd = power % 2 == 1
+    rows = M[reps].tocoo()
+    far = odd[rows.col]
+    cols = pos[rows.col]
+
+    def block(parity):
+        return sp.csr_matrix(
+            (np.where(far, parity * rows.data, rows.data), (rows.row, cols)),
+            shape=(len(reps), len(reps)))
+
+    def lift(x, parity):
+        v = x[pos]
+        return np.where(odd[:, None], parity * v, v) / math.sqrt(order)
+
+    return block, lift
 
 
 def _shift_invert(op, sigma, k, v0=None, ncv=None):
@@ -200,29 +242,24 @@ def _shift_invert(op, sigma, k, v0=None, ncv=None):
     return vals[order], vecs[:, order]
 
 
-def _lift(x, parity):
-    """Sector vectors x (columns) -> full vectors [x; parity J x]/sqrt(2)."""
-    return np.concatenate([x, parity * x[::-1]]) / math.sqrt(2.0)
-
-
-def _sector_pair(M, sigma):
+def _sector_pair(lattice, sigma):
     """gap_row's solve: the even sector's lowest level, then the odd one's,
     both at the one shift sigma, on a SHORT_NCV-vector basis, the odd solve
     started from the even vector.  That basis converges in about ten LU
     solves only because gap_row's sigma lies much closer to the pair than
     to any other level; at a shift chosen without that knowledge (the free
     Landau cluster) it restarts thousands of times."""
-    sector = _sectors(M)
-    even, x_even = _shift_invert(sector(1), sigma, k=1, ncv=SHORT_NCV)
-    odd, x_odd = _shift_invert(sector(-1), sigma, k=1, v0=x_even[:, 0],
+    block, lift = _rotation_sectors(lattice, 2)
+    even, x_even = _shift_invert(block(1), sigma, k=1, ncv=SHORT_NCV)
+    odd, x_odd = _shift_invert(block(-1), sigma, k=1, v0=x_even[:, 0],
                                ncv=SHORT_NCV)
     return (np.concatenate([even, odd]),
-            np.hstack([_lift(x_even, 1), _lift(x_odd, -1)]))
+            np.hstack([lift(x_even, 1), lift(x_odd, -1)]))
 
 
 def lowest_two(lattice, sigma, parity=None):
     """The lowest eigenvalues near the shift sigma: two on the full matrix,
-    one on a pi-rotation sector.
+    one on a rotation sector.
 
     Shift-invert separates exponentially close pairs; H - sigma is factored
     once with a symmetric fill-reducing ordering (H is Hermitian), and the
@@ -234,17 +271,21 @@ def lowest_two(lattice, sigma, parity=None):
     [J B J, J A J]] the sector block is A +/- B J, of half the size, and each
     of its eigenvectors x lifts to [x; +/-J x]/sqrt(2).  Residuals are always
     taken against the full matrix.  Any other parity is a ValueError; only
-    gap_row passes a private one, for its two-sector solve (_sector_pair),
-    so that this function's residual gate and profiling span cover it.
+    two callers pass a private one, so that this function's residual gate
+    and profiling span cover their solves: gap_row for its two-sector solve
+    (_sector_pair), and landau_level_2d for the quarter-size sector of
+    vectors invariant under rotation by pi/2 (_rotation_sectors, order 4).
     """
     M = lattice.matrix
     if parity is None:
         vals, vecs = _shift_invert(M, sigma, k=2)
     elif parity is _GAP_ROW_PAIR:
-        vals, vecs = _sector_pair(M, sigma)
-    elif parity in (1, -1):
-        vals, x = _shift_invert(_sectors(M)(parity), sigma, k=1)
-        vecs = _lift(x, parity)
+        vals, vecs = _sector_pair(lattice, sigma)
+    elif parity is _QUARTER_TURN or parity in (1, -1):
+        sign, order = (1, 4) if parity is _QUARTER_TURN else (parity, 2)
+        block, lift = _rotation_sectors(lattice, order)
+        vals, x = _shift_invert(block(sign), sigma, k=1)
+        vecs = lift(x, sign)
     else:
         raise ValueError(f"parity must be +1 or -1, not {parity!r}")
     scale = float(np.abs(M.diagonal()).max())
@@ -261,21 +302,31 @@ def lowest_two(lattice, sigma, parity=None):
 def landau_level_2d(h, deltas=None):
     """Free-operator lowest eigenvalue, Richardson-extrapolated in delta.
 
-    The lowest Landau level on a Dirichlet box is a near-degenerate cluster,
-    but the free operator on the symmetric box commutes with rotation by pi
-    and its ground state (the m = 0 Landau state) is even.  The lowest odd
-    level lies 1.6e-8 to 2.6e-6 higher (h 0.5 and 1.0, default spacings),
-    so the lowest level of the even sector is simple and is solved at the
-    same settings as every other lattice level.
+    deltas must be two distinct positive spacings (ValueError otherwise);
+    by default sqrt(h)/6 and that over sqrt(2).  The lowest Landau level on
+    a Dirichlet box is a near-degenerate cluster of the angular modes
+    m = 0, 1, 2, ..., but the free operator on the square box commutes with
+    rotation by pi/2, and its ground state, the m = 0 Landau state, is
+    invariant under it.  So each rung solves the quarter-size sector of
+    invariant vectors, which holds only the modes m = 0 mod 4.  Its next
+    level lies 7.9e-6 to 5.9e-4 above the lowest (h 0.5 and 1.0, default
+    spacings), where the m = 2 level of the pi-even sector lay 1.9e-7 to
+    2.4e-5 above, so Lanczos converges on its first basis, in 21 LU solves
+    a rung (the even sector took 31 at h 0.5).
     """
-    X = 3.0 * math.sqrt(2.0 * h) + LANDAU_MARGIN
     if deltas is None:
         d0 = math.sqrt(h) / 6.0
         deltas = (d0, d0 / math.sqrt(2.0))
+    elif not (np.ndim(deltas) == 1 and len(deltas) == 2
+              and all(0 < d < math.inf for d in deltas)
+              and deltas[0] != deltas[1]):
+        raise ValueError(f"deltas must be two distinct finite spacings > 0 "
+                         f"(got {deltas!r})")
+    X = 3.0 * math.sqrt(2.0 * h) + LANDAU_MARGIN
     es = []
     for delta in deltas:
         lat = assemble(None, h, delta=delta, box=(X, X))
-        vals, _, _ = lowest_two(lat, sigma=0.9 * h, parity=1)
+        vals, _, _ = lowest_two(lat, sigma=0.9 * h, parity=_QUARTER_TURN)
         es.append(float(vals[0]))
     # second-order scheme: extrapolate on delta^2
     d2 = [d * d for d in deltas]

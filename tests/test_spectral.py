@@ -6,7 +6,7 @@ from scipy.interpolate import CubicSpline
 
 from magtun import (FiberProblem, RadialWell, agmon_identity_check,
                     default_radius, ground_state, harmonic_expansion_check,
-                    solve_fiber)
+                    solve_fiber, spectral)
 from magtun.spectral import (GROUND_TOL, _bisection_levels, _default_n,
                              _ground_levels)
 
@@ -112,6 +112,24 @@ def test_log_u_matches_scipy_spline(well, case):
                           np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
     assert np.array_equal(sol.log_u(rho), spline(rho))
     assert sol.log_u(1.0) == spline(1.0)
+
+
+def test_profile_built_only_when_read(well, monkeypatch):
+    # of ground_state's three solves only the m = 0 one has its profile
+    # read, each profile from the solve's last two levels; a bare solve
+    # builds none until u is read, then keeps it and drops the levels
+    calls = []
+    log_profile = spectral._log_profile
+    monkeypatch.setattr(spectral, "_log_profile",
+                        lambda *a: calls.append(1) or log_profile(*a))
+    ground_state(well, 0.3, L=4.0).u
+    assert len(calls) == 2
+    sol = solve_fiber(FiberProblem(m=0, h=1.0, R=16.0, n=2000), k=1,
+                      tol=1e-8)
+    assert len(calls) == 2
+    assert sol.u is sol.u
+    assert len(calls) == 4
+    assert not hasattr(sol, "_levels")
 
 
 def test_fiber_problem_validation(well):

@@ -33,14 +33,18 @@ def test_box_must_be_positive(box):
 
 
 def test_landau_level_2d():
+    # the O(delta^4) left after extrapolation, -1.99e-6 at the default
+    # spacings, as in verify's landau_level check
     e_ext, raw = landau_level_2d(0.5)
-    assert abs(e_ext - 0.5) / 0.5 <= 0.03
+    assert abs(e_ext - 0.5) / 0.5 <= 1e-5
 
 
 @pytest.mark.parametrize("h", [0.5, 1.0])
 def test_even_sector_holds_free_ground_state(h):
-    # the full spectrum is the union of the two sectors, so the even level
-    # is the lowest one when it lies below the odd sector's lowest
+    # each rung's level comes from the quarter-turn sector, a different
+    # block from the pi-even one: the two must agree to rounding, and the
+    # full spectrum is the union of the two pi sectors, so the level is the
+    # lowest one when it lies below the odd sector's lowest
     _, raw = landau_level_2d(h)
     X = 3.0 * math.sqrt(2.0 * h) + LANDAU_MARGIN
     d0 = math.sqrt(h) / 6.0
@@ -48,8 +52,64 @@ def test_even_sector_holds_free_ground_state(h):
         lat = assemble(None, h, delta=delta, box=(X, X))
         even, _, _ = lowest_two(lat, sigma=0.9 * h, parity=1)
         odd, _, _ = lowest_two(lat, sigma=0.9 * h, parity=-1)
-        assert e == even[0]
+        assert abs(e - even[0]) <= 1e-13 * even[0]
         assert e < odd[0]
+
+
+def _count_lu_solves(monkeypatch):
+    """Patch splitting2d.splu; returns a list that gets one solve count per
+    factorization."""
+    counts = []
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu, self.k = lu, len(counts)
+            counts.append(0)
+
+        def solve(self, b):
+            counts[self.k] += 1
+            return self.lu.solve(b)
+
+    splu = splitting2d.splu
+    monkeypatch.setattr(splitting2d, "splu",
+                        lambda *a, **kw: CountingLU(splu(*a, **kw)))
+    return counts
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0])
+def test_landau_rung_solve_budget(monkeypatch, h):
+    # the quarter-turn sector has no m = 2 level near the m = 0 one, so
+    # Lanczos converges on its first 20-vector basis: 21 solves a rung,
+    # where the pi-even sector took 31 at h 0.5
+    counts = _count_lu_solves(monkeypatch)
+    landau_level_2d(h)
+    assert len(counts) == 2
+    assert max(counts) <= 22
+
+
+@pytest.mark.parametrize("system, box, shift, match", [
+    (None, (3.0, 4.0), None, "square node set"),
+    (None, (3.0, 3.0), lambda x, y: 0.3 * x + 0.1 * y, "rotation by pi/2"),
+    ("config4", (7.0, 7.0), None, "rotation by pi/2"),
+])
+def test_quarter_turn_needs_square_symmetry(config4, system, box, shift,
+                                            match):
+    lat = assemble(config4 if system else None, 0.5, delta=0.1, box=box)
+    if shift is not None:
+        lat = lat.with_gauge_shift(shift)
+    with pytest.raises(ValueError, match=match):
+        lowest_two(lat, sigma=0.45, parity=splitting2d._QUARTER_TURN)
+
+
+@pytest.mark.parametrize("deltas", [(0.1, 0.1), (0.1,), (0.1, 0.0),
+                                    (0.1, float("nan")), 0.1])
+def test_landau_deltas_checked_before_assembly(monkeypatch, deltas):
+    built = []
+    monkeypatch.setattr(splitting2d, "assemble",
+                        lambda *a, **kw: built.append(a))
+    with pytest.raises(ValueError, match="two distinct"):
+        landau_level_2d(0.5, deltas=deltas)
+    assert built == []
 
 
 def test_single_well_control(well, case):
@@ -165,24 +225,12 @@ def test_sector_gap_matches_extended_precision(config85, gap_report,
 def test_gap_row_solve_budget(well, case, monkeypatch, depth, L, h):
     # both sectors at one close shift on a 4-vector basis: 20 LU solves
     # at each input, where one default 20-vector basis per sector took 42
-    solves = []
-
-    class CountingLU:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, b):
-            solves.append(1)
-            return self.lu.solve(b)
-
-    splu = splitting2d.splu
-    monkeypatch.setattr(splitting2d, "splu",
-                        lambda *a, **kw: CountingLU(splu(*a, **kw)))
+    counts = _count_lu_solves(monkeypatch)
     if depth != well.depth:
         well = RadialWell.bump(depth=depth, a=well.a)
     row = gap_row(case(well, h, L=L))
     assert row.floor_flag == "ok"
-    assert len(solves) <= 24
+    assert sum(counts) <= 24
 
 
 def test_gap_row_needs_fiber_energies(well, pipe):
