@@ -166,11 +166,7 @@ def assemble(system, h, delta=None, box=None):
     return MagneticLattice(h, delta, x, y, M)
 
 
-SHORT_NCV = 4   # Krylov basis of gap_row's two-sector solve
-# private parities for lowest_two: gap_row's two pi-rotation sectors by
-# _sector_pair, and landau_level_2d's quarter-turn-invariant sector
-_GAP_ROW_PAIR = object()
-_QUARTER_TURN = object()
+SHORT_NCV = 4   # Krylov basis of gap_row's two-sector solve (order 2)
 
 
 def _rotation_sectors(lattice, order):
@@ -185,9 +181,11 @@ def _rotation_sectors(lattice, order):
     has `order` nodes, one of them a representative: the first half of the
     nodes for order 2, the x, y < 0 quadrant for order 4.  The sector of
     parity p (+1/-1) holds the vectors with v(R^k q) = p^k v(q), so its
-    block sums the rotation images, sum_k p^k M[reps, R^k reps]; for order
-    2 that is A + p B J (see lowest_two).  block(parity) is that block and
-    lift(x, parity) turns its eigenvectors (columns) into unit full ones.
+    block sums the rotation images, sum_k p^k M[reps, R^k reps].  For order
+    2 on the x/y-symmetric node set, with M = [[A, B], [J B J, J A J]], that
+    is A + p B J, of half the size, and each of its eigenvectors x lifts to
+    [x; p J x]/sqrt(2).  block(parity) is that block and lift(x, parity)
+    turns its eigenvectors (columns) into unit full ones.
     """
     M = lattice.matrix
     n = M.shape[0]
@@ -242,52 +240,42 @@ def _shift_invert(op, sigma, k, v0=None, ncv=None):
     return vals[order], vecs[:, order]
 
 
-def _sector_pair(lattice, sigma):
-    """gap_row's solve: the even sector's lowest level, then the odd one's,
-    both at the one shift sigma, on a SHORT_NCV-vector basis, the odd solve
-    started from the even vector.  That basis converges in about ten LU
-    solves only because gap_row's sigma lies much closer to the pair than
-    to any other level; at a shift chosen without that knowledge (the free
-    Landau cluster) it restarts thousands of times."""
-    block, lift = _rotation_sectors(lattice, 2)
-    even, x_even = _shift_invert(block(1), sigma, k=1, ncv=SHORT_NCV)
-    odd, x_odd = _shift_invert(block(-1), sigma, k=1, v0=x_even[:, 0],
-                               ncv=SHORT_NCV)
-    return (np.concatenate([even, odd]),
-            np.hstack([lift(x_even, 1), lift(x_odd, -1)]))
-
-
-def lowest_two(lattice, sigma, parity=None):
-    """The lowest eigenvalues near the shift sigma: two on the full matrix,
-    one on a rotation sector.
+def lowest_two(lattice, sigma, order=1):
+    """The lowest eigenvalues near the shift sigma, solved on the sectors of
+    rotation by 2 pi / order about the midpoint (_rotation_sectors).
 
     Shift-invert separates exponentially close pairs; H - sigma is factored
     once with a symmetric fill-reducing ordering (H is Hermitian), and the
     deterministic start vector keeps repeated runs byte-identical.  Each
-    eigenpair's residual norm must be at most RESIDUAL_RTOL x max |diag|.
+    eigenpair's residual norm, always taken against the full matrix, must
+    be at most RESIDUAL_RTOL x max |diag|.
 
-    parity=+1/-1 solves on one pi-rotation sector.  On the x/y-symmetric node
-    set rotation by pi reverses the flattened vector (J), so with M = [[A, B],
-    [J B J, J A J]] the sector block is A +/- B J, of half the size, and each
-    of its eigenvectors x lifts to [x; +/-J x]/sqrt(2).  Residuals are always
-    taken against the full matrix.  Any other parity is a ValueError; only
-    two callers pass a private one, so that this function's residual gate
-    and profiling span cover their solves: gap_row for its two-sector solve
-    (_sector_pair), and landau_level_2d for the quarter-size sector of
-    vectors invariant under rotation by pi/2 (_rotation_sectors, order 4).
+    order 1: the two lowest levels of the full matrix.  order 2 (gap_row):
+    the pi-even sector's lowest level, then the odd one's, both at the one
+    shift sigma, on a SHORT_NCV-vector basis, the odd solve started from
+    the even vector.  That basis converges in about ten LU solves only
+    because gap_row's sigma lies much closer to the pair than to any other
+    level; at a shift chosen without that knowledge (the free Landau
+    cluster) it restarts thousands of times.  order 4 (landau_level_2d): the
+    lowest level of the quarter-size sector of vectors invariant under
+    rotation by pi/2.  Any other order is a ValueError.
     """
     M = lattice.matrix
-    if parity is None:
+    if order == 1:
         vals, vecs = _shift_invert(M, sigma, k=2)
-    elif parity is _GAP_ROW_PAIR:
-        vals, vecs = _sector_pair(lattice, sigma)
-    elif parity is _QUARTER_TURN or parity in (1, -1):
-        sign, order = (1, 4) if parity is _QUARTER_TURN else (parity, 2)
-        block, lift = _rotation_sectors(lattice, order)
-        vals, x = _shift_invert(block(sign), sigma, k=1)
-        vecs = lift(x, sign)
+    elif order == 2:
+        block, lift = _rotation_sectors(lattice, 2)
+        even, x_even = _shift_invert(block(1), sigma, k=1, ncv=SHORT_NCV)
+        odd, x_odd = _shift_invert(block(-1), sigma, k=1, v0=x_even[:, 0],
+                                   ncv=SHORT_NCV)
+        vals = np.concatenate([even, odd])
+        vecs = np.hstack([lift(x_even, 1), lift(x_odd, -1)])
+    elif order == 4:
+        block, lift = _rotation_sectors(lattice, 4)
+        vals, x = _shift_invert(block(1), sigma, k=1)
+        vecs = lift(x, 1)
     else:
-        raise ValueError(f"parity must be +1 or -1, not {parity!r}")
+        raise ValueError(f"order must be 1, 2 or 4, not {order!r}")
     scale = float(np.abs(M.diagonal()).max())
     residuals = [float(np.linalg.norm(M @ v - e * v))
                  for e, v in zip(vals, vecs.T)]
@@ -299,14 +287,15 @@ def lowest_two(lattice, sigma, parity=None):
     return vals, vecs, residuals
 
 
-def landau_level_2d(h, deltas=None):
+def landau_level_2d(h, delta=None):
     """Free-operator lowest eigenvalue, Richardson-extrapolated in delta.
 
-    deltas must be two distinct positive spacings (ValueError otherwise);
-    by default sqrt(h)/6 and that over sqrt(2).  The lowest Landau level on
-    a Dirichlet box is a near-degenerate cluster of the angular modes
-    m = 0, 1, 2, ..., but the free operator on the square box commutes with
-    rotation by pi/2, and its ground state, the m = 0 Landau state, is
+    The two rungs are the spacings delta, by default sqrt(h)/6, and
+    delta/sqrt(2); assemble rejects a spacing that is not finite and
+    positive, or too coarse, before it builds anything.  The lowest Landau
+    level on a Dirichlet box is a near-degenerate cluster of the angular
+    modes m = 0, 1, 2, ..., but the free operator on the square box commutes
+    with rotation by pi/2, and its ground state, the m = 0 Landau state, is
     invariant under it.  So each rung solves the quarter-size sector of
     invariant vectors, which holds only the modes m = 0 mod 4.  Its next
     level lies 7.9e-6 to 5.9e-4 above the lowest (h 0.5 and 1.0, default
@@ -314,19 +303,14 @@ def landau_level_2d(h, deltas=None):
     2.4e-5 above, so Lanczos converges on its first basis, in 21 LU solves
     a rung (the even sector took 31 at h 0.5).
     """
-    if deltas is None:
-        d0 = math.sqrt(h) / 6.0
-        deltas = (d0, d0 / math.sqrt(2.0))
-    elif not (np.ndim(deltas) == 1 and len(deltas) == 2
-              and all(0 < d < math.inf for d in deltas)
-              and deltas[0] != deltas[1]):
-        raise ValueError(f"deltas must be two distinct finite spacings > 0 "
-                         f"(got {deltas!r})")
+    if delta is None:
+        delta = math.sqrt(h) / 6.0
+    deltas = (delta, delta / math.sqrt(2.0))
     X = 3.0 * math.sqrt(2.0 * h) + LANDAU_MARGIN
     es = []
-    for delta in deltas:
-        lat = assemble(None, h, delta=delta, box=(X, X))
-        vals, _, _ = lowest_two(lat, sigma=0.9 * h, parity=_QUARTER_TURN)
+    for d in deltas:
+        lat = assemble(None, h, delta=d, box=(X, X))
+        vals, _, _ = lowest_two(lat, sigma=0.9 * h, order=4)
         es.append(float(vals[0]))
     # second-order scheme: extrapolate on delta^2
     d2 = [d * d for d in deltas]
@@ -385,7 +369,7 @@ def gap_row(case, delta=None, box=None):
     spacing = min(e for m, e in fiber_energies.items() if m != 0) - e_sw
     sigma = e_sw - spacing / 10.0
     lat = assemble(config, h, delta=delta, box=box)
-    vals, _, res = lowest_two(lat, sigma=sigma, parity=_GAP_ROW_PAIR)
+    vals, _, res = lowest_two(lat, sigma=sigma, order=2)
     even, odd = float(vals[0]), float(vals[1])
     if abs(even - e_sw) > spacing / 2.0:
         raise NumericalError(

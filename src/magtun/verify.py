@@ -65,9 +65,7 @@ def run_battery(config, quick=False, landau_delta=None):
         sol = solve_fiber(FiberProblem(m=0, h=1.0, R=19.0, n=5000),
                           k=1, tol=1e-9)
         fiber_ok = abs(sol.e_sw - 1.0) <= 1e-6
-        deltas = (landau_delta, landau_delta / math.sqrt(2.0)) \
-            if landau_delta is not None else None
-        e2d, _ = landau_level_2d(0.5, deltas=deltas)
+        e2d, _ = landau_level_2d(0.5, delta=landau_delta)
         # the O(delta^4) left after the delta^2 extrapolation: it grows with
         # the grid, to -1.99e-6 at the coarsest one allowed, sqrt(0.5)/6
         # (measured over grids 0.04-0.1179), so 1e-5 keeps a 5x margin

@@ -98,7 +98,7 @@ class WkbAmplitude:
         self.a0_0 = (1.0 + 2.0 * well.v0_second_deriv_at_0) ** 0.25 \
             / math.sqrt(2.0 * math.pi)
         self._c2 = 0.25 + well.v0_second_deriv_at_0 / 2.0
-        self._c4 = getattr(well, "_c4", 0.0)
+        self._c4 = well._c4
         self._rho_cut = 1e-2 * well.a
         rs = np.linspace(0.0, self.r_max, N_AMPLITUDE)
         F = cumulative_simpson(self.f(rs), x=rs, initial=0.0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from magtun import DoubleWellConfig, RadialWell, WellValidationError, eval_V
+from magtun import DoubleWellConfig, RadialWell, eval_V
 
 
 def test_bump_minimum_and_support(well):
@@ -77,25 +77,3 @@ def test_json_round_trip(config4):
     assert back.L == config4.L
     assert back.well.depth == config4.well.depth
     assert json.loads(text)["well"]["profile"] == "bump"
-
-
-def test_custom_profile_accepted():
-    base = RadialWell.bump(depth=2.0, a=1.5)
-    w = RadialWell.from_callable(base.v0, a=1.5, depth=2.0,
-                                 v0_prime_fn=base.v0_prime)
-    assert w.v0_second_deriv_at_0 == pytest.approx(2 * 2.0 / 1.5**2, rel=1e-4)
-
-
-def test_custom_profile_rejected():
-    # v0(0) != -depth violates the normalization hypothesis
-    def shallow(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r < 1.0, -0.5 * np.ones_like(r), np.zeros_like(r))
-
-    with pytest.raises(WellValidationError):
-        RadialWell.from_callable(shallow, a=1.0, depth=1.0)
-
-    # support leaking past a is rejected too
-    wide = RadialWell.bump(depth=1.0, a=1.4)
-    with pytest.raises(WellValidationError):
-        RadialWell.from_callable(wide.v0, a=1.0, depth=1.0)
