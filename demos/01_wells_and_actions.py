@@ -32,7 +32,7 @@ print(f"\nS0   = d(L)          = {s0.value:.8f}"
       f"   (variational check {s0.variational:.8f})")
 print(f"Sa   = d(L-a) + d(a)  = {sa.value:.8f}"
       f"   (variational check {sa.variational:.8f})")
-print(f"Shat = min g0         = {shat.value:.8f}   at r0 = {shat.r0:.6f}")
+print(f"Shat = S(0)           = {shat.value:.8f}   at r0 = {shat.r0:.6f}")
 print(f"ordering: Sa < Shat < min(S0, Sa + La/2): "
       f"{sa.value < shat.value < min(s0.value, sa.value + 2.0)}")
 

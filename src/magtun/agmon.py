@@ -9,8 +9,8 @@ tunneling action constants are built from it:
 
     S0      = d(L)
     Sa      = d(L - a) + d(a)
-    Shat    = min_{0<r<a} [ L r / 2 + d(L - r) + d(r) ]
     S(eps)  = min_r [ (1-eps) L r / 2 + d(sqrt((L-r)^2 + 2 eps L r)) + d(r) ]
+    Shat    = S(0) = min_{0<r<a} [ L r / 2 + d(L - r) + d(r) ]
     Ra      = S0 - Sa
     CL      = ((L - a)/2 + 2 sqrt(depth)) a
 
@@ -116,24 +116,25 @@ class AgmonProfile:
         out = np.where(r <= a, inner, tail)
         return float(out) if out.ndim == 0 else out
 
-    def g0(self, r):
-        """L r / 2 + d(L - r) + d(r), the hat-action integrand."""
-        return self.L * np.asarray(r, dtype=float) / 2.0 + \
-            self.d(self.L - np.asarray(r, dtype=float)) + self.d(r)
-
     def g_eps(self, r, eps):
+        """The S(eps) integrand; at eps = 0 it is the hat-action integrand
+        L r / 2 + d(L - r) + d(r) bit for bit, as sqrt((L - r)^2) is L - r."""
         r = np.asarray(r, dtype=float)
         shifted = np.sqrt((self.L - r) ** 2 + 2.0 * eps * self.L * r)
         return (1.0 - eps) * self.L * r / 2.0 + self.d(shifted) + self.d(r)
 
 
+def _variational(profile, value, sign):
+    """value with the variational inf_{0<u<a} d(u) + d(L + sign u)."""
+    L = profile.L
+    res = minimize_1d(lambda u: profile.d(u) + profile.d(L + sign * u), 0.0,
+                      profile.well.a, tol=TOL_S0_SA)
+    return VariationalResult(value, res.value, res.argmin)
+
+
 def action_S0(profile):
     """S0 = d(L), with the variational value inf_{0<u<a} d(u) + d(L+u)."""
-    a, L = profile.well.a, profile.L
-    value = float(profile.d(L))
-    res = minimize_1d(lambda u: profile.d(u) + profile.d(L + u), 0.0, a,
-                      tol=TOL_S0_SA)
-    return VariationalResult(value, res.value, res.argmin)
+    return _variational(profile, float(profile.d(profile.L)), 1.0)
 
 
 def action_Sa(profile):
@@ -143,16 +144,14 @@ def action_Sa(profile):
     the nonpositive wells this package admits.
     """
     a, L = profile.well.a, profile.L
-    value = float(profile.d(L - a) + profile.d(a))
-    res = minimize_1d(lambda u: profile.d(u) + profile.d(L - u), 0.0, a,
-                      tol=TOL_S0_SA)
-    return VariationalResult(value, res.value, res.argmin)
+    return _variational(profile, float(profile.d(L - a) + profile.d(a)), -1.0)
 
 
 def action_Shat(profile):
-    """Shat = min_{[0,a]} g0 with its minimizer r0; r0 must be interior."""
+    """Shat = S(0) = min_{[0,a]} g_eps(., 0) with its minimizer r0, which
+    must be interior."""
     a, tol = profile.well.a, TOL_SHAT
-    res = minimize_1d(profile.g0, 0.0, a, tol=tol)
+    res = minimize_1d(lambda r: profile.g_eps(r, 0.0), 0.0, a, tol=tol)
     if not (tol < res.argmin < a - tol):
         raise NumericalError(
             f"hat-action minimizer r0={res.argmin} not interior to (0, {a})",

@@ -30,7 +30,7 @@ from scipy.special import logsumexp
 
 from .agmon import (AgmonProfile, action_S0, action_Sa, action_Shat,
                     free_action_primitive)
-from .numerics import (NumericalError, gauss_legendre, log_integral_exp,
+from .numerics import (NumericalError, _gauss_nodes, log_integral_exp,
                        minimize_1d)
 from .wkb import Y_HI, c_h_asymptotic, log_outer_integrand, matching_constants
 
@@ -169,7 +169,8 @@ def _f_term(a, L, depth, t_a):
 
 
 def sharp_action(well, L):
-    """S(v0, L) by two independent assemblies, with the action corridor.
+    """S(v0, L) by two independent assemblies, with the action corridor
+    and the variational identities of S0 and Sa.
 
     Assembly 1: S = -F(v0) + Psi(a, t_a).
     Assembly 2: S = f(a, L, depth) - g(a, depth) + 2 d(a), where g carries
@@ -189,9 +190,13 @@ def sharp_action(well, L):
         raise ConsistencyError(f"dual assemblies disagree: {S} vs {S_fg}")
     D_mag = prof.d_a
     interaction = S - 2.0 * D_mag
-    S0 = action_S0(prof).value
-    Sa = action_Sa(prof).value
-    shat = action_Shat(prof)
+    s0, sa = action_S0(prof), action_Sa(prof)
+    for name, res in (("S0", s0), ("Sa", sa)):
+        miss = abs(res.value - res.variational)
+        if miss > 1e-8:
+            raise ConsistencyError(f"{name} misses its variational value",
+                                   estimate=miss, error_bound=1e-8)
+    S0, Sa, shat = s0.value, sa.value, action_Shat(prof)
     report = ActionReport(S=S, t_a=t_a, s_plus=s_plus, F=F, psi_min=psi_min,
                           D_mag=D_mag, interaction=interaction,
                           S_from_fg=S_fg, S0=S0, Sa=Sa,
@@ -250,9 +255,7 @@ def w_chain(case, eta):
     # alpha0_main / h, the leading-order exponent coefficient
     alpha_main = well.depth / (2.0 * h) - 0.5 * (amplitude.E1 - 1.0)
     log_ch_asy = c_h_asymptotic(h, consts)
-    x, wts = gauss_legendre(N_CHAIN)
-    r_nodes = eta + 0.5 * (a - eta) * (x + 1.0)
-    r_wts = 0.5 * (a - eta) * wts
+    r_nodes, r_wts = _gauss_nodes(eta, a, N_CHAIN)
     v0_abs = np.abs(well.v0(r_nodes))
     log_base = np.log(r_nodes * np.maximum(v0_abs, 1e-320))
     r = r_nodes[:, None]   # the batch: one t-integrand per radial node

@@ -132,6 +132,12 @@ def gauss_legendre(n):
     return x, w
 
 
+def _gauss_nodes(lo, hi, n):
+    """The n-node Gauss-Legendre rule mapped onto [lo, hi]."""
+    x, w = gauss_legendre(n)
+    return lo + 0.5 * (hi - lo) * (x + 1.0), 0.5 * (hi - lo) * w
+
+
 def symm_tridiag_lowest(diag, offdiag, k):
     """The k algebraically smallest eigenpairs (bisection + inverse iteration)."""
     diag = np.asarray(diag, dtype=float)

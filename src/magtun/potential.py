@@ -84,21 +84,14 @@ class RadialWell:
         return out
 
     def v0_prime(self, r):
+        """v0'(r) = -v0(r) 2r / (a^2 (1 - (r/a)^2)^2); exactly 0 for r >= a."""
         r = np.asarray(r, dtype=float)
         s = np.square(r / self.a)
         out = np.zeros_like(s)
         inside = s < 1.0
-        si = s[inside]
-        expo = -si / (1.0 - si)
-        good = expo > _EXP_UNDERFLOW
-        val = np.zeros_like(si)
-        val[good] = (
-            self.depth
-            * np.exp(expo[good])
-            * (2.0 * r[inside][good] / self.a**2)
-            / np.square(1.0 - si[good])
-        )
-        out[inside] = val
+        ri = r[inside]
+        out[inside] = -self.v0(ri) * (2.0 * ri / self.a**2) / \
+            np.square(1.0 - s[inside])
         return out
 
     @property

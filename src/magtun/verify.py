@@ -47,7 +47,6 @@ def run_battery(config, quick=False, landau_delta=None):
     # a bad spacing is a config error, not one more failed check
     if landau_delta is not None and not 0 < landau_delta < math.inf:
         raise ValueError(f"need finite delta > 0 (got {landau_delta})")
-    from .agmon import action_S0, action_Sa
     from .asymptotics import PsiSurface, minimizer_closed_form, psi_global_min
     from .pipeline import Case, Pipeline
     from .spectral import FiberProblem, harmonic_expansion_check, solve_fiber
@@ -146,17 +145,11 @@ def run_battery(config, quick=False, landau_delta=None):
                    f"root residual {resid:.1e}"
 
     def corridors():
-        s0 = action_S0(pipe.profile)
-        sa = action_Sa(pipe.profile)
-        rep = pipe.action
-        chain = sa.value < rep.Shat < min(s0.value,
-                                          sa.value + L * well.a / 2.0)
-        var_ok = (abs(s0.value - s0.variational) <= 1e-8
-                  and abs(sa.value - sa.variational) <= 1e-8)
-        ok = chain and var_ok and rep.corridor_ok() and \
-            rep.interaction_matrix_ok()
-        return ok, (f"Sa={sa.value:.4f} < S={rep.S:.4f} <= "
-                    f"Shat={rep.Shat:.4f} < S0={s0.value:.4f}")
+        rep = pipe.action   # it checks the variational S0 and Sa itself
+        chain = rep.Sa < rep.Shat < min(rep.S0, rep.Sa + L * well.a / 2.0)
+        ok = chain and rep.corridor_ok() and rep.interaction_matrix_ok()
+        return ok, (f"Sa={rep.Sa:.4f} < S={rep.S:.4f} <= "
+                    f"Shat={rep.Shat:.4f} < S0={rep.S0:.4f}")
 
     def outer_rep():
         sol, outer = cases[0.1].ground, cases[0.1].outer

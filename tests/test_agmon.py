@@ -74,7 +74,7 @@ def test_Shat(profile4):
     assert sa < res.value < min(s0, sa + 2.0)
     # brute-force scan oracle on a 1e5-point grid
     rs = np.linspace(1e-9, 1.0 - 1e-9, 100001)
-    scan = float(np.min(profile4.g0(rs)))
+    scan = float(np.min(profile4.g_eps(rs, 0.0)))
     assert res.value == pytest.approx(scan, abs=1e-8)
 
 
@@ -99,7 +99,8 @@ def test_g_eps_above_g0(profile4):
     rng = np.random.default_rng(3)
     r = rng.uniform(0.01, 0.99, 50)
     for eps in (0.2, 0.7, 1.0):
-        assert np.all(profile4.g_eps(r, eps) >= profile4.g0(r) - 1e-12)
+        assert np.all(profile4.g_eps(r, eps) >=
+                      profile4.g_eps(r, 0.0) - 1e-12)
 
 
 def test_Ra(profile4):

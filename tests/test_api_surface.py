@@ -16,8 +16,8 @@ from pathlib import Path
 
 MODULES = ("agmon", "asymptotics", "hopping", "numerics", "pipeline",
            "potential", "spectral", "splitting2d", "verify", "wkb")
-BUDGET = 198
-LINE_BUDGET = 2914
+BUDGET = 197
+LINE_BUDGET = 2906
 
 
 def _params(fn, bound):

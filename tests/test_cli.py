@@ -170,23 +170,28 @@ def test_every_numerical_error_exit_3(monkeypatch, capsys, stage, error,
         f"numerical error: {error}: stage failed (estimate 2, bound 1)\n")
 
 
+ONE_ACTION = {"action_S0": 1, "action_Sa": 1}   # both inside sharp_action
+
+
 @pytest.mark.parametrize("argv, calls", [
     (["sweep", "--L", "8.5", "--h-range", "1.2:1.2:1", "--with-splitting"],
-     {"ground_state": 1, "hopping_direct": 1}),
+     {"ground_state": 1, "hopping_direct": 1, **ONE_ACTION}),
     # one solve per distinct h: 0.5, 0.3 (full battery only), 0.1 and the
     # exponent sweep's 0.2, 0.14, 0.07, 0.05 (its 0.1 is the held case)
-    (["verify", "--quick"], {"ground_state": 6, "hopping_direct": 1}),
-    (["verify"], {"ground_state": 7, "hopping_direct": 2})],
+    (["verify", "--quick"],
+     {"ground_state": 6, "hopping_direct": 1, **ONE_ACTION}),
+    (["verify"], {"ground_state": 7, "hopping_direct": 2, **ONE_ACTION})],
     ids=["sweep", "verify", "verify-full"])
 def test_each_stage_solved_once(monkeypatch, capsys, argv, calls):
-    from magtun import cli, pipeline
+    from magtun import agmon, cli, pipeline
 
     # count calls through every magtun module that binds the stage, so a
-    # solve outside the pipeline is counted too
+    # solve outside the pipeline is counted too; the pipeline binds no
+    # action constant, so those come from agmon
     modules = [m for k, m in sys.modules.items() if k.startswith("magtun.")]
     seen = dict.fromkeys(calls, 0)
     for name in calls:
-        fn = getattr(pipeline, name)
+        fn = getattr(pipeline, name, None) or getattr(agmon, name)
 
         def counted(*args, _name=name, _fn=fn, **kw):
             seen[_name] += 1
@@ -196,6 +201,23 @@ def test_each_stage_solved_once(monkeypatch, capsys, argv, calls):
                 monkeypatch.setattr(mod, name, counted)
     assert cli.main(argv) == 0
     assert seen == calls
+
+
+def test_variational_miss_fails_action(monkeypatch, capsys, config4):
+    from magtun import asymptotics, cli
+    from magtun.agmon import VariationalResult
+    from magtun.verify import run_battery
+
+    def off(profile):   # the variational value 1e-7 off S0
+        value = float(profile.d(profile.L))
+        return VariationalResult(value, value + 1e-7, 0.0)
+
+    monkeypatch.setattr(asymptotics, "action_S0", off)
+    assert cli.main(["constants"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "ConsistencyError" in err[0], err
+    status = {r.name: r.status for r in run_battery(config4, quick=True)}
+    assert status["action_corridor"] == "fail"
 
 
 @pytest.mark.parametrize("argv", [["constants", "--tol", "1e-6"],

@@ -115,9 +115,10 @@ def test_minimize_prescan_is_one_array_call():
 def test_minimize_g0_interior(profile4):
     # brute-force grid scan oracle at 1e-4 resolution
     rs = np.arange(1e-4, 1.0, 1e-4)
-    scan = profile4.g0(rs)
+    scan = profile4.g_eps(rs, 0.0)
     k = int(np.argmin(scan))
-    res = minimize_1d(profile4.g0, 0.0, 1.0, tol=1e-9)
+    res = minimize_1d(lambda r: profile4.g_eps(r, 0.0), 0.0, 1.0,
+                      tol=1e-9)
     assert 0.0 < res.argmin < 1.0
     assert res.argmin == pytest.approx(rs[k], abs=2e-4)
     assert res.value <= scan[k] + 1e-12
