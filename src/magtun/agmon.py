@@ -24,10 +24,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
-from .numerics import NumericalError, integrate, minimize_1d
+from .numerics import (NumericalError, _cumulative_simpson, _spline,
+                       integrate, minimize_1d)
 
 __all__ = [
     "AgmonProfile",
@@ -95,8 +94,8 @@ class AgmonProfile:
         self.L = float(L)
         a = well.a
         rs = np.linspace(0.0, a, N_TABLE)
-        table = cumulative_simpson(self.integrand(rs), x=rs, initial=0.0)
-        self._inner = CubicSpline(rs, table)
+        table = _cumulative_simpson(self.integrand(rs), rs)
+        self._inner = _spline(rs, table)
         self.d_a = float(table[-1])
         # independent quadrature cross-check carries the error bound
         val, err = integrate(self.integrand, 0.0, a, return_error=True)
@@ -175,7 +174,7 @@ def remainder_Ra(profile):
     value = float(profile.d(L) - profile.d(L - a) - profile.d(a))
 
     def ra_integrand(rho):
-        return math.sqrt((L - rho) ** 2 / 4.0 + depth) - \
+        return np.sqrt((L - rho) ** 2 / 4.0 + depth) - \
             profile.integrand(rho)
 
     direct = integrate(ra_integrand, 0.0, a)

@@ -1,15 +1,18 @@
 """Self-contained numerical kernel.
 
-Adaptive quadrature (Gauss-Kronrod via QUADPACK), bracketed 1-D
-minimization with a global grid pre-scan, the modified Bessel function I0
-in log form (from the exponentially scaled scipy.special.i0e), cached
-Gauss-Legendre rules, the lowest eigenpairs of symmetric tridiagonal
+Fixed-order quadrature (Gauss-Legendre on 128 nodes, its error the
+difference from the 64-node rule), bracketed 1-D minimization with a global
+grid pre-scan and array passes that narrow the bracket, the modified Bessel
+function I0 in log form (from the exponentially scaled scipy.special.i0e),
+cached Gauss-Legendre rules, the lowest eigenpairs of symmetric tridiagonal
 matrices (bisection for several, certified shifted inverse iteration on
 LAPACK's dptsv for the lowest one, each eigenvalue a cancellation-free
 Rayleigh quotient), and a log-stabilized evaluator for integrals of the
 form int exp(g), one per row of a batched integrand g (a scan for each
-row's peak, then two Gauss-Legendre panels split at it).  Everything here
-is pure and reentrant.
+row's peak, then two Gauss-Legendre panels split at it).  The tables'
+spline and cumulative Simpson rule are scipy's, rebuilt here so that no
+process imports scipy.interpolate or scipy.integrate.  Everything here is
+pure and reentrant.
 """
 
 from __future__ import annotations
@@ -18,11 +21,9 @@ import functools
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate as _si
 from scipy import special as _sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.linalg.lapack import dptsv
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "NumericalError",
@@ -53,24 +54,27 @@ class AccuracyError(NumericalError):
     """Requested tolerance not reached; carries the best estimate."""
 
 
-# absolute and relative tolerance of every quadrature, and QUADPACK's
-# subinterval limit
+# absolute and relative tolerance of every quadrature
 QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
-QUAD_LIMIT = 200
+QUAD_NODES = 128   # integrate's Gauss-Legendre rule; half of it checks it
 
 
 def integrate(f, lo, hi, return_error=False):
-    """Integral of f over the finite range (lo, hi)."""
+    """Integral of f over the finite range (lo, hi), by the QUAD_NODES-node
+    Gauss-Legendre rule; the error estimate is its difference from the rule
+    of half as many nodes.  f must accept an array of nodes and return one
+    of the same shape.  Raises AccuracyError past QUAD_ABS_TOL +
+    QUAD_REL_TOL |value|."""
     if lo >= hi:
         raise ValueError("need lo < hi")
-    # full_output turns QUADPACK's IntegrationWarning into a fourth tuple
-    # entry, so one call both gives the estimate and reports the warning
-    val, err, _info, *message = _si.quad(
-        f, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
-        limit=QUAD_LIMIT, full_output=1,
-    )
-    if message and err > QUAD_ABS_TOL + QUAD_REL_TOL * abs(val):
+    def rule(n):
+        x, w = _gauss_nodes(lo, hi, n)
+        return float(w @ f(x))
+
+    val = rule(QUAD_NODES)
+    err = abs(val - rule(QUAD_NODES // 2))
+    if err > QUAD_ABS_TOL + QUAD_REL_TOL * abs(val):
         raise AccuracyError(
             f"quadrature did not converge (err={err:.2e})",
             estimate=val, error_bound=err,
@@ -83,32 +87,36 @@ class Minimum1D(NamedTuple):
     value: float
 
 
-PRESCAN = 200  # grid points of minimize_1d's global pre-scan
+PRESCAN = 200  # grid points of minimize_1d's pre-scan and of each pass
 
 
 def minimize_1d(f, lo, hi, tol=1e-8):
-    """Bracketed scalar minimization (Brent) with a global grid pre-scan.
+    """Bracketed scalar minimization with a global grid pre-scan.
 
     A uniform pre-scan of PRESCAN points picks the basin first; ties go to
-    the smallest abscissa (np.argmin returns the first hit).  The pre-scan
-    is one call f(xs) on the whole node array, so f must accept an array
-    and return one of the same shape (a scalar-only f is a TypeError);
-    Brent's refinement and the endpoints call f with scalars.
+    the smallest abscissa (np.argmin returns the first hit).  The bracket
+    of the pre-scan minimum's two neighbours then narrows by passes of
+    PRESCAN points over it, each to the neighbours of its own minimum,
+    until it is under tol / 4 (or a few ulps of its ends).  Every pass is
+    one call f(xs) on the whole node array, so f must accept an array and
+    return one of the same shape (a scalar-only f is a TypeError); only
+    the two endpoints, lo and hi, are scalar calls.
     """
     if lo >= hi:
         raise ValueError("need lo < hi")
-    xs = np.linspace(lo, hi, PRESCAN)
-    vals = np.asarray(f(xs))
-    if vals.shape != xs.shape:
-        raise TypeError(f"f must map shape {xs.shape} to the same shape "
-                        f"(got {vals.shape})")
-    k = int(np.argmin(vals))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, len(xs) - 1)]
-    res = minimize_scalar(f, bounds=(a, b), method="bounded",
-                          options={"xatol": 0.25 * tol})
+    a, b = lo, hi
+    while True:
+        xs = np.linspace(a, b, PRESCAN)
+        vals = np.asarray(f(xs))
+        if vals.shape != xs.shape:
+            raise TypeError(f"f must map shape {xs.shape} to the same shape "
+                            f"(got {vals.shape})")
+        k = int(np.argmin(vals))
+        a, b = xs[max(k - 1, 0)], xs[min(k + 1, PRESCAN - 1)]
+        if b - a <= max(0.25 * tol, 8.0 * np.spacing(max(abs(a), abs(b)))):
+            break
     # endpoint minima sit flush against the pre-scan cell edge
-    candidates = [(lo, f(lo)), (float(res.x), float(res.fun)), (hi, f(hi))]
+    candidates = [(lo, f(lo)), (xs[k], vals[k]), (hi, f(hi))]
     candidates.sort(key=lambda p: (p[1], p[0]))
     x, fx = candidates[0]
     return Minimum1D(float(x), float(fx))
@@ -136,6 +144,64 @@ def _gauss_nodes(lo, hi, n):
     """The n-node Gauss-Legendre rule mapped onto [lo, hi]."""
     x, w = gauss_legendre(n)
     return lo + 0.5 * (hi - lo) * (x + 1.0), 0.5 * (hi - lo) * w
+
+
+def _spline(x, y):
+    """scipy's not-a-knot CubicSpline of y on the increasing nodes x (at
+    least four), as a function of an array or a scalar.
+
+    The slopes solve scipy's banded system with its not-a-knot end rows,
+    each interval's cubic has scipy's Hermite coefficients and is summed
+    in scipy's order, power by power, so the values are scipy's bit for
+    bit (Horner's rule moves them by up to 42 ulps).  Points off the grid
+    take the end intervals, as scipy extrapolates.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    ab = np.zeros((3, len(x)))
+    ab[0, 2:] = dx[:-1]
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[2, :-2] = dx[1:]
+    rhs = np.empty(len(x))
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    ab[1, 0], ab[0, 1] = dx[1], d
+    rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    ab[1, -1], ab[2, -2] = dx[-2], d
+    rhs[-1] = (dx[-1]**2 * slope[-2]
+               + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), ab, rhs)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    coef = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+    def spline(r):
+        r = np.asarray(r, dtype=float)
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
+        z = r - x[i]
+        c = coef.take(i, axis=1)
+        return c[3] + c[2] * z + c[1] * (z * z) + c[0] * (z * z * z)
+    return spline
+
+
+def _cumulative_simpson(y, x):
+    """scipy's cumulative_simpson(y, x=x, initial=0): the integral of each
+    sub-interval from the quadratic through it and one neighbour, the one
+    on its right for even sub-intervals and on its left for odd ones and
+    the last, summed cumulatively from 0 at x[0]."""
+    def leading(y, dx):   # each triple's integral over its first interval
+        x21_x31 = dx[:-1] / (dx[:-1] + dx[1:])
+        c3 = x21_x31 * (dx[:-1] / dx[1:])
+        return dx[:-1] / 6 * ((3 - x21_x31) * y[:-2]
+                              + (3 + c3 + x21_x31) * y[1:-1] - c3 * y[2:])
+
+    dx = np.diff(x)
+    right = leading(y, dx)
+    left = leading(y[::-1], dx[::-1])[::-1]
+    sub = np.empty(len(dx))
+    sub[:-1:2], sub[1::2] = right[::2], left[::2]
+    sub[-1] = left[-1]
+    return np.concatenate(([0.0], np.cumsum(sub)))
 
 
 def symm_tridiag_lowest(diag, offdiag, k):

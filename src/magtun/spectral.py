@@ -33,10 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.interpolate import CubicSpline
 
-from .numerics import (AccuracyError, NumericalError, symm_tridiag_lowest,
-                       tridiag_ground_pair, tridiag_rayleigh)
+from .numerics import (AccuracyError, NumericalError, _spline,
+                       symm_tridiag_lowest, tridiag_ground_pair,
+                       tridiag_rayleigh)
 
 __all__ = [
     "FiberProblem",
@@ -143,18 +143,17 @@ class RadialEigenSolution:
         E = self.energies[0]
         r_c, delta_c, l_c = _log_profile(self.problem, self._vectors[0], E)
         _, _, l_f = _log_profile(self.problem, self._vectors[1], E)
-        l_c = CubicSpline(r_c, l_c)(self.grid)
+        l_c = _spline(r_c, l_c)(self.grid)
         q = (delta_c / self.delta) ** 2
         del self._vectors
         return np.exp(l_f + (l_f - l_c) / (q - 1.0))
 
     @cached_property
     def log_u(self):
-        """log u(rho): scipy's not-a-knot CubicSpline of the log-profile on
-        the grid, built on first use.  Points off the grid take the end
-        intervals."""
-        return CubicSpline(self.grid,
-                           np.log(np.maximum(np.abs(self.u), 1e-320)))
+        """log u(rho): the not-a-knot cubic spline of the log-profile on
+        the grid (numerics._spline, scipy's CubicSpline rebuilt), built on
+        first use.  Points off the grid take the end intervals."""
+        return _spline(self.grid, np.log(np.maximum(np.abs(self.u), 1e-320)))
 
     def norm_check(self):
         """int |u|^2 2 pi r dr on the grid (should be 1): the midpoint sum

@@ -34,10 +34,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
-from .numerics import NumericalError, log_bessel_i0, log_integral_exp
+from .numerics import (NumericalError, _cumulative_simpson, _spline,
+                       log_bessel_i0, log_integral_exp)
 
 __all__ = [
     "log_outer_integrand",
@@ -101,8 +100,7 @@ class WkbAmplitude:
         self._c4 = well._c4
         self._rho_cut = 1e-2 * well.a
         rs = np.linspace(0.0, self.r_max, N_AMPLITUDE)
-        F = cumulative_simpson(self.f(rs), x=rs, initial=0.0)
-        self._log_shape = CubicSpline(rs, -F)
+        self._log_shape = _spline(rs, -_cumulative_simpson(self.f(rs), rs))
 
     def f(self, rho):
         """Transport-equation integrand; the rho -> 0 singularity is removable."""

@@ -135,6 +135,6 @@ def test_CL_degenerate_small_a():
 def test_tail_closed_form(profile4):
     # for r >= a the tail is the free primitive; cross-check by quadrature
     from magtun import integrate
-    tail = integrate(lambda r: math.sqrt(r * r / 4 + 1.0), 1.0, 3.0)
+    tail = integrate(lambda r: np.sqrt(r * r / 4 + 1.0), 1.0, 3.0)
     assert profile4.d(3.0) - profile4.d(1.0) == \
         pytest.approx(tail, abs=1e-10)

@@ -365,3 +365,28 @@ def test_thread_cap_set_before_numpy_loads():
     seen = json.loads(proc.stdout)
     assert seen == {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "3",
                     "MKL_NUM_THREADS": "2"}
+
+
+SCIPY_TREES = ("scipy.interpolate", "scipy.integrate", "scipy.optimize")
+
+# Runs one command of each kind in process and lists the scipy subpackages
+# that are then loaded.
+_SCIPY_TREE_SPY = f"""
+import contextlib, io, json, sys
+import magtun.cli
+argvs = [["constants"], ["sweep", "--h-range", "0.3:0.5:2"],
+         ["asymptotics", "--wchain"], ["verify", "--quick"],
+         ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1", "--grid", "0.1"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [magtun.cli.main(argv) for argv in argvs]
+print(json.dumps([codes, [m for m in {SCIPY_TREES!r} if m in sys.modules]]))
+"""
+
+
+def test_no_command_loads_unused_scipy_trees():
+    # each of these subpackages costs every process about 0.2 s and 20 MB
+    # of import, and magtun calls nothing in them
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_TREE_SPY],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * 5, []]

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import scipy.special
 
-from magtun import (AccuracyError, hopping_bessel, integrate, log_bessel_i0,
-                    log_integral_exp, minimize_1d, symm_tridiag_lowest,
-                    w_chain)
-from magtun import numerics
+from magtun import (AccuracyError, AgmonProfile, FiberProblem, RadialWell,
+                    default_radius, hopping_bessel, integrate, log_bessel_i0,
+                    log_integral_exp, minimize_1d, solve_fiber,
+                    symm_tridiag_lowest, w_chain)
+from magtun import agmon, numerics, spectral, wkb
 from magtun.numerics import gauss_legendre, tridiag_ground_pair
 from magtun.wkb import (T_BLOCK, Y_HI, OuterRepresentation, calibrate_outer,
                         log_outer_integrand)
@@ -32,7 +33,7 @@ def test_integrate_polynomial():
 def test_integrate_action_closed_form():
     # int_0^4 sqrt(rho^2/4 + 1) = 2 sqrt5 + ln(2 + sqrt5)
     closed = 2 * math.sqrt(5) + math.log(2 + math.sqrt(5))
-    val = integrate(lambda r: math.sqrt(r * r / 4 + 1), 0.0, 4.0)
+    val = integrate(lambda r: np.sqrt(r * r / 4 + 1), 0.0, 4.0)
     assert val == pytest.approx(closed, abs=1e-10)
     # independent midpoint-rule oracle
     n = 200001
@@ -41,49 +42,58 @@ def test_integrate_action_closed_form():
     assert val == pytest.approx(mid, abs=1e-8)
 
 
-def _fake_quad(err, warned):
-    calls = []
-
-    def quad(fn, a, b, **kw):
-        calls.append(kw)
-        out = (1.0, err, {})
-        return out + ("roundoff detected",) if warned else out
-
-    return quad, calls
-
-
-# abs + rel tolerance of integrate at |val| = 1, the fake quadrature's value
-QUAD_BOUND = numerics.QUAD_ABS_TOL + numerics.QUAD_REL_TOL
-
-
-def test_integrate_warning_within_tolerance(monkeypatch):
-    # QUADPACK warns but the error estimate meets abs_tol + rel_tol |val|:
-    # the value is returned, from a single quadrature call
-    quad, calls = _fake_quad(err=0.9 * QUAD_BOUND, warned=True)
-    monkeypatch.setattr(numerics._si, "quad", quad)
-    assert integrate(lambda x: x, 0.0, 1.0, return_error=True) == \
-        (1.0, 0.9 * QUAD_BOUND)
-    assert len(calls) == 1
-
-
-def test_integrate_warning_beyond_tolerance(monkeypatch):
-    quad, calls = _fake_quad(err=3 * QUAD_BOUND, warned=True)
-    monkeypatch.setattr(numerics._si, "quad", quad)
-    with pytest.raises(AccuracyError) as exc:
-        integrate(lambda x: x, 0.0, 1.0)
-    assert exc.value.estimate == 1.0
-    assert exc.value.error_bound == 3 * QUAD_BOUND
-    assert len(calls) == 1
-    # the same error without a warning is QUADPACK's own success verdict
-    quad, calls = _fake_quad(err=3 * QUAD_BOUND, warned=False)
-    monkeypatch.setattr(numerics._si, "quad", quad)
-    assert integrate(lambda x: x, 0.0, 1.0) == 1.0
-
-
 def test_integrate_accuracy_error():
     with pytest.raises(AccuracyError) as exc:
-        integrate(lambda x: math.sin(1.0 / max(x, 1e-300)), 0.0, 1.0)
-    assert exc.value.error_bound > 0
+        integrate(lambda x: np.sin(1.0 / np.maximum(x, 1e-300)), 0.0, 1.0)
+    # the error carries the estimate and the missed |GL128 - GL64|
+    assert exc.value.error_bound > numerics.QUAD_ABS_TOL + \
+        numerics.QUAD_REL_TOL * abs(exc.value.estimate)
+
+
+def test_integrate_matches_quadpack():
+    # the Agmon integrand over its support, depth 0.1-8 and a 0.3-2
+    from scipy.integrate import quad
+    for depth in (0.1, 0.5, 1.0, 4.0, 8.0):
+        for a in (0.3, 1.0, 2.0):
+            f = AgmonProfile(RadialWell.bump(depth, a), 4.0 * a).integrand
+            ref = quad(f, 0.0, a, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            assert integrate(f, 0.0, a) == pytest.approx(ref, rel=1e-14,
+                                                         abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def table_grids(well, profile4, amp6):
+    """(x, y) on the four grids the tables use: the Agmon and WKB
+    integrands, and the coarse and fine log profiles of a fiber solve."""
+    rs = np.linspace(0.0, well.a, agmon.N_TABLE)
+    ra = np.linspace(0.0, amp6.r_max, wkb.N_AMPLITUDE)
+    R = default_radius(well, 0.3, L=4.0)
+    problem = FiberProblem(m=0, h=0.3, R=R, n=spectral._default_n(R),
+                           well=well)
+    sol = solve_fiber(problem)
+    fiber = [spectral._log_profile(problem, v, sol.e_sw)
+             for v in sol._vectors]
+    return [(rs, profile4.integrand(rs)), (ra, amp6.f(ra))] + \
+        [(r, log_u) for r, _, log_u in fiber]
+
+
+def test_table_helpers_match_scipy(table_grids):
+    # _cumulative_simpson and _spline are scipy's cumulative_simpson and
+    # not-a-knot CubicSpline bit for bit: on the nodes, next to them, and
+    # at random points within and past both ends
+    from scipy.integrate import cumulative_simpson
+    from scipy.interpolate import CubicSpline
+    rng = np.random.default_rng(3)
+    for x, y in table_grids:
+        assert np.array_equal(numerics._cumulative_simpson(y, x),
+                              cumulative_simpson(y, x=x, initial=0.0))
+        pad = 0.1 * (x[-1] - x[0])
+        pts = np.concatenate([x, np.nextafter(x, -np.inf),
+                              np.nextafter(x, np.inf),
+                              rng.uniform(x[0] - pad, x[-1] + pad, 10**5)])
+        spline = numerics._spline(x, y)
+        assert np.array_equal(spline(pts), CubicSpline(x, y)(pts))
+        assert spline(x[1] + 0.5 * pad) == CubicSpline(x, y)(x[1] + 0.5 * pad)
 
 
 def test_minimize_parabola():
@@ -103,9 +113,11 @@ def test_minimize_prescan_is_one_array_call():
 
     res = minimize_1d(f, 0.0, 1.0)
     assert res.argmin == pytest.approx(0.3, abs=1e-7)
-    # the whole pre-scan first, then Brent and the endpoints on scalars
-    assert shapes[0] == (numerics.PRESCAN,)
-    assert len(shapes) > 2 and all(s == () for s in shapes[1:])
+    # the pre-scan and every narrowing pass are array calls; only the two
+    # endpoints are scalar calls
+    assert len(shapes) > 3
+    assert all(s == (numerics.PRESCAN,) for s in shapes[:-2])
+    assert shapes[-2:] == [(), ()]
     with pytest.raises(TypeError):
         minimize_1d(lambda x: math.exp(x), 0.0, 1.0)   # scalar-only f
     with pytest.raises(TypeError):

@@ -102,8 +102,9 @@ def test_ground_state_solve_size(well, case):
 
 
 def test_log_u_matches_scipy_spline(well, case):
-    # log_u is scipy's not-a-knot spline of the log-profile, on and off the
-    # grid and at the knots and their neighbours, for arrays and scalars
+    # log_u (numerics._spline) is scipy's not-a-knot spline of the
+    # log-profile bit for bit, on and off the grid and at the knots and
+    # their neighbours, for arrays and scalars
     sol = case(well, 0.3).ground
     x = sol.grid
     spline = CubicSpline(x, np.log(np.maximum(np.abs(sol.u), 1e-320)))
