@@ -9,19 +9,18 @@ approaches -S.  (The deep well keeps the eta-truncation window of the chain
 inside its validity regime: t_a = 0.39 > 0.2 a.)
 """
 
-from magtun import (Case, DoubleWellConfig, Pipeline, PsiSurface, RadialWell,
-                    beta_scaling, minimizer_closed_form, nonmagnetic_action,
-                    psi_global_min, w_chain)
+from magtun import (Case, DoubleWellConfig, Pipeline, RadialWell, beta_scaling,
+                    minimizer_closed_form, nonmagnetic_action, psi_global_min,
+                    w_chain)
 
 well = RadialWell.bump(depth=4.0, a=1.0)
 pipe = Pipeline(DoubleWellConfig(well, L=4.0))
 
 t_a, s_plus = minimizer_closed_form(well, pipe.L)
-surface = PsiSurface(pipe.profile)
-r_g, t_g, v_g = psi_global_min(surface)
+r_g, t_g, v_g = psi_global_min(pipe.profile)
 print(f"closed-form minimizer: t_a = {t_a:.8f} (s+ = {s_plus:.8f})")
 print(f"grid + descent search: (r*, t*) = ({r_g:.6f}, {t_g:.6f}), "
-      f"Psi = {v_g:.8f} vs Psi(a, t_a) = {float(surface.psi(1.0, t_a)):.8f}")
+      f"Psi = {v_g:.8f} vs Psi(a, t_a) = {pipe.profile.psi(1.0, t_a):.8f}")
 
 rep = pipe.action
 print(f"\nsharp action S = {rep.S:.8f}")

@@ -37,8 +37,8 @@ from .wkb import (OuterRepresentation, OuterRepresentationError, WkbAmplitude,
                   wkb_error_exponent, wkb_profile_error)
 from .hopping import (epsilon_lower_bound, hopping_bessel, hopping_direct,
                       hopping_slope_check, hopping_wkb_envelope)
-from .asymptotics import (ActionReport, ConsistencyError, PsiSurface,
-                          beta_scaling, kernel_g0_log, minimizer_closed_form,
+from .asymptotics import (ActionReport, ConsistencyError, beta_scaling,
+                          kernel_g0_log, minimizer_closed_form,
                           nonmagnetic_action, psi_global_min, sharp_action,
                           w_chain)
 from .pipeline import Case, Pipeline

@@ -13,6 +13,8 @@ tunneling action constants are built from it:
     Shat    = S(0) = min_{0<r<a} [ L r / 2 + d(L - r) + d(r) ]
     Ra      = S0 - Sa
     CL      = ((L - a)/2 + 2 sqrt(depth)) a
+    Psi     = d(r) + (r^2 + L^2)(2t + 1)/4 + (depth/2) ln(1 + 1/t)
+              - L r sqrt(t(t+1)), the Laplace phase of the hopping integral
 
 Outside the support the integrand is sqrt(rho^2/4 + depth) and d has the
 closed-form tail  (rho/4) sqrt(rho^2 + 4 depth) + depth asinh(rho/(2 sqrt(depth))).
@@ -121,6 +123,18 @@ class AgmonProfile:
         r = np.asarray(r, dtype=float)
         shifted = np.sqrt((self.L - r) ** 2 + 2.0 * eps * self.L * r)
         return (1.0 - eps) * self.L * r / 2.0 + self.d(shifted) + self.d(r)
+
+    def psi(self, r, t):
+        """The Laplace phase Psi(r, t) on [0, a] x (0, inf)."""
+        r = np.asarray(r, dtype=float)
+        t = np.asarray(t, dtype=float)
+        if np.any(t <= 0):
+            raise ValueError("Psi requires t > 0")
+        L, depth = self.L, self.well.depth
+        val = (self.d(r) + (r * r + L * L) * (2.0 * t + 1.0) / 4.0
+               + depth / 2.0 * np.log1p(1.0 / t)
+               - L * r * np.sqrt(t * (t + 1.0)))
+        return float(val) if val.ndim == 0 else val
 
 
 def _variational(profile, value, sign):

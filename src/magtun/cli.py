@@ -19,9 +19,14 @@ from dataclasses import replace
 
 import numpy as np
 
+from .agmon import corridor_CL, remainder_Ra
+from .asymptotics import beta_scaling, nonmagnetic_action, w_chain
 from .numerics import NumericalError
 from .pipeline import Case, Pipeline
 from .potential import DoubleWellConfig, RadialWell, WellValidationError
+from .spectral import FiberProblem, _default_n, default_radius, solve_fiber
+from .splitting2d import gap_row, gap_vs_hopping
+from .verify import run_battery
 
 _FMT = "%.17g"
 
@@ -65,8 +70,6 @@ def _h_range(spec):
 
 
 def cmd_constants(args):
-    from .agmon import corridor_CL, remainder_Ra
-
     pipe = Pipeline(_load_config(args))
     prof = pipe.profile
     ra = remainder_Ra(prof)
@@ -92,8 +95,6 @@ def cmd_constants(args):
 
 
 def cmd_spectrum(args):
-    from .spectral import FiberProblem, _default_n, default_radius, solve_fiber
-
     if args.modes < 0:
         raise ValueError(f"need --modes >= 0 (got {args.modes})")
     config = _load_config(args)
@@ -167,8 +168,6 @@ def cmd_hopping(args):
 
 
 def cmd_asymptotics(args):
-    from .asymptotics import beta_scaling, nonmagnetic_action, w_chain
-
     pipe = Pipeline(_load_config(args))
     well, L = pipe.well, pipe.L
     if args.action:
@@ -195,8 +194,6 @@ def cmd_asymptotics(args):
 
 
 def cmd_splitting(args):
-    from .splitting2d import gap_vs_hopping
-
     box = tuple(args.box) if args.box else None
     report = gap_vs_hopping(Pipeline(_load_config(args)),
                             _h_range(args.h_range), delta=args.grid, box=box)
@@ -211,8 +208,6 @@ def cmd_splitting(args):
 
 
 def cmd_sweep(args):
-    from .splitting2d import gap_row
-
     pipe = Pipeline(_load_config(args))
     rows = []
     for h in _h_range(args.h_range):
@@ -244,11 +239,8 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    from . import verify as verify_mod
-
     config = _load_config(args)
-    results = verify_mod.run_battery(config, quick=args.quick,
-                                     landau_delta=args.grid)
+    results = run_battery(config, quick=args.quick, landau_delta=args.grid)
     failed = [r for r in results if r.status == "fail"]
     for r in results:
         print(f"{r.status.upper():7s} {r.name}: {r.detail}")
@@ -270,11 +262,14 @@ def build_parser():
         description="Numerical laboratory for magnetic double-well tunneling")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def config_flags(sp):
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--depth", type=float, default=1.0)
         sp.add_argument("--a", type=float, default=1.0)
         sp.add_argument("--L", type=float, default=4.0)
+
+    def common(sp):   # every command but verify, which prints plain text
+        config_flags(sp)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--output", help="write to file instead of stdout")
 
@@ -330,7 +325,7 @@ def build_parser():
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("verify", help="one-shot invariant battery")
-    common(sp)
+    config_flags(sp)
     sp.add_argument("--grid", type=float,
                     help="override Landau-check lattice spacing")
     sp.add_argument("--quick", action="store_true")

@@ -51,7 +51,6 @@ __all__ = [
     "IdentityReport",
 ]
 
-_LOG_FLOOR = -745.0  # below exp() underflow
 MAX_DOUBLINGS = 4    # grid doublings solve_fiber may add past n, 2n, 4n
 TAIL_FLOOR = 1e-9    # _refine_tail re-solves where |w| < TAIL_FLOOR max|w|
 GROUND_TOL = 1e-8    # Richardson tolerance of the ground_state solve
@@ -129,31 +128,35 @@ class RadialEigenSolution:
         self.delta = delta
         self.energies = energies
         self.energy_error = energy_error
-        # the ground vectors of the last two grids, until u is first read
+        # the ground vectors of the last two grids, until the profile is read
         self._vectors = vectors
         self.e_sw = float(energies[0])
         self.fiber_energies = None  # filled by ground_state
 
     @cached_property
-    def u(self):
-        """The ground profile on the grid, extrapolated in log form over the
-        last two grids (see solve_fiber).  It is built on first read, and
-        the two ground vectors are then dropped: most solves only need
-        their energies."""
+    def log_profile(self):
+        """log u on the grid, extrapolated over the last two grids (see
+        solve_fiber).  It is built on first read, and the two ground vectors
+        are then dropped: most solves only need their energies."""
         E = self.energies[0]
         r_c, delta_c, l_c = _log_profile(self.problem, self._vectors[0], E)
         _, _, l_f = _log_profile(self.problem, self._vectors[1], E)
         l_c = _spline(r_c, l_c)(self.grid)
         q = (delta_c / self.delta) ** 2
         del self._vectors
-        return np.exp(l_f + (l_f - l_c) / (q - 1.0))
+        return l_f + (l_f - l_c) / (q - 1.0)
+
+    @cached_property
+    def u(self):
+        """The ground profile on the grid, exp(log_profile)."""
+        return np.exp(self.log_profile)
 
     @cached_property
     def log_u(self):
-        """log u(rho): the not-a-knot cubic spline of the log-profile on
-        the grid (numerics._spline, scipy's CubicSpline rebuilt), built on
-        first use.  Points off the grid take the end intervals."""
-        return _spline(self.grid, np.log(np.maximum(np.abs(self.u), 1e-320)))
+        """log u(rho): the not-a-knot cubic spline of log_profile
+        (numerics._spline, scipy's CubicSpline rebuilt), built on first
+        use.  Points off the grid take the end intervals."""
+        return _spline(self.grid, self.log_profile)
 
     def norm_check(self):
         """int |u|^2 2 pi r dr on the grid (should be 1): the midpoint sum
@@ -265,8 +268,8 @@ def solve_fiber(problem, k=1, tol=1e-8):
     profile of each of the last two levels (_log_profile), the coarse one
     splined onto the fine nodes, gives log u = l_f + (l_f - l_c) / (q - 1)
     on the fine grid, O(delta^4) like E, far out along the decaying tail.
-    The solution keeps the two ground vectors and builds u from them on
-    its first read, so a solve whose profile is never read skips it.
+    The solution keeps the two ground vectors and builds log u from them
+    on its first read, so a solve whose profile is never read skips it.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"need finite tol > 0 (got {tol})")
@@ -382,9 +385,10 @@ class IdentityReport(NamedTuple):
     weighted_mass: float
 
 
-def agmon_identity_check(solution, phi, phi_prime=None):
+def agmon_identity_check(solution, phi, phi_prime):
     """Evaluate both sides of the weighted energy identity for u = u_h.
 
+    phi and phi_prime are callables of r, the weight and its derivative.
     With v = e^{phi/h} u and the effective radial potential
     w(r) = r^2/4 + v0(r), v0 being the potential of solution.problem:
 
@@ -400,25 +404,18 @@ def agmon_identity_check(solution, phi, phi_prime=None):
     r = solution.grid
     h = solution.h
     delta = solution.delta
-    u = solution.u
+    log_u = solution.log_profile
     E = solution.energies[0]
-    phi_vals = phi(r) if callable(phi) else np.asarray(phi, dtype=float)
-    if phi_prime is None:
-        dphi = np.gradient(phi_vals, r)
-    else:
-        dphi = phi_prime(r) if callable(phi_prime) else np.asarray(phi_prime)
-    log_v = np.clip(phi_vals / h, -np.inf, 700.0) + \
-        np.log(np.maximum(np.abs(u), 1e-320))
-    v = np.sign(u) * np.exp(np.maximum(log_v, _LOG_FLOOR))
+    phi_vals, dphi = phi(r), phi_prime(r)
+    v = np.exp(np.clip(phi_vals / h, -np.inf, 700.0) + log_u)
     weff = r * r / 4.0 + solution.problem.potential(r)
     rmid = 0.5 * (r[:-1] + r[1:])
     kinetic = h * h * (np.sum(rmid * np.diff(v) ** 2) / delta
                        + (r[-1] + delta / 2.0) * v[-1] ** 2 / delta)
     potential = np.sum((weff - dphi**2) * v * v * r) * delta
     lhs = 2.0 * np.pi * (kinetic + potential)
-    rhs = 2.0 * np.pi * E * float(np.sum(np.exp(
-        np.maximum(2.0 * phi_vals / h + 2.0 * np.log(
-            np.maximum(np.abs(u), 1e-320)), _LOG_FLOOR)) * r) * delta)
+    rhs = 2.0 * np.pi * E * float(np.sum(
+        np.exp(2.0 * phi_vals / h + 2.0 * log_u) * r) * delta)
     residual = abs(lhs - rhs) / (abs(lhs) + abs(rhs))
     mass = math.sqrt(max(2.0 * np.pi * float(
         np.sum(v * v * r) * delta), 0.0))

@@ -69,14 +69,16 @@ class MagneticLattice:
         return 0.0 if dev.nnz == 0 else float(np.abs(dev.data).max())
 
     def plaquette_phase_deviation(self):
-        """max |product of 4 link phases - exp(-i delta^2/h)| over all cells."""
+        """max |product of 4 link phases - exp(-i delta^2/h)| over all cells,
+        each read off the matrix: node k's +x and +y link entries (k, k + ny)
+        and (k, k + 1) are -h^2/delta^2 times their phases."""
         nx, ny = self.shape
-        XX, YY = np.meshgrid(self.x, self.y, indexing="ij")
-        phx = np.exp(-1j * (-YY * self.delta / 2.0) / self.h)  # bottom edges
-        phy = np.exp(-1j * (XX * self.delta / 2.0) / self.h)   # left edges
+        link = -self.h * self.h / self.delta**2
+        phx = (self.matrix.diagonal(ny) / link).reshape(nx - 1, ny)
+        phy = np.append(self.matrix.diagonal(1) / link, 0.0).reshape(nx, ny)
         # counterclockwise: bottom(j), right(i+1), top(j+1) conj, left(i) conj
-        prod = (phx[:-1, :-1] * phy[1:, :-1]
-                * np.conj(phx[:-1, 1:]) * np.conj(phy[:-1, :-1]))
+        prod = (phx[:, :-1] * phy[1:, :-1]
+                * np.conj(phx[:, 1:]) * np.conj(phy[:-1, :-1]))
         target = np.exp(-1j * self.delta**2 / self.h)
         return float(np.abs(prod - target).max())
 

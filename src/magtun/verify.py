@@ -16,6 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import psi_global_min
+from .pipeline import Case, Pipeline
+from .spectral import FiberProblem, harmonic_expansion_check, solve_fiber
+from .splitting2d import gap_vs_hopping, landau_level_2d
+from .wkb import wkb_error_exponent, wkb_profile_error
+
 __all__ = ["CheckResult", "run_battery"]
 
 SWEEP_H = (0.2, 0.14, 0.1, 0.07, 0.05)   # h of the two exponent fits
@@ -47,12 +53,6 @@ def run_battery(config, quick=False, landau_delta=None):
     # a bad spacing is a config error, not one more failed check
     if landau_delta is not None and not 0 < landau_delta < math.inf:
         raise ValueError(f"need finite delta > 0 (got {landau_delta})")
-    from .asymptotics import PsiSurface, minimizer_closed_form, psi_global_min
-    from .pipeline import Case, Pipeline
-    from .spectral import FiberProblem, harmonic_expansion_check, solve_fiber
-    from .splitting2d import gap_vs_hopping, landau_level_2d
-    from .wkb import wkb_error_exponent, wkb_profile_error
-
     well, L = config.well, config.L
     results = []
     # each stage once per battery, never across calls
@@ -132,14 +132,13 @@ def run_battery(config, quick=False, landau_delta=None):
         return worst <= 1e-8, f"max rel route gap {worst:.1e}"
 
     def psi_min():
-        t_a, s_plus = minimizer_closed_form(well, L)
+        # S's closed-form minimizer and Psi there, against the search
+        s_plus, ref = pipe.action.s_plus, pipe.action.psi_min
         A2 = (L * L - well.a**2) ** 2
         B = 2.0 * well.depth * (L * L + well.a**2) + L**2 * well.a**2
         resid = abs(A2 * s_plus**2 - B * s_plus + well.depth**2) / \
             (A2 * s_plus**2)
-        surface = PsiSurface(pipe.profile)
-        r_s, t_s, val = psi_global_min(surface)
-        ref = float(surface.psi(well.a, t_a))
+        _, _, val = psi_global_min(pipe.profile)
         ok = (abs(val - ref) <= 1e-6 * abs(ref)) and resid <= 1e-10
         return ok, f"grid-vs-closed-form {abs(val-ref)/abs(ref):.1e}, " \
                    f"root residual {resid:.1e}"

@@ -128,7 +128,7 @@ def wkb_profile_error(case):
     mask = solution.grid <= case.config.well.a
     r = solution.grid[mask]
     scaled = np.exp(case.pipeline.profile.d(r) / h
-                    + np.log(np.maximum(solution.u[mask], 1e-320)))
+                    + solution.log_profile[mask])
     target = np.exp(case.pipeline.amplitude.log_a0(r)) / math.sqrt(h)
     return float(np.max(np.abs(scaled - target)))
 

@@ -16,8 +16,8 @@ from pathlib import Path
 
 MODULES = ("agmon", "asymptotics", "hopping", "numerics", "pipeline",
            "potential", "spectral", "splitting2d", "verify", "wkb")
-BUDGET = 197
-LINE_BUDGET = 2968
+BUDGET = 196
+LINE_BUDGET = 2949
 
 
 def _params(fn, bound):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from magtun import (AgmonProfile, ConsistencyError, PsiSurface, RadialWell,
-                    beta_scaling, minimize_1d, minimizer_closed_form,
-                    nonmagnetic_action, psi_global_min, sharp_action, w_chain)
+from magtun import (AgmonProfile, ConsistencyError, RadialWell, beta_scaling,
+                    minimize_1d, minimizer_closed_form, nonmagnetic_action,
+                    psi_global_min, sharp_action, w_chain)
 from magtun import agmon, asymptotics, numerics
 from magtun.agmon import action_S0, action_S_eps, action_Sa, action_Shat, \
     free_action_primitive
@@ -14,11 +14,6 @@ from magtun.agmon import action_S0, action_S_eps, action_Sa, action_Shat, \
 S_CANON = 5.027772658094884
 T_A_CANON = math.sqrt(0.45) - 0.5       # s_plus = 0.2 exactly
 NONMAG_CANON = 3.0824097458716895       # 2 int sqrt(v0+1) + (L-2a)
-
-
-@pytest.fixture(scope="module")
-def surface(profile4):
-    return PsiSurface(profile4)
 
 
 @pytest.mark.parametrize("depth", [0.5, 1.0, 4.0])
@@ -38,7 +33,7 @@ def test_prescan_objectives_array_equals_pointwise(depth, monkeypatch):
     for action in (action_S0, action_Sa, action_Shat):
         action(prof)
     action_S_eps(prof, 0.5)
-    psi_global_min(PsiSurface(prof))
+    psi_global_min(prof)
     assert len(objectives) == 4 + 2 * asymptotics.PSI_REFINEMENTS + 1
     for f, lo, hi in objectives:
         xs = np.linspace(lo, hi, numerics.PRESCAN)
@@ -46,23 +41,25 @@ def test_prescan_objectives_array_equals_pointwise(depth, monkeypatch):
         assert np.asarray(f(xs)).tobytes() == pointwise.tobytes()
 
 
-def test_psi_domain(surface):
+def test_psi_domain(profile4):
     with pytest.raises(ValueError):
-        surface.psi(0.5, 0.0)
+        profile4.psi(0.5, 0.0)
 
 
-def test_psi_axis_closed_form(surface):
-    val, t0 = surface.psi_axis_min()
-    res = minimize_1d(lambda t: surface.psi(0.0, t), 1e-4, 5.0, tol=1e-10)
+def test_psi_axis_closed_form(profile4):
+    # on the axis s = t(t+1) = depth/L^2 minimizes Psi(0, .)
+    t0 = math.sqrt(0.25 + 1.0 / 4.0**2) - 0.5
+    val = profile4.psi(0.0, t0)
+    res = minimize_1d(lambda t: profile4.psi(0.0, t), 1e-4, 5.0, tol=1e-10)
     assert val == pytest.approx(res.value, abs=1e-8)
     assert t0 == pytest.approx(res.argmin, abs=1e-5)
 
 
-def test_psi_lower_bound(surface):
+def test_psi_lower_bound(profile4):
     rng = np.random.default_rng(5)
     r = rng.uniform(0, 1, 200)
     t = rng.uniform(1e-3, 20, 200)
-    assert np.all(surface.psi(r, t) >= (4.0 - 1.0) ** 2 / 4.0)
+    assert np.all(profile4.psi(r, t) >= (4.0 - 1.0) ** 2 / 4.0)
 
 
 def test_minimizer_closed_form(well):
@@ -76,10 +73,10 @@ def test_minimizer_closed_form(well):
         minimizer_closed_form(well, 1.5)
 
 
-def test_minimizer_vs_1d_oracle(surface, well):
+def test_minimizer_vs_1d_oracle(profile4, well):
     # independent oracle: minimize Psi(a, .) directly
     t_a, _ = minimizer_closed_form(well, 4.0)
-    res = minimize_1d(lambda t: surface.psi(1.0, t), 1e-3, 5.0, tol=1e-11)
+    res = minimize_1d(lambda t: profile4.psi(1.0, t), 1e-3, 5.0, tol=1e-11)
     assert res.argmin == pytest.approx(t_a, abs=1e-7)
 
 
@@ -92,26 +89,26 @@ def test_discriminant_positive_on_grid():
                 assert t_a > 0 and s_plus > 0
 
 
-def test_psi_global_min_matches_closed_form(surface, well):
-    r_s, t_s, val = psi_global_min(surface)
+def test_psi_global_min_matches_closed_form(profile4, well):
+    r_s, t_s, val = psi_global_min(profile4)
     t_a, _ = minimizer_closed_form(well, 4.0)
-    ref = float(surface.psi(1.0, t_a))
+    ref = float(profile4.psi(1.0, t_a))
     assert abs(val - ref) <= 1e-6 * abs(ref)
     assert r_s == pytest.approx(1.0, abs=3e-3)
     assert t_s == pytest.approx(t_a, abs=1e-3)
 
 
-def test_interior_r_excluded(surface, well):
+def test_interior_r_excluded(profile4, well):
     t_a, _ = minimizer_closed_form(well, 4.0)
-    ref = float(surface.psi(1.0, t_a))
+    ref = float(profile4.psi(1.0, t_a))
     rs = np.linspace(0.0, 0.95, 200)
     ts = np.geomspace(1e-3, 20.0, 200)
-    assert np.min(surface.psi(rs[:, None], ts[None, :])) > ref
+    assert np.min(profile4.psi(rs[:, None], ts[None, :])) > ref
 
 
-def test_dr_psi_negative_at_origin(surface):
+def test_dr_psi_negative_at_origin(profile4):
     for t in (0.05, 0.2, 1.0, 5.0):
-        fd = (surface.psi(1e-6, t) - surface.psi(0.0, t)) / 1e-6
+        fd = (profile4.psi(1e-6, t) - profile4.psi(0.0, t)) / 1e-6
         assert fd < 0.0
 
 

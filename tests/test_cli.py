@@ -170,7 +170,8 @@ def test_every_numerical_error_exit_3(monkeypatch, capsys, stage, error,
         f"numerical error: {error}: stage failed (estimate 2, bound 1)\n")
 
 
-ONE_ACTION = {"action_S0": 1, "action_Sa": 1}   # both inside sharp_action
+# all three inside sharp_action, which verify's psi_minimizer reads too
+ONE_ACTION = {"action_S0": 1, "action_Sa": 1, "minimizer_closed_form": 1}
 
 
 @pytest.mark.parametrize("argv, calls", [
@@ -183,15 +184,17 @@ ONE_ACTION = {"action_S0": 1, "action_Sa": 1}   # both inside sharp_action
     (["verify"], {"ground_state": 7, "hopping_direct": 2, **ONE_ACTION})],
     ids=["sweep", "verify", "verify-full"])
 def test_each_stage_solved_once(monkeypatch, capsys, argv, calls):
-    from magtun import agmon, cli, pipeline
+    from magtun import agmon, asymptotics, cli, pipeline
 
     # count calls through every magtun module that binds the stage, so a
     # solve outside the pipeline is counted too; the pipeline binds no
-    # action constant, so those come from agmon
+    # action constant nor the minimizer, so those come from agmon and
+    # asymptotics
     modules = [m for k, m in sys.modules.items() if k.startswith("magtun.")]
     seen = dict.fromkeys(calls, 0)
     for name in calls:
-        fn = getattr(pipeline, name, None) or getattr(agmon, name)
+        fn = (getattr(pipeline, name, None) or getattr(agmon, name, None)
+              or getattr(asymptotics, name))
 
         def counted(*args, _name=name, _fn=fn, **kw):
             seen[_name] += 1
@@ -222,7 +225,9 @@ def test_variational_miss_fails_action(monkeypatch, capsys, config4):
 
 @pytest.mark.parametrize("argv", [["constants", "--tol", "1e-6"],
                                   ["hopping", "--h-range", "0.3:0.5:2",
-                                   "--quick"]])
+                                   "--quick"],
+                                  ["verify", "--format", "json"],
+                                  ["verify", "--output", "v.json"]])
 def test_flags_only_where_read(argv):
     from magtun.cli import build_parser
     with pytest.raises(SystemExit):

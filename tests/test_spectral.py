@@ -87,6 +87,8 @@ def test_normalization_and_positivity(well, case):
     sol = case(well, 0.1).ground
     assert sol.norm_check() == pytest.approx(1.0, abs=1e-8)
     assert np.all(sol.u[:-3] > 0.0)
+    # u is stored once, as its log
+    assert np.array_equal(sol.u, np.exp(sol.log_profile))
 
 
 def test_grid_doubling_converged(well, case):
@@ -107,7 +109,7 @@ def test_log_u_matches_scipy_spline(well, case):
     # their neighbours, for arrays and scalars
     sol = case(well, 0.3).ground
     x = sol.grid
-    spline = CubicSpline(x, np.log(np.maximum(np.abs(sol.u), 1e-320)))
+    spline = CubicSpline(x, sol.log_profile)
     rng = np.random.default_rng(1)
     rho = np.concatenate([rng.uniform(-0.1, sol.R + 0.1, 10**6), x,
                           np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
@@ -187,7 +189,7 @@ def test_second_eigenvalue_tracks_fiber_prediction(well):
 
 def test_agmon_identity_phi_zero(well, case):
     sol = case(well, 0.1).ground
-    rep = agmon_identity_check(sol, np.zeros_like(sol.grid))
+    rep = agmon_identity_check(sol, np.zeros_like, np.zeros_like)
     assert rep.residual <= 1e-6
 
 

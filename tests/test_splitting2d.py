@@ -4,8 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from magtun import (Case, NumericalError, RadialWell, assemble,
-                    gap_vs_hopping, landau_level_2d, lowest_two)
+from magtun import (Case, MagneticLattice, NumericalError, RadialWell,
+                    assemble, gap_vs_hopping, landau_level_2d, lowest_two)
 from magtun import splitting2d
 from magtun.splitting2d import (LANDAU_MARGIN, _rotation_sectors,
                                  _shift_invert, gap_row)
@@ -15,6 +15,13 @@ def test_plaquette_and_hermiticity(config4):
     lat = assemble(config4, 0.5, delta=0.1)
     assert lat.hermiticity_deviation() == 0.0
     assert lat.plaquette_phase_deviation() <= 1e-12
+    # the phases are read off the matrix: a gauge shift keeps the flux, a
+    # reversed or removed field does not
+    shifted = lat.with_gauge_shift(lambda x, y: 0.3 * x * x + np.sin(y))
+    assert shifted.plaquette_phase_deviation() <= 1e-12
+    for matrix in (lat.matrix.conj(), abs(lat.matrix)):
+        other = MagneticLattice(lat.h, lat.delta, lat.x, lat.y, matrix)
+        assert other.plaquette_phase_deviation() >= 1e-3
 
 
 def test_delta_precondition(config4):

@@ -1,7 +1,7 @@
 import subprocess
 import sys
 
-from magtun import Case, spectral
+from magtun import Case, spectral, verify
 from magtun.verify import run_battery
 
 BASE = [sys.executable, "-m", "magtun.cli"]
@@ -72,7 +72,7 @@ def test_fixed_fiber_solves_final_grids(config4, monkeypatch):
             grids.append((problem.R, problem.n, sol.n))
         return sol
 
-    monkeypatch.setattr(spectral, "solve_fiber", recording)
+    monkeypatch.setattr(verify, "solve_fiber", recording)
     results = {r.name: r for r in run_battery(config4)}
     assert grids == [(19.0, 5000, 20000)] + [(12.0, 2250, 9000)] * 9
     assert results["landau_level"].status == "pass"
