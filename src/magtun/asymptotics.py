@@ -24,12 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .agmon import (AgmonProfile, action_S0, action_Sa, action_Shat,
                     free_action_primitive)
 from .numerics import (NumericalError, _gauss_nodes, log_integral_exp,
-                       minimize_1d)
+                       logsumexp, minimize_1d)
 from .wkb import Y_HI, c_h_asymptotic, log_outer_integrand, matching_constants
 
 __all__ = [

@@ -29,6 +29,9 @@ from .splitting2d import gap_row, gap_vs_hopping
 from .verify import run_battery
 
 _FMT = "%.17g"
+# g_eps(., 0) rounds by up to 2.5 eps |Shat| near r0 (six bump wells), so a
+# minimizer may return any r with g''(r0) (r - r0)^2 / 2 <= R0_NOISE |Shat|
+R0_NOISE = 5.0 * np.finfo(float).eps
 
 
 def _emit(rows, header, fmt, output, comments=()):
@@ -76,11 +79,15 @@ def cmd_constants(args):
     cl = corridor_CL(prof)
     report = pipe.action
     qerr = prof.d_a_error
+    k = 1e-4   # g''(r0) by a central difference of step k
+    g = prof.g_eps(report.r0 + np.array([-k, 0.0, k]), 0.0)
+    r0_err = k * math.sqrt(2 * R0_NOISE * abs(report.Shat)
+                           / (g[0] - 2 * g[1] + g[2]))
     rows = [
         ("S0", report.S0, 2 * qerr),
         ("Sa", report.Sa, 2 * qerr),
         ("Shat", report.Shat, 2 * qerr),
-        ("r0", report.r0, 1e-9),
+        ("r0", report.r0, r0_err),
         ("Ra", ra.value, abs(ra.value - ra.direct) + 2 * qerr),
         ("CL", cl.value, 0.0),
         ("S", report.S, 2 * qerr),

@@ -33,9 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .numerics import AccuracyError, _gauss_nodes
+from .numerics import AccuracyError, _gauss_nodes, logsumexp
 
 __all__ = [
     "hopping_direct",

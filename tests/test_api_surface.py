@@ -17,7 +17,9 @@ from pathlib import Path
 MODULES = ("agmon", "asymptotics", "hopping", "numerics", "pipeline",
            "potential", "spectral", "splitting2d", "verify", "wkb")
 BUDGET = 196
-LINE_BUDGET = 2949
+# 2949 + 58 for Cephes' i0e tables and the private logsumexp that replace
+# scipy.special (net of the imports they drop), + 7 for r0's rounding floor
+LINE_BUDGET = 3014
 
 
 def _params(fn, bound):

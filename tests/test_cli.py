@@ -42,6 +42,40 @@ def test_constants_json_matches_csv(tmp_path):
         assert float(value) == pytest.approx(entry["value"], rel=1e-15)
 
 
+@pytest.mark.parametrize("depth,a,L", [("1", "1", "4"), ("4", "1", "5"),
+                                       ("0.5", "0.7", "3"), ("1", "1", "8.5")])
+def test_constants_r0_bound_is_its_rounding_floor(capsys, depth, a, L):
+    # g_eps(., 0) stays within one ulp of its minimum over a few 1e-8 of r,
+    # so correct minimizers disagree there: the bound must cover two of
+    # them (the bracket passes and scipy's bounded Brent) and stay within
+    # 10x the measured half-width of that flat minimum
+    import numpy as np
+    from scipy.optimize import minimize_scalar
+
+    from magtun import cli
+    from magtun.numerics import PRESCAN
+    from magtun.pipeline import Pipeline
+    from magtun.potential import DoubleWellConfig, RadialWell
+
+    assert cli.main(["constants", "--depth", depth, "--a", a, "--L", L]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.splitlines()]
+    r0, bound = next(map(float, r[1:]) for r in rows if r[0] == "r0")
+    well = RadialWell.bump(depth=float(depth), a=float(a))
+    profile = Pipeline(DoubleWellConfig(well, float(L))).profile
+
+    def g(r):
+        return profile.g_eps(r, 0.0)
+
+    xs = np.linspace(0.0, well.a, PRESCAN)
+    k = int(np.argmin(g(xs)))
+    brent = minimize_scalar(g, bounds=(xs[k - 1], xs[k + 1]),
+                            method="bounded", options={"xatol": 2.5e-10}).x
+    scan = r0 + 1e-9 * np.arange(-400, 401)
+    vals = g(scan)
+    flat = scan[vals <= vals.min() + np.spacing(vals.min())]
+    assert abs(brent - r0) <= bound <= 10 * (flat.max() - flat.min()) / 2
+
+
 SPLIT = ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1"]
 # --config file bodies, by the placeholder that names them in argv
 CONFIGS = {
@@ -372,26 +406,34 @@ def test_thread_cap_set_before_numpy_loads():
                     "MKL_NUM_THREADS": "2"}
 
 
-SCIPY_TREES = ("scipy.interpolate", "scipy.integrate", "scipy.optimize")
+SCIPY_ALLOWED = ["scipy.linalg", "scipy.sparse"]
 
-# Runs one command of each kind in process and lists the scipy subpackages
-# that are then loaded.
-_SCIPY_TREE_SPY = f"""
+# Runs one command of each kind in process and lists the public scipy
+# subpackages that are then loaded.
+_SCIPY_TREE_SPY = """
 import contextlib, io, json, sys
 import magtun.cli
-argvs = [["constants"], ["sweep", "--h-range", "0.3:0.5:2"],
-         ["asymptotics", "--wchain"], ["verify", "--quick"],
-         ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1", "--grid", "0.1"]]
+argvs = [["constants"], ["spectrum", "--h", "0.5"], ["wkb", "--h", "0.5"],
+         ["hopping", "--h-range", "0.3:0.5:2"],
+         ["sweep", "--h-range", "0.3:0.5:2"],
+         ["asymptotics", "--action", "--wchain", "--beta-sweep", "0.5,1"],
+         ["verify", "--quick"],
+         ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1",
+          "--grid", "0.1"]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [magtun.cli.main(argv) for argv in argvs]
-print(json.dumps([codes, [m for m in {SCIPY_TREES!r} if m in sys.modules]]))
+trees = {name for name, m in sys.modules.items() if name.count(".") == 1
+         and name.startswith("scipy.") and not name[6:].startswith("_")
+         and hasattr(m, "__path__")}
+print(json.dumps([codes, sorted(trees)]))
 """
 
 
 def test_no_command_loads_unused_scipy_trees():
-    # each of these subpackages costs every process about 0.2 s and 20 MB
-    # of import, and magtun calls nothing in them
+    # every other subpackage costs every process import time and memory
+    # for nothing magtun calls: interpolate, integrate and optimize about
+    # 0.2 s and 20 MB each, special 0.08 s and 3.6 MB
     proc = subprocess.run([sys.executable, "-c", _SCIPY_TREE_SPY],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0] * 5, []]
+    assert json.loads(proc.stdout) == [[0] * 8, SCIPY_ALLOWED]

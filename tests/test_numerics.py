@@ -149,10 +149,26 @@ def test_bessel_small():
 
 
 def test_bessel_against_scipy():
-    z = np.linspace(0.0, 60.0, 121)
+    # Cephes' series on both branches, bit for bit scipy's i0e
+    near8 = [np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, 9.0)]
+    z = np.concatenate([np.linspace(0.0, 8.0, 20001),
+                        np.linspace(8.0, 200.0, 20001),
+                        np.geomspace(1e-300, 1e308, 20001),
+                        near8, [0.0, 5e-324, 1e308]])
     ours = log_bessel_i0(z)
-    ref = np.log(scipy.special.i0e(z)) + z
-    assert np.max(np.abs(ours - ref)) < 1e-12
+    assert np.array_equal(ours, np.log(scipy.special.i0e(z)) + z)
+    for x in near8 + [0.0, 5e-324, 1e308]:   # the scalar path
+        assert log_bessel_i0(x) == np.log(scipy.special.i0e(x)) + x
+
+
+def test_logsumexp_against_scipy():
+    rng = np.random.default_rng(5)
+    for n in [1, 2, 3, 7, 8, 9, 16, 40, 128, 129, 300] * 60:
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-1, 3), n)
+        if rng.random() < 0.5:   # tied maxima
+            a[rng.integers(0, n, rng.integers(1, 4))] = a.max()
+        b = 10.0 ** rng.uniform(-30, 5, n)
+        assert numerics.logsumexp(a, b) == scipy.special.logsumexp(a, b=b)
 
 
 def test_bessel_log_large():
