@@ -8,7 +8,8 @@ scaled I0, as scipy.special.i0e sums it), a log-sum-exp with weights,
 cached Gauss-Legendre rules, the lowest eigenpairs of symmetric tridiagonal
 matrices (bisection for several, certified shifted inverse iteration on
 LAPACK's dptsv for the lowest one, each eigenvalue a cancellation-free
-Rayleigh quotient), and a log-stabilized evaluator for integrals of the
+Rayleigh quotient, and the far-end pivots of a positive-definite one by
+LAPACK's dpttrf), and a log-stabilized evaluator for integrals of the
 form int exp(g), one per row of a batched integrand g (a scan for each
 row's peak, then two Gauss-Legendre panels split at it).  The tables'
 spline and cumulative Simpson rule, i0e and logsumexp are scipy's, rebuilt
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dptsv, dpttrf
 
 __all__ = [
     "NumericalError",
@@ -291,6 +292,19 @@ def tridiag_rayleigh(diag, offdiag):
     rowsum[:-1] += offdiag
     rowsum[1:] += offdiag
     return lambda x: rowsum @ x**2 - offdiag @ np.diff(x, axis=0) ** 2
+
+
+def _far_end_pivots(diag, offdiag):
+    """The pivots p of the symmetric tridiagonal block B = U D U^T factored
+    from its far end, p[-1] = diag[-1] and p[i] = diag[i] - offdiag[i]^2 /
+    p[i + 1]: LAPACK's dpttrf on the reversed block.  Needs two or more
+    rows; raises NumericalError unless B is positive definite."""
+    p, _, info = dpttrf(diag[::-1], offdiag[::-1])
+    if info != 0:
+        raise NumericalError(
+            f"tridiagonal block not positive definite (pivot {info} of "
+            f"{len(diag)} from its far end)")
+    return p[::-1]
 
 
 # solves per call, failed ones included; quadrupling from 16 eps max|diag|,

@@ -19,9 +19,10 @@ shifted inverse iteration seeded from the grid below, every shift certified
 below the eigenvalue by a positive-definite solve.  Its eigenvalue error is
 far below bisection's eps*|T|, which grows like n^2.  Several levels at once
 are bisected afresh on every grid, each eigenvalue then taken as the
-Rayleigh quotient of its vector.  The exponential tail of the ground state
-is re-solved on each grid as a linear boundary-value problem so that it is
-accurate in relative terms down to the underflow floor.
+Rayleigh quotient of its vector.  The ground state's exponential tail is
+carried in log form, a running sum of the log ratios of successive nodes
+read off far-end LDL^T pivots of each grid's matrix, so that it stays
+accurate in relative terms far below the underflow floor.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
-from .numerics import (AccuracyError, NumericalError, _spline,
-                       symm_tridiag_lowest, tridiag_ground_pair,
+from .numerics import (AccuracyError, NumericalError, _far_end_pivots,
+                       _spline, symm_tridiag_lowest, tridiag_ground_pair,
                        tridiag_rayleigh)
 
 __all__ = [
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 MAX_DOUBLINGS = 4    # grid doublings solve_fiber may add past n, 2n, 4n
-TAIL_FLOOR = 1e-9    # _refine_tail re-solves where |w| < TAIL_FLOOR max|w|
+TAIL_FLOOR = 1e-9    # the log tail starts where |w| < TAIL_FLOOR max|w|
 GROUND_TOL = 1e-8    # Richardson tolerance of the ground_state solve
 # first grid spacing of ground_state's m = 0 solve and of its m = 1, 2 scans;
 # from the m = 0 grid the two routes to w agree within 7.2e-9 at depth
@@ -120,7 +120,7 @@ class RadialEigenSolution:
     eigenfunction is normalized to int |u|^2 2 pi r dr = 1 and positive."""
 
     def __init__(self, problem, grid, delta, energies, energy_error,
-                 vectors):
+                 levels):
         self.problem = problem
         self.m, self.h, self.R = problem.m, problem.h, problem.R
         self.n = len(grid)
@@ -128,22 +128,22 @@ class RadialEigenSolution:
         self.delta = delta
         self.energies = energies
         self.energy_error = energy_error
-        # the ground vectors of the last two grids, until the profile is read
-        self._vectors = vectors
+        # the last two levels, until the profile is read
+        self._levels = levels
         self.e_sw = float(energies[0])
         self.fiber_energies = None  # filled by ground_state
 
     @cached_property
     def log_profile(self):
         """log u on the grid, extrapolated over the last two grids (see
-        solve_fiber).  It is built on first read, and the two ground vectors
-        are then dropped: most solves only need their energies."""
+        solve_fiber).  It is built on first read, and the two levels are
+        then dropped: most solves only need their energies."""
         E = self.energies[0]
-        r_c, delta_c, l_c = _log_profile(self.problem, self._vectors[0], E)
-        _, _, l_f = _log_profile(self.problem, self._vectors[1], E)
-        l_c = _spline(r_c, l_c)(self.grid)
-        q = (delta_c / self.delta) ** 2
-        del self._vectors
+        coarse, fine = self._levels
+        l_c = _spline(coarse[4], _log_profile(coarse, E))(self.grid)
+        l_f = _log_profile(fine, E)
+        q = (coarse[5] / self.delta) ** 2
+        del self._levels
         return l_f + (l_f - l_c) / (q - 1.0)
 
     @cached_property
@@ -186,14 +186,13 @@ def _bisection_levels(problem, k):
 def _ground_levels(problem):
     """The lowest eigenpair on n, 2n, 4n, ... by certified inverse iteration.
 
-    One eigenvalue-only bisection on a pilot grid of max(n // 8, 400) nodes
-    gives lambda_0 and the gap.  Each level is then seeded with the level
-    below, its eigenvector interpolated onto the new nodes and its first
-    shift set below the last eigenvalue by the last change of it.
+    One bisection on a pilot grid of max(n // 8, 400) nodes gives lambda_0
+    and the gap.  Each level is then seeded with the level below, its
+    eigenvector interpolated onto the new nodes and its first shift set
+    below the last eigenvalue by the last change of it.
     """
     d, o, _, _ = _fiber_tridiag(problem, max(problem.n // 8, 400))
-    lam, lam1 = sla.eigvalsh_tridiagonal(d, o, select="i",
-                                         select_range=(0, 1))
+    lam, lam1 = symm_tridiag_lowest(d, o, 2)[0]
     gap = lam1 - lam
     # the pilot's discretization error has no known sign: a first shift 1e-3
     # of the gap below it converges fast, and one above it retreats
@@ -208,44 +207,28 @@ def _ground_levels(problem):
         n *= 2
 
 
-def _refine_tail(w, diag, off, E):
-    """Re-solve the decaying tail of w in place as a linear BVP at energy E.
-
-    Inverse-iteration eigenvectors lose relative accuracy once the
-    amplitude drops below ~1e-15 of the peak; the tridiagonal system
-    (T - E) w = 0, with T the level's matrix (diag, off) and the accurate
-    boundary value, regains it.
+def _log_profile(level, E):
+    """log u of a level's ground vector w, u positive and normalized on the
+    level's grid.  Past the first node i0 beyond the peak where |w| <
+    TAIL_FLOOR max|w|, where w has lost its relative accuracy, log w is the
+    running sum of log(w[i+1] / w[i]) = log(-off[i] / p[i+1]): p are the
+    far-end pivots of the block past i0 of T - E, T the level's matrix, so
+    the rows past i0 of (T - E) w = 0 hold.  That block is positive
+    definite in the forbidden region; where it is not, NumericalError.
     """
-    n = len(w)
-    wmax = np.abs(w).max()
-    imax = int(np.argmax(np.abs(w)))
-    idx = np.where((np.abs(w) < TAIL_FLOOR * wmax) &
-                   (np.arange(n) > imax))[0]
-    if len(idx) == 0 or idx[0] >= n - 2:
-        return
-    i0 = int(idx[0])
-    d = diag[i0 + 1:] - E
-    e = off[i0 + 1:]
-    b = np.zeros(n - i0 - 1)
-    b[0] = -off[i0] * w[i0]
-    ab = np.zeros((3, n - i0 - 1))
-    ab[0, 1:] = e
-    ab[1, :] = d
-    ab[2, :-1] = e
-    w[i0 + 1:] = sla.solve_banded((1, 1), ab, b)
-
-
-def _log_profile(problem, w, E):
-    """(r, delta, log u) of a ground vector w on the problem's grid of
-    len(w) nodes: u positive, normalized on that grid, its tail re-solved
-    with that grid's matrix at E."""
-    diag, off, r, delta = _fiber_tridiag(problem, len(w))
-    w = w.copy()
-    if w[np.argmax(np.abs(w))] < 0:
-        w = -w
+    _, vecs, diag, off, r, delta = level
+    w = np.abs(vecs[:, 0])
     w /= math.sqrt(2.0 * np.pi * float(np.sum(w**2)) * delta)
-    _refine_tail(w, diag, off, E)
-    return r, delta, np.log(np.maximum(np.abs(w), 1e-320) / np.sqrt(r))
+    n, imax = len(w), int(np.argmax(w))
+    # the block past i0 needs two rows
+    below = np.flatnonzero(w[imax:n - 2] < TAIL_FLOOR * w[imax])
+    i0 = imax + int(below[0]) if len(below) else n - 1
+    log_w = np.log(w[:i0 + 1])
+    if i0 < n - 1:
+        p = _far_end_pivots(diag[i0 + 1:] - E, off[i0 + 1:])
+        log_w = np.concatenate(
+            [log_w, log_w[-1] + np.cumsum(np.log(-off[i0:] / p))])
+    return log_w - 0.5 * np.log(r)
 
 
 def solve_fiber(problem, k=1, tol=1e-8):
@@ -268,8 +251,9 @@ def solve_fiber(problem, k=1, tol=1e-8):
     profile of each of the last two levels (_log_profile), the coarse one
     splined onto the fine nodes, gives log u = l_f + (l_f - l_c) / (q - 1)
     on the fine grid, O(delta^4) like E, far out along the decaying tail.
-    The solution keeps the two ground vectors and builds log u from them
-    on its first read, so a solve whose profile is never read skips it.
+    The solution keeps the two levels, matrices included, and builds log u
+    from them on its first read, so a solve whose profile is never read
+    skips it.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"need finite tol > 0 (got {tol})")
@@ -295,9 +279,8 @@ def solve_fiber(problem, k=1, tol=1e-8):
             f"extrapolated values differ by {err:.3e})",
             estimate=energies, error_bound=err)
     r, delta = fine[4:]
-    return RadialEigenSolution(
-        problem, r, delta, energies, err,
-        [np.ascontiguousarray(level[1][:, 0]) for level in (coarse, fine)])
+    return RadialEigenSolution(problem, r, delta, energies, err,
+                               (coarse, fine))
 
 
 def default_radius(well, h, L=None):

@@ -71,10 +71,9 @@ def table_grids(well, profile4, amp6):
     problem = FiberProblem(m=0, h=0.3, R=R, n=spectral._default_n(R),
                            well=well)
     sol = solve_fiber(problem)
-    fiber = [spectral._log_profile(problem, v, sol.e_sw)
-             for v in sol._vectors]
-    return [(rs, profile4.integrand(rs)), (ra, amp6.f(ra))] + \
-        [(r, log_u) for r, _, log_u in fiber]
+    fiber = [(level[4], spectral._log_profile(level, sol.e_sw))
+             for level in sol._levels]
+    return [(rs, profile4.integrand(rs)), (ra, amp6.f(ra))] + fiber
 
 
 def test_table_helpers_match_scipy(table_grids):
@@ -222,6 +221,23 @@ def test_tridiag_identity():
 def test_tridiag_argument_error():
     with pytest.raises(ValueError):
         symm_tridiag_lowest([1.0, 2.0], [0.5], 3)
+
+
+def test_far_end_pivots_recursion():
+    # p[-1] = d[-1], p[i] = d[i] - e[i]^2 / p[i + 1]; their product is the
+    # determinant, and an indefinite block is a NumericalError
+    rng = np.random.default_rng(5)
+    d = rng.uniform(2.5, 4.0, 40)
+    e = rng.uniform(-1.0, 1.0, 39)
+    p = numerics._far_end_pivots(d, e)
+    ref = [d[-1]]
+    for i in range(38, -1, -1):
+        ref.insert(0, d[i] - e[i] ** 2 / ref[0])
+    assert np.allclose(p, ref, rtol=1e-14, atol=0.0)
+    dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    assert np.prod(p) == pytest.approx(np.linalg.det(dense), rel=1e-12)
+    with pytest.raises(numerics.NumericalError, match="not positive"):
+        numerics._far_end_pivots(d - 3.0, e)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1e-3])

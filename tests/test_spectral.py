@@ -135,6 +135,52 @@ def test_profile_built_only_when_read(well, monkeypatch):
     assert not hasattr(sol, "_levels")
 
 
+def test_one_matrix_per_level(well, monkeypatch):
+    # each of ground_state's solves (m = 1, 2 and 0) builds one matrix for
+    # its pilot and one per level, in doubling order; reading the profile
+    # builds none
+    calls = []
+    tridiag = spectral._fiber_tridiag
+    monkeypatch.setattr(spectral, "_fiber_tridiag", lambda problem, n: (
+        calls.append((problem.m, problem.n, n)) or tridiag(problem, n)))
+    sol = ground_state(well, 0.1, L=4.0)
+    built = list(calls)
+    sol.u
+    assert calls == built
+    for m in (1, 2, 0):
+        sizes = [n for k, _, n in built if k == m]
+        n0 = next(n0 for k, n0, _ in built if k == m)
+        assert sizes == [max(n0 // 8, 400)] + \
+            [n0 * 2**j for j in range(len(sizes) - 1)]
+    assert sizes[-1] == sol.n
+
+
+@pytest.mark.parametrize("depth, L, h", [(4.0, 5.0, 0.01), (1.0, 4.0, 0.02)])
+def test_log_tail_below_underflow(depth, L, h):
+    # the log profile goes on falling past exp(-738), where u underflows
+    log_u = ground_state(RadialWell.bump(depth, 1.0), h, L=L).log_profile
+    assert np.isfinite(log_u).all()
+    tail = log_u[int(np.argmax(log_u)):]
+    assert np.all(np.diff(tail) < 0.0)
+    assert log_u[-1] < -738.0
+
+
+def test_tail_block_not_definite_is_typed(well):
+    # an energy above the tail block's diagonal leaves no forbidden region
+    sol = solve_fiber(FiberProblem(m=0, h=0.1, R=10.0, n=4000, well=well))
+    level = sol._levels[1]
+    with pytest.raises(spectral.NumericalError, match="not positive"):
+        spectral._log_profile(level, float(level[2].max()) + 1.0)
+
+
+def test_spectral_holds_no_scipy():
+    # numerics is the one module that calls scipy.linalg
+    for name, obj in vars(spectral).items():
+        owner = getattr(obj, "__module__", None) or getattr(obj, "__name__",
+                                                            "")
+        assert not str(owner).startswith("scipy"), name
+
+
 def test_fiber_problem_validation(well):
     with pytest.raises(ValueError):
         FiberProblem(m=0, h=1.0, R=16.0, n=100)
