@@ -38,9 +38,8 @@ from .wkb import (OuterRepresentation, OuterRepresentationError, WkbAmplitude,
 from .hopping import (epsilon_lower_bound, hopping_bessel, hopping_direct,
                       hopping_slope_check, hopping_wkb_envelope)
 from .asymptotics import (ActionReport, ConsistencyError, beta_scaling,
-                          kernel_g0_log, minimizer_closed_form,
-                          nonmagnetic_action, psi_global_min, sharp_action,
-                          w_chain)
+                          minimizer_closed_form, nonmagnetic_action,
+                          psi_global_min, sharp_action, w_chain)
 from .pipeline import Case, Pipeline
 from .splitting2d import (MagneticLattice, assemble, gap_row, gap_vs_hopping,
                           landau_level_2d, lowest_two)

@@ -39,7 +39,6 @@ __all__ = [
     "ConsistencyError",
     "w_chain",
     "WChainResult",
-    "kernel_g0_log",
     "beta_scaling",
     "nonmagnetic_action",
 ]
@@ -185,7 +184,7 @@ def sharp_action(well, L):
     return report
 
 
-def kernel_g0_log(t, E1):
+def _kernel_g0_log(t, E1):
     """log of the kernel amplitude g0(t) = t^{-5/4}(t+1)^{-1/4}
     (1+1/t)^{(E1-1)/2} with E1 = sqrt(1+2 v0''(0)) (WkbAmplitude.E1)."""
     t = np.asarray(t, dtype=float)
@@ -196,7 +195,6 @@ def kernel_g0_log(t, E1):
 @dataclass
 class WChainResult:
     h: float
-    eta: float
     log_W1: float
     log_W2: float
     log_W3: float
@@ -270,7 +268,7 @@ def w_chain(case, eta):
     def g4(y):
         t = np.exp(y)
         return (-(profile.psi(r, t) - consts["F"]) / h
-                + kernel_g0_log(t, amplitude.E1) + y)
+                + _kernel_g0_log(t, amplitude.E1) + y)
 
     lt4b = t_integral(g4)
     # the exact rewrite carries sqrt(r/L), not the bare sqrt(r) of the
@@ -281,7 +279,7 @@ def w_chain(case, eta):
                   + math.log(consts["m_matched"])
                   - 0.5 * math.log(2.0 * math.pi * h)
                   + logsumexp(log_rw4 + lt4b, b=r_wts))
-    return WChainResult(h, eta, log_W1, log_W2, log_W3, log_W4, log_W4_alt)
+    return WChainResult(h, log_W1, log_W2, log_W3, log_W4, log_W4_alt)
 
 
 def nonmagnetic_action(well, L):
@@ -300,6 +298,9 @@ def beta_scaling(well, L, beta):
     """
     if not 0 < beta < math.inf:
         raise ValueError(f"need finite beta > 0 (got {beta})")
-    scaled = well.scaled(beta**-2)
+    try:
+        scaled = well.scaled(beta**-2)
+    except OverflowError:
+        raise ValueError(f"need finite beta^-2 (got beta={beta})") from None
     report = sharp_action(scaled, L)
     return beta * report.S

@@ -23,7 +23,7 @@ from .agmon import corridor_CL, remainder_Ra
 from .asymptotics import beta_scaling, nonmagnetic_action, w_chain
 from .numerics import NumericalError
 from .pipeline import Case, Pipeline
-from .potential import DoubleWellConfig, RadialWell, WellValidationError
+from .potential import DoubleWellConfig, RadialWell
 from .spectral import FiberProblem, _default_n, default_radius, solve_fiber
 from .splitting2d import gap_row, gap_vs_hopping
 from .verify import run_battery
@@ -179,38 +179,34 @@ def cmd_asymptotics(args):
     well, L = pipe.well, pipe.L
     if args.action:
         rows = [(k, float(v)) for k, v in pipe.action.__dict__.items()]
-        _emit(rows, ("name", "value"), args.format, args.output)
-        return 0
-    if args.beta_sweep:
-        target = nonmagnetic_action(well, L)
-        rows = []
-        for beta in [float(b) for b in args.beta_sweep.split(",")]:
-            rows.append((beta, beta_scaling(well, L, beta), target))
-        _emit(rows, ("beta", "beta_S", "nonmagnetic_action"),
-              args.format, args.output)
-        return 0
-    if args.wchain:
+        header = ("name", "value")
+    elif args.wchain:
         rows = []
         for h in _h_range(args.h_range):
             res = w_chain(Case(pipe, h), args.eta)
             rows.append((h, res.log_W1, res.log_W2, res.log_W3, res.log_W4))
-        _emit(rows, ("h", "log_W1", "log_W2", "log_W3", "log_W4"),
-              args.format, args.output)
-        return 0
-    raise ValueError("asymptotics needs --action, --wchain or --beta-sweep")
+        header = ("h", "log_W1", "log_W2", "log_W3", "log_W4")
+    else:   # --beta-sweep
+        target = nonmagnetic_action(well, L)
+        rows = [(beta, beta_scaling(well, L, beta), target)
+                for beta in [float(b) for b in args.beta_sweep.split(",")]]
+        header = ("beta", "beta_S", "nonmagnetic_action")
+    _emit(rows, header, args.format, args.output)
+    return 0
 
 
 def cmd_splitting(args):
     box = tuple(args.box) if args.box else None
-    report = gap_vs_hopping(Pipeline(_load_config(args)),
-                            _h_range(args.h_range), delta=args.grid, box=box)
+    pipe = Pipeline(_load_config(args))
+    report = gap_vs_hopping(pipe, _h_range(args.h_range), delta=args.grid,
+                            box=box)
     rows = [(r.h, r.e1, r.e2, r.gap, r.two_w, r.ratio, r.h_ln_gap,
              r.floor_flag) for r in report.rows]
     _emit(rows, ("h", "e1", "e2", "gap", "two_w", "ratio", "h_ln_gap",
                  "floor_flag"), args.format, args.output,
           comments=(f"corridor [{report.corridor[0]:.6f},"
                     f"{report.corridor[1]:.6f}]",
-                    f"fsw_condition {report.fsw_condition}"))
+                    f"fsw_condition {pipe.config.fsw_condition}"))
     return 0
 
 
@@ -311,11 +307,12 @@ def build_parser():
 
     sp = sub.add_parser("asymptotics", help="sharp action and W-chain")
     common(sp)
-    sp.add_argument("--action", action="store_true")
-    sp.add_argument("--wchain", action="store_true")
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--action", action="store_true")
+    mode.add_argument("--wchain", action="store_true")
+    mode.add_argument("--beta-sweep", help="comma-separated beta values")
     sp.add_argument("--h-range", default="0.1:0.3:4")
     sp.add_argument("--eta", type=float, default=0.05)
-    sp.add_argument("--beta-sweep", help="comma-separated beta values")
     sp.set_defaults(func=cmd_asymptotics)
 
     sp = sub.add_parser("splitting", help="2-D eigenvalue gap")
@@ -345,8 +342,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WellValidationError, ValueError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    # WellValidationError and json.JSONDecodeError are ValueErrors
+    except (ValueError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -69,8 +69,9 @@ def hopping_direct(case):
     least 256.  What is left is rounding, of order kappa eps relative (up
     to 28 kappa eps between rules of nearby sizes), with the cancellation
     ratio kappa = sum|f| / |sum f| of the whole integrand f taken from the
-    same pass.  When kappa eps exceeds DIRECT_RTOL an AccuracyError names
-    kappa and carries the value and the bound kappa eps |w|.
+    same pass.  When kappa eps reaches DIRECT_RTOL, as it does when the sum
+    underflows to w = 0, an AccuracyError names kappa and carries the value
+    and the bound kappa eps |w| = eps sum|f| (sum|f| itself if w = 0).
 
     rho depends on cos(t) alone, so u is evaluated, in one pass over all
     r-nodes, only on the nodes t_j = 2 pi j / n in [0, pi], and node j
@@ -91,12 +92,16 @@ def hopping_direct(case):
     f = np.exp(1j * (L * rows / (2.0 * h)) * np.sin(theta)) * u[:, mirror]
     w = radial @ f.sum(axis=1) * (2.0 * np.pi / n)
     mag = u @ np.bincount(mirror)   # sum of |f| per r-node
-    kappa = np.abs(radial) @ mag * (2.0 * np.pi / n) / abs(w)
-    rounding = kappa * np.finfo(float).eps
-    if rounding > DIRECT_RTOL:
+    total = float(np.abs(radial) @ mag) * (2.0 * np.pi / n)   # sum |f|
+    eps = np.finfo(float).eps
+    # kappa eps >= DIRECT_RTOL without dividing by |w|: the sum can
+    # underflow to w = 0, which is then off by up to sum|f| itself
+    if total >= DIRECT_RTOL / eps * abs(w):
+        kappa, bound = ((total / abs(complex(w)), total * eps) if w
+                        else (math.inf, total))
         raise AccuracyError(
             f"angular quadrature not converged: cancellation ratio "
-            f"kappa {kappa:.3g}", estimate=w, error_bound=rounding * abs(w))
+            f"kappa {kappa:.3g}", estimate=w, error_bound=bound)
     return w
 
 
@@ -160,9 +165,6 @@ def epsilon_lower_bound(case, eps):
 @dataclass
 class SlopeReport:
     h_ln_w: list
-    S0: float
-    Sa: float
-    Shat: float
     delta: float
     contained: bool
     refined_contained: bool
@@ -190,5 +192,4 @@ def hopping_slope_check(cases):
     msg = "ok" if (contained and refined) else (
         f"containment violated: h ln|w|={logs}, "
         f"corridor=[{-S0-delta:.4f},{-Sa+delta:.4f}], floor={-shat-delta:.4f}")
-    return SlopeReport(logs, S0, Sa, shat, delta, contained, refined,
-                       monotone, msg)
+    return SlopeReport(logs, delta, contained, refined, monotone, msg)

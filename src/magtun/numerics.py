@@ -35,8 +35,6 @@ __all__ = [
     "log_bessel_i0",
     "gauss_legendre",
     "symm_tridiag_lowest",
-    "tridiag_ground_pair",
-    "tridiag_rayleigh",
     "log_integral_exp",
 ]
 
@@ -279,7 +277,7 @@ def symm_tridiag_lowest(diag, offdiag, k):
     return vals, vecs
 
 
-def tridiag_rayleigh(diag, offdiag):
+def _tridiag_rayleigh(diag, offdiag):
     """The Rayleigh quotient x -> x.T T x of the symmetric tridiagonal T,
     for a unit vector x or for each unit column of x.
 
@@ -312,7 +310,7 @@ def _far_end_pivots(diag, offdiag):
 _MAX_SOLVES = 40
 
 
-def tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
+def _tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
     """Lowest eigenpair (rho, x) of a symmetric tridiagonal T by certified
     shifted inverse iteration from x0; x has unit norm and rho, its Rayleigh
     quotient, is the eigenvalue.
@@ -335,7 +333,7 @@ def tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
     x = np.asarray(x0, dtype=float)
     x = x / np.linalg.norm(x)
     noise = np.finfo(float).eps * np.abs(diag).max()
-    rayleigh = tridiag_rayleigh(diag, offdiag)
+    rayleigh = _tridiag_rayleigh(diag, offdiag)
     margin = max(margin, 16.0 * noise)
     change = np.inf
     for _ in range(_MAX_SOLVES):

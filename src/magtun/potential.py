@@ -27,7 +27,8 @@ _EXP_UNDERFLOW = -700.0
 
 
 class WellValidationError(ValueError):
-    """A well's depth or support radius a is not finite and positive."""
+    """A well's depth or support radius a is not finite and positive, or a^4
+    is not a nonzero finite double."""
 
 
 def _entry(d, key, what):
@@ -65,9 +66,13 @@ class RadialWell:
             raise WellValidationError(f"need finite a > 0 (got {a})")
         self.depth = float(depth)
         self.a = float(a)
-        self.v0_second_deriv_at_0 = 2.0 * self.depth / self.a**2
-        # quartic Taylor coefficient of v0 - v0_min (used by the WKB patch)
-        self._c4 = self.depth / (2.0 * self.a**4)
+        try:
+            self.v0_second_deriv_at_0 = 2.0 * self.depth / self.a**2
+            # quartic Taylor coefficient of v0 - v0_min (the WKB patch's)
+            self._c4 = self.depth / (2.0 * self.a**4)
+        except (OverflowError, ZeroDivisionError):   # a^4 leaves the doubles
+            raise WellValidationError(
+                f"need a with a^4 a nonzero finite double (got {a})") from None
 
     @classmethod
     def bump(cls, depth=1.0, a=1.0):

@@ -35,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import (AccuracyError, NumericalError, _far_end_pivots,
-                       _spline, symm_tridiag_lowest, tridiag_ground_pair,
-                       tridiag_rayleigh)
+                       _spline, _tridiag_ground_pair, _tridiag_rayleigh,
+                       symm_tridiag_lowest)
 
 __all__ = [
     "FiberProblem",
@@ -93,6 +93,8 @@ class FiberProblem:
             raise ValueError(
                 f"R={self.R} too small for h={self.h}: "
                 f"need exp(-R^2/4h) < 1e-14")
+        if not self.R * self.R < math.inf:   # the grid spacing squared too
+            raise ValueError(f"need finite R^2 (got R={self.R})")
 
     def potential(self, r):
         if self.well is None:
@@ -119,13 +121,11 @@ class RadialEigenSolution:
     """Eigenpairs of one FiberProblem, with its m, h and R; the ground
     eigenfunction is normalized to int |u|^2 2 pi r dr = 1 and positive."""
 
-    def __init__(self, problem, grid, delta, energies, energy_error,
-                 levels):
+    def __init__(self, problem, energies, energy_error, levels):
         self.problem = problem
         self.m, self.h, self.R = problem.m, problem.h, problem.R
-        self.n = len(grid)
-        self.grid = grid
-        self.delta = delta
+        self.grid, self.delta = levels[1][4:]
+        self.n = len(self.grid)
         self.energies = energies
         self.energy_error = energy_error
         # the last two levels, until the profile is read
@@ -179,7 +179,7 @@ def _bisection_levels(problem, k):
     while True:
         diag, off, r, delta = _fiber_tridiag(problem, n)
         _, vecs = symm_tridiag_lowest(diag, off, k)
-        yield tridiag_rayleigh(diag, off)(vecs), vecs, diag, off, r, delta
+        yield _tridiag_rayleigh(diag, off)(vecs), vecs, diag, off, r, delta
         n *= 2
 
 
@@ -201,7 +201,7 @@ def _ground_levels(problem):
     while True:
         diag, off, r, delta = _fiber_tridiag(problem, n)
         seed = np.ones(n) if r_prev is None else np.interp(r, r_prev, w)
-        lam_n, w = tridiag_ground_pair(diag, off, seed, lam, margin, gap)
+        lam_n, w = _tridiag_ground_pair(diag, off, seed, lam, margin, gap)
         yield np.array([lam_n]), w[:, None], diag, off, r, delta
         margin, lam, r_prev = abs(lam_n - lam), lam_n, r
         n *= 2
@@ -243,7 +243,7 @@ def solve_fiber(problem, k=1, tol=1e-8):
     of the coarser value, is energy_error.  After MAX_DOUBLINGS doublings
     past the first three levels an AccuracyError carries both.  k = 1
     solves each grid by certified inverse iteration seeded from the grid
-    below (numerics.tridiag_ground_pair); k > 1 bisects every grid afresh
+    below (numerics._tridiag_ground_pair); k > 1 bisects every grid afresh
     and takes each eigenvalue as its vector's Rayleigh quotient.  Either
     way the eigenvalue error is far below the tolerance.
 
@@ -278,9 +278,7 @@ def solve_fiber(problem, k=1, tol=1e-8):
             f"fiber eigenvalues not converged to {tol} (the last two "
             f"extrapolated values differ by {err:.3e})",
             estimate=energies, error_bound=err)
-    r, delta = fine[4:]
-    return RadialEigenSolution(problem, r, delta, energies, err,
-                               (coarse, fine))
+    return RadialEigenSolution(problem, energies, err, (coarse, fine))
 
 
 def default_radius(well, h, L=None):

@@ -337,8 +337,6 @@ class GapRow:
 class GapReport:
     rows: list
     corridor: tuple       # (-Shat - d, -Sa + d) with d = 0.2 Shat
-    fsw_condition: bool
-    predicted_S: float
 
     def resolvable_rows(self):
         return [r for r in self.rows if r.floor_flag == "ok"]
@@ -399,4 +397,4 @@ def gap_vs_hopping(pipeline, h_list, delta=None, box=None):
     corridor = (-action.Shat - d, -action.Sa + d)
     rows = [gap_row(Case(pipeline, h), delta=delta, box=box)
             for h in sorted(h_list, reverse=True)]
-    return GapReport(rows, corridor, pipeline.config.fsw_condition, action.S)
+    return GapReport(rows, corridor)

@@ -107,15 +107,15 @@ def test_criterion_08_psi_minimizer(battery):
 def test_criterion_09_hopping_slope(well, case):
     hs = [0.6, 0.5, 0.42, 0.35, 0.3, 0.25]
     report = hopping_slope_check([case(well, h) for h in hs])
-    S = case(well, hs[0]).pipeline.action.S
+    action = case(well, hs[0]).pipeline.action
     ok = (report.contained and report.refined_contained
           and report.monotone_toward_S)
     logs = [round(v, 3) for v in report.h_ln_w]
     acceptance_line(9, ok, f"h ln|w| = {logs} inside "
-                           f"[{-report.S0 - report.delta:.3f}, "
-                           f"{-report.Sa + report.delta:.3f}], refined floor "
-                           f"{-report.Shat - report.delta:.3f}, trending "
-                           f"toward -S = {-S:.3f}")
+                           f"[{-action.S0 - report.delta:.3f}, "
+                           f"{-action.Sa + report.delta:.3f}], refined floor "
+                           f"{-action.Shat - report.delta:.3f}, trending "
+                           f"toward -S = {-action.S:.3f}")
 
 
 def test_criterion_10_w_chain(well_deep, deep_chain):

@@ -16,11 +16,14 @@ from pathlib import Path
 
 MODULES = ("agmon", "asymptotics", "hopping", "numerics", "pipeline",
            "potential", "spectral", "splitting2d", "verify", "wkb")
-BUDGET = 196
+BUDGET = 178
 # 2949 + 58 for Cephes' i0e tables and the private logsumexp that replace
 # scipy.special (net of the imports they drop), + 7 for r0's rounding floor,
-# - 3 for the fiber tail in log form from far-end pivots
-LINE_BUDGET = 3011
+# - 3 for the fiber tail in log form from far-end pivots, - 13 for the
+# private fiber kernels and the result fields that copied their inputs,
+# + 10 net for rejecting out-of-range inputs where they enter, the
+# underflowed direct sum and one mode per asymptotics run
+LINE_BUDGET = 3008
 
 
 def _params(fn, bound):

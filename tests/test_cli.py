@@ -131,6 +131,14 @@ CONFIGS = {
      "need finite beta > 0 (got nan)"),
     (["asymptotics", "--beta-sweep", "0.5,inf"],
      "need finite beta > 0 (got inf)"),
+    (["asymptotics", "--beta-sweep", "1e-300"],
+     "need finite beta^-2 (got beta=1e-300)"),
+    (["constants", "--a", "1e-160"],
+     "need a with a^4 a nonzero finite double (got 1e-160)"),
+    (["spectrum", "--h", "1", "--radius", "1e300"],
+     "need finite R^2 (got R=1e+300)"),
+    (["spectrum", "--h", "1", "--radius", "1e308"],
+     "need finite R^2 (got R=1e+308)"),
     (SPLIT + ["--grid", "0"], "delta > 0 (got 0.0)"),
     (SPLIT + ["--grid", "-0.1"], "delta > 0 (got -0.1)"),
     (SPLIT + ["--grid", "nan"], "delta > 0 (got nan)"),
@@ -147,7 +155,8 @@ CONFIGS = {
          "spectrum-grid-0", "spectrum-radius-0", "spectrum-radius-inf",
          "spectrum-radius-nan", "spectrum-tol-0", "spectrum-tol-negative",
          "spectrum-tol-nan", "spectrum-modes-negative", "wkb-points-0",
-         "beta-sweep-nan", "beta-sweep-inf", "splitting-grid-0",
+         "beta-sweep-nan", "beta-sweep-inf", "beta-sweep-tiny", "a-tiny",
+         "spectrum-radius-1e300", "spectrum-radius-1e308", "splitting-grid-0",
          "splitting-grid-negative", "splitting-grid-nan", "splitting-box-inf",
          "verify-grid-0",
          "verify-grid-negative", "sweep-h-inf", "hopping-h-inf"])
@@ -172,6 +181,29 @@ def test_numerical_failure_exit_3():
                                "quadrature not converged: cancellation "
                                "ratio kappa ")
     assert " (estimate " in lines[0] and ", bound " in lines[0]
+
+
+def test_underflowed_direct_sum_exit_3(capsys):
+    # the angular sum underflows to w = 0, so kappa is infinite; the error
+    # carries the finite absolute bound eps sum|f| and no numpy warning
+    from magtun import cli
+
+    argv = ["hopping", "--depth", "8", "--L", "8", "--h-range",
+            "0.033:0.033:1", "--route", "direct"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert "kappa inf" in err[0] and "nan" not in err[0], err
+
+
+def test_asymptotics_takes_one_mode(capsys):
+    from magtun import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["asymptotics", "--action", "--wchain", "--beta-sweep",
+                  "0.5"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_invariant_violation_exit_3(monkeypatch, capsys):
@@ -416,7 +448,9 @@ import magtun.cli
 argvs = [["constants"], ["spectrum", "--h", "0.5"], ["wkb", "--h", "0.5"],
          ["hopping", "--h-range", "0.3:0.5:2"],
          ["sweep", "--h-range", "0.3:0.5:2"],
-         ["asymptotics", "--action", "--wchain", "--beta-sweep", "0.5,1"],
+         ["asymptotics", "--action"],
+         ["asymptotics", "--wchain", "--h-range", "0.3:0.3:1"],
+         ["asymptotics", "--beta-sweep", "0.5,1"],
          ["verify", "--quick"],
          ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1",
           "--grid", "0.1"]]
@@ -436,4 +470,4 @@ def test_no_command_loads_unused_scipy_trees():
     proc = subprocess.run([sys.executable, "-c", _SCIPY_TREE_SPY],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0] * 8, SCIPY_ALLOWED]
+    assert json.loads(proc.stdout) == [[0] * 10, SCIPY_ALLOWED]

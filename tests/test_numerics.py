@@ -10,7 +10,7 @@ from magtun import (AccuracyError, AgmonProfile, FiberProblem, RadialWell,
                     log_integral_exp, minimize_1d, solve_fiber,
                     symm_tridiag_lowest, w_chain)
 from magtun import agmon, numerics, spectral, wkb
-from magtun.numerics import gauss_legendre, tridiag_ground_pair
+from magtun.numerics import _tridiag_ground_pair, gauss_legendre
 from magtun.wkb import (T_BLOCK, Y_HI, OuterRepresentation, calibrate_outer,
                         log_outer_integrand)
 
@@ -247,8 +247,8 @@ def test_tridiag_ground_pair_dirichlet_laplacian(lam):
     n = 100
     exact = 4 * math.sin(math.pi / (2 * (n + 1))) ** 2
     gap = 4 * math.sin(math.pi / (n + 1)) ** 2 - exact
-    rho, x = tridiag_ground_pair(np.full(n, 2.0), np.full(n - 1, -1.0),
-                                 np.ones(n), lam, 1e-12, gap)
+    rho, x = _tridiag_ground_pair(np.full(n, 2.0), np.full(n - 1, -1.0),
+                                  np.ones(n), lam, 1e-12, gap)
     assert rho == pytest.approx(exact, rel=1e-12)
     mode = np.sin(math.pi * np.arange(1, n + 1) / (n + 1))
     assert np.max(np.abs(x - mode / np.linalg.norm(mode))) <= 1e-12

@@ -317,8 +317,8 @@ def test_floor_detection(pipeline85):
     assert report.rows[0].floor_flag.startswith("unresolvable")
 
 
-def test_predicted_action_in_window(config85, gap_report):
+def test_predicted_action_in_window(pipeline85):
     # the h-window was chosen so that e^{-S/h} is in [1e-12, 1e-2]
-    S = gap_report.predicted_S
+    S = pipeline85.action.S
     for h in (1.4, 0.8):
         assert 1e-12 <= math.exp(-S / h) <= 1e-2
