@@ -32,14 +32,14 @@ print(f"\nS0   = d(L)          = {s0.value:.8f}"
       f"   (variational check {s0.variational:.8f})")
 print(f"Sa   = d(L-a) + d(a)  = {sa.value:.8f}"
       f"   (variational check {sa.variational:.8f})")
-print(f"Shat = S(0)           = {shat.value:.8f}   at r0 = {shat.r0:.6f}")
+print(f"Shat = S(0)           = {shat.value:.8f}   at r0 = {shat.argmin:.6f}")
 print(f"ordering: Sa < Shat < min(S0, Sa + La/2): "
       f"{sa.value < shat.value < min(s0.value, sa.value + 2.0)}")
 
 print("\nS(eps) interpolates toward Shat as eps -> 0:")
 for eps in (1.0, 0.5, 0.1, 0.01):
     res = action_S_eps(profile, eps)
-    print(f"  eps = {eps:<5} S(eps) = {res.value:.8f}  r_eps = {res.r_eps:.5f}")
+    print(f"  eps = {eps:<5} S(eps) = {res.value:.8f}  r_eps = {res.argmin:.5f}")
 
 ra = remainder_Ra(profile)
 cl = corridor_CL(profile)

@@ -19,7 +19,7 @@ for m in (0, 1, -1, -2):
 print("\nMagnetic oscillator (v0 = mu r^2, h = 1):")
 for mu in (0.5, 1.0, 2.0):
     sol = solve_fiber(FiberProblem(m=0, h=1.0, R=12.0, n=9000,
-                                   well=lambda r, mu=mu: mu * r * r),
+                                   v0=lambda r, mu=mu: mu * r * r),
                       tol=1e-8)
     print(f"  mu = {mu}: lambda_1 = {sol.e_sw:.8f} "
           f"(exact sqrt(1+4mu) = {math.sqrt(1 + 4 * mu):.8f})")

@@ -16,7 +16,7 @@ from magtun import (Case, DoubleWellConfig, Pipeline, RadialWell, beta_scaling,
 well = RadialWell.bump(depth=4.0, a=1.0)
 pipe = Pipeline(DoubleWellConfig(well, L=4.0))
 
-t_a, s_plus = minimizer_closed_form(well, pipe.L)
+t_a, s_plus = minimizer_closed_form(well, pipe.config.L)
 r_g, t_g, v_g = psi_global_min(pipe.profile)
 print(f"closed-form minimizer: t_a = {t_a:.8f} (s+ = {s_plus:.8f})")
 print(f"grid + descent search: (r*, t*) = ({r_g:.6f}, {t_g:.6f}), "

@@ -61,16 +61,6 @@ class VariationalResult(NamedTuple):   # S0 or Sa
     u_star: float
 
 
-class ShatResult(NamedTuple):
-    value: float
-    r0: float
-
-
-class SepsResult(NamedTuple):
-    value: float
-    r_eps: float
-
-
 class RaResult(NamedTuple):
     value: float
     direct: float
@@ -161,24 +151,24 @@ def action_Sa(profile):
 
 
 def action_Shat(profile):
-    """Shat = S(0) = min_{[0,a]} g_eps(., 0) with its minimizer r0, which
-    must be interior."""
+    """Shat = S(0) = min_{[0,a]} g_eps(., 0), as minimize_1d's Minimum1D:
+    its argmin is r0, which must be interior."""
     a, tol = profile.well.a, TOL_SHAT
     res = minimize_1d(lambda r: profile.g_eps(r, 0.0), 0.0, a, tol=tol)
     if not (tol < res.argmin < a - tol):
         raise NumericalError(
             f"hat-action minimizer r0={res.argmin} not interior to (0, {a})",
             estimate=res.argmin, error_bound=(tol, a - tol))
-    return ShatResult(res.value, res.argmin)
+    return res
 
 
 def action_S_eps(profile, eps):
-    """S(eps) = min_r g(r, eps) for 0 < eps <= 1."""
+    """S(eps) = min_r g(r, eps) for 0 < eps <= 1, as minimize_1d's
+    Minimum1D: its argmin is the minimizer r_eps."""
     if not 0.0 < eps <= 1.0:
         raise ValueError("need 0 < eps <= 1")
-    a = profile.well.a
-    res = minimize_1d(lambda r: profile.g_eps(r, eps), 0.0, a, tol=TOL_SHAT)
-    return SepsResult(res.value, res.argmin)
+    return minimize_1d(lambda r: profile.g_eps(r, eps), 0.0, profile.well.a,
+                       tol=TOL_SHAT)
 
 
 def remainder_Ra(profile):

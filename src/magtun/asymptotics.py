@@ -27,8 +27,8 @@ import numpy as np
 
 from .agmon import (AgmonProfile, action_S0, action_Sa, action_Shat,
                     free_action_primitive)
-from .numerics import (NumericalError, _gauss_nodes, log_integral_exp,
-                       logsumexp, minimize_1d)
+from .numerics import (NumericalError, _gauss_nodes, integrate,
+                       log_integral_exp, logsumexp, minimize_1d)
 from .wkb import Y_HI, c_h_asymptotic, log_outer_integrand, matching_constants
 
 __all__ = [
@@ -74,9 +74,6 @@ PSI_REFINEMENTS = 3
 # Gauss-Legendre r-nodes of w_chain on [eta, a]: against 3x the nodes, 64
 # move log W1..W4 by at most 1.4e-11 (depth 0.5-4, L 3.5-12, h 0.05-0.6)
 N_CHAIN = 64
-# Gauss-Legendre nodes of nonmagnetic_action on [0, a]: within 5.2e-16
-# relative of Simpson's rule on 20,001 nodes (depth 0.1-8, a 0.3-2)
-N_NONMAGNETIC = 128
 
 
 def psi_global_min(profile):
@@ -176,7 +173,7 @@ def sharp_action(well, L):
     report = ActionReport(S=S, t_a=t_a, s_plus=s_plus, F=F, psi_min=psi_min,
                           D_mag=D_mag, interaction=interaction,
                           S_from_fg=S_fg, S0=S0, Sa=Sa,
-                          Shat=shat.value, r0=shat.r0)
+                          Shat=shat.value, r0=shat.argmin)
     if not report.corridor_ok():
         raise ConsistencyError(
             f"action corridor violated: Sa={Sa}, S={S}, Shat={shat.value}, "
@@ -284,10 +281,10 @@ def w_chain(case, eta):
 
 def nonmagnetic_action(well, L):
     """2 int_0^{L/2} sqrt(v0 - v0_min) d rho, the b = 0 tunneling action."""
-    a = well.a
-    rs, wts = _gauss_nodes(0.0, a, N_NONMAGNETIC)
-    inner = wts @ np.sqrt(np.maximum(well.v0(rs) + well.depth, 0.0))
-    return 2.0 * float(inner) + (L - 2.0 * a) * math.sqrt(well.depth)
+    inner = integrate(
+        lambda r: np.sqrt(np.maximum(well.v0(r) + well.depth, 0.0)),
+        0.0, well.a)
+    return 2.0 * inner + (L - 2.0 * well.a) * math.sqrt(well.depth)
 
 
 def beta_scaling(well, L, beta):

@@ -24,7 +24,8 @@ from .asymptotics import beta_scaling, nonmagnetic_action, w_chain
 from .numerics import NumericalError
 from .pipeline import Case, Pipeline
 from .potential import DoubleWellConfig, RadialWell
-from .spectral import FiberProblem, _default_n, default_radius, solve_fiber
+from .spectral import (GROUND_DELTA, FiberProblem, _default_n,
+                       default_radius, solve_fiber)
 from .splitting2d import gap_row, gap_vs_hopping
 from .verify import run_battery
 
@@ -32,6 +33,7 @@ _FMT = "%.17g"
 # g_eps(., 0) rounds by up to 2.5 eps |Shat| near r0 (six bump wells), so a
 # minimizer may return any r with g''(r0) (r - r0)^2 / 2 <= R0_NOISE |Shat|
 R0_NOISE = 5.0 * np.finfo(float).eps
+WCHAIN_H_RANGE, WCHAIN_ETA = "0.1:0.3:4", 0.05   # asymptotics --wchain's
 
 
 def _emit(rows, header, fmt, output, comments=()):
@@ -64,11 +66,15 @@ def _load_config(args):
 
 def _h_range(spec):
     """lo:hi:n -> geometric grid from hi down to lo (n = 1 gives just hi)."""
-    lo, hi, n = spec.split(":")
-    lo, hi, n = float(lo), float(hi), int(n)
-    if not (0 < lo <= hi < math.inf) or n < 1:
-        raise ValueError(f"bad h-range {spec}: need 0 < lo <= hi < inf, "
-                         "n >= 1")
+    try:
+        lo, hi, n = spec.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+        ok = 0 < lo <= hi < math.inf and n >= 1
+    except ValueError:   # not three fields, or a field not a number
+        ok = False
+    if not ok:
+        raise ValueError(f"bad h-range {spec}: need lo:hi:n with "
+                         "0 < lo <= hi < inf, integer n >= 1")
     return list(np.geomspace(hi, lo, n))
 
 
@@ -108,10 +114,10 @@ def cmd_spectrum(args):
     well = config.well
     R = default_radius(well, args.h) if args.radius is None else args.radius
     # FiberProblem checks h and R before the default grid takes int(R)
-    problem = FiberProblem(m=0, h=args.h, R=R, well=well,
+    problem = FiberProblem(m=0, h=args.h, R=R, v0=well.v0,
                            n=400 if args.grid is None else args.grid)
     if args.grid is None:
-        problem = replace(problem, n=max(_default_n(R), 400))
+        problem = replace(problem, n=max(_default_n(R, GROUND_DELTA), 400))
     rows = []
     dump = None
     for m in range(-args.modes, args.modes + 1):
@@ -136,8 +142,8 @@ def cmd_wkb(args):
     sol, outer = case.ground, case.outer
     prof, amp = pipe.profile, pipe.amplitude
     # r_k = k (L + 1) / points, independent of the solver's grid
-    rs = (pipe.L + 1.0) * np.arange(1, args.points + 1) / args.points
-    outside = rs >= pipe.well.a
+    rs = (pipe.config.L + 1.0) * np.arange(1, args.points + 1) / args.points
+    outside = rs >= pipe.config.well.a
     log_outer = np.full(rs.shape, np.nan)   # the representation needs r >= a
     log_outer[outside] = outer.log_u(rs[outside])
     u = np.exp(sol.log_u(rs))
@@ -175,21 +181,29 @@ def cmd_hopping(args):
 
 
 def cmd_asymptotics(args):
+    if not args.wchain and (args.h_range, args.eta) != (None, None):
+        raise ValueError("--h-range and --eta apply only with --wchain")
     pipe = Pipeline(_load_config(args))
-    well, L = pipe.well, pipe.L
+    well, L = pipe.config.well, pipe.config.L
     if args.action:
         rows = [(k, float(v)) for k, v in pipe.action.__dict__.items()]
         header = ("name", "value")
     elif args.wchain:
+        eta = WCHAIN_ETA if args.eta is None else args.eta
         rows = []
-        for h in _h_range(args.h_range):
-            res = w_chain(Case(pipe, h), args.eta)
+        spec = WCHAIN_H_RANGE if args.h_range is None else args.h_range
+        for h in _h_range(spec):
+            res = w_chain(Case(pipe, h), eta)
             rows.append((h, res.log_W1, res.log_W2, res.log_W3, res.log_W4))
         header = ("h", "log_W1", "log_W2", "log_W3", "log_W4")
     else:   # --beta-sweep
+        try:
+            betas = [float(b) for b in args.beta_sweep.split(",")]
+        except ValueError:
+            raise ValueError(f"bad --beta-sweep {args.beta_sweep}: need "
+                             "comma-separated numbers") from None
         target = nonmagnetic_action(well, L)
-        rows = [(beta, beta_scaling(well, L, beta), target)
-                for beta in [float(b) for b in args.beta_sweep.split(",")]]
+        rows = [(beta, beta_scaling(well, L, beta), target) for beta in betas]
         header = ("beta", "beta_S", "nonmagnetic_action")
     _emit(rows, header, args.format, args.output)
     return 0
@@ -311,8 +325,10 @@ def build_parser():
     mode.add_argument("--action", action="store_true")
     mode.add_argument("--wchain", action="store_true")
     mode.add_argument("--beta-sweep", help="comma-separated beta values")
-    sp.add_argument("--h-range", default="0.1:0.3:4")
-    sp.add_argument("--eta", type=float, default=0.05)
+    sp.add_argument("--h-range",
+                    help=f"lo:hi:n, --wchain only (default {WCHAIN_H_RANGE})")
+    sp.add_argument("--eta", type=float,
+                    help=f"--wchain only (default {WCHAIN_ETA})")
     sp.set_defaults(func=cmd_asymptotics)
 
     sp = sub.add_parser("splitting", help="2-D eigenvalue gap")

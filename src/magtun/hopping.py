@@ -56,6 +56,12 @@ N_ROUTE = 64
 DIRECT_RTOL = 1e-9   # caps kappa eps; not a rounding bound (module doc)
 
 
+def _radial_rule(well):
+    """Nodes r of the N_ROUTE rule on [0, a] and weights w r v0(r) < 0."""
+    r, w = _gauss_nodes(0.0, well.a, N_ROUTE)
+    return r, w * r * well.v0(r)
+
+
 def hopping_direct(case):
     """Quadrature of the oscillatory form; returns the complex value.
 
@@ -80,10 +86,9 @@ def hopping_direct(case):
     """
     well, L, h, log_u = case.config.well, case.config.L, case.h, \
         case.ground.log_u
-    a = well.a
-    r_nodes, r_weights = _gauss_nodes(0.0, a, N_ROUTE)
-    radial = r_weights * r_nodes * well.v0(r_nodes) * np.exp(log_u(r_nodes))
-    n = 4 * max(64, 10 * math.ceil(L * a / (4.0 * math.pi * h)))
+    r_nodes, rv = _radial_rule(well)
+    radial = rv * np.exp(log_u(r_nodes))
+    n = 4 * max(64, 10 * math.ceil(L * well.a / (4.0 * math.pi * h)))
     theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     mirror = np.minimum(np.arange(n), n - np.arange(n))
     rows = r_nodes[:, None]
@@ -108,12 +113,12 @@ def hopping_direct(case):
 def hopping_bessel(case):
     """Oscillation-free route through the Bessel kernel; real by construction."""
     well, L, h, outer = case.config.well, case.config.L, case.h, case.outer
-    r_nodes, r_weights = _gauss_nodes(0.0, well.a, N_ROUTE)
+    r_nodes, rv = _radial_rule(well)
     rho2 = r_nodes * r_nodes + L * L
     log_mag = (outer.log_C_h - rho2 / (4.0 * h)
                + outer.log_t_integral(rho2, L * r_nodes)
                + case.ground.log_u(r_nodes))
-    total = np.sum(r_weights * r_nodes * well.v0(r_nodes) * np.exp(log_mag))
+    total = np.sum(rv * np.exp(log_mag))
     return 2.0 * np.pi * float(total)
 
 
@@ -134,8 +139,8 @@ def hopping_wkb_envelope(case):
     """
     well, L, h = case.config.well, case.config.L, case.h
     profile, amplitude = case.pipeline.profile, case.pipeline.amplitude
-    r_nodes, r_weights = _gauss_nodes(0.0, well.a, N_ROUTE)
-    rw = r_nodes * r_weights * np.abs(well.v0(r_nodes))
+    r_nodes, rv = _radial_rule(well)
+    rw = -rv   # w r |v0|
     w0, Mh = [], []
     for far in (L - r_nodes, L + r_nodes):   # the plus, then the minus term
         log_exp = -(profile.d(r_nodes) + profile.d(far)) / h
@@ -154,12 +159,11 @@ def epsilon_lower_bound(case, eps):
         raise ValueError("need 0 < eps <= 1")
     well, L, h, log_u = case.config.well, case.config.L, case.h, \
         case.ground.log_u
-    r_nodes, r_weights = _gauss_nodes(0.0, well.a, N_ROUTE)
+    r_nodes, rv = _radial_rule(well)
     shifted = np.sqrt((L - r_nodes) ** 2 + 2.0 * eps * L * r_nodes)
     log_terms = (-(1.0 - eps) * L * r_nodes / (2.0 * h)
                  + log_u(shifted) + log_u(r_nodes))
-    vals = r_weights * r_nodes * np.abs(well.v0(r_nodes)) * np.exp(log_terms)
-    return float(np.sum(vals))
+    return float(np.sum(-rv * np.exp(log_terms)))
 
 
 @dataclass

@@ -81,6 +81,11 @@ def integrate(f, lo, hi, return_error=False):
     return (val, err) if return_error else val
 
 
+def _richardson(coarse, fine, d_coarse, d_fine):
+    """The delta^2 Richardson step of one value at two spacings."""
+    return fine + (fine - coarse) / ((d_coarse / d_fine) ** 2 - 1.0)
+
+
 class Minimum1D(NamedTuple):
     argmin: float
     value: float

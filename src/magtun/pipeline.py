@@ -29,26 +29,25 @@ __all__ = ["Pipeline", "Case"]
 
 
 class Pipeline:
-    """Config-level stages: Agmon profile, WKB amplitude, sharp action."""
+    """Stages of pipeline.config: Agmon profile, WKB amplitude, action."""
 
     def __init__(self, config):
         self.config = config
-        self.well = config.well
-        self.L = config.L
 
     @cached_property
     def profile(self):
-        return AgmonProfile(self.well, self.L)
+        return AgmonProfile(self.config.well, self.config.L)
 
     @cached_property
     def amplitude(self):
         """a0 on [0, L + a + 1], which covers every far-well radius."""
-        return WkbAmplitude(self.well, self.L + self.well.a + 1.0)
+        well, L = self.config.well, self.config.L
+        return WkbAmplitude(well, L + well.a + 1.0)
 
     @cached_property
     def action(self):
         """ActionReport: S with S0, Sa, Shat and r0 of this profile."""
-        return sharp_action(self.well, self.L)
+        return sharp_action(self.config.well, self.config.L)
 
 
 class Case:

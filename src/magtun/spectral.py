@@ -35,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import (AccuracyError, NumericalError, _far_end_pivots,
-                       _spline, _tridiag_ground_pair, _tridiag_rayleigh,
-                       symm_tridiag_lowest)
+                       _richardson, _spline, _tridiag_ground_pair,
+                       _tridiag_rayleigh, symm_tridiag_lowest)
 
 __all__ = [
     "FiberProblem",
@@ -59,6 +59,7 @@ GROUND_TOL = 1e-8    # Richardson tolerance of the ground_state solve
 # 0.5-4, L 3.5-5, h >= 0.15
 GROUND_DELTA = 2.4e-3
 SCAN_DELTA = 8e-3
+MAX_NODES = 250_000   # cap of a default grid
 
 
 class InvariantViolation(NumericalError):
@@ -70,15 +71,15 @@ class InvariantViolation(NumericalError):
 class FiberProblem:
     """One angular fiber of the single-well operator.
 
-    well may be a RadialWell, a vectorized callable v0(r), or None for the
-    free (Landau) fiber.
+    v0 is the radial potential, a vectorized callable (a RadialWell's
+    well.v0, say), or None for the free (Landau) fiber.
     """
 
     m: int
     h: float
     R: float
     n: int
-    well: object = None
+    v0: object = None
 
     def __post_init__(self):
         if not 0 < self.h < math.inf:
@@ -97,11 +98,7 @@ class FiberProblem:
             raise ValueError(f"need finite R^2 (got R={self.R})")
 
     def potential(self, r):
-        if self.well is None:
-            return np.zeros_like(r)
-        if callable(self.well):
-            return self.well(r)
-        return self.well.v0(r)
+        return np.zeros_like(r) if self.v0 is None else self.v0(r)
 
 
 def _fiber_tridiag(problem, n):
@@ -118,12 +115,11 @@ def _fiber_tridiag(problem, n):
 
 
 class RadialEigenSolution:
-    """Eigenpairs of one FiberProblem, with its m, h and R; the ground
+    """Eigenpairs of one FiberProblem (solution.problem); the ground
     eigenfunction is normalized to int |u|^2 2 pi r dr = 1 and positive."""
 
     def __init__(self, problem, energies, energy_error, levels):
         self.problem = problem
-        self.m, self.h, self.R = problem.m, problem.h, problem.R
         self.grid, self.delta = levels[1][4:]
         self.n = len(self.grid)
         self.energies = energies
@@ -141,10 +137,8 @@ class RadialEigenSolution:
         E = self.energies[0]
         coarse, fine = self._levels
         l_c = _spline(coarse[4], _log_profile(coarse, E))(self.grid)
-        l_f = _log_profile(fine, E)
-        q = (coarse[5] / self.delta) ** 2
         del self._levels
-        return l_f + (l_f - l_c) / (q - 1.0)
+        return _richardson(l_c, _log_profile(fine, E), coarse[5], fine[5])
 
     @cached_property
     def u(self):
@@ -261,8 +255,7 @@ def solve_fiber(problem, k=1, tol=1e-8):
         _bisection_levels(problem, k)
 
     def extrapolate(coarse, fine):
-        q = (coarse[-1] / fine[-1]) ** 2
-        return fine[0] + (fine[0] - coarse[0]) / (q - 1.0)
+        return _richardson(coarse[0], fine[0], coarse[-1], fine[-1])
 
     coarse, fine = next(levels), next(levels)
     last = extrapolate(coarse, fine)
@@ -291,8 +284,8 @@ def default_radius(well, h, L=None):
     return R
 
 
-def _default_n(R, delta=GROUND_DELTA, cap=250_000):
-    return min(int(R / delta), cap)
+def _default_n(R, delta):
+    return min(int(R / delta), MAX_NODES)
 
 
 def ground_state(well, h, L=None):
@@ -303,15 +296,16 @@ def ground_state(well, h, L=None):
     R = default_radius(well, h, L=L)
     n_scan = max(_default_n(R, SCAN_DELTA), 400)
     scanned = {m: solve_fiber(FiberProblem(m=m, h=h, R=R, n=n_scan,
-                                           well=well),
+                                           v0=well.v0),
                               k=1, tol=100 * GROUND_TOL).e_sw
                for m in (1, 2)}
     # (hm/r - r/2)^2 at -m is the m > 0 diagonal plus 2hm, so fiber -m
     # is fiber m shifted up by 2hm and never holds the minimum
     fiber_energies = {m: scanned[abs(m)] + 2.0 * h * max(-m, 0)
                       for m in (-2, -1, 1, 2)}
-    sol = solve_fiber(FiberProblem(m=0, h=h, R=R, n=_default_n(R),
-                                   well=well), k=1, tol=GROUND_TOL)
+    sol = solve_fiber(FiberProblem(m=0, h=h, R=R,
+                                   n=_default_n(R, GROUND_DELTA), v0=well.v0),
+                      k=1, tol=GROUND_TOL)
     fiber_energies[0] = sol.e_sw
     m_star = min(fiber_energies, key=fiber_energies.get)
     if m_star != 0:
@@ -383,7 +377,7 @@ def agmon_identity_check(solution, phi, phi_prime):
     8.1e-8 for the default bump well at L 4, h 0.1.
     """
     r = solution.grid
-    h = solution.h
+    h = solution.problem.h
     delta = solution.delta
     log_u = solution.log_profile
     E = solution.energies[0]

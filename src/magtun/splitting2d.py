@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .numerics import NumericalError
+from .numerics import NumericalError, _richardson
 from .pipeline import Case
 from .potential import DoubleWellConfig, RadialWell, eval_V
 
@@ -315,9 +315,7 @@ def landau_level_2d(h, delta=None):
         vals, _, _ = lowest_two(lat, sigma=0.9 * h, order=4)
         es.append(float(vals[0]))
     # second-order scheme: extrapolate on delta^2
-    d2 = [d * d for d in deltas]
-    e_ext = es[1] + (es[1] - es[0]) * d2[1] / (d2[0] - d2[1])
-    return e_ext, es
+    return _richardson(*es, *deltas), es
 
 
 @dataclass

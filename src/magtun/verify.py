@@ -80,13 +80,13 @@ def run_battery(config, quick=False, landau_delta=None):
             target = math.sqrt(1.0 + 4.0 * mu)
             sol = solve_fiber(
                 FiberProblem(m=0, h=1.0, R=12.0, n=2250,
-                             well=lambda r, mu=mu: mu * r * r),
+                             v0=lambda r, mu=mu: mu * r * r),
                 k=1, tol=1e-8)
             worst = max(worst, abs(sol.e_sw - target))
             for m in (1, 2):
                 sm = solve_fiber(
                     FiberProblem(m=m, h=1.0, R=12.0, n=2250,
-                                 well=lambda r, mu=mu: mu * r * r),
+                                 v0=lambda r, mu=mu: mu * r * r),
                     k=1, tol=1e-7)
                 pred = target + (target - 1.0) * m
                 worst = max(worst, abs(sm.e_sw - pred))

@@ -37,6 +37,7 @@ import numpy as np
 
 from .numerics import (NumericalError, _cumulative_simpson, _spline,
                        log_bessel_i0, log_integral_exp)
+from .potential import WellValidationError
 
 __all__ = [
     "log_outer_integrand",
@@ -94,6 +95,10 @@ class WkbAmplitude:
         self.well = well
         self.r_max = float(r_max)
         self.E1 = math.sqrt(1.0 + 2.0 * well.v0_second_deriv_at_0)
+        if not (math.isfinite(self.E1) and math.isfinite(well._c4)):
+            raise WellValidationError(
+                f"need finite v0''(0) = 2 depth / a^2 and depth / (2 a^4) "
+                f"(got depth={well.depth}, a={well.a})")
         self.a0_0 = (1.0 + 2.0 * well.v0_second_deriv_at_0) ** 0.25 \
             / math.sqrt(2.0 * math.pi)
         self._c2 = 0.25 + well.v0_second_deriv_at_0 / 2.0
@@ -201,9 +206,10 @@ def calibrate_outer(case):
 
 
 def matching_constants(pipeline):
-    """Constants of the outer matching, from the pipeline's tables.
+    """Constants of the outer matching, from the pipeline's tables: a dict
+    of t_star, F, m_display and m_matched.
 
-    t_star, eta, F are the saddle data of the Laplace evaluation of the
+    t_star and eta are the saddle data of the Laplace evaluation of the
     representation integral at rho = a; F = eta - d(a) is the exponent of
     C_h ~ m h^{-1} e^{F/h}.  Two prefactors are returned:
 
@@ -218,7 +224,7 @@ def matching_constants(pipeline):
     trends confirm m_matched.
     """
     amplitude, d_a = pipeline.amplitude, pipeline.profile.d_a
-    a, depth = pipeline.well.a, pipeline.well.depth
+    a, depth = pipeline.config.well.a, pipeline.config.well.depth
     E1 = amplitude.E1
     t_star = 0.5 * (math.sqrt(1.0 + 4.0 * depth / a**2) - 1.0)
     eta = (1.0 + 2.0 * t_star) * a**2 / 4.0 + \
@@ -230,18 +236,8 @@ def matching_constants(pipeline):
     phi_pp = (depth / 2.0) * (2.0 * t_star + 1.0) / (t_star * (t_star + 1.0)) ** 2
     K = (1.0 / t_star) * math.sqrt(2.0 * math.pi / phi_pp) * \
         (1.0 + 1.0 / t_star) ** ((E1 - 1.0) / 2.0)
-    a0_a = float(amplitude.a0(a))
-    return {
-        "t_star": t_star,
-        "eta": eta,
-        "F": F,
-        "d_a": d_a,
-        "a0_0": amplitude.a0_0,
-        "a0_a": a0_a,
-        "m_display": m_display,
-        "m_matched": a0_a / K,
-        "K": K,
-    }
+    return {"t_star": t_star, "F": F, "m_display": m_display,
+            "m_matched": float(amplitude.a0(a)) / K}
 
 
 def c_h_asymptotic(h, constants):

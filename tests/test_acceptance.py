@@ -40,7 +40,7 @@ def test_criterion_02_magnetic_oscillator(battery):
     worst = 0.0
     for m in (1, 2):
         osc = solve_fiber(FiberProblem(m=m, h=1.0, R=12.0, n=9000,
-                                       well=lambda r: r * r), tol=1e-7)
+                                       v0=lambda r: r * r), tol=1e-7)
         free = solve_fiber(FiberProblem(m=m, h=1.0, R=16.0, n=9000),
                            tol=1e-7)
         worst = max(worst,

@@ -66,8 +66,8 @@ def test_Sa(profile4):
 def test_Shat(profile4):
     res = action_Shat(profile4)
     assert res.value == pytest.approx(SHAT_CANON, abs=1e-8)
-    assert res.r0 == pytest.approx(R0_CANON, abs=1e-5)
-    assert 1e-6 < res.r0 < 1.0 - 1e-6
+    assert res.argmin == pytest.approx(R0_CANON, abs=1e-5)
+    assert 1e-6 < res.argmin < 1.0 - 1e-6
     # ordering Sa < Shat < min(S0, Sa + L a / 2)
     s0 = action_S0(profile4).value
     sa = action_Sa(profile4).value
@@ -89,9 +89,9 @@ def test_S_eps_monotone_and_limit(profile4):
         assert values[eps].value >= shat.value - 1e-9
     # r_eps -> r0 (the well has v0' >= 0 >= -L/4, so r0 is unique);
     # the drift is ~ linear in eps, so compare the extrapolated limit
-    r_ext = (5 * values[0.01].r_eps - values[0.05].r_eps) / 4
-    assert r_ext == pytest.approx(shat.r0, abs=1e-3)
-    gaps = [abs(values[e].r_eps - shat.r0) for e in (0.1, 0.05, 0.01)]
+    r_ext = (5 * values[0.01].argmin - values[0.05].argmin) / 4
+    assert r_ext == pytest.approx(shat.argmin, abs=1e-3)
+    gaps = [abs(values[e].argmin - shat.argmin) for e in (0.1, 0.05, 0.01)]
     assert gaps[2] < gaps[1] < gaps[0]
 
 

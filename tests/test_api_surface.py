@@ -22,8 +22,12 @@ BUDGET = 178
 # - 3 for the fiber tail in log form from far-end pivots, - 13 for the
 # private fiber kernels and the result fields that copied their inputs,
 # + 10 net for rejecting out-of-range inputs where they enter, the
-# underflowed direct sum and one mode per asymptotics run
-LINE_BUDGET = 3008
+# underflowed direct sum and one mode per asymptotics run, - 24 for one
+# implementation each of the Richardson step, the hopping r-measure, the
+# 128-node rule, the minimizer record and the fiber potential, + 23 for
+# one clear error on malformed ranges, flags a mode ignores and wells of
+# infinite curvature
+LINE_BUDGET = 3007
 
 
 def _params(fn, bound):

@@ -146,7 +146,18 @@ CONFIGS = {
     (["verify", "--quick", "--grid", "0"], "delta > 0 (got 0.0)"),
     (["verify", "--quick", "--grid", "-0.1"], "delta > 0 (got -0.1)"),
     (["sweep", "--h-range", "0.3:inf:2"], "bad h-range 0.3:inf:2"),
-    (["hopping", "--h-range", "0.3:inf:2"], "bad h-range 0.3:inf:2")],
+    (["hopping", "--h-range", "0.3:inf:2"], "bad h-range 0.3:inf:2"),
+    (["hopping", "--h-range", "0.1:0.3"], "bad h-range 0.1:0.3: need lo:hi:n"),
+    (["hopping", "--h-range", "a:b:2"], "bad h-range a:b:2: need lo:hi:n"),
+    (["hopping", "--h-range", "0.2:0.3:2.5"],
+     "bad h-range 0.2:0.3:2.5: need lo:hi:n"),
+    (["asymptotics", "--beta-sweep", ","], "bad --beta-sweep ,"),
+    (["asymptotics", "--action", "--eta", "7"],
+     "--h-range and --eta apply only with --wchain"),
+    (["asymptotics", "--beta-sweep", "0.5", "--h-range", "0.1:0.3:4"],
+     "--h-range and --eta apply only with --wchain"),
+    (["wkb", "--h", "1", "--depth", "1e300", "--a", "1e-5", "--points", "3"],
+     "(got depth=1e+300, a=1e-05)")],
     ids=["config-file", "config-no-well", "config-no-depth", "config-list",
          "config-null-depth", "config-list-L", "config-str-a",
          "config-bool-depth", "config-str-L",
@@ -159,7 +170,10 @@ CONFIGS = {
          "spectrum-radius-1e300", "spectrum-radius-1e308", "splitting-grid-0",
          "splitting-grid-negative", "splitting-grid-nan", "splitting-box-inf",
          "verify-grid-0",
-         "verify-grid-negative", "sweep-h-inf", "hopping-h-inf"])
+         "verify-grid-negative", "sweep-h-inf", "hopping-h-inf",
+         "h-range-two-fields", "h-range-not-numbers", "h-range-n-not-int",
+         "beta-sweep-empty", "action-with-eta", "beta-sweep-with-h-range",
+         "wkb-infinite-curvature"])
 def test_invalid_config_exit_2(tmp_path, capsys, argv, names):
     from magtun import cli
 

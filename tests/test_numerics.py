@@ -68,8 +68,9 @@ def table_grids(well, profile4, amp6):
     rs = np.linspace(0.0, well.a, agmon.N_TABLE)
     ra = np.linspace(0.0, amp6.r_max, wkb.N_AMPLITUDE)
     R = default_radius(well, 0.3, L=4.0)
-    problem = FiberProblem(m=0, h=0.3, R=R, n=spectral._default_n(R),
-                           well=well)
+    problem = FiberProblem(m=0, h=0.3, R=R,
+                           n=spectral._default_n(R, spectral.GROUND_DELTA),
+                           v0=well.v0)
     sol = solve_fiber(problem)
     fiber = [(level[4], spectral._log_profile(level, sol.e_sw))
              for level in sol._levels]

@@ -7,8 +7,8 @@ from scipy.interpolate import CubicSpline
 from magtun import (FiberProblem, RadialWell, agmon_identity_check,
                     default_radius, ground_state, harmonic_expansion_check,
                     solve_fiber, spectral)
-from magtun.spectral import (GROUND_TOL, _bisection_levels, _default_n,
-                             _ground_levels)
+from magtun.spectral import (GROUND_DELTA, GROUND_TOL, _bisection_levels,
+                             _default_n, _ground_levels)
 
 SQRT5 = math.sqrt(5.0)
 
@@ -27,7 +27,7 @@ def test_landau_levels():
 def test_magnetic_oscillator(mu):
     target = math.sqrt(1.0 + 4.0 * mu)
     sol = solve_fiber(FiberProblem(m=0, h=1.0, R=12.0, n=9000,
-                                   well=lambda r: mu * r * r), k=1, tol=1e-8)
+                                   v0=lambda r: mu * r * r), k=1, tol=1e-8)
     assert sol.e_sw == pytest.approx(target, abs=1e-6)
 
 
@@ -37,7 +37,7 @@ def test_oscillator_fiber_identity(m):
     mu = 1.0
     root = math.sqrt(5.0)
     osc = solve_fiber(FiberProblem(m=m, h=1.0, R=12.0, n=9000,
-                                   well=lambda r: mu * r * r), k=1, tol=1e-7)
+                                   v0=lambda r: mu * r * r), k=1, tol=1e-7)
     free = solve_fiber(FiberProblem(m=m, h=1.0, R=16.0, n=8000), k=1,
                        tol=1e-7)
     assert osc.e_sw == pytest.approx(root * free.e_sw + (root - 1) * m,
@@ -50,7 +50,7 @@ def test_oscillator_scaling_relation():
     root = math.sqrt(1 + 4 * mu)
     for m in (-1, 0, 1):
         osc = solve_fiber(FiberProblem(m=m, h=1.0, R=12.0, n=9000,
-                                       well=lambda r: mu * r * r),
+                                       v0=lambda r: mu * r * r),
                           k=2, tol=1e-7)
         free = solve_fiber(FiberProblem(m=m, h=1.0, R=16.0, n=8000), k=2,
                            tol=1e-7)
@@ -75,10 +75,11 @@ def test_mode_gap(well, case):
 def test_negative_fibers_from_shift_identity(well, case, h):
     # fiber -m is fiber m shifted by 2hm, so ground_state derives it
     sol = case(well, h).ground
-    n_scan = max(_default_n(sol.R, delta=8e-3), 400)
+    R = sol.problem.R
+    n_scan = max(_default_n(R, delta=8e-3), 400)
     for m in (1, 2):
-        direct = solve_fiber(FiberProblem(m=-m, h=h, R=sol.R, n=n_scan,
-                                          well=well),
+        direct = solve_fiber(FiberProblem(m=-m, h=h, R=R, n=n_scan,
+                                          v0=well.v0),
                              k=1, tol=1e-6).e_sw
         assert abs(sol.fiber_energies[-m] - direct) <= 1e-8
 
@@ -111,7 +112,7 @@ def test_log_u_matches_scipy_spline(well, case):
     x = sol.grid
     spline = CubicSpline(x, sol.log_profile)
     rng = np.random.default_rng(1)
-    rho = np.concatenate([rng.uniform(-0.1, sol.R + 0.1, 10**6), x,
+    rho = np.concatenate([rng.uniform(-0.1, sol.problem.R + 0.1, 10**6), x,
                           np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
     assert np.array_equal(sol.log_u(rho), spline(rho))
     assert sol.log_u(1.0) == spline(1.0)
@@ -167,7 +168,7 @@ def test_log_tail_below_underflow(depth, L, h):
 
 def test_tail_block_not_definite_is_typed(well):
     # an energy above the tail block's diagonal leaves no forbidden region
-    sol = solve_fiber(FiberProblem(m=0, h=0.1, R=10.0, n=4000, well=well))
+    sol = solve_fiber(FiberProblem(m=0, h=0.1, R=10.0, n=4000, v0=well.v0))
     level = sol._levels[1]
     with pytest.raises(spectral.NumericalError, match="not positive"):
         spectral._log_profile(level, float(level[2].max()) + 1.0)
@@ -209,7 +210,7 @@ def test_pure_quadratic_residual_zero():
     # with v0 = v0_min + mu r^2 the harmonic expansion is exact
     mu, h = 1.0, 0.1
     sol = solve_fiber(FiberProblem(m=0, h=h, R=8.0, n=8000,
-                                   well=lambda r: -1.0 + mu * r * r),
+                                   v0=lambda r: -1.0 + mu * r * r),
                       k=1, tol=1e-9)
     assert sol.e_sw == pytest.approx(-1.0 + h * math.sqrt(5.0), abs=1e-8)
 
@@ -220,13 +221,13 @@ def test_second_eigenvalue_tracks_fiber_prediction(well):
     fibers = []
     for m in range(-2, 3):
         s = solve_fiber(FiberProblem(m=m, h=1.0, R=12.0, n=9000,
-                                     well=lambda r: mu * r * r), k=2,
+                                     v0=lambda r: mu * r * r), k=2,
                         tol=1e-7)
         fibers.extend(s.energies.tolist())
     lam2 = sorted(fibers)[1]
     ops = []
     for m in range(-2, 3):
-        s = solve_fiber(FiberProblem(m=m, h=h, R=9.0, n=20000, well=well),
+        s = solve_fiber(FiberProblem(m=m, h=h, R=9.0, n=20000, v0=well.v0),
                         k=2, tol=1e-7)
         ops.extend(s.energies.tolist())
     e2 = sorted(ops)[1]
@@ -256,8 +257,9 @@ def test_weighted_mass_stable_under_radius_growth(well, profile4):
     h, delta = 0.1, 0.2
     reps = []
     for R in (8.0, 10.0):
-        sol = solve_fiber(FiberProblem(m=0, h=h, R=R, n=_default_n(R),
-                                       well=well))
+        sol = solve_fiber(FiberProblem(m=0, h=h, R=R,
+                                       n=_default_n(R, GROUND_DELTA),
+                                       v0=well.v0))
         reps.append(agmon_identity_check(
             sol, lambda r: (1 - delta) * profile4.d(r),
             phi_prime=lambda r: (1 - delta) * profile4.integrand(r)))
@@ -270,7 +272,7 @@ def test_weighted_mass_stable_under_radius_growth(well, profile4):
 def test_ground_energy_simple(well):
     # gap to the second m=0 eigenvalue scales like h (harmonic level spacing)
     h = 0.1
-    sol = solve_fiber(FiberProblem(m=0, h=h, R=9.0, n=20000, well=well),
+    sol = solve_fiber(FiberProblem(m=0, h=h, R=9.0, n=20000, v0=well.v0),
                       k=2, tol=1e-7)
     gap = sol.energies[1] - sol.energies[0]
     assert gap >= 1.0 * h  # expected 2 sqrt(5) h ~ 4.5 h
@@ -315,7 +317,7 @@ def test_ground_eigenvalue_matches_extended_precision(well):
     # the second grid, seeded from the first; float64 bisection of the same
     # matrix is off by about 1e-9
     levels = _ground_levels(FiberProblem(m=0, h=0.3, R=8.0, n=34642,
-                                         well=well))
+                                         v0=well.v0))
     next(levels)
     vals, _, diag, off, _, _ = next(levels)
     assert len(diag) == 69284
@@ -346,7 +348,7 @@ def test_several_levels_match_extended_precision(well, capsys):
     # itself is off by 2e-8 and 3e-9 there
     R = default_radius(well, 1.0)
     problem = FiberProblem(m=0, h=1.0, R=R, n=max(int(R / 1e-3), 4000),
-                           well=well)
+                           v0=well.v0)
     n_final = solve_fiber(problem, k=2).n
     for vals, _, diag, off, _, _ in _bisection_levels(problem, 2):
         if len(diag) == n_final:
