@@ -175,9 +175,17 @@ def sharp_action(well, L):
                           S_from_fg=S_fg, S0=S0, Sa=Sa,
                           Shat=shat.value, r0=shat.argmin)
     if not report.corridor_ok():
+        # the largest excess fails (a tie at 0 goes to the strict one)
+        excess = {"Shat < S0": shat.value - S0, "Sa <= S": Sa - S,
+                  "S <= Shat": S - shat.value}
+        name = max(excess, key=excess.get)
+        ulps = excess[name] / math.ulp(S)
         raise ConsistencyError(
-            f"action corridor violated: Sa={Sa}, S={S}, Shat={shat.value}, "
-            f"S0={S0} (a numerics bug: these inequalities always hold)")
+            f"action corridor violated at depth={depth}, a={a}, L={L}: "
+            f"{name} fails by {ulps:.3g} ulps of S (Sa={Sa}, S={S}, "
+            f"Shat={shat.value}, S0={S0}; " + (
+                "a numerics bug: these inequalities always hold)" if ulps > 4
+                else "within 4 ulps: below double precision for this well)"))
     return report
 
 

@@ -24,7 +24,7 @@ from .asymptotics import beta_scaling, nonmagnetic_action, w_chain
 from .numerics import NumericalError
 from .pipeline import Case, Pipeline
 from .potential import DoubleWellConfig, RadialWell
-from .spectral import (GROUND_DELTA, FiberProblem, _default_n,
+from .spectral import (GROUND_DELTA, MIN_NODES, FiberProblem, _default_n,
                        default_radius, solve_fiber)
 from .splitting2d import gap_row, gap_vs_hopping
 from .verify import run_battery
@@ -75,7 +75,7 @@ def _h_range(spec):
     if not ok:
         raise ValueError(f"bad h-range {spec}: need lo:hi:n with "
                          "0 < lo <= hi < inf, integer n >= 1")
-    return list(np.geomspace(hi, lo, n))
+    return np.geomspace(hi, lo, n).tolist()
 
 
 def cmd_constants(args):
@@ -115,9 +115,9 @@ def cmd_spectrum(args):
     R = default_radius(well, args.h) if args.radius is None else args.radius
     # FiberProblem checks h and R before the default grid takes int(R)
     problem = FiberProblem(m=0, h=args.h, R=R, v0=well.v0,
-                           n=400 if args.grid is None else args.grid)
+                           n=MIN_NODES if args.grid is None else args.grid)
     if args.grid is None:
-        problem = replace(problem, n=max(_default_n(R, GROUND_DELTA), 400))
+        problem = replace(problem, n=_default_n(R, GROUND_DELTA))
     rows = []
     dump = None
     for m in range(-args.modes, args.modes + 1):

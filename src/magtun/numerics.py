@@ -20,6 +20,7 @@ scipy.integrate or scipy.special.  Everything here is pure and reentrant.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -205,7 +206,7 @@ def gauss_legendre(n):
 
 
 def _gauss_nodes(lo, hi, n):
-    """The n-node Gauss-Legendre rule mapped onto [lo, hi]."""
+    """The n-node Gauss-Legendre rule on [lo, hi]; lo and hi broadcast."""
     x, w = gauss_legendre(n)
     return lo + 0.5 * (hi - lo) * (x + 1.0), 0.5 * (hi - lo) * w
 
@@ -332,9 +333,13 @@ def _tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
     converges quadratically in the vector error, long before the small tail
     of x.  x0 must not be orthogonal to the ground vector; a positive x0
     suffices when offdiag <= 0, which makes the ground vector positive.
+    Past max|diag| 2^256 it runs on T / 2^k, max|diag| just below 2^256,
+    which is exact and keeps Temple's squared residual and |y|^2 in range.
     """
-    diag = np.asarray(diag, dtype=float)
-    offdiag = np.asarray(offdiag, dtype=float)
+    k = max(math.frexp(np.abs(diag).max())[1] - 256, 0)
+    diag = np.ldexp(np.asarray(diag, dtype=float), -k)
+    offdiag = np.ldexp(np.asarray(offdiag, dtype=float), -k)
+    lam, margin, gap = (math.ldexp(v, -k) for v in (lam, margin, gap))
     x = np.asarray(x0, dtype=float)
     x = x / np.linalg.norm(x)
     noise = np.finfo(float).eps * np.abs(diag).max()
@@ -354,12 +359,13 @@ def _tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
         tx[1:] += offdiag * x[:-1]
         rho = float(rayleigh(x))
         if change <= 4.0 * noise / gap * np.abs(x).max():
-            return rho, x
+            return math.ldexp(rho, k), x
         lam = rho
         margin = 2.0 * float(np.sum((tx - rho * x) ** 2)) / gap + 16.0 * noise
     raise AccuracyError(
         f"inverse iteration not converged in {_MAX_SOLVES} solves "
-        f"(last change {change:.3e})", estimate=lam, error_bound=change)
+        f"(last change {change:.3e})", estimate=math.ldexp(lam, k),
+        error_bound=change)
 
 
 N_SCAN = 200     # log_integral_exp's scan for the maximum
@@ -394,15 +400,10 @@ def log_integral_exp(g, lo, hi):
     step = ys[1] - ys[0]
     y1 = np.maximum(lo, ys[first] - step)
     y2 = np.minimum(hi, ys[last] + step)
-    # yp lies in the window; the panel [e, e + d] maps the rule on [-1, 1]
-    # to nodes e + d (x + 1) / 2 and weights d w / 2
-    edges = np.stack([y1, ys[np.argmax(gs, axis=1)], y2], axis=1)
-    widths = np.diff(edges, axis=1)[:, :, None]
-    x, w = gauss_legendre(N_NODES)
-    yy = (edges[:, :2, None] + widths * (0.5 * (x + 1.0))).reshape(len(gs), -1)
-    wts = (widths * (0.5 * w)).reshape(len(gs), -1)
-    gg = g(yy)
+    edges = np.stack([y1, ys[np.argmax(gs, axis=1)], y2], axis=1)[:, :, None]
+    yy, wts = _gauss_nodes(edges[:, :2], edges[:, 1:], N_NODES)
+    gg = g(yy.reshape(len(gs), -1))
     gm = gg.max(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        val = np.sum(np.exp(gg - gm[:, None]) * wts, axis=1)
+        val = np.sum(np.exp(gg - gm[:, None]) * wts.reshape(gg.shape), axis=1)
         return np.where(finite, gm + np.log(val), -np.inf)

@@ -59,6 +59,7 @@ GROUND_TOL = 1e-8    # Richardson tolerance of the ground_state solve
 # 0.5-4, L 3.5-5, h >= 0.15
 GROUND_DELTA = 2.4e-3
 SCAN_DELTA = 8e-3
+MIN_NODES = 400       # floor of FiberProblem.n, the pilot and a default grid
 MAX_NODES = 250_000   # cap of a default grid
 
 
@@ -84,8 +85,8 @@ class FiberProblem:
     def __post_init__(self):
         if not 0 < self.h < math.inf:
             raise ValueError(f"need finite h > 0 (got {self.h})")
-        if self.n < 400:
-            raise ValueError("need n >= 400")
+        if self.n < MIN_NODES:
+            raise ValueError(f"need n >= {MIN_NODES}")
         if not self.R < math.inf:
             raise ValueError(f"need finite R (got {self.R})")
         # Gaussian weight at the truncation radius must be negligible
@@ -180,12 +181,12 @@ def _bisection_levels(problem, k):
 def _ground_levels(problem):
     """The lowest eigenpair on n, 2n, 4n, ... by certified inverse iteration.
 
-    One bisection on a pilot grid of max(n // 8, 400) nodes gives lambda_0
-    and the gap.  Each level is then seeded with the level below, its
+    One bisection on a pilot grid of max(n // 8, MIN_NODES) nodes gives
+    lambda_0 and the gap.  Each level is then seeded with the level below, its
     eigenvector interpolated onto the new nodes and its first shift set
     below the last eigenvalue by the last change of it.
     """
-    d, o, _, _ = _fiber_tridiag(problem, max(problem.n // 8, 400))
+    d, o, _, _ = _fiber_tridiag(problem, max(problem.n // 8, MIN_NODES))
     lam, lam1 = symm_tridiag_lowest(d, o, 2)[0]
     gap = lam1 - lam
     # the pilot's discretization error has no known sign: a first shift 1e-3
@@ -285,16 +286,16 @@ def default_radius(well, h, L=None):
 
 
 def _default_n(R, delta):
-    return min(int(R / delta), MAX_NODES)
+    return max(min(int(R / delta), MAX_NODES), MIN_NODES)
 
 
 def ground_state(well, h, L=None):
     """Radial single-well ground state: the m = 0 fiber, after checking that
     the minimum over the scanned fibers is attained there.  The m = 0 solve
-    starts at spacing GROUND_DELTA, the m = 1, 2 scans at SCAN_DELTA with at
-    least 400 nodes."""
+    starts on _default_n(R, GROUND_DELTA) nodes and the m = 1, 2 scans on
+    _default_n(R, SCAN_DELTA), so each on at least MIN_NODES."""
     R = default_radius(well, h, L=L)
-    n_scan = max(_default_n(R, SCAN_DELTA), 400)
+    n_scan = _default_n(R, SCAN_DELTA)
     scanned = {m: solve_fiber(FiberProblem(m=m, h=h, R=R, n=n_scan,
                                            v0=well.v0),
                               k=1, tol=100 * GROUND_TOL).e_sw

@@ -97,19 +97,19 @@ def _symmetric_axis(half_width, delta):
 
 
 BOX_MARGIN = 0.4   # default box clearance beyond 3 magnetic lengths
-# the free Landau check: box half-width beyond 3 magnetic lengths
-LANDAU_MARGIN = 1.5
+LANDAU_MARGIN = 1.5   # the free box's half-width beyond 3 magnetic lengths
 RESIDUAL_RTOL = 1e-10   # eigenpair residual gate, relative to max |diag|
 
 
 def assemble(system, h, delta=None, box=None):
-    """Five-point gauge-covariant stencil on a node set symmetric in x and y.
+    """Five-point gauge-covariant stencil on a node set symmetric in x and y;
+    node k = i ny + j links to k + ny (x) and k + 1 (y).
 
     system: DoubleWellConfig, RadialWell (single well at the origin), or
-    None (free Landau operator; box must then be given).
-    Preconditions: 0 < delta <= min(sqrt(h)/6, a/10), and the box
-    half-widths must be positive and clear the wells by >= 3 magnetic
-    lengths 3 sqrt(2h).
+    None (free Landau operator, whose default box is the square, for the
+    pi/2 turn, of half-width 3 sqrt(2h) + LANDAU_MARGIN).  Preconditions:
+    0 < delta <= min(sqrt(h)/6, a/10), and the box half-widths must be
+    positive and clear the wells by >= 3 magnetic lengths 3 sqrt(2h).
     """
     if isinstance(system, DoubleWellConfig):
         well, L = system.well, system.L
@@ -127,9 +127,9 @@ def assemble(system, h, delta=None, box=None):
     if delta > delta_max * (1 + 1e-12):
         raise ValueError(
             f"delta={delta} too coarse for h={h}: need <= {delta_max:.4g}")
-    if box is None:
-        if well is None:
-            raise ValueError("free operator needs an explicit box")
+    if box is None and well is None:
+        X = Y = mag_len + LANDAU_MARGIN
+    elif box is None:
         X = L / 2.0 + well.a + mag_len + BOX_MARGIN
         Y = well.a + mag_len + BOX_MARGIN
     else:
@@ -153,18 +153,14 @@ def assemble(system, h, delta=None, box=None):
         V = eval_V(system, np.stack([XX, YY], axis=-1))
     else:
         V = well.v0(np.sqrt(XX**2 + YY**2))
-    idx = np.arange(nx * ny).reshape(nx, ny)
     t = h * h / delta**2
-    phx = np.exp(-1j * (-YY[:-1, :] * delta / 2.0) / h)
-    phy = np.exp(-1j * (XX[:, :-1] * delta / 2.0) / h)
-    rows = np.concatenate([idx[:-1, :].ravel(), idx[:, :-1].ravel()])
-    cols = np.concatenate([idx[1:, :].ravel(), idx[:, 1:].ravel()])
-    vals = np.concatenate([(-t * phx).ravel(), (-t * phy).ravel()])
-    M = sp.csr_matrix(
-        (np.concatenate([vals, vals.conj()]),
-         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(nx * ny, nx * ny))
-    M = (M + sp.diags((4.0 * t + V.ravel()).astype(complex))).tocsr()
+    xl = (-t * np.exp(-1j * (-YY[:-1] * delta / 2.0) / h)).ravel()
+    yl = -t * np.exp(-1j * (XX * delta / 2.0) / h)
+    yl[:, -1] = 0.0   # no y link from a row's last node to the next row
+    yl = yl.ravel()[:-1]
+    M = sp.diags([4.0 * t + V.ravel(), xl, xl.conj(), yl, yl.conj()],
+                 [0, ny, -ny, 1, -1], format="csr")
+    M.eliminate_zeros()   # store no row-end y link: MMD reads the pattern
     return MagneticLattice(h, delta, x, y, M)
 
 
@@ -308,10 +304,9 @@ def landau_level_2d(h, delta=None):
     if delta is None:
         delta = math.sqrt(h) / 6.0
     deltas = (delta, delta / math.sqrt(2.0))
-    X = 3.0 * math.sqrt(2.0 * h) + LANDAU_MARGIN
     es = []
     for d in deltas:
-        lat = assemble(None, h, delta=d, box=(X, X))
+        lat = assemble(None, h, delta=d)
         vals, _, _ = lowest_two(lat, sigma=0.9 * h, order=4)
         es.append(float(vals[0]))
     # second-order scheme: extrapolate on delta^2

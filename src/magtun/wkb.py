@@ -102,7 +102,6 @@ class WkbAmplitude:
         self.a0_0 = (1.0 + 2.0 * well.v0_second_deriv_at_0) ** 0.25 \
             / math.sqrt(2.0 * math.pi)
         self._c2 = 0.25 + well.v0_second_deriv_at_0 / 2.0
-        self._c4 = well._c4
         self._rho_cut = 1e-2 * well.a
         rs = np.linspace(0.0, self.r_max, N_AMPLITUDE)
         self._log_shape = _spline(rs, -_cumulative_simpson(self.f(rs), rs))
@@ -112,7 +111,7 @@ class WkbAmplitude:
         rho = np.asarray(rho, dtype=float)
         out = np.empty_like(rho)
         small = rho < self._rho_cut
-        out[small] = (self._c4 / self._c2) * rho[small]
+        out[small] = (self.well._c4 / self._c2) * rho[small]
         rs = rho[~small]
         u = rs * rs / 4.0 + self.well.v0(rs) + self.well.depth
         up = rs / 2.0 + self.well.v0_prime(rs)

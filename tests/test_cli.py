@@ -210,6 +210,37 @@ def test_underflowed_direct_sum_exit_3(capsys):
     assert "kappa inf" in err[0] and "nan" not in err[0], err
 
 
+@pytest.mark.parametrize("argv, said, unsaid", [
+    # the inverse iteration runs on a power-of-two scaling of the matrix,
+    # so these wells miss the energy tolerance with finite figures and no
+    # numpy warning (which the suite's filterwarnings turns into an error)
+    (["spectrum", "--h", "1", "--modes", "0", "--depth", "1e160", "--a", "1"],
+     "AccuracyError: fiber eigenvalues not converged", ("nan", "inf")),
+    (["wkb", "--h", "1", "--depth", "1e200", "--a", "1", "--points", "3"],
+     "AccuracyError: fiber eigenvalues not converged", ("nan", "inf")),
+    # the interaction term rounds away, so S passes Shat by 2 ulps: named
+    # by its inputs and size, and not blamed on the code
+    (["constants", "--depth", "1e-320", "--a", "10", "--L", "30"],
+     "depth=1e-320, a=10.0, L=30.0: S <= Shat fails by 2 ulps of S",
+     ("numerics bug",)),
+    (["constants", "--depth", "1e-300", "--a", "1e3", "--L", "3000"],
+     "depth=1e-300, a=1000.0, L=3000.0: S <= Shat fails by 2 ulps of S",
+     ("numerics bug",)),
+    # h comes from _h_range as python floats, so the fiber energies print
+    # without a numpy scalar repr
+    (["asymptotics", "--wchain", "--depth", "1e300", "--a", "1e-5", "--eta",
+      "1e-6"], "InvariantViolation: fiber minimum at m=1", ("np.float64(",))],
+    ids=["spectrum-depth-1e160", "wkb-depth-1e200", "corridor-depth-1e-320",
+         "corridor-depth-1e-300", "wchain-fiber-energies"])
+def test_exit_3_line_names_its_cause(capsys, argv, said, unsaid):
+    from magtun import cli
+
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and said in err[0], err
+    assert not any(text in err[0] for text in unsaid), err
+
+
 def test_asymptotics_takes_one_mode(capsys):
     from magtun import cli
 

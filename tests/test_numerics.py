@@ -255,6 +255,22 @@ def test_tridiag_ground_pair_dirichlet_laplacian(lam):
     assert np.max(np.abs(x - mode / np.linalg.norm(mode))) <= 1e-12
 
 
+def test_tridiag_ground_pair_scales_deep_matrices_exactly():
+    # past 2^256 the iteration runs on T / 2^k, so T scaled by 2^600 gives
+    # the same vector and 2^600 times the eigenvalue, bit for bit, where
+    # Temple's squared residual would overflow
+    n = 100
+    exact = 4 * math.sin(math.pi / (2 * (n + 1))) ** 2
+    gap = 4 * math.sin(math.pi / (n + 1)) ** 2 - exact
+    args = (np.full(n, 2.0), np.full(n - 1, -1.0))
+    rho, x = _tridiag_ground_pair(*args, np.ones(n), 1e-3, 1e-12, gap)
+    big = [np.ldexp(v, 600) for v in args]
+    rho_big, x_big = _tridiag_ground_pair(
+        *big, np.ones(n), *(math.ldexp(v, 600) for v in (1e-3, 1e-12, gap)))
+    assert rho_big == math.ldexp(rho, 600)
+    assert np.array_equal(x_big, x)
+
+
 def test_tridiag_random_vs_dense_oracle():
     rng = np.random.default_rng(11)
     for _ in range(5):

@@ -7,8 +7,8 @@ from scipy.interpolate import CubicSpline
 from magtun import (FiberProblem, RadialWell, agmon_identity_check,
                     default_radius, ground_state, harmonic_expansion_check,
                     solve_fiber, spectral)
-from magtun.spectral import (GROUND_DELTA, GROUND_TOL, _bisection_levels,
-                             _default_n, _ground_levels)
+from magtun.spectral import (GROUND_DELTA, GROUND_TOL, MIN_NODES,
+                             _bisection_levels, _default_n, _ground_levels)
 
 SQRT5 = math.sqrt(5.0)
 
@@ -71,12 +71,18 @@ def test_mode_gap(well, case):
     assert min(gaps.values()) >= 0.05  # every other fiber at least h above
 
 
+def test_default_grid_within_node_bounds():
+    # every default grid, the m = 0 solve's included, has FiberProblem's floor
+    assert _default_n(0.5, GROUND_DELTA) == MIN_NODES
+    assert _default_n(1e4, GROUND_DELTA) == spectral.MAX_NODES
+
+
 @pytest.mark.parametrize("h", [0.3, 0.05])
 def test_negative_fibers_from_shift_identity(well, case, h):
     # fiber -m is fiber m shifted by 2hm, so ground_state derives it
     sol = case(well, h).ground
     R = sol.problem.R
-    n_scan = max(_default_n(R, delta=8e-3), 400)
+    n_scan = _default_n(R, delta=8e-3)
     for m in (1, 2):
         direct = solve_fiber(FiberProblem(m=-m, h=h, R=R, n=n_scan,
                                           v0=well.v0),

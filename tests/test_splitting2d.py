@@ -40,6 +40,32 @@ def test_box_must_be_positive(box):
         assemble(None, 0.5, box=box)
 
 
+def test_free_default_box_is_square():
+    # the free operator's default box: square, for the quarter-turn sector,
+    # of half-width 3 magnetic lengths plus LANDAU_MARGIN
+    h = 0.5
+    lat = assemble(None, h)
+    assert lat.shape[0] == lat.shape[1]
+    assert np.array_equal(lat.x, lat.y)
+    half = 3.0 * math.sqrt(2.0 * h) + LANDAU_MARGIN
+    assert abs(lat.x[-1] - half) <= lat.delta
+
+
+@pytest.mark.parametrize("system, h, delta", [
+    ("config4", 0.5, 0.1), ("well", 0.5, 0.1), (None, 0.5, None),
+    ("config4", 1.0, 0.07)])
+def test_lattice_stores_each_link_once(request, system, h, delta):
+    # n diagonal entries and both directions of every x and y link, and no
+    # stored zero: the row-end y links are not kept
+    if system is not None:
+        system = request.getfixturevalue(system)
+    lat = assemble(system, h, delta=delta)
+    nx, ny = lat.shape
+    n = nx * ny
+    assert lat.matrix.nnz == n + 2 * (nx - 1) * ny + 2 * nx * (ny - 1)
+    assert np.count_nonzero(lat.matrix.data) == lat.matrix.nnz
+
+
 def test_landau_level_2d():
     # the O(delta^4) left after extrapolation, -1.99e-6 at the default
     # spacings, as in verify's landau_level check
@@ -55,10 +81,9 @@ def test_even_sector_holds_free_ground_state(h):
     # two pi sectors, so the level is the lowest one when it lies below the
     # odd sector's lowest
     _, raw = landau_level_2d(h)
-    X = 3.0 * math.sqrt(2.0 * h) + LANDAU_MARGIN
     d0 = math.sqrt(h) / 6.0
     for e, delta in zip(raw, (d0, d0 / math.sqrt(2.0))):
-        lat = assemble(None, h, delta=delta, box=(X, X))
+        lat = assemble(None, h, delta=delta)
         block, _ = _rotation_sectors(lat, 2)
         even, _ = _shift_invert(block(1), 0.9 * h, k=1)
         odd, _ = _shift_invert(block(-1), 0.9 * h, k=1)
