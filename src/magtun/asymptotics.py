@@ -29,6 +29,7 @@ from .agmon import (AgmonProfile, action_S0, action_Sa, action_Shat,
                     free_action_primitive)
 from .numerics import (NumericalError, _gauss_nodes, integrate,
                        log_integral_exp, logsumexp, minimize_1d)
+from .potential import WellValidationError
 from .wkb import Y_HI, c_h_asymptotic, log_outer_integrand, matching_constants
 
 __all__ = [
@@ -158,6 +159,9 @@ def sharp_action(well, L):
     g_term = float(free_action_primitive(a, depth))
     F = g_term - prof.d_a
     S = -F + psi_min
+    if not (math.isfinite(t_a) and math.isfinite(S)):   # NaN passes any gate
+        raise WellValidationError(f"need finite t_a and S (got t_a={t_a}, "
+                                  f"S={S} at depth={depth}, a={a})")
     S_fg = _f_term(a, L, depth, t_a) - g_term + 2.0 * prof.d_a
     if abs(S - S_fg) > 1e-8 * abs(S):
         raise ConsistencyError(f"dual assemblies disagree: {S} vs {S_fg}")
@@ -165,10 +169,11 @@ def sharp_action(well, L):
     interaction = S - 2.0 * D_mag
     s0, sa = action_S0(prof), action_Sa(prof)
     for name, res in (("S0", s0), ("Sa", sa)):
+        bound = max(1e-8, 64 * math.ulp(res.value))   # or rounding's floor
         miss = abs(res.value - res.variational)
-        if miss > 1e-8:
+        if miss > bound:
             raise ConsistencyError(f"{name} misses its variational value",
-                                   estimate=miss, error_bound=1e-8)
+                                   estimate=miss, error_bound=bound)
     S0, Sa, shat = s0.value, sa.value, action_Shat(prof)
     report = ActionReport(S=S, t_a=t_a, s_plus=s_plus, F=F, psi_min=psi_min,
                           D_mag=D_mag, interaction=interaction,

@@ -283,6 +283,12 @@ def symm_tridiag_lowest(diag, offdiag, k):
     return vals, vecs
 
 
+def _tridiag_lowest_values(diag, offdiag, k):
+    """symm_tridiag_lowest's k eigenvalues, without its eigenvectors."""
+    return eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i",
+                            select_range=(0, k - 1))
+
+
 def _tridiag_rayleigh(diag, offdiag):
     """The Rayleigh quotient x -> x.T T x of the symmetric tridiagonal T,
     for a unit vector x or for each unit column of x.

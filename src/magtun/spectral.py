@@ -36,7 +36,8 @@ import numpy as np
 
 from .numerics import (AccuracyError, NumericalError, _far_end_pivots,
                        _richardson, _spline, _tridiag_ground_pair,
-                       _tridiag_rayleigh, symm_tridiag_lowest)
+                       _tridiag_lowest_values, _tridiag_rayleigh,
+                       symm_tridiag_lowest)
 
 __all__ = [
     "FiberProblem",
@@ -181,13 +182,13 @@ def _bisection_levels(problem, k):
 def _ground_levels(problem):
     """The lowest eigenpair on n, 2n, 4n, ... by certified inverse iteration.
 
-    One bisection on a pilot grid of max(n // 8, MIN_NODES) nodes gives
-    lambda_0 and the gap.  Each level is then seeded with the level below, its
-    eigenvector interpolated onto the new nodes and its first shift set
-    below the last eigenvalue by the last change of it.
+    One eigenvalue-only bisection on a pilot grid of max(n // 8, MIN_NODES)
+    nodes gives lambda_0 and the gap.  Each level is then seeded with the
+    level below, its eigenvector interpolated onto the new nodes and its
+    first shift set below the last eigenvalue by the last change of it.
     """
     d, o, _, _ = _fiber_tridiag(problem, max(problem.n // 8, MIN_NODES))
-    lam, lam1 = symm_tridiag_lowest(d, o, 2)[0]
+    lam, lam1 = _tridiag_lowest_values(d, o, 2)
     gap = lam1 - lam
     # the pilot's discretization error has no known sign: a first shift 1e-3
     # of the gap below it converges fast, and one above it retreats

@@ -5,8 +5,10 @@ the linear symmetric gauge A = (-y/2, x/2) the midpoint rule integrates
 A . dl exactly, so every plaquette encloses exactly the continuum flux
 delta^2 and gauge covariance holds on the lattice to machine precision.
 The lowest eigenvalues come from shift-invert Lanczos on one complex sparse
-LU with a symmetric fill-reducing (MMD on A^T + A) ordering; the start
-vector is fixed for run-to-run determinism.  The double-well operator
+LU with a symmetric fill-reducing (MMD on A^T + A) ordering and a SuperLU
+panel of PANEL_SIZE = 4 columns, as SuperLU's 20 keep a dense n x 20 work
+array that set a factorization's peak; the start vector is fixed for
+run-to-run determinism.  The double-well operator
 commutes with rotation by pi about the midpoint, so the splitting is taken
 between the lowest levels of its even and odd half-size sector blocks: each
 is simple, and Lanczos never has to separate the exponentially close pair.
@@ -91,12 +93,12 @@ class MagneticLattice:
         return MagneticLattice(self.h, self.delta, self.x, self.y, M)
 
 
-def _symmetric_axis(half_width, delta):
-    n = 2 * max(int(round(half_width / delta)), 4)
-    return (np.arange(n) - (n - 1) / 2.0) * delta
-
-
 BOX_MARGIN = 0.4   # default box clearance beyond 3 magnetic lengths
+# The most nodes assemble builds.  LU fill per sector node read 37.5, 42, 46
+# and 51 entries at delta 0.1, 0.07, 0.05 and 0.035 (L 8.5, 22k to 177k
+# nodes), about 5 more per doubling, at near 40 bytes of peak RSS each: the
+# 250k-node sector of a capped lattice takes about 0.6 GB to factor.
+MAX_LATTICE_NODES = 500_000
 LANDAU_MARGIN = 1.5   # the free box's half-width beyond 3 magnetic lengths
 RESIDUAL_RTOL = 1e-10   # eigenpair residual gate, relative to max |diag|
 
@@ -143,9 +145,13 @@ def assemble(system, h, delta=None, box=None):
             raise ValueError(
                 f"box ({X},{Y}) does not clear the wells by 3 magnetic "
                 f"lengths ({mag_len:.3f})")
-    x = _symmetric_axis(X, delta)
-    y = _symmetric_axis(Y, delta)
-    nx, ny = len(x), len(y)
+    # python floats, as w / delta may overflow to inf
+    nx, ny = (2 * max(float(np.rint(w / delta)), 4.0) for w in (X, Y))
+    if nx * ny > MAX_LATTICE_NODES:
+        raise ValueError(f"lattice of nx={nx:.4g} x ny={ny:.4g} nodes is "
+                         f"above MAX_LATTICE_NODES={MAX_LATTICE_NODES}")
+    nx, ny = int(nx), int(ny)
+    x, y = ((np.arange(k) - (k - 1) / 2.0) * delta for k in (nx, ny))
     XX, YY = np.meshgrid(x, y, indexing="ij")
     if well is None:
         V = np.zeros_like(XX)
@@ -165,15 +171,19 @@ def assemble(system, h, delta=None, box=None):
 
 
 SHORT_NCV = 4   # Krylov basis of gap_row's two-sector solve (order 2)
+# SuperLU's panel width; scipy passes none, so SuperLU takes 20.  Widths 1
+# to 8 tied on `lattice_split`'s peak RSS (142-144 MB; 155 at 12, 165 at
+# 20), and none factored a delta 0.035 to 0.1 sector slower than 20 did.
+PANEL_SIZE = 4
 
 
-def _rotation_sectors(lattice, order):
-    """(block, lift) for the sectors of the lattice matrix M under rotation
-    of the nodes by 2 pi / order about the midpoint: order 2 is
-    (x, y) -> (-x, -y), which reverses the flattened node order (J); order
-    4 is (x, y) -> (-y, x) on a square node set.  In the symmetric gauge
-    either one maps every Peierls phase to itself, so M commutes with it
-    exactly or not at all (ValueError).
+def _rotation_sectors(lattice, order, sigma, parities):
+    """(blocks, lift) for the sectors of the lattice matrix M under rotation
+    of the nodes by 2 pi / order about the midpoint: order 1 is the identity
+    (M is its one block); order 2 is (x, y) -> (-x, -y), which reverses the
+    flattened node order (J); order 4 is (x, y) -> (-y, x) on a square node
+    set.  In the symmetric gauge either turn maps every Peierls phase to
+    itself, so M commutes with it exactly or not at all (ValueError).
 
     No node is fixed by a rotation short of the full turn, so every orbit
     has `order` nodes, one of them a representative: the first half of the
@@ -182,12 +192,16 @@ def _rotation_sectors(lattice, order):
     block sums the rotation images, sum_k p^k M[reps, R^k reps].  For order
     2 on the x/y-symmetric node set, with M = [[A, B], [J B J, J A J]], that
     is A + p B J, of half the size, and each of its eigenvectors x lifts to
-    [x; p J x]/sqrt(2).  block(parity) is that block and lift(x, parity)
-    turns its eigenvectors (columns) into unit full ones.
+    [x; p J x]/sqrt(2).  blocks holds each parity's block less sigma, in
+    CSC for splu: -sigma enters as diagonal triplets summed after the
+    block's own entries, so each is exactly a - sigma.  lift(x, parity)
+    turns a block's eigenvectors (columns) into unit full ones.
     """
     M = lattice.matrix
     n = M.shape[0]
-    if order == 2:
+    if order == 1:
+        rot = reps = np.arange(n)
+    elif order == 2:
         rot, reps = np.arange(n)[::-1], np.arange(n // 2)
         turn = "pi (reversal of the node order)"
     else:
@@ -198,7 +212,7 @@ def _rotation_sectors(lattice, order):
         idx = np.arange(n).reshape(nx, nx)
         rot, reps = idx[::-1].T.ravel(), idx[:nx // 2, :nx // 2].ravel()
         turn = "pi/2"
-    if n % order or (M[rot][:, rot] != M).nnz:
+    if order > 1 and (n % order or (M[rot][:, rot] != M).nnz):
         raise ValueError(f"matrix does not commute with rotation by {turn}")
     # node -> (its representative's position in reps, the power k of R)
     pos, power = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
@@ -207,33 +221,30 @@ def _rotation_sectors(lattice, order):
         pos[orbit], power[orbit] = np.arange(len(reps)), k
         orbit = rot[orbit]
     odd = power % 2 == 1
-    rows = M[reps].tocoo()
-    far = odd[rows.col]
-    cols = pos[rows.col]
-
-    def block(parity):
-        return sp.csr_matrix(
-            (np.where(far, parity * rows.data, rows.data), (rows.row, cols)),
-            shape=(len(reps), len(reps)))
+    rows, m = M[reps].tocoo(), len(reps)
+    far, diag = odd[rows.col], np.arange(m)
+    ij = (np.append(rows.row, diag), np.append(pos[rows.col], diag))
+    blocks = [sp.csc_matrix((np.append(np.where(far, p * rows.data, rows.data),
+                                       np.full(m, -sigma)), ij), shape=(m, m))
+              for p in parities]
 
     def lift(x, parity):
         v = x[pos]
         return np.where(odd[:, None], parity * v, v) / math.sqrt(order)
 
-    return block, lift
+    return blocks, lift
 
 
-def _shift_invert(op, sigma, k, v0=None, ncv=None):
-    """The k eigenpairs of op nearest sigma, ascending: one LU of op - sigma
-    and eigsh on it (eigsh's default basis when ncv is None)."""
-    m = op.shape[0]
-    lu = splu((op - sigma * sp.identity(m)).tocsc(),
-              permc_spec="MMD_AT_PLUS_A")
+def _shift_invert(lu, sigma, k, v0=None, ncv=None):
+    """The k eigenpairs nearest sigma, ascending, of a block B from lu, the
+    LU of B - sigma, by eigsh (its default basis when ncv is None): eigsh
+    reads only the shape and dtype of B, so lu.solve stands in for it."""
+    m = lu.shape[0]
     if v0 is None:
         v0 = np.full(m, 1.0 / math.sqrt(m))
-    vals, vecs = eigsh(op, k=k, sigma=sigma, which="LM", v0=v0, ncv=ncv,
-                       OPinv=LinearOperator((m, m), matvec=lu.solve,
-                                            dtype=op.dtype))
+    inv = LinearOperator((m, m), matvec=lu.solve, dtype=complex)
+    vals, vecs = eigsh(inv, k=k, sigma=sigma, which="LM", v0=v0, ncv=ncv,
+                       OPinv=inv)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
@@ -242,8 +253,9 @@ def lowest_two(lattice, sigma, order=1):
     """The lowest eigenvalues near the shift sigma, solved on the sectors of
     rotation by 2 pi / order about the midpoint (_rotation_sectors).
 
-    Shift-invert separates exponentially close pairs; H - sigma is factored
-    once with a symmetric fill-reducing ordering (H is Hermitian), and the
+    Shift-invert separates exponentially close pairs; each sector block less
+    sigma is factored once with a symmetric fill-reducing ordering (H is
+    Hermitian) on a PANEL_SIZE-column panel, then dropped, and the
     deterministic start vector keeps repeated runs byte-identical.  Each
     eigenpair's residual norm, always taken against the full matrix, must
     be at most RESIDUAL_RTOL x max |diag|.
@@ -258,22 +270,17 @@ def lowest_two(lattice, sigma, order=1):
     lowest level of the quarter-size sector of vectors invariant under
     rotation by pi/2.  Any other order is a ValueError.
     """
-    M = lattice.matrix
-    if order == 1:
-        vals, vecs = _shift_invert(M, sigma, k=2)
-    elif order == 2:
-        block, lift = _rotation_sectors(lattice, 2)
-        even, x_even = _shift_invert(block(1), sigma, k=1, ncv=SHORT_NCV)
-        odd, x_odd = _shift_invert(block(-1), sigma, k=1, v0=x_even[:, 0],
-                                   ncv=SHORT_NCV)
-        vals = np.concatenate([even, odd])
-        vecs = np.hstack([lift(x_even, 1), lift(x_odd, -1)])
-    elif order == 4:
-        block, lift = _rotation_sectors(lattice, 4)
-        vals, x = _shift_invert(block(1), sigma, k=1)
-        vecs = lift(x, 1)
-    else:
+    if order not in (1, 2, 4):
         raise ValueError(f"order must be 1, 2 or 4, not {order!r}")
+    M, parities = lattice.matrix, (1, -1) if order == 2 else (1,)
+    blocks, lift = _rotation_sectors(lattice, order, sigma, parities)
+    k, ncv = {1: (2, None), 2: (1, SHORT_NCV), 4: (1, None)}[order]
+    vals, vecs, v0 = [], [], None
+    for parity in parities:   # a block goes once factored, its LU once solved
+        e, x = _shift_invert(splu(blocks.pop(0), permc_spec="MMD_AT_PLUS_A",
+                                  panel_size=PANEL_SIZE), sigma, k, v0, ncv)
+        vals, vecs, v0 = vals + [e], vecs + [lift(x, parity)], x[:, 0]
+    vals, vecs = np.concatenate(vals), np.hstack(vecs)
     scale = float(np.abs(M.diagonal()).max())
     residuals = [float(np.linalg.norm(M @ v - e * v))
                  for e, v in zip(vals, vecs.T)]
@@ -304,11 +311,8 @@ def landau_level_2d(h, delta=None):
     if delta is None:
         delta = math.sqrt(h) / 6.0
     deltas = (delta, delta / math.sqrt(2.0))
-    es = []
-    for d in deltas:
-        lat = assemble(None, h, delta=d)
-        vals, _, _ = lowest_two(lat, sigma=0.9 * h, order=4)
-        es.append(float(vals[0]))
+    es = [float(lowest_two(assemble(None, h, delta=d), sigma=0.9 * h,
+                           order=4)[0][0]) for d in deltas]
     # second-order scheme: extrapolate on delta^2
     return _richardson(*es, *deltas), es
 
@@ -361,8 +365,8 @@ def gap_row(case, delta=None, box=None):
                          "(set by spectral.ground_state) to place its shift")
     spacing = min(e for m, e in fiber_energies.items() if m != 0) - e_sw
     sigma = e_sw - spacing / 10.0
-    lat = assemble(config, h, delta=delta, box=box)
-    vals, _, res = lowest_two(lat, sigma=sigma, order=2)
+    vals, _, res = lowest_two(assemble(config, h, delta=delta, box=box),
+                              sigma=sigma, order=2)
     even, odd = float(vals[0]), float(vals[1])
     if abs(even - e_sw) > spacing / 2.0:
         raise NumericalError(

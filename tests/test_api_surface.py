@@ -19,7 +19,7 @@ MODULES = ("agmon", "asymptotics", "hopping", "numerics", "pipeline",
 BUDGET = 178
 # the landed `cat src/magtun/*.py | wc -l`: lower it with each deletion, and
 # state a reason in CHANGES.md for any rise
-LINE_BUDGET = 3006
+LINE_BUDGET = 3022
 
 
 def _params(fn, bound):

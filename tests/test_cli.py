@@ -157,7 +157,11 @@ CONFIGS = {
     (["asymptotics", "--beta-sweep", "0.5", "--h-range", "0.1:0.3:4"],
      "--h-range and --eta apply only with --wchain"),
     (["wkb", "--h", "1", "--depth", "1e300", "--a", "1e-5", "--points", "3"],
-     "(got depth=1e+300, a=1e-05)")],
+     "(got depth=1e+300, a=1e-05)"),
+    (["constants", "--depth", "1e300", "--a", "1e-5"],
+     "need finite t_a and S (got t_a=nan, S=nan at depth=1e+300, a=1e-05)"),
+    (SPLIT + ["--grid", "1e-4"], "nodes is above MAX_LATTICE_NODES=500000"),
+    (SPLIT + ["--box", "1e300", "1e300"], "nodes is above MAX_LATTICE_NODES")],
     ids=["config-file", "config-no-well", "config-no-depth", "config-list",
          "config-null-depth", "config-list-L", "config-str-a",
          "config-bool-depth", "config-str-L",
@@ -173,7 +177,8 @@ CONFIGS = {
          "verify-grid-negative", "sweep-h-inf", "hopping-h-inf",
          "h-range-two-fields", "h-range-not-numbers", "h-range-n-not-int",
          "beta-sweep-empty", "action-with-eta", "beta-sweep-with-h-range",
-         "wkb-infinite-curvature"])
+         "wkb-infinite-curvature", "constants-nan-action",
+         "splitting-grid-above-cap", "splitting-box-above-cap"])
 def test_invalid_config_exit_2(tmp_path, capsys, argv, names):
     from magtun import cli
 
@@ -184,6 +189,15 @@ def test_invalid_config_exit_2(tmp_path, capsys, argv, names):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert err[0].startswith("config error: ") and names in err[0], err
+
+
+def test_variational_gate_at_rounding_floor(capsys):
+    # Sa = 3.08e8 misses its variational value by 3 ulps (1.8e-7): the
+    # gate is 64 ulps of the value once that passes 1e-8
+    from magtun import cli
+
+    assert cli.main(["constants", "--depth", "1e16"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_numerical_failure_exit_3():

@@ -7,6 +7,7 @@ from scipy.interpolate import CubicSpline
 from magtun import (FiberProblem, RadialWell, agmon_identity_check,
                     default_radius, ground_state, harmonic_expansion_check,
                     solve_fiber, spectral)
+from magtun.numerics import symm_tridiag_lowest
 from magtun.spectral import (GROUND_DELTA, GROUND_TOL, MIN_NODES,
                              _bisection_levels, _default_n, _ground_levels)
 
@@ -160,6 +161,22 @@ def test_one_matrix_per_level(well, monkeypatch):
         assert sizes == [max(n0 // 8, 400)] + \
             [n0 * 2**j for j in range(len(sizes) - 1)]
     assert sizes[-1] == sol.n
+
+
+@pytest.mark.parametrize("m, h, n", [(0, 0.3, 4000), (1, 0.05, 400),
+                                     (2, 1.0, 5000)])
+def test_pilot_takes_eigenvalues_only(well, monkeypatch, m, h, n):
+    # the pilot's lambda_0 and gap come from the bisection that
+    # symm_tridiag_lowest runs, bit for bit, without its eigenvectors
+    pilots = []
+    values = spectral._tridiag_lowest_values
+    monkeypatch.setattr(spectral, "_tridiag_lowest_values", lambda d, o, k: (
+        pilots.append((d, o, k)) or values(d, o, k)))
+    monkeypatch.setattr(spectral, "symm_tridiag_lowest", None)
+    next(_ground_levels(FiberProblem(m=m, h=h, R=14.0, n=n, v0=well.v0)))
+    (d, o, k), = pilots
+    assert len(d) == max(n // 8, MIN_NODES) and k == 2
+    assert np.array_equal(values(d, o, k), symm_tridiag_lowest(d, o, 2)[0])
 
 
 @pytest.mark.parametrize("depth, L, h", [(4.0, 5.0, 0.01), (1.0, 4.0, 0.02)])

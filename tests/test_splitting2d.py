@@ -3,12 +3,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from magtun import (Case, MagneticLattice, NumericalError, RadialWell,
                     assemble, gap_vs_hopping, landau_level_2d, lowest_two)
 from magtun import splitting2d
-from magtun.splitting2d import (LANDAU_MARGIN, _rotation_sectors,
-                                 _shift_invert, gap_row)
+from magtun.splitting2d import (LANDAU_MARGIN, MAX_LATTICE_NODES,
+                                 _rotation_sectors, _shift_invert, gap_row)
 
 
 def test_plaquette_and_hermiticity(config4):
@@ -84,11 +86,61 @@ def test_even_sector_holds_free_ground_state(h):
     d0 = math.sqrt(h) / 6.0
     for e, delta in zip(raw, (d0, d0 / math.sqrt(2.0))):
         lat = assemble(None, h, delta=delta)
-        block, _ = _rotation_sectors(lat, 2)
-        even, _ = _shift_invert(block(1), 0.9 * h, k=1)
-        odd, _ = _shift_invert(block(-1), 0.9 * h, k=1)
+        blocks, _ = _rotation_sectors(lat, 2, 0.9 * h, (1, -1))
+        even, odd = [_shift_invert(splu(b, permc_spec="MMD_AT_PLUS_A"),
+                                   0.9 * h, k=1)[0] for b in blocks]
         assert abs(e - even[0]) <= 1e-13 * even[0]
         assert e < odd[0]
+
+
+@pytest.mark.parametrize("order, system, h, delta, sigma", [
+    (2, "config4", 0.5, 0.1, 0.45), (2, "config85", 0.93, 0.1, 0.68),
+    (4, None, 0.5, math.sqrt(0.5) / 6.0, 0.45), (4, None, 1.0, 0.1, 0.9)])
+def test_shifted_sector_blocks(request, order, system, h, delta, sigma):
+    # each block comes shifted and in CSC, equal in data, indices and
+    # indptr to its sum of rotation images, sum_k p^k M[reps, R^k reps],
+    # less sigma I, converted after the shift
+    lat = assemble(system and request.getfixturevalue(system), h, delta=delta)
+    M, n = lat.matrix, lat.n_nodes
+    if order == 2:
+        rot, reps = np.arange(n)[::-1], np.arange(n // 2)
+    else:
+        idx = np.arange(n).reshape(lat.shape)
+        rot, reps = idx[::-1].T.ravel(), idx[:lat.shape[0] // 2,
+                                             :lat.shape[0] // 2].ravel()
+    parities = (1, -1) if order == 2 else (1,)
+    blocks, _ = _rotation_sectors(lat, order, sigma, parities)
+    for p, block in zip(parities, blocks):
+        images, image = [], reps
+        for k in range(order):
+            images.append(p**k * M[reps][:, image])
+            image = rot[image]
+        ref = (sum(images[1:], images[0])
+               - sigma * sp.identity(len(reps))).tocsc()
+        assert block.format == "csc"
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(block, part), getattr(ref, part))
+
+
+def test_gap_row_frozen(pipeline85):
+    # one delta 0.1 row (L 8.5, h 0.93), frozen before the SuperLU panel
+    # narrowed from 20 columns to PANEL_SIZE: the levels move by rounding,
+    # the gap by its own rounding floor
+    row = gap_row(Case(pipeline85, 0.93), delta=0.1)
+    assert abs(row.e1 - 0.711103942623655) <= 1e-13
+    assert abs(row.e2 - 0.711103943724837) <= 1e-13
+    assert abs(row.gap / 1.101182034446424e-09 - 1.0) <= 1e-5
+    assert row.floor_flag == "ok" and row.ground_parity == 1
+
+
+@pytest.mark.parametrize("kw", [dict(delta=1e-4), dict(box=(1e300, 1e300)),
+                                dict(delta=1e-320), dict(box=(1e12, 6.0))])
+def test_lattice_above_node_cap_is_refused(config85, kw):
+    # refused from the node counts alone, before any array is built
+    with pytest.raises(ValueError, match="above MAX_LATTICE_NODES"):
+        assemble(config85, 1.0, **kw)
+    lat = assemble(config85, 1.0, delta=0.05)
+    assert lat.n_nodes < MAX_LATTICE_NODES
 
 
 def _count_lu_solves(monkeypatch):
@@ -98,7 +150,7 @@ def _count_lu_solves(monkeypatch):
 
     class CountingLU:
         def __init__(self, lu):
-            self.lu, self.k = lu, len(counts)
+            self.lu, self.k, self.shape = lu, len(counts), lu.shape
             counts.append(0)
 
         def solve(self, b):
