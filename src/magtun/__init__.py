@@ -41,7 +41,18 @@ from .asymptotics import (ActionReport, ConsistencyError, beta_scaling,
                           minimizer_closed_form, nonmagnetic_action,
                           psi_global_min, sharp_action, w_chain)
 from .pipeline import Case, Pipeline
-from .splitting2d import (MagneticLattice, assemble, gap_row, gap_vs_hopping,
-                          landau_level_2d, lowest_two)
+
+# the 2-D lattice loads scipy.sparse, so its names load on first use: only
+# a process that builds a lattice pays for it (PEP 562)
+_LATTICE = ("MagneticLattice", "assemble", "gap_row", "gap_vs_hopping",
+            "landau_level_2d", "lowest_two")
+
+
+def __getattr__(name):
+    if name in _LATTICE:
+        from . import splitting2d
+        return getattr(splitting2d, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -140,9 +140,10 @@ def _f_term(a, L, depth, t_a):
             - L * a * math.sqrt(t_a * (t_a + 1.0)))
 
 
-def sharp_action(well, L):
+def sharp_action(well, L, profile=None):
     """S(v0, L) at the closed-form minimizer t_a, with the action corridor
-    and the variational identities of S0 and Sa.
+    and the variational identities of S0 and Sa.  profile, if given, is
+    the AgmonProfile of this well and L, which is then not built again.
 
     S = -F(v0) + Psi(a, t_a) is also summed as S_from_fg = f(a, L, depth)
     - g(a, depth) + 2 d(a), where g carries the same half-log convention as
@@ -152,7 +153,12 @@ def sharp_action(well, L):
     slip in that sum.  S's independent route is psi_global_min, the search
     of verify's psi_minimizer check.
     """
-    prof = AgmonProfile(well, L)
+    if profile is None:
+        profile = AgmonProfile(well, L)
+    elif profile.well is not well or profile.L != L:
+        raise ValueError(f"profile is for another well or L (its L="
+                         f"{profile.L}, asked L={L})")
+    prof = profile
     a, depth = well.a, well.depth
     t_a, s_plus = minimizer_closed_form(well, L)
     psi_min = prof.psi(a, t_a)

@@ -26,8 +26,6 @@ from .pipeline import Case, Pipeline
 from .potential import DoubleWellConfig, RadialWell
 from .spectral import (GROUND_DELTA, MIN_NODES, FiberProblem, _default_n,
                        default_radius, solve_fiber)
-from .splitting2d import gap_row, gap_vs_hopping
-from .verify import run_battery
 
 _FMT = "%.17g"
 # g_eps(., 0) rounds by up to 2.5 eps |Shat| near r0 (six bump wells), so a
@@ -210,6 +208,8 @@ def cmd_asymptotics(args):
 
 
 def cmd_splitting(args):
+    from .splitting2d import gap_vs_hopping   # loads scipy.sparse
+
     box = tuple(args.box) if args.box else None
     pipe = Pipeline(_load_config(args))
     report = gap_vs_hopping(pipe, _h_range(args.h_range), delta=args.grid,
@@ -239,6 +239,8 @@ def cmd_sweep(args):
             note = f"error:{type(exc).__name__}"
         if args.with_splitting:
             if pipe.config.fsw_condition:
+                from .splitting2d import gap_row   # loads scipy.sparse
+
                 # outside the try: a splitting failure aborts the command
                 r = gap_row(case)
                 row += [r.gap, r.ratio]
@@ -256,6 +258,8 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
+    from .verify import run_battery   # loads scipy.sparse
+
     config = _load_config(args)
     results = run_battery(config, quick=args.quick, landau_delta=args.grid)
     failed = [r for r in results if r.status == "fail"]

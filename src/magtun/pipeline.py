@@ -47,7 +47,7 @@ class Pipeline:
     @cached_property
     def action(self):
         """ActionReport: S with S0, Sa, Shat and r0 of this profile."""
-        return sharp_action(self.config.well, self.config.L)
+        return sharp_action(self.config.well, self.config.L, self.profile)
 
 
 class Case:

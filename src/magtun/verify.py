@@ -18,6 +18,7 @@ import numpy as np
 
 from .asymptotics import psi_global_min
 from .pipeline import Case, Pipeline
+from .potential import WellValidationError
 from .spectral import FiberProblem, harmonic_expansion_check, solve_fiber
 from .splitting2d import gap_vs_hopping, landau_level_2d
 from .wkb import wkb_error_exponent, wkb_profile_error
@@ -57,6 +58,12 @@ def run_battery(config, quick=False, landau_delta=None):
     results = []
     # each stage once per battery, never across calls
     pipe = Pipeline(config)
+    try:
+        pipe.action
+    except WellValidationError:
+        raise   # a config error, not a row of failed checks
+    except Exception:
+        pass   # the checks that read the action report it
     cases = {h: Case(pipe, h) for h in (0.5, 0.3, 0.1)}
     route_h = (0.5,) if quick else (0.5, 0.3)   # h of both hopping checks
 

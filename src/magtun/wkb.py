@@ -206,21 +206,14 @@ def calibrate_outer(case):
 
 def matching_constants(pipeline):
     """Constants of the outer matching, from the pipeline's tables: a dict
-    of t_star, F, m_display and m_matched.
+    of t_star, F and m_matched.
 
     t_star and eta are the saddle data of the Laplace evaluation of the
     representation integral at rho = a; F = eta - d(a) is the exponent of
-    C_h ~ m h^{-1} e^{F/h}.  Two prefactors are returned:
-
-    - m_display: a0(0) sqrt(2 a depth / pi) (a^2+4 depth)^{1/4}
-                 / (sqrt(a^2+4 depth) + a), the compact closed form;
-    - m_matched: a0(a) / K with the full saddle prefactor
-                 K = t*^{-1} sqrt(2 pi / phi''(t*)) (1 + 1/t*)^{(E1-1)/2},
-      which is the constant that actually makes C_h / C_h_asy -> 1.
-
-    The two differ by an O(1) factor (sqrt(2), the alpha-correction factor
-    (1+1/t*)^{(E1-1)/2}, and a0(a) vs a0(0)); measured h ln(C_h/C_h_asy)
-    trends confirm m_matched.
+    C_h ~ m h^{-1} e^{F/h}.  The prefactor is m_matched = a0(a) / K, with
+    the full saddle prefactor K = t*^{-1} sqrt(2 pi / phi''(t*))
+    (1 + 1/t*)^{(E1-1)/2}: the constant that makes C_h / C_h_asy -> 1, as
+    measured h ln(C_h/C_h_asy) trends confirm.
     """
     amplitude, d_a = pipeline.amplitude, pipeline.profile.d_a
     a, depth = pipeline.config.well.a, pipeline.config.well.depth
@@ -229,14 +222,10 @@ def matching_constants(pipeline):
     eta = (1.0 + 2.0 * t_star) * a**2 / 4.0 + \
         depth / 2.0 * math.log(1.0 + 1.0 / t_star)
     F = eta - d_a
-    root = math.sqrt(a**2 + 4.0 * depth)
-    m_display = amplitude.a0_0 * math.sqrt(2.0 * a * depth / math.pi) * \
-        root**0.5 / (root + a)
     phi_pp = (depth / 2.0) * (2.0 * t_star + 1.0) / (t_star * (t_star + 1.0)) ** 2
     K = (1.0 / t_star) * math.sqrt(2.0 * math.pi / phi_pp) * \
         (1.0 + 1.0 / t_star) ** ((E1 - 1.0) / 2.0)
-    return {"t_star": t_star, "F": F, "m_display": m_display,
-            "m_matched": float(amplitude.a0(a)) / K}
+    return {"t_star": t_star, "F": F, "m_matched": float(amplitude.a0(a)) / K}
 
 
 def c_h_asymptotic(h, constants):

@@ -16,10 +16,10 @@ from pathlib import Path
 
 MODULES = ("agmon", "asymptotics", "hopping", "numerics", "pipeline",
            "potential", "spectral", "splitting2d", "verify", "wkb")
-BUDGET = 178
+BUDGET = 179
 # the landed `cat src/magtun/*.py | wc -l`: lower it with each deletion, and
 # state a reason in CHANGES.md for any rise
-LINE_BUDGET = 3022
+LINE_BUDGET = 3039
 
 
 def _params(fn, bound):

@@ -123,6 +123,15 @@ def test_sharp_action_canonical(well, profile4):
     assert rep.D_mag == pytest.approx(profile4.d_a, abs=1e-14)
 
 
+def test_sharp_action_reads_a_given_profile(well, profile4):
+    # the pipeline's table gives the report bit for bit; a table built for
+    # another L or another well is refused
+    assert sharp_action(well, 4.0, profile4) == sharp_action(well, 4.0)
+    for other, L in ((well, 5.0), (RadialWell.bump(depth=2.0), 4.0)):
+        with pytest.raises(ValueError, match="another well or L"):
+            sharp_action(other, L, profile4)
+
+
 def test_sharp_action_identity_S0_minus_F(well, profile4):
     # empirical identity: Psi(a, t_a) = S0, hence S = S0 - F
     rep = sharp_action(well, 4.0)

@@ -160,6 +160,8 @@ CONFIGS = {
      "(got depth=1e+300, a=1e-05)"),
     (["constants", "--depth", "1e300", "--a", "1e-5"],
      "need finite t_a and S (got t_a=nan, S=nan at depth=1e+300, a=1e-05)"),
+    (["verify", "--quick", "--depth", "1e300", "--a", "1e-5"],
+     "need finite t_a and S (got t_a=nan, S=nan at depth=1e+300, a=1e-05)"),
     (SPLIT + ["--grid", "1e-4"], "nodes is above MAX_LATTICE_NODES=500000"),
     (SPLIT + ["--box", "1e300", "1e300"], "nodes is above MAX_LATTICE_NODES")],
     ids=["config-file", "config-no-well", "config-no-depth", "config-list",
@@ -177,7 +179,7 @@ CONFIGS = {
          "verify-grid-negative", "sweep-h-inf", "hopping-h-inf",
          "h-range-two-fields", "h-range-not-numbers", "h-range-n-not-int",
          "beta-sweep-empty", "action-with-eta", "beta-sweep-with-h-range",
-         "wkb-infinite-curvature", "constants-nan-action",
+         "wkb-infinite-curvature", "constants-nan-action", "verify-nan-action",
          "splitting-grid-above-cap", "splitting-box-above-cap"])
 def test_invalid_config_exit_2(tmp_path, capsys, argv, names):
     from magtun import cli
@@ -530,3 +532,65 @@ def test_no_command_loads_unused_scipy_trees():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0] * 10, SCIPY_ALLOWED]
+
+
+LATTICE_STACK = ["magtun.splitting2d", "magtun.verify", "scipy.sparse"]
+
+# Runs every command that builds no lattice in one process, then splitting,
+# then verify, and lists the lattice stack's modules loaded after each.
+_LATTICE_IMPORT_SPY = """
+import contextlib, io, json, sys
+import magtun.cli
+STACK = %r
+argvs = [["constants"], ["spectrum", "--h", "0.5"], ["wkb", "--h", "0.5"],
+         ["hopping", "--h-range", "0.3:0.5:2"],
+         ["asymptotics", "--action"],
+         ["asymptotics", "--wchain", "--h-range", "0.3:0.3:1"],
+         ["asymptotics", "--beta-sweep", "0.5,1"],
+         ["sweep", "--h-range", "0.3:0.5:2"]]
+out = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    out["codes"] = [magtun.cli.main(argv) for argv in argvs]
+    out["light"] = [m for m in STACK if m in sys.modules]
+    out["codes"].append(magtun.cli.main(
+        ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1", "--grid",
+         "0.1"]))
+    out["splitting"] = [m for m in STACK if m in sys.modules]
+    out["codes"].append(magtun.cli.main(["verify", "--quick"]))
+out["verify"] = [m for m in STACK if m in sys.modules]
+print(json.dumps(out))
+""" % LATTICE_STACK
+
+
+def test_only_lattice_commands_load_the_lattice_stack():
+    # scipy.sparse and the lattice cost each process about 3.7 MB and
+    # 0.03 s, so only a command that builds a lattice may load them
+    proc = subprocess.run([sys.executable, "-c", _LATTICE_IMPORT_SPY],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "codes": [0] * 10, "light": [],
+        "splitting": ["magtun.splitting2d", "scipy.sparse"],
+        "verify": LATTICE_STACK}
+
+
+def test_lattice_names_resolve_on_first_use():
+    import magtun
+    from magtun import (MagneticLattice, assemble, gap_row, gap_vs_hopping,
+                        landau_level_2d, lowest_two, splitting2d)
+
+    assert (MagneticLattice, assemble, gap_row, gap_vs_hopping,
+            landau_level_2d, lowest_two) == tuple(
+        getattr(splitting2d, name) for name in magtun._LATTICE)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        magtun.no_such_name
+
+
+def test_constants_builds_one_agmon_table(capsys):
+    from magtun import cli
+    from magtun.agmon import AgmonProfile
+
+    with mock.patch.object(AgmonProfile, "__init__", autospec=True,
+                           side_effect=AgmonProfile.__init__) as spy:
+        assert cli.main(["constants"]) == 0
+    assert spy.call_count == 1
