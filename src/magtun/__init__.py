@@ -8,19 +8,7 @@ and its WKB profile, the hopping coefficient by independent routes, the
 sharp decay rate of the splitting, and the splitting itself on a 2-D
 gauge-covariant lattice, cross-checking every quantity that admits more
 than one evaluation path.
-
-MAGTUN_THREADS caps the BLAS and OpenMP thread pools; a thread variable
-that is already set wins.
 """
-
-import os as _os
-
-# numpy sizes the pools when it loads its BLAS, so the cap is applied here,
-# before any submodule imports numpy
-_cap = _os.environ.get("MAGTUN_THREADS")
-if _cap:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _cap)
 
 from .potential import (DoubleWellConfig, RadialWell, WellValidationError,
                         eval_V)

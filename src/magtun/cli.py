@@ -5,8 +5,7 @@ Subcommands: constants | spectrum | wkb | hopping | asymptotics | splitting
 or JSON mirroring the same values.  Exit codes: 0 success, 1 assertion
 failure (verify), 2 configuration error, 3 numerical failure (any
 NumericalError, such as a tolerance not reached or an invariant violated;
-one stderr line gives the estimate and the bound).  MAGTUN_THREADS caps the
-BLAS thread pool (applied when the magtun package is imported).
+one stderr line gives the estimate and the bound).
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from .asymptotics import beta_scaling, nonmagnetic_action, w_chain
 from .numerics import NumericalError
 from .pipeline import Case, Pipeline
 from .potential import DoubleWellConfig, RadialWell
-from .spectral import (GROUND_DELTA, MIN_NODES, FiberProblem, _default_n,
-                       default_radius, solve_fiber)
+from .spectral import (GROUND_DELTA, FiberProblem, _default_n, default_radius,
+                       solve_fiber)
 
 _FMT = "%.17g"
 # g_eps(., 0) rounds by up to 2.5 eps |Shat| near r0 (six bump wells), so a
@@ -55,9 +54,6 @@ def _emit(rows, header, fmt, output, comments=()):
 
 
 def _load_config(args):
-    if args.config:
-        with open(args.config) as fh:
-            return DoubleWellConfig.from_json(fh.read())
     return DoubleWellConfig(RadialWell.bump(depth=args.depth, a=args.a),
                             args.L)
 
@@ -111,11 +107,8 @@ def cmd_spectrum(args):
     config = _load_config(args)
     well = config.well
     R = default_radius(well, args.h) if args.radius is None else args.radius
-    # FiberProblem checks h and R before the default grid takes int(R)
-    problem = FiberProblem(m=0, h=args.h, R=R, v0=well.v0,
-                           n=MIN_NODES if args.grid is None else args.grid)
-    if args.grid is None:
-        problem = replace(problem, n=_default_n(R, GROUND_DELTA))
+    n = _default_n(R, GROUND_DELTA) if args.grid is None else args.grid
+    problem = FiberProblem(m=0, h=args.h, R=R, n=n, v0=well.v0)
     rows = []
     dump = None
     for m in range(-args.modes, args.modes + 1):
@@ -284,7 +277,6 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def config_flags(sp):
-        sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--depth", type=float, default=1.0)
         sp.add_argument("--a", type=float, default=1.0)
         sp.add_argument("--L", type=float, default=4.0)
@@ -362,7 +354,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # WellValidationError and json.JSONDecodeError are ValueErrors
+    # WellValidationError is a ValueError; --output and
+    # --dump-eigenfunction may name a missing directory
     except (ValueError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,6 @@ minimum -depth at r = 0 and curvature v0''(0) = 2*depth/a^2.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -29,22 +28,6 @@ _EXP_UNDERFLOW = -700.0
 class WellValidationError(ValueError):
     """A well's depth or support radius a is not finite and positive, or a^4
     is not a nonzero finite double."""
-
-
-def _entry(d, key, what):
-    """d[key] of the parsed JSON object d, or a ValueError naming key."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} is not a JSON object: {d!r}")
-    if key not in d:
-        raise ValueError(f"{what} has no key {key!r}")
-    return d[key]
-
-
-def _number(value, key):
-    """A JSON number (not a bool) as a float, or a ValueError naming key."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} is not a number: {value!r}")
-    return float(value)
 
 
 class RadialWell:
@@ -107,16 +90,6 @@ class RadialWell:
         """A well with v0 multiplied by `factor` > 0 (same support radius)."""
         return RadialWell(self.depth * factor, self.a)
 
-    def to_dict(self):
-        return {"profile": "bump", "depth": self.depth, "a": self.a}
-
-    @classmethod
-    def from_dict(cls, d):
-        depth, a = _entry(d, "depth", "well"), _entry(d, "a", "well")
-        if d.get("profile", "bump") != "bump":
-            raise ValueError("only the bump family can be parsed")
-        return cls.bump(depth=_number(depth, "depth"), a=_number(a, "a"))
-
     def __repr__(self):
         return f"RadialWell(bump, depth={self.depth}, a={self.a})"
 
@@ -142,22 +115,6 @@ class DoubleWellConfig:
     def fsw_condition(self):
         """L > 4(sqrt(depth) + a), the regime of the splitting ~ 2|w| link."""
         return self.L > 4.0 * (math.sqrt(self.well.depth) + self.well.a)
-
-    def to_dict(self):
-        return {"well": self.well.to_dict(), "L": self.L}
-
-    @classmethod
-    def from_dict(cls, d):
-        """From {"well": {...}, "L": ...}; L defaults to 4.0."""
-        well = RadialWell.from_dict(_entry(d, "well", "config"))
-        return cls(well, _number(d.get("L", 4.0), "L"))
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
     def __repr__(self):
         return f"DoubleWellConfig({self.well!r}, L={self.L})"

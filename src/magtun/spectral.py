@@ -287,7 +287,9 @@ def default_radius(well, h, L=None):
 
 
 def _default_n(R, delta):
-    return max(min(int(R / delta), MAX_NODES), MIN_NODES)
+    # MAX_NODES first: min keeps it against a NaN R, and FiberProblem then
+    # rejects the bad R with its own message
+    return max(int(min(MAX_NODES, R / delta)), MIN_NODES)
 
 
 def ground_state(well, h, L=None):

@@ -146,9 +146,9 @@ def run_battery(config, quick=False, landau_delta=None):
                    f"root residual {resid:.1e}"
 
     def corridors():
-        rep = pipe.action   # it checks the variational S0 and Sa itself
+        rep = pipe.action   # sharp_action enforces the corridor, S0 and Sa
         chain = rep.Sa < rep.Shat < min(rep.S0, rep.Sa + L * well.a / 2.0)
-        ok = chain and rep.corridor_ok() and rep.interaction_matrix_ok()
+        ok = chain and rep.interaction_matrix_ok()
         return ok, (f"Sa={rep.Sa:.4f} < S={rep.S:.4f} <= "
                     f"Shat={rep.Shat:.4f} < S0={rep.S0:.4f}")
 

@@ -1,6 +1,10 @@
+import argparse
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -77,35 +81,10 @@ def test_constants_r0_bound_is_its_rounding_floor(capsys, depth, a, L):
 
 
 SPLIT = ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1"]
-# --config file bodies, by the placeholder that names them in argv
-CONFIGS = {
-    "CFG": {"well": {"profile": "bump", "depth": 1.0, "a": 1.0}, "L": 1.5},
-    "CFG-NO-WELL": {"L": 4.0},
-    "CFG-NO-DEPTH": {"well": {"profile": "bump", "a": 1.0}, "L": 4.0},
-    "CFG-LIST": [1, 2],
-    "CFG-NULL-DEPTH": {"well": {"profile": "bump", "depth": None, "a": 1.0}},
-    "CFG-LIST-L": {"well": {"profile": "bump", "depth": 1.0, "a": 1.0},
-                   "L": [4]},
-    "CFG-STR-A": {"well": {"profile": "bump", "depth": 1.0, "a": "x"}},
-    "CFG-BOOL-DEPTH": {"well": {"profile": "bump", "depth": True, "a": 1.0}},
-    "CFG-STR-L": {"well": {"profile": "bump", "depth": 1.0, "a": 1.0},
-                  "L": "4.0"},
-}
 
 
 @pytest.mark.parametrize("argv, names", [
-    (["constants", "--config", "CFG"], "L > 2a (got L=1.5"),
-    (["constants", "--config", "CFG-NO-WELL"], "config has no key 'well'"),
-    (["constants", "--config", "CFG-NO-DEPTH"], "well has no key 'depth'"),
-    (["constants", "--config", "CFG-LIST"],
-     "config is not a JSON object: [1, 2]"),
-    (["constants", "--config", "CFG-NULL-DEPTH"],
-     "depth is not a number: None"),
-    (["constants", "--config", "CFG-LIST-L"], "L is not a number: [4]"),
-    (["constants", "--config", "CFG-STR-A"], "a is not a number: 'x'"),
-    (["constants", "--config", "CFG-BOOL-DEPTH"],
-     "depth is not a number: True"),
-    (["constants", "--config", "CFG-STR-L"], "L is not a number: '4.0'"),
+    (["constants", "--L", "1.5"], "L > 2a (got L=1.5"),
     (["constants", "--L", "nan"], "L > 2a (got L=nan"),
     (["constants", "--L", "inf"], "L > 2a (got L=inf"),
     (["constants", "--depth", "inf"], "depth > 0 (got inf)"),
@@ -164,10 +143,7 @@ CONFIGS = {
      "need finite t_a and S (got t_a=nan, S=nan at depth=1e+300, a=1e-05)"),
     (SPLIT + ["--grid", "1e-4"], "nodes is above MAX_LATTICE_NODES=500000"),
     (SPLIT + ["--box", "1e300", "1e300"], "nodes is above MAX_LATTICE_NODES")],
-    ids=["config-file", "config-no-well", "config-no-depth", "config-list",
-         "config-null-depth", "config-list-L", "config-str-a",
-         "config-bool-depth", "config-str-L",
-         "L-nan", "L-inf", "depth-inf", "depth-nan", "a-nan",
+    ids=["L-below-2a", "L-nan", "L-inf", "depth-inf", "depth-nan", "a-nan",
          "spectrum-h-inf", "spectrum-h-nan", "spectrum-h-nan-radius",
          "spectrum-grid-0", "spectrum-radius-0", "spectrum-radius-inf",
          "spectrum-radius-nan", "spectrum-tol-0", "spectrum-tol-negative",
@@ -181,13 +157,10 @@ CONFIGS = {
          "beta-sweep-empty", "action-with-eta", "beta-sweep-with-h-range",
          "wkb-infinite-curvature", "constants-nan-action", "verify-nan-action",
          "splitting-grid-above-cap", "splitting-box-above-cap"])
-def test_invalid_config_exit_2(tmp_path, capsys, argv, names):
+def test_invalid_config_exit_2(capsys, argv, names):
     from magtun import cli
 
-    cfg = tmp_path / "bad.json"
-    for a in set(argv) & set(CONFIGS):
-        cfg.write_text(json.dumps(CONFIGS[a]))
-    assert cli.main([str(cfg) if a in CONFIGS else a for a in argv]) == 2
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert err[0].startswith("config error: ") and names in err[0], err
@@ -467,38 +440,6 @@ def test_wkb_subcommand():
         [5.0 * k / 50 for k in range(1, 51)]
 
 
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-# Records the thread variables at the moment numpy is first imported.
-_NUMPY_IMPORT_SPY = f"""
-import json, os, sys
-seen = {{}}
-
-class Spy:
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and not seen:
-            seen.update({{v: os.environ.get(v) for v in {THREAD_VARS!r}}})
-        return None
-
-sys.meta_path.insert(0, Spy())
-import magtun.cli
-print(json.dumps(seen))
-"""
-
-
-def test_thread_cap_set_before_numpy_loads():
-    import os
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env["MAGTUN_THREADS"] = "3"
-    env["MKL_NUM_THREADS"] = "2"   # an explicit setting wins
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_IMPORT_SPY],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    assert seen == {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "3",
-                    "MKL_NUM_THREADS": "2"}
-
-
 SCIPY_ALLOWED = ["scipy.linalg", "scipy.sparse"]
 
 # Runs one command of each kind in process and lists the public scipy
@@ -594,3 +535,28 @@ def test_constants_builds_one_agmon_table(capsys):
                            side_effect=AgmonProfile.__init__) as spy:
         assert cli.main(["constants"]) == 0
     assert spy.call_count == 1
+
+
+def test_readme_command_line_matches_parser():
+    # the README's "Command line" section may name only what the parser
+    # accepts: each example parses (without running) and each --flag exists
+    from magtun import cli
+
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    start = text.index("\n## Command line\n")
+    section = text[start:text.index("\n## ", start + 1)]
+    parser = cli.build_parser()
+    block = section.split("```sh\n")[1].split("```")[0]
+    for line in block.splitlines():
+        argv = shlex.split(re.sub(r"[][]", "", line), comments=True)
+        assert argv[0] == "magtun", line
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for sp in subparsers.choices.values()
+               for opt in sp._option_string_actions}
+    named = set(re.findall(r"--[A-Za-z][\w-]*", section))
+    assert named and named <= options, sorted(named - options)

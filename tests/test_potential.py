@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -69,11 +68,3 @@ def test_config_validation(well):
         DoubleWellConfig(well, 2.0)
     assert not DoubleWellConfig(well, 4.0).fsw_condition
     assert DoubleWellConfig(well, 8.5).fsw_condition
-
-
-def test_json_round_trip(config4):
-    text = config4.to_json()
-    back = DoubleWellConfig.from_json(text)
-    assert back.L == config4.L
-    assert back.well.depth == config4.well.depth
-    assert json.loads(text)["well"]["profile"] == "bump"

@@ -76,6 +76,9 @@ def test_default_grid_within_node_bounds():
     # every default grid, the m = 0 solve's included, has FiberProblem's floor
     assert _default_n(0.5, GROUND_DELTA) == MIN_NODES
     assert _default_n(1e4, GROUND_DELTA) == spectral.MAX_NODES
+    # a non-finite R gets the cap too, for FiberProblem to reject
+    assert _default_n(math.inf, GROUND_DELTA) == spectral.MAX_NODES
+    assert _default_n(math.nan, GROUND_DELTA) == spectral.MAX_NODES
 
 
 @pytest.mark.parametrize("h", [0.3, 0.05])
