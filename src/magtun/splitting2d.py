@@ -94,10 +94,11 @@ class MagneticLattice:
 
 
 BOX_MARGIN = 0.4   # default box clearance beyond 3 magnetic lengths
-# The most nodes assemble builds.  LU fill per sector node read 37.5, 42, 46
-# and 51 entries at delta 0.1, 0.07, 0.05 and 0.035 (L 8.5, 22k to 177k
-# nodes), about 5 more per doubling, at near 40 bytes of peak RSS each: the
-# 250k-node sector of a capped lattice takes about 0.6 GB to factor.
+# The most nodes assemble builds.  LU fill per sector node read 37, 43,
+# 46-51 and 51 entries at delta 0.1, 0.07, 0.05 and 0.035 (L 8.5, h 0.84-1,
+# 21k to 171k nodes), about 5 more per doubling, at 18 to 21 bytes of peak
+# RSS each (a complex value and its row index take 20): the 250k-node
+# sector of a capped lattice takes about 0.3 GB to factor.
 MAX_LATTICE_NODES = 500_000
 LANDAU_MARGIN = 1.5   # the free box's half-width beyond 3 magnetic lengths
 RESIDUAL_RTOL = 1e-10   # eigenpair residual gate, relative to max |diag|
@@ -186,15 +187,18 @@ def _rotation_sectors(lattice, order, sigma, parities):
     itself, so M commutes with it exactly or not at all (ValueError).
 
     No node is fixed by a rotation short of the full turn, so every orbit
-    has `order` nodes, one of them a representative: the first half of the
-    nodes for order 2, the x, y < 0 quadrant for order 4.  The sector of
-    parity p (+1/-1) holds the vectors with v(R^k q) = p^k v(q), so its
+    has `order` nodes, one of them a representative: the first m = n/order
+    nodes for orders 1 and 2, the x, y < 0 quadrant for order 4.  The sector
+    of parity p (+1/-1) holds the vectors with v(R^k q) = p^k v(q), so its
     block sums the rotation images, sum_k p^k M[reps, R^k reps].  For order
     2 on the x/y-symmetric node set, with M = [[A, B], [J B J, J A J]], that
-    is A + p B J, of half the size, and each of its eigenvectors x lifts to
-    [x; p J x]/sqrt(2).  blocks holds each parity's block less sigma, in
-    CSC for splu: -sigma enters as diagonal triplets summed after the
-    block's own entries, so each is exactly a - sigma.  lift(x, parity)
+    is A + p B J, and each of its eigenvectors x lifts to [x; p J x]/sqrt(2).
+    All parities share one COO pattern: the reps' rows (slices of M's CSR
+    arrays, or a copy of M[reps] for order 4), each column at its
+    representative's position, then the diagonal, which takes -sigma.  Each
+    parity writes its values (p times those of odd-power columns) into one
+    reused buffer and converts it once to CSC for splu; the conversion adds
+    -sigma to a diagonal entry a, giving exactly a - sigma.  lift(x, parity)
     turns a block's eigenvectors (columns) into unit full ones.
     """
     M = lattice.matrix
@@ -214,19 +218,23 @@ def _rotation_sectors(lattice, order, sigma, parities):
         turn = "pi/2"
     if order > 1 and (n % order or (M[rot][:, rot] != M).nnz):
         raise ValueError(f"matrix does not commute with rotation by {turn}")
-    # node -> (its representative's position in reps, the power k of R)
-    pos, power = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-    orbit = reps
+    # node -> its representative's position in reps (int32, which scipy
+    # takes without a copy) and whether an odd power of R carries it there
+    pos, odd = np.empty(n, dtype=np.int32), np.empty(n, dtype=bool)
+    m, orbit = len(reps), reps
     for k in range(order):
-        pos[orbit], power[orbit] = np.arange(len(reps)), k
+        pos[orbit], odd[orbit] = np.arange(m), k % 2
         orbit = rot[orbit]
-    odd = power % 2 == 1
-    rows, m = M[reps].tocoo(), len(reps)
-    far, diag = odd[rows.col], np.arange(m)
-    ij = (np.append(rows.row, diag), np.append(pos[rows.col], diag))
-    blocks = [sp.csc_matrix((np.append(np.where(far, p * rows.data, rows.data),
-                                       np.full(m, -sigma)), ij), shape=(m, m))
-              for p in parities]
+    rows = (M[reps] if order == 4 else M).tocsr()
+    end, diag = rows.indptr[m], np.arange(m, dtype=np.int32)
+    cols, data = rows.indices[:end], rows.data[:end]
+    ij = (np.concatenate([np.repeat(diag, np.diff(rows.indptr[:m + 1])),
+                          diag]), np.concatenate([pos[cols], diag]))
+    far, values = odd[cols], np.concatenate([data, np.full(m, -sigma)])
+    blocks = []
+    for p in parities:   # only the odd-power columns' values change
+        np.multiply(data, p, out=values[:end], where=far)
+        blocks.append(sp.csc_matrix((values, ij), shape=(m, m)))
 
     def lift(x, parity):
         v = x[pos]
@@ -351,7 +359,9 @@ def gap_row(case, delta=None, box=None):
     even level more than D/2 from e_sw is the wrong level (NumericalError).
     D comes from the fiber energies that spectral.ground_state stores on its
     solution, so a ground state assigned to the case must carry them
-    (ValueError otherwise).
+    (ValueError otherwise).  The row is "ok" only if its gap exceeds 100x
+    the largest residual and 100x 8 ulps of e2, the levels' rounding (panel
+    widths alone moved the L 8.5, h 0.8 gap by 5); else its flag names why.
     """
     config, h, S = case.config, case.h, case.pipeline.action.S
     floor = 1e-12   # double precision cannot separate a closer pair
@@ -379,8 +389,12 @@ def gap_row(case, delta=None, box=None):
     if config.fsw_condition:
         two_w = 2.0 * abs(case.w_direct.real)
         ratio = gap / two_w
-    flag = "ok" if gap > 100.0 * max(res) else \
-        "floor(gap below 100x residual)"
+    if not gap > 100.0 * max(res):
+        flag = "floor(gap below 100x residual)"
+    elif not gap > 100.0 * 8.0 * math.ulp(e2):
+        flag = "floor(gap below 100x level rounding)"
+    else:
+        flag = "ok"
     return GapRow(h, e1, e2, gap, two_w, ratio,
                   h * math.log(gap) if gap > 0 else float("nan"),
                   flag, ground_parity)

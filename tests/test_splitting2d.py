@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,32 +95,76 @@ def test_even_sector_holds_free_ground_state(h):
 
 
 @pytest.mark.parametrize("order, system, h, delta, sigma", [
+    (1, "config4", 0.5, 0.1, 0.45), (1, "config85", 0.93, 0.1, 0.68),
     (2, "config4", 0.5, 0.1, 0.45), (2, "config85", 0.93, 0.1, 0.68),
     (4, None, 0.5, math.sqrt(0.5) / 6.0, 0.45), (4, None, 1.0, 0.1, 0.9)])
 def test_shifted_sector_blocks(request, order, system, h, delta, sigma):
     # each block comes shifted and in CSC, equal in data, indices and
     # indptr to its sum of rotation images, sum_k p^k M[reps, R^k reps],
-    # less sigma I, converted after the shift
+    # less sigma I, converted after the shift; order 1's one block is
+    # M - sigma I
     lat = assemble(system and request.getfixturevalue(system), h, delta=delta)
     M, n = lat.matrix, lat.n_nodes
-    if order == 2:
-        rot, reps = np.arange(n)[::-1], np.arange(n // 2)
-    else:
-        idx = np.arange(n).reshape(lat.shape)
-        rot, reps = idx[::-1].T.ravel(), idx[:lat.shape[0] // 2,
-                                             :lat.shape[0] // 2].ravel()
     parities = (1, -1) if order == 2 else (1,)
     blocks, _ = _rotation_sectors(lat, order, sigma, parities)
-    for p, block in zip(parities, blocks):
-        images, image = [], reps
-        for k in range(order):
-            images.append(p**k * M[reps][:, image])
-            image = rot[image]
-        ref = (sum(images[1:], images[0])
-               - sigma * sp.identity(len(reps))).tocsc()
+    if order == 1:
+        refs = [(M - sigma * sp.identity(n)).tocsc()]
+    else:
+        if order == 2:
+            rot, reps = np.arange(n)[::-1], np.arange(n // 2)
+        else:
+            idx = np.arange(n).reshape(lat.shape)
+            rot, reps = idx[::-1].T.ravel(), idx[:lat.shape[0] // 2,
+                                                 :lat.shape[0] // 2].ravel()
+        refs = []
+        for p in parities:
+            images, image = [], reps
+            for k in range(order):
+                images.append(p**k * M[reps][:, image])
+                image = rot[image]
+            refs.append((sum(images[1:], images[0])
+                         - sigma * sp.identity(len(reps))).tocsc())
+    for block, ref in zip(blocks, refs, strict=True):
         assert block.format == "csc"
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(block, part), getattr(ref, part))
+
+
+def test_sector_blocks_built_in_bounded_memory(config85):
+    # numpy and sparsetools report to tracemalloc, so the traced peak is
+    # deterministic: 3.31x the blocks' bytes when each parity copied M[reps]
+    # into its own triplets, 2.23x with one pattern on slices of M's CSR
+    # arrays, where the commutation check's M[rot][:, rot] (2.19x) sets it.
+    # The bound is 2.23 plus a 12% margin, under the 2.63 of the one pattern
+    # on a copy of M[reps].
+    lat = assemble(config85, 0.93, delta=0.05)
+    tracemalloc.start()
+    try:
+        blocks, _ = _rotation_sectors(lat, 2, 0.68, (1, -1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(b.data.nbytes + b.indices.nbytes + b.indptr.nbytes
+               for b in blocks)
+    assert peak <= 2.5 * size
+
+
+@pytest.mark.parametrize("ulps, residual, flag", [
+    (4, 0.0, "floor(gap below 100x level rounding)"),
+    (1000, 0.0, "ok"),
+    (1000, 1e-14, "floor(gap below 100x residual)")])
+def test_gap_row_flags_level_rounding(well, case, monkeypatch, ulps,
+                                      residual, flag):
+    # a gap of a few ulps of its levels is rounding, however small the
+    # residuals: "ok" needs the gap above 100x 8 ulps of e2 as well
+    c = case(well, 0.93, L=8.5)
+    e = c.ground.e_sw
+    vals = np.array([e, e + ulps * math.ulp(e)])
+    monkeypatch.setattr(splitting2d, "assemble", lambda *a, **kw: None)
+    monkeypatch.setattr(splitting2d, "lowest_two",
+                        lambda *a, **kw: (vals, None, [residual] * 2))
+    row = gap_row(c)
+    assert row.gap == ulps * math.ulp(e) and row.floor_flag == flag
 
 
 def test_gap_row_frozen(pipeline85):
