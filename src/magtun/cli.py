@@ -1,17 +1,17 @@
 """Command-line front end.
 
 Subcommands: constants | spectrum | wkb | hopping | asymptotics | splitting
-| sweep | verify.  Output is CSV (17 significant digits, stable formatting)
-or JSON mirroring the same values.  Exit codes: 0 success, 1 assertion
-failure (verify), 2 configuration error, 3 numerical failure (any
-NumericalError, such as a tolerance not reached or an invariant violated;
-one stderr line gives the estimate and the bound).
+| sweep | verify.  Each prints one CSV table on stdout (17 significant
+digits, stable formatting), verify a plain-text report; none writes a
+file.  Exit codes: 0 success, 1 assertion failure (verify), 2 configuration
+error, 3 numerical failure (any NumericalError, such as a tolerance not
+reached or an invariant violated; one stderr line gives the estimate and
+the bound).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
@@ -23,8 +23,8 @@ from .asymptotics import beta_scaling, nonmagnetic_action, w_chain
 from .numerics import NumericalError
 from .pipeline import Case, Pipeline
 from .potential import DoubleWellConfig, RadialWell
-from .spectral import (GROUND_DELTA, FiberProblem, _default_n, default_radius,
-                       solve_fiber)
+from .spectral import (GROUND_DELTA, GROUND_TOL, FiberProblem, _default_n,
+                       default_radius, solve_fiber)
 
 _FMT = "%.17g"
 # g_eps(., 0) rounds by up to 2.5 eps |Shat| near r0 (six bump wells), so a
@@ -33,24 +33,14 @@ R0_NOISE = 5.0 * np.finfo(float).eps
 WCHAIN_H_RANGE, WCHAIN_ETA = "0.1:0.3:4", 0.05   # asymptotics --wchain's
 
 
-def _emit(rows, header, fmt, output, comments=()):
-    """rows: list of tuples matching header; values formatted at 17 digits."""
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps({"rows": payload, "meta": list(comments)},
-                          indent=2, default=float) + "\n"
-    else:
-        lines = [f"# {c}" for c in comments]
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(
-                _FMT % v if isinstance(v, float) else str(v) for v in row))
-        text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(rows, header, comments=()):
+    """Print rows (tuples matching header) as CSV, floats at 17 digits."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(
+            _FMT % v if isinstance(v, float) else str(v) for v in row))
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _load_config(args):
@@ -96,7 +86,7 @@ def cmd_constants(args):
         ("interaction", report.interaction, 3 * qerr),
     ]
     ordering = bool(report.Sa < report.Shat < report.S0)
-    _emit(rows, ("name", "value", "error_bound"), args.format, args.output,
+    _emit(rows, ("name", "value", "error_bound"),
           comments=(f"ordering Sa<Shat<S0: {str(ordering).lower()}",))
     return 0
 
@@ -104,24 +94,15 @@ def cmd_constants(args):
 def cmd_spectrum(args):
     if args.modes < 0:
         raise ValueError(f"need --modes >= 0 (got {args.modes})")
-    config = _load_config(args)
-    well = config.well
-    R = default_radius(well, args.h) if args.radius is None else args.radius
-    n = _default_n(R, GROUND_DELTA) if args.grid is None else args.grid
-    problem = FiberProblem(m=0, h=args.h, R=R, n=n, v0=well.v0)
+    well = _load_config(args).well
+    R = default_radius(well, args.h)
+    problem = FiberProblem(m=0, h=args.h, R=R, n=_default_n(R, GROUND_DELTA),
+                           v0=well.v0)
     rows = []
-    dump = None
     for m in range(-args.modes, args.modes + 1):
-        sol = solve_fiber(replace(problem, m=m), k=args.levels,
-                          tol=args.tol)
-        for j, e in enumerate(sol.energies, start=1):
-            rows.append((m, j, float(e)))
-        if m == 0:
-            dump = sol
-    _emit(rows, ("m", "j", "energy"), args.format, args.output)
-    if args.dump_eigenfunction and dump is not None:
-        _emit(list(zip(dump.grid.tolist(), dump.u.tolist())),
-              ("r", "u"), "csv", args.dump_eigenfunction)
+        sol = solve_fiber(replace(problem, m=m), k=args.levels, tol=GROUND_TOL)
+        rows += [(m, j, float(e)) for j, e in enumerate(sol.energies, 1)]
+    _emit(rows, ("m", "j", "energy"))
     return 0
 
 
@@ -141,8 +122,7 @@ def cmd_wkb(args):
     wkb = np.exp(amp.log_a0(rs) - prof.d(rs) / args.h) / math.sqrt(args.h)
     rows = list(zip(rs.tolist(), u.tolist(), wkb.tolist(),
                     np.exp(log_outer).tolist()))
-    _emit(rows, ("r", "u_h", "wkb_prediction", "outer_prediction"),
-          args.format, args.output)
+    _emit(rows, ("r", "u_h", "wkb_prediction", "outer_prediction"))
     return 0
 
 
@@ -167,7 +147,7 @@ def cmd_hopping(args):
         upper = math.log(c_tilde / h) - Sa / h
         rows.append((h, wd, wb, h * math.log(abs(w_ref)), lower, upper))
     _emit(rows, ("h", "w_direct", "w_bessel", "h_ln_w", "lower_env",
-                 "upper_env"), args.format, args.output)
+                 "upper_env"))
     return 0
 
 
@@ -196,7 +176,7 @@ def cmd_asymptotics(args):
         target = nonmagnetic_action(well, L)
         rows = [(beta, beta_scaling(well, L, beta), target) for beta in betas]
         header = ("beta", "beta_S", "nonmagnetic_action")
-    _emit(rows, header, args.format, args.output)
+    _emit(rows, header)
     return 0
 
 
@@ -210,7 +190,7 @@ def cmd_splitting(args):
     rows = [(r.h, r.e1, r.e2, r.gap, r.two_w, r.ratio, r.h_ln_gap,
              r.floor_flag) for r in report.rows]
     _emit(rows, ("h", "e1", "e2", "gap", "two_w", "ratio", "h_ln_gap",
-                 "floor_flag"), args.format, args.output,
+                 "floor_flag"),
           comments=(f"corridor [{report.corridor[0]:.6f},"
                     f"{report.corridor[1]:.6f}]",
                     f"fsw_condition {pipe.config.fsw_condition}"))
@@ -246,7 +226,7 @@ def cmd_sweep(args):
     if args.with_splitting:
         header += ["gap", "gap_over_2w"]
     header += ["note"]
-    _emit(rows, tuple(header), args.format, args.output)
+    _emit(rows, tuple(header))
     return 0
 
 
@@ -281,42 +261,33 @@ def build_parser():
         sp.add_argument("--a", type=float, default=1.0)
         sp.add_argument("--L", type=float, default=4.0)
 
-    def common(sp):   # every command but verify, which prints plain text
-        config_flags(sp)
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--output", help="write to file instead of stdout")
-
     sp = sub.add_parser("constants", help="action constants table")
-    common(sp)
+    config_flags(sp)
     sp.set_defaults(func=cmd_constants)
 
     sp = sub.add_parser("spectrum", help="fiber spectra of the single well")
-    common(sp)
+    config_flags(sp)
     sp.add_argument("--h", type=float, required=True)
     sp.add_argument("--modes", type=int, default=2)
     sp.add_argument("--levels", type=int, default=1)
-    sp.add_argument("--grid", type=int, help="radial grid size")
-    sp.add_argument("--radius", type=float)
-    sp.add_argument("--dump-eigenfunction", help="CSV path for [r, u]")
-    sp.add_argument("--tol", type=float, default=1e-8)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("wkb", help="ground state vs WKB/outer predictions")
-    common(sp)
+    config_flags(sp)
     sp.add_argument("--h", type=float, required=True)
     sp.add_argument("--points", type=int, default=200,
                     help="rows at r = k (L+1)/points, k = 1..points")
     sp.set_defaults(func=cmd_wkb)
 
     sp = sub.add_parser("hopping", help="hopping coefficient sweep")
-    common(sp)
+    config_flags(sp)
     sp.add_argument("--h-range", required=True, help="lo:hi:n")
     sp.add_argument("--route", choices=("direct", "bessel", "both"),
                     default="both")
     sp.set_defaults(func=cmd_hopping)
 
     sp = sub.add_parser("asymptotics", help="sharp action and W-chain")
-    common(sp)
+    config_flags(sp)
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--action", action="store_true")
     mode.add_argument("--wchain", action="store_true")
@@ -328,14 +299,14 @@ def build_parser():
     sp.set_defaults(func=cmd_asymptotics)
 
     sp = sub.add_parser("splitting", help="2-D eigenvalue gap")
-    common(sp)
+    config_flags(sp)
     sp.add_argument("--h-range", required=True)
     sp.add_argument("--grid", type=float, help="lattice spacing delta")
     sp.add_argument("--box", type=float, nargs=2)
     sp.set_defaults(func=cmd_splitting)
 
     sp = sub.add_parser("sweep", help="combined per-h table")
-    common(sp)
+    config_flags(sp)
     sp.add_argument("--h-range", required=True)
     sp.add_argument("--with-splitting", action="store_true")
     sp.set_defaults(func=cmd_sweep)
@@ -354,9 +325,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # WellValidationError is a ValueError; --output and
-    # --dump-eigenfunction may name a missing directory
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:   # WellValidationError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -111,7 +111,12 @@ def hopping_direct(case):
 
 
 def hopping_bessel(case):
-    """Oscillation-free route through the Bessel kernel; real by construction."""
+    """Oscillation-free route through the Bessel kernel; real by construction.
+
+    The sum is linear, so a |w| below the smallest normal double (about
+    e^-708) would lose its digits or read 0; an AccuracyError then carries
+    log|w| as its estimate.
+    """
     well, L, h, outer = case.config.well, case.config.L, case.h, case.outer
     r_nodes, rv = _radial_rule(well)
     rho2 = r_nodes * r_nodes + L * L
@@ -119,6 +124,11 @@ def hopping_bessel(case):
                + outer.log_t_integral(rho2, L * r_nodes)
                + case.ground.log_u(r_nodes))
     total = np.sum(rv * np.exp(log_mag))
+    if abs(total) < np.finfo(float).tiny:
+        log_w = math.log(2.0 * np.pi) + float(logsumexp(log_mag, b=-rv))
+        raise AccuracyError(f"Bessel-route sum underflows: log|w| "
+                            f"{log_w:.6g} is below the smallest normal "
+                            f"double", estimate=log_w)
     return 2.0 * np.pi * float(total)
 
 

@@ -336,8 +336,11 @@ def harmonic_expansion_check(well, h_list, energies, energy_errors):
 
     energies are ground-state energies e_sw at five or more h in (0, 0.3],
     energy_errors their Richardson errors; a residual within 50 of its
-    error is noise, and the fit is then not made.  The expansion error is
-    dominated by the cubic Taylor remainder of the well; the fitted p
+    error is noise, and the fit is then not made.  On a radial well,
+    v0 - v0_min = (v0''(0)/2) r^2 + c4 r^4 + ..., and first-order
+    perturbation by the quartic term on the oscillator ground state, where
+    <r^4> = 8 h^2 / E1^2, gives the remainder c2 h^2 + O(h^3) with
+    c2 = 8 c4 / E1^2 (0.8 at depth 1, 16/17 at depth 4); the fitted p
     should be at least 1.4.
     """
     h_list = np.asarray(h_list, dtype=float)

@@ -1,4 +1,5 @@
-"""The budgets of settable values in the public API and of source lines.
+"""The budgets of settable values in the public API, of source lines and
+of command-line options.
 
 A settable value is a parameter a caller can pass: every parameter of each
 function, of each class's own constructor (a dataclass's fields) and of
@@ -6,9 +7,11 @@ each public method, for every name in the `__all__` of the library
 modules.  Classmethods, properties, `self`, NamedTuple result records and
 exception classes are left out.  The source lines are the summed line
 count of the library modules, as `cat src/magtun/*.py | wc -l` gives it.
-A change may lower either budget; raising one needs a reason.
+The options are those of every subcommand, `-h` aside.  A change may lower
+any budget; raising one needs a reason.
 """
 
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -19,7 +22,9 @@ MODULES = ("agmon", "asymptotics", "hopping", "numerics", "pipeline",
 BUDGET = 179
 # the landed `cat src/magtun/*.py | wc -l`: lower it with each deletion, and
 # state a reason in CHANGES.md for any rise
-LINE_BUDGET = 2993
+LINE_BUDGET = 2975
+# options of all subcommands together, -h aside
+CLI_OPTION_BUDGET = 43
 
 
 def _params(fn, bound):
@@ -61,3 +66,13 @@ def test_source_lines_within_budget():
     package = Path(importlib.import_module("magtun").__file__).parent
     lines = sum(p.read_bytes().count(b"\n") for p in package.glob("*.py"))
     assert lines <= LINE_BUDGET
+
+
+def test_cli_options_within_budget():
+    from magtun.cli import build_parser
+
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    options = [a for sp in subparsers.choices.values() for a in sp._actions
+               if not isinstance(a, argparse._HelpAction)]
+    assert len(options) <= CLI_OPTION_BUDGET

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,25 @@ def test_fiber_problem_validation(well):
         FiberProblem(m=0, h=1.0, R=16.0, n=100)
     with pytest.raises(ValueError):
         FiberProblem(m=0, h=1.0, R=2.0, n=1000)
+
+
+@pytest.mark.parametrize("h, R, n, tol, message", [
+    (math.nan, 20.0, 8000, GROUND_TOL, "h > 0 (got nan)"),
+    (1.0, 16.0, 0, GROUND_TOL, "n >= 400"),
+    (1.0, 0.0, MIN_NODES, GROUND_TOL, "R=0.0 too small"),
+    (1.0, math.inf, 8000, GROUND_TOL, "need finite R (got inf)"),
+    (1.0, math.nan, 8000, GROUND_TOL, "need finite R (got nan)"),
+    (1.0, 1e300, 8000, GROUND_TOL, "need finite R^2 (got R=1e+300)"),
+    (1.0, 1e308, 8000, GROUND_TOL, "need finite R^2 (got R=1e+308)"),
+    (1.0, 16.0, 8000, 0.0, "need finite tol > 0 (got 0.0)"),
+    (1.0, 16.0, 8000, -1.0, "need finite tol > 0 (got -1.0)"),
+    (1.0, 16.0, 8000, math.nan, "need finite tol > 0 (got nan)")],
+    ids=["h-nan", "grid-0", "radius-0", "radius-inf", "radius-nan",
+         "radius-1e300", "radius-1e308", "tol-0", "tol-negative", "tol-nan"])
+def test_fiber_input_rejected(well, h, R, n, tol, message):
+    # each is a ValueError, so exit 2 and one line on the command line
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_fiber(FiberProblem(m=0, h=h, R=R, n=n, v0=well.v0), tol=tol)
 
 
 def test_harmonic_exponent(well, case):
