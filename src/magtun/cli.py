@@ -94,7 +94,7 @@ def cmd_constants(args):
 def cmd_spectrum(args):
     if args.modes < 0:
         raise ValueError(f"need --modes >= 0 (got {args.modes})")
-    well = _load_config(args).well
+    well = RadialWell.bump(depth=args.depth, a=args.a)
     R = default_radius(well, args.h)
     problem = FiberProblem(m=0, h=args.h, R=R, n=_default_n(R, GROUND_DELTA),
                            v0=well.v0)
@@ -110,9 +110,10 @@ def cmd_wkb(args):
     if args.points < 1:
         raise ValueError(f"need --points >= 1 (got {args.points})")
     pipe = Pipeline(_load_config(args))
+    # the tables first: a well they reject is a config error before a solve
+    prof, amp = pipe.profile, pipe.amplitude
     case = Case(pipe, args.h)
     sol, outer = case.ground, case.outer
-    prof, amp = pipe.profile, pipe.amplitude
     # r_k = k (L + 1) / points, independent of the solver's grid
     rs = (pipe.config.L + 1.0) * np.arange(1, args.points + 1) / args.points
     outside = rs >= pipe.config.well.a
@@ -256,38 +257,35 @@ def build_parser():
         description="Numerical laboratory for magnetic double-well tunneling")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def config_flags(sp):
+    def command(name, func, help, L=True):
+        """The subparser of one command, with the well's flags (and L's)."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func)
         sp.add_argument("--depth", type=float, default=1.0)
         sp.add_argument("--a", type=float, default=1.0)
-        sp.add_argument("--L", type=float, default=4.0)
+        if L:
+            sp.add_argument("--L", type=float, default=4.0)
+        return sp
 
-    sp = sub.add_parser("constants", help="action constants table")
-    config_flags(sp)
-    sp.set_defaults(func=cmd_constants)
+    command("constants", cmd_constants, "action constants table")
 
-    sp = sub.add_parser("spectrum", help="fiber spectra of the single well")
-    config_flags(sp)
+    sp = command("spectrum", cmd_spectrum, "fiber spectra of the single well",
+                 L=False)
     sp.add_argument("--h", type=float, required=True)
     sp.add_argument("--modes", type=int, default=2)
     sp.add_argument("--levels", type=int, default=1)
-    sp.set_defaults(func=cmd_spectrum)
 
-    sp = sub.add_parser("wkb", help="ground state vs WKB/outer predictions")
-    config_flags(sp)
+    sp = command("wkb", cmd_wkb, "ground state vs WKB/outer predictions")
     sp.add_argument("--h", type=float, required=True)
     sp.add_argument("--points", type=int, default=200,
                     help="rows at r = k (L+1)/points, k = 1..points")
-    sp.set_defaults(func=cmd_wkb)
 
-    sp = sub.add_parser("hopping", help="hopping coefficient sweep")
-    config_flags(sp)
+    sp = command("hopping", cmd_hopping, "hopping coefficient sweep")
     sp.add_argument("--h-range", required=True, help="lo:hi:n")
     sp.add_argument("--route", choices=("direct", "bessel", "both"),
                     default="both")
-    sp.set_defaults(func=cmd_hopping)
 
-    sp = sub.add_parser("asymptotics", help="sharp action and W-chain")
-    config_flags(sp)
+    sp = command("asymptotics", cmd_asymptotics, "sharp action and W-chain")
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--action", action="store_true")
     mode.add_argument("--wchain", action="store_true")
@@ -296,27 +294,20 @@ def build_parser():
                     help=f"lo:hi:n, --wchain only (default {WCHAIN_H_RANGE})")
     sp.add_argument("--eta", type=float,
                     help=f"--wchain only (default {WCHAIN_ETA})")
-    sp.set_defaults(func=cmd_asymptotics)
 
-    sp = sub.add_parser("splitting", help="2-D eigenvalue gap")
-    config_flags(sp)
+    sp = command("splitting", cmd_splitting, "2-D eigenvalue gap")
     sp.add_argument("--h-range", required=True)
     sp.add_argument("--grid", type=float, help="lattice spacing delta")
     sp.add_argument("--box", type=float, nargs=2)
-    sp.set_defaults(func=cmd_splitting)
 
-    sp = sub.add_parser("sweep", help="combined per-h table")
-    config_flags(sp)
+    sp = command("sweep", cmd_sweep, "combined per-h table")
     sp.add_argument("--h-range", required=True)
     sp.add_argument("--with-splitting", action="store_true")
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("verify", help="one-shot invariant battery")
-    config_flags(sp)
+    sp = command("verify", cmd_verify, "one-shot invariant battery")
     sp.add_argument("--grid", type=float,
                     help="override Landau-check lattice spacing")
     sp.add_argument("--quick", action="store_true")
-    sp.set_defaults(func=cmd_verify)
     return p
 
 

@@ -24,8 +24,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
-from scipy.linalg.lapack import dptsv, dpttrf
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dptsv, dpttrf
 
 __all__ = [
     "NumericalError",
@@ -215,28 +215,27 @@ def _spline(x, y):
     """scipy's not-a-knot CubicSpline of y on the increasing nodes x (at
     least four), as a function of an array or a scalar.
 
-    The slopes solve scipy's banded system with its not-a-knot end rows,
-    each interval's cubic has scipy's Hermite coefficients and is summed
-    in scipy's order, power by power, so the values are scipy's bit for
-    bit (Horner's rule moves them by up to 42 ulps).  Points off the grid
-    take the end intervals, as scipy extrapolates.
+    The slopes solve scipy's tridiagonal system with its not-a-knot end
+    rows by LAPACK's dgtsv, as scipy's solve_banded does for one band each
+    side, singular check included; each interval's cubic has scipy's
+    Hermite coefficients and is summed in scipy's order, power by power,
+    so the values are scipy's bit for bit (Horner's rule moves them by up
+    to 42 ulps).  Points off the grid take the end intervals, as scipy
+    extrapolates.
     """
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    ab = np.zeros((3, len(x)))
-    ab[0, 2:] = dx[:-1]
-    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    ab[2, :-2] = dx[1:]
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    diag = np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]]
     rhs = np.empty(len(x))
     rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d = x[2] - x[0]
-    ab[1, 0], ab[0, 1] = dx[1], d
-    rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    ab[1, -1], ab[2, -2] = dx[-2], d
+    rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0
     rhs[-1] = (dx[-1]**2 * slope[-2]
-               + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), ab, rhs)
+               + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    *_, s, info = dgtsv(np.r_[dx[1:], d1], diag, np.r_[d0, dx[:-1]], rhs,
+                        overwrite_d=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     coef = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
 
@@ -286,7 +285,7 @@ def symm_tridiag_lowest(diag, offdiag, k):
 def _tridiag_lowest_values(diag, offdiag, k):
     """symm_tridiag_lowest's k eigenvalues, without its eigenvectors."""
     return eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i",
-                            select_range=(0, k - 1))
+                            select_range=(0, k - 1), check_finite=False)
 
 
 def _tridiag_rayleigh(diag, offdiag):
@@ -342,30 +341,31 @@ def _tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
     Past max|diag| 2^256 it runs on T / 2^k, max|diag| just below 2^256,
     which is exact and keeps Temple's squared residual and |y|^2 in range.
     """
-    k = max(math.frexp(np.abs(diag).max())[1] - 256, 0)
-    diag = np.ldexp(np.asarray(diag, dtype=float), -k)
-    offdiag = np.ldexp(np.asarray(offdiag, dtype=float), -k)
-    lam, margin, gap = (math.ldexp(v, -k) for v in (lam, margin, gap))
+    top = np.abs(diag).max()
+    k = max(math.frexp(top)[1] - 256, 0)
+    if k:
+        diag, offdiag = np.ldexp(diag, -k), np.ldexp(offdiag, -k)
+        top, lam, margin, gap = np.ldexp([top, lam, margin, gap], -k)
     x = np.asarray(x0, dtype=float)
     x = x / np.linalg.norm(x)
-    noise = np.finfo(float).eps * np.abs(diag).max()
+    noise = np.finfo(float).eps * top
     rayleigh = _tridiag_rayleigh(diag, offdiag)
     margin = max(margin, 16.0 * noise)
     change = np.inf
     for _ in range(_MAX_SOLVES):
-        _, _, y, info = dptsv(diag - (lam - margin), offdiag, x)
+        *_, y, info = dptsv(diag - (lam - margin), offdiag, x, overwrite_d=1)
         if info != 0:    # lam - margin is not below lambda_0
             margin *= 4.0
             continue
         y /= np.linalg.norm(y)
         change = np.abs(y - x).max()
         x = y
-        tx = diag * x
-        tx[:-1] += offdiag * x[1:]
-        tx[1:] += offdiag * x[:-1]
         rho = float(rayleigh(x))
         if change <= 4.0 * noise / gap * np.abs(x).max():
             return math.ldexp(rho, k), x
+        tx = diag * x
+        tx[:-1] += offdiag * x[1:]
+        tx[1:] += offdiag * x[:-1]
         lam = rho
         margin = 2.0 * float(np.sum((tx - rho * x) ** 2)) / gap + 16.0 * noise
     raise AccuracyError(

@@ -59,7 +59,10 @@ GROUND_TOL = 1e-8    # Richardson tolerance of the ground_state solve
 # from the m = 0 grid the two routes to w agree within 7.2e-9 at depth
 # 0.5-4, L 3.5-5, h >= 0.15
 GROUND_DELTA = 2.4e-3
-SCAN_DELTA = 8e-3
+# the scans converge in 3 levels and move by at most 9.9e-9 from a start at
+# 8e-3 (depth 0.5-4, L 3.5-5, h 0.15-0.6); at L 4 and 12, h 0.01-0.1, 5 of
+# 80 need a 4th level and they move by at most 6.5e-8
+SCAN_DELTA = 2.4e-2
 MIN_NODES = 400       # floor of FiberProblem.n, the pilot and a default grid
 MAX_NODES = 250_000   # cap of a default grid
 
@@ -86,6 +89,8 @@ class FiberProblem:
     def __post_init__(self):
         if not 0 < self.h < math.inf:
             raise ValueError(f"need finite h > 0 (got {self.h})")
+        if not self.h * self.h < math.inf:   # the stencil's h^2 / delta^2
+            raise ValueError(f"need finite h^2 (got h={self.h})")
         if self.n < MIN_NODES:
             raise ValueError(f"need n >= {MIN_NODES}")
         if not self.R < math.inf:
@@ -109,7 +114,7 @@ def _fiber_tridiag(problem, n):
     delta = R / (n + 0.5)
     i = np.arange(1, n + 1, dtype=float)
     r = (i - 0.5) * delta
-    Q = (h * m / r - r / 2.0) ** 2 + problem.potential(r)
+    Q = (h * m / r - r / 2.0 if m else r / 2.0) ** 2 + problem.potential(r)
     c = h * h / delta**2
     diag = c * ((i - 1.0) + i) / (i - 0.5) + Q
     off = -c * i[:-1] / np.sqrt((i[:-1] - 0.5) * (i[:-1] + 0.5))

@@ -52,7 +52,9 @@ __all__ = [
 ]
 
 
-T_BLOCK = 16  # rows per block of a caller-sized batch
+# rows per block of a caller-sized batch: hopping.N_ROUTE, so the Bessel
+# route's t-integral is one call
+T_BLOCK = 64
 Y_HI = 15.0   # upper limit of every t-integral, in y = log t
 N_AMPLITUDE = 8001   # WkbAmplitude's table nodes on [0, r_max]
 # calibrate_outer raises past this relative mismatch: 8x the worst measured

@@ -22,9 +22,9 @@ MODULES = ("agmon", "asymptotics", "hopping", "numerics", "pipeline",
 BUDGET = 179
 # the landed `cat src/magtun/*.py | wc -l`: lower it with each deletion, and
 # state a reason in CHANGES.md for any rise
-LINE_BUDGET = 2975
+LINE_BUDGET = 2973
 # options of all subcommands together, -h aside
-CLI_OPTION_BUDGET = 43
+CLI_OPTION_BUDGET = 42
 
 
 def _params(fn, bound):

@@ -81,6 +81,8 @@ SPLIT = ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1"]
     (["spectrum", "--h", "inf", "--modes", "0"], "h > 0 (got inf)"),
     (["spectrum", "--h", "nan", "--modes", "0"], "h > 0 (got nan)"),
     (["spectrum", "--h", "1", "--modes", "-1"], "need --modes >= 0 (got -1)"),
+    (["spectrum", "--h", "1e300", "--modes", "0"],
+     "need finite h^2 (got h=1e+300)"),
     (["wkb", "--h", "0.3", "--points", "0"], "need --points >= 1 (got 0)"),
     (["asymptotics", "--beta-sweep", "nan"],
      "need finite beta > 0 (got nan)"),
@@ -117,6 +119,7 @@ SPLIT = ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1"]
     (SPLIT + ["--box", "1e300", "1e300"], "nodes is above MAX_LATTICE_NODES")],
     ids=["L-below-2a", "L-nan", "L-inf", "depth-inf", "depth-nan", "a-nan",
          "spectrum-h-inf", "spectrum-h-nan", "spectrum-modes-negative",
+         "spectrum-h-squared-inf",
          "wkb-points-0", "beta-sweep-nan", "beta-sweep-inf",
          "beta-sweep-tiny", "a-tiny", "splitting-grid-0",
          "splitting-grid-negative", "splitting-grid-nan", "splitting-box-inf",
@@ -212,6 +215,16 @@ def test_asymptotics_takes_one_mode(capsys):
                   "0.5"])
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_spectrum_takes_no_L(capsys):
+    # spectrum solves the single well: --L is not one of its flags
+    from magtun import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--h", "1", "--L", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --L 5" in capsys.readouterr().err
 
 
 def test_invariant_violation_exit_3(monkeypatch, capsys):

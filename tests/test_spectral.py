@@ -10,7 +10,8 @@ from magtun import (FiberProblem, RadialWell, agmon_identity_check,
                     solve_fiber, spectral)
 from magtun.numerics import symm_tridiag_lowest
 from magtun.spectral import (GROUND_DELTA, GROUND_TOL, MIN_NODES,
-                             _bisection_levels, _default_n, _ground_levels)
+                             SCAN_DELTA, _bisection_levels, _default_n,
+                             _ground_levels)
 
 SQRT5 = math.sqrt(5.0)
 
@@ -87,12 +88,28 @@ def test_negative_fibers_from_shift_identity(well, case, h):
     # fiber -m is fiber m shifted by 2hm, so ground_state derives it
     sol = case(well, h).ground
     R = sol.problem.R
-    n_scan = _default_n(R, delta=8e-3)
+    n_scan = _default_n(R, SCAN_DELTA)
     for m in (1, 2):
         direct = solve_fiber(FiberProblem(m=-m, h=h, R=R, n=n_scan,
                                           v0=well.v0),
                              k=1, tol=1e-6).e_sw
         assert abs(sol.fiber_energies[-m] - direct) <= 1e-8
+
+
+@pytest.mark.parametrize("depth", [0.5, 4.0])
+@pytest.mark.parametrize("L", [4.0, 12.0])
+@pytest.mark.parametrize("h", [0.015, 0.3, 1.4])
+def test_coarse_scans_match_finer_start(depth, L, h):
+    # ground_state's m = 1, 2 scans start at SCAN_DELTA: each converges
+    # within MAX_DOUBLINGS (solve_fiber raises AccuracyError otherwise) and
+    # lands within its tolerance of the same scan started at 8e-3
+    well = RadialWell.bump(depth=depth, a=1.0)
+    R = default_radius(well, h, L=L)
+    for m in (1, 2):
+        coarse, fine = (solve_fiber(FiberProblem(
+            m=m, h=h, R=R, n=_default_n(R, delta), v0=well.v0),
+            tol=100 * GROUND_TOL) for delta in (SCAN_DELTA, 8e-3))
+        assert abs(coarse.e_sw - fine.e_sw) <= 100 * GROUND_TOL
 
 
 def test_normalization_and_positivity(well, case):
