@@ -5,8 +5,8 @@ Subcommands: constants | spectrum | wkb | hopping | asymptotics | splitting
 digits, stable formatting), verify a plain-text report; none writes a
 file.  Exit codes: 0 success, 1 assertion failure (verify), 2 configuration
 error, 3 numerical failure (any NumericalError, such as a tolerance not
-reached or an invariant violated; one stderr line gives the estimate and
-the bound).
+reached or an invariant violated, or a LAPACK failure; one stderr line
+gives the estimate and the bound).
 """
 
 from __future__ import annotations
@@ -316,14 +316,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # numpy's LinAlgError, a LAPACK failure, is a ValueError: caught first
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        print(f"numerical error: {type(exc).__name__}: {exc} (estimate "
+              f"{_fmt_value(getattr(exc, 'estimate', None))}, bound "
+              f"{_fmt_value(getattr(exc, 'error_bound', None))})",
+              file=sys.stderr)
+        return 3
     except ValueError as exc:   # WellValidationError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical error: {type(exc).__name__}: {exc} (estimate "
-              f"{_fmt_value(exc.estimate)}, bound "
-              f"{_fmt_value(exc.error_bound)})", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -4,26 +4,26 @@ Each directed edge carries the unit phase exp(-i A(midpoint).edge / h); for
 the linear symmetric gauge A = (-y/2, x/2) the midpoint rule integrates
 A . dl exactly, so every plaquette encloses exactly the continuum flux
 delta^2 and gauge covariance holds on the lattice to machine precision.
-The lowest eigenvalues come from shift-invert Lanczos on one complex sparse
-LU with a symmetric fill-reducing (MMD on A^T + A) ordering and a SuperLU
+The lowest eigenvalues come from solves on one complex sparse LU per block,
+with a symmetric fill-reducing (MMD on A^T + A) ordering and a SuperLU
 panel of PANEL_SIZE = 4 columns, as SuperLU's 20 keep a dense n x 20 work
-array that set a factorization's peak; the start vector is fixed for
-run-to-run determinism.  The double-well operator
-commutes with rotation by pi about the midpoint, so the splitting is taken
-between the lowest levels of its even and odd half-size sector blocks: each
-is simple, and Lanczos never has to separate the exponentially close pair.
-`gap_row` sets that gap at one h against 2|w| from the same pipeline.Case;
-`gap_vs_hopping` runs it over an h-list.  Its ground state gives the shift
-sigma = e_sw - D/10, where D is the distance from e_sw to the next fiber
-level: the pair sits about D/10 from sigma and every other level at least
-D away, so a 4-vector Krylov basis converges in about ten LU solves per
-sector.  Both sectors share that one shift: the gap is a difference of two
-nearly equal eigenvalues, and their rounding cancels only when both come
-from the same shifted operator.  The free Landau check runs on a square
-box, where the free operator also commutes with rotation by pi/2: it takes
-the lowest level of the quarter-size sector of rotation-invariant vectors,
-where the m = 0 Landau state lies, away from the rest of the
-near-degenerate Landau cluster.
+array that set a factorization's peak; start vectors are fixed for
+run-to-run determinism.  The double-well operator commutes with rotation
+by pi about the midpoint, so the splitting is taken between the lowest
+levels of its even and odd half-size sector blocks: each is simple, and no
+solver has to separate the exponentially close pair.  `gap_row` sets that
+gap at one h against 2|w| from the same pipeline.Case; `gap_vs_hopping`
+runs it over an h-list.  Its shift sits D/1000 below the Rayleigh quotient
+of the lifted pair phi_L + phi_R, D the distance from e_sw to the next
+fiber level, so inverse iteration from that pair cuts the error about
+1000-fold per LU solve: 3 solves per sector.  Both sectors share that one
+shift: the gap is a difference of two nearly equal eigenvalues, and their
+rounding cancels only when both come from the same shifted operator.  The
+other solves keep shift-invert Lanczos (eigsh).  The free Landau check
+runs on a square box, where the free operator also commutes with rotation
+by pi/2: it takes the lowest level of the quarter-size sector of
+rotation-invariant vectors, where the m = 0 Landau state lies, away from
+the rest of the near-degenerate Landau cluster.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def assemble(system, h, delta=None, box=None):
     return MagneticLattice(h, delta, x, y, M)
 
 
-SHORT_NCV = 4   # Krylov basis of gap_row's two-sector solve (order 2)
+MAX_SOLVES = 30   # LU solves of one inverse iteration (order 2)
 # SuperLU's panel width; scipy passes none, so SuperLU takes 20.  Widths 1
 # to 8 tied on `lattice_split`'s peak RSS (142-144 MB; 155 at 12, 165 at
 # 20), and none factored a delta 0.035 to 0.1 sector slower than 20 did.
@@ -243,53 +243,79 @@ def _rotation_sectors(lattice, order, sigma, parities):
     return blocks, lift
 
 
-def _shift_invert(lu, sigma, k, v0=None, ncv=None):
+def _shift_invert(lu, sigma, k, v0=None):
     """The k eigenpairs nearest sigma, ascending, of a block B from lu, the
-    LU of B - sigma, by eigsh (its default basis when ncv is None): eigsh
-    reads only the shape and dtype of B, so lu.solve stands in for it."""
+    LU of B - sigma, by eigsh: eigsh reads only the shape and dtype of B,
+    so lu.solve stands in for it."""
     m = lu.shape[0]
     if v0 is None:
         v0 = np.full(m, 1.0 / math.sqrt(m))
     inv = LinearOperator((m, m), matvec=lu.solve, dtype=complex)
-    vals, vecs = eigsh(inv, k=k, sigma=sigma, which="LM", v0=v0, ncv=ncv,
-                       OPinv=inv)
+    vals, vecs = eigsh(inv, k=k, sigma=sigma, which="LM", v0=v0, OPinv=inv)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
 
-def lowest_two(lattice, sigma, order=1):
+def _inverse_iteration(lu, sigma, x, tol):
+    """([e], vector column): the eigenpair nearest sigma of a block B from
+    lu, the LU of B - sigma, by inverse iteration from x (flat when None).
+    Each step takes y = lu.solve(x), theta = x^H y / |y|^2 and r = |x -
+    theta y| / |y|, the residual of (sigma + theta, y / |y|) on B with no
+    product by B; it stops once r <= tol or r no longer halves, and raises
+    NumericalError after MAX_SOLVES solves."""
+    x = np.ones(lu.shape[0]) if x is None else x
+    x, r_prev = x / np.linalg.norm(x), math.inf
+    for _ in range(MAX_SOLVES):
+        y = lu.solve(x)
+        norm = float(np.linalg.norm(y))
+        theta = np.vdot(x, y).real / norm**2
+        r = float(np.linalg.norm(x - theta * y)) / norm
+        x = y / norm
+        if r <= tol or r > r_prev / 2.0:
+            return np.array([sigma + theta]), x[:, None]
+        r_prev = r
+    raise NumericalError(
+        f"inverse iteration not converged in {MAX_SOLVES} LU solves: "
+        f"residual {r:.2e}", estimate=r, error_bound=tol)
+
+
+def lowest_two(lattice, sigma, order=1, start=None):
     """The lowest eigenvalues near the shift sigma, solved on the sectors of
     rotation by 2 pi / order about the midpoint (_rotation_sectors).
 
     Shift-invert separates exponentially close pairs; each sector block less
     sigma is factored once with a symmetric fill-reducing ordering (H is
-    Hermitian) on a PANEL_SIZE-column panel, then dropped, and the
-    deterministic start vector keeps repeated runs byte-identical.  Each
-    eigenpair's residual norm, always taken against the full matrix, must
-    be at most RESIDUAL_RTOL x max |diag|.
+    Hermitian) on a PANEL_SIZE-column panel, its LU dropped before the next
+    block is factored.  start, the first sector's start vector (flat when
+    None), keeps repeated runs byte-identical.  Each eigenpair's residual
+    norm, always taken against the full matrix, must be at most
+    RESIDUAL_RTOL x max |diag|.
 
-    order 1: the two lowest levels of the full matrix.  order 2 (gap_row):
-    the pi-even sector's lowest level, then the odd one's, both at the one
-    shift sigma, on a SHORT_NCV-vector basis, the odd solve started from
-    the even vector.  That basis converges in about ten LU solves only
-    because gap_row's sigma lies much closer to the pair than to any other
-    level; at a shift chosen without that knowledge (the free Landau
-    cluster) it restarts thousands of times.  order 4 (landau_level_2d): the
-    lowest level of the quarter-size sector of vectors invariant under
-    rotation by pi/2.  Any other order is a ValueError.
+    order 1: the two lowest levels of the full matrix, by eigsh.  order 2
+    (gap_row): the pi-even sector's lowest level, then the odd one's, both
+    at the one shift sigma, by inverse iteration to a residual of 4 eps
+    max |diag|, the odd one started from the even vector.  With sigma
+    D/1000 below a close pair, each solve cuts the error 1000-fold: 3 per
+    sector (the odd one took 9 at depth 0.5, L 5, h 2, its gap D/11).
+    order 4 (landau_level_2d): the lowest level of the quarter-size sector
+    of vectors invariant under rotation by pi/2, by eigsh.  Any other order
+    is a ValueError.
     """
     if order not in (1, 2, 4):
         raise ValueError(f"order must be 1, 2 or 4, not {order!r}")
     M, parities = lattice.matrix, (1, -1) if order == 2 else (1,)
     blocks, lift = _rotation_sectors(lattice, order, sigma, parities)
-    k, ncv = {1: (2, None), 2: (1, SHORT_NCV), 4: (1, None)}[order]
-    vals, vecs, v0 = [], [], None
-    for parity in parities:   # a block goes once factored, its LU once solved
-        e, x = _shift_invert(splu(blocks.pop(0), permc_spec="MMD_AT_PLUS_A",
-                                  panel_size=PANEL_SIZE), sigma, k, v0, ncv)
-        vals, vecs, v0 = vals + [e], vecs + [lift(x, parity)], x[:, 0]
-    vals, vecs = np.concatenate(vals), np.hstack(vecs)
     scale = float(np.abs(M.diagonal()).max())
+    tol = 4.0 * np.finfo(float).eps * scale
+    vals, vecs = [], []
+    for parity in parities:   # a block goes once factored, its LU once solved
+        lu = splu(blocks.pop(0), permc_spec="MMD_AT_PLUS_A",
+                  panel_size=PANEL_SIZE)
+        e, x = (_inverse_iteration(lu, sigma, start, tol) if order == 2 else
+                _shift_invert(lu, sigma, 2 if order == 1 else 1, start))
+        del lu   # before the next block is factored
+        vals, vecs, start = vals + [e], vecs + [lift(x, parity)], x[:, 0]
+    vals, vecs = np.concatenate(vals), np.hstack(vecs)
     residuals = [float(np.linalg.norm(M @ v - e * v))
                  for e, v in zip(vals, vecs.T)]
     if max(residuals) > RESIDUAL_RTOL * scale:
@@ -347,21 +373,40 @@ class GapReport:
         return [r for r in self.rows if r.floor_flag == "ok"]
 
 
+def _pair_start(lattice, ground, L):
+    """(x, rq): the lifted pair phi_L + phi_R on the x < 0 half of the
+    nodes (the pi-even sector's representatives) and the Rayleigh quotient
+    of its even full vector [x; J x].  phi_c = e^{i c y / 2h} u_h(|(x - c,
+    y)|) is u_h about the well centre (c, 0) with its magnetic-translation
+    phase, log u_h interpolated linearly."""
+    X, Y = np.meshgrid(lattice.x[:lattice.shape[0] // 2], lattice.y,
+                       indexing="ij")
+    x = sum(np.exp(np.interp(np.hypot(X - c, Y), ground.grid,
+                             ground.log_profile) + 0.5j * c * Y / lattice.h)
+            for c in (-L / 2.0, L / 2.0)).ravel()
+    v = np.concatenate([x, x[::-1]])
+    return x, np.vdot(v, lattice.matrix @ v).real / np.vdot(v, v).real
+
+
 def gap_row(case, delta=None, box=None):
     """GapRow: the 2-D gap at case.h against 2|w| from the same case.
 
     A row whose predicted gap e^{-S/h} sits below the eigensolver floor is
     reported as unresolvable rather than asserted (exponentially small
     splittings underflow double precision quickly).  Both sectors are solved
-    at the one shift sigma = e_sw - D/10, where D is the distance from the
-    ground state's e_sw to its next fiber level: the shared shift lets the
-    rounding of the two nearly equal levels cancel in their difference.  An
-    even level more than D/2 from e_sw is the wrong level (NumericalError).
-    D comes from the fiber energies that spectral.ground_state stores on its
-    solution, so a ground state assigned to the case must carry them
-    (ValueError otherwise).  The row is "ok" only if its gap exceeds 100x
-    the largest residual and 100x 8 ulps of e2, the levels' rounding (panel
-    widths alone moved the L 8.5, h 0.8 gap by 5); else its flag names why.
+    at the one shift sigma = rq - D/1000 by inverse iteration from the
+    lifted pair (_pair_start), of Rayleigh quotient rq; D is the distance
+    from the ground state's e_sw to its next fiber level.  On eight rows rq
+    lay 7e-7 to 2.8e-5 above the even level and D/1000 was 4.5e-5 to 2e-4,
+    so sigma lies below the pair.  The shared shift lets the rounding of
+    the two nearly equal levels cancel in their difference.  An even level
+    more than D/2 from e_sw is the wrong level (NumericalError).  The shift
+    reads the ground state's profile and the fiber energies that
+    spectral.ground_state stores on it, so a ground state assigned to the
+    case must carry them (ValueError without the energies).  The row is
+    "ok" only if its gap exceeds 100x the largest residual and 100x 8 ulps
+    of e2, the levels' rounding (panel widths alone moved the L 8.5, h 0.8
+    gap by 5); else its flag names why.
     """
     config, h, S = case.config, case.h, case.pipeline.action.S
     floor = 1e-12   # double precision cannot separate a closer pair
@@ -374,9 +419,10 @@ def gap_row(case, delta=None, box=None):
         raise ValueError("gap_row needs the ground state's fiber_energies "
                          "(set by spectral.ground_state) to place its shift")
     spacing = min(e for m, e in fiber_energies.items() if m != 0) - e_sw
-    sigma = e_sw - spacing / 10.0
-    vals, _, res = lowest_two(assemble(config, h, delta=delta, box=box),
-                              sigma=sigma, order=2)
+    lattice = assemble(config, h, delta=delta, box=box)
+    start, rayleigh = _pair_start(lattice, case.ground, config.L)
+    vals, _, res = lowest_two(lattice, sigma=rayleigh - spacing / 1000.0,
+                              order=2, start=start)
     even, odd = float(vals[0]), float(vals[1])
     if abs(even - e_sw) > spacing / 2.0:
         raise NumericalError(

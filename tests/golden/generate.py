@@ -87,6 +87,8 @@ COMMANDS = [
     ["constants", "--depth", "1e-300", "--a", "1e3", "--L", "3000"],
     ["asymptotics", "--wchain", "--depth", "1e300", "--a", "1e-5", "--eta",
      "1e-6"],
+    ["sweep", "--h-range", "1e150:1e150:1"],
+    ["spectrum", "--h", "1.3e154", "--modes", "2"],
 ]
 
 _RUNNER = """

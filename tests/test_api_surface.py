@@ -19,10 +19,10 @@ from pathlib import Path
 
 MODULES = ("agmon", "asymptotics", "hopping", "numerics", "pipeline",
            "potential", "spectral", "splitting2d", "verify", "wkb")
-BUDGET = 179
+BUDGET = 180
 # the landed `cat src/magtun/*.py | wc -l`: lower it with each deletion, and
 # state a reason in CHANGES.md for any rise
-LINE_BUDGET = 2973
+LINE_BUDGET = 3021
 # options of all subcommands together, -h aside
 CLI_OPTION_BUDGET = 42
 

@@ -148,14 +148,22 @@ def test_variational_gate_at_rounding_floor(capsys):
 
 
 def test_numerical_failure_exit_3():
-    proc = run("hopping", "--h-range", "0.02:0.02:1", check=False)
-    assert proc.returncode == 3
-    lines = proc.stderr.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("numerical error: AccuracyError: angular "
-                               "quadrature not converged: cancellation "
-                               "ratio kappa ")
-    assert " (estimate " in lines[0] and ", bound " in lines[0]
+    # LAPACK's LinAlgError is a ValueError, yet a numerical failure: the
+    # tridiagonal bisection does not converge on these fiber matrices
+    stebz = ("numerical error: LinAlgError: stebz (eigh_tridiagonal) did "
+             "not converge")
+    for argv, said in [
+            (("hopping", "--h-range", "0.02:0.02:1"),
+             "numerical error: AccuracyError: angular quadrature not "
+             "converged: cancellation ratio kappa "),
+            (("sweep", "--h-range", "1e150:1e150:1"), stebz),
+            (("spectrum", "--h", "1.3e154", "--modes", "2"), stebz)]:
+        proc = run(*argv, check=False)
+        assert proc.returncode == 3, argv
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(said), lines
+        assert " (estimate " in lines[0] and ", bound " in lines[0]
 
 
 def test_underflowed_direct_sum_exit_3(capsys):
@@ -194,10 +202,18 @@ def test_underflowed_direct_sum_exit_3(capsys):
     # S/h is about 760, so the Bessel route's linear sum reads 0: it raises
     # with log|w| rather than return a w that hopping divides by
     (["hopping", "--L", "30", "--h-range", "0.3:0.3:1", "--route", "bessel"],
-     "AccuracyError: Bessel-route sum underflows: log|w| -757.2", ("inf",))],
+     "AccuracyError: Bessel-route sum underflows: log|w| -757.2", ("inf",)),
+    # LAPACK's bisection fails on the fiber matrix: a numerical failure,
+    # not a configuration error, though numpy's LinAlgError is a ValueError
+    (["sweep", "--h-range", "1e150:1e150:1"],
+     "LinAlgError: stebz (eigh_tridiagonal) did not converge",
+     ("config error",)),
+    (["spectrum", "--h", "1.3e154", "--modes", "2"],
+     "LinAlgError: stebz (eigh_tridiagonal) did not converge",
+     ("config error",))],
     ids=["spectrum-depth-1e160", "wkb-depth-1e200", "corridor-depth-1e-320",
          "corridor-depth-1e-300", "wchain-fiber-energies",
-         "bessel-sum-underflow"])
+         "bessel-sum-underflow", "sweep-stebz", "spectrum-stebz"])
 def test_exit_3_line_names_its_cause(capsys, argv, said, unsaid):
     from magtun import cli
 

@@ -161,6 +161,7 @@ def test_gap_row_flags_level_rounding(well, case, monkeypatch, ulps,
     e = c.ground.e_sw
     vals = np.array([e, e + ulps * math.ulp(e)])
     monkeypatch.setattr(splitting2d, "assemble", lambda *a, **kw: None)
+    monkeypatch.setattr(splitting2d, "_pair_start", lambda *a: (None, e))
     monkeypatch.setattr(splitting2d, "lowest_two",
                         lambda *a, **kw: (vals, None, [residual] * 2))
     row = gap_row(c)
@@ -370,21 +371,61 @@ def test_sector_gap_matches_extended_precision(config85, gap_report,
         assert abs(row.gap - oracle) <= 1e-4 * oracle
 
 
-@pytest.mark.parametrize("depth, L, h", [
-    (1.0, 8.5, 1.2),
-    # shallow, short and at large h: the even level lies 3.4e-3 below e_sw,
-    # three quarters of the way down to the shift
-    (0.5, 5.0, 2.0),
-])
-def test_gap_row_solve_budget(well, case, monkeypatch, depth, L, h):
-    # both sectors at one close shift on a 4-vector basis: 20 LU solves
-    # at each input, where one default 20-vector basis per sector took 42
-    counts = _count_lu_solves(monkeypatch)
+# (depth, L, h) -> LU solves of gap_row.  The second input is shallow,
+# short and at large h: its even level lies 3.4e-3 below e_sw, and the
+# odd one 4.2e-3 above the even, not exponentially close.
+SOLVE_BUDGET = {(1.0, 8.5, 1.2): 8, (0.5, 5.0, 2.0): 12}
+
+
+def _gap_row_at(well, case, depth, L, h):
     if depth != well.depth:
         well = RadialWell.bump(depth=depth, a=well.a)
-    row = gap_row(case(well, h, L=L))
+    c = case(well, h, L=L)
+    return c, gap_row(c)
+
+
+@pytest.mark.parametrize("depth, L, h", list(SOLVE_BUDGET))
+def test_gap_row_solve_budget(well, case, monkeypatch, depth, L, h):
+    # inverse iteration at a shift D/1000 below the pair: 3 LU solves per
+    # sector where the pair is close.  At the second input the odd level
+    # lies 4.2e-3 above the shift, 1/12 of the way to the next odd level,
+    # so each odd solve cuts its error about 12-fold: 3 + 9 solves.  A
+    # 4-vector Krylov basis per sector at D/10 took 20 at each input.
+    counts = _count_lu_solves(monkeypatch)
+    _, row = _gap_row_at(well, case, depth, L, h)
     assert row.floor_flag == "ok"
-    assert sum(counts) <= 24
+    assert len(counts) == 2 and sum(counts) <= SOLVE_BUDGET[depth, L, h]
+
+
+@pytest.mark.parametrize("depth, L, h", list(SOLVE_BUDGET))
+def test_gap_row_shift_sits_on_the_pair(well, case, monkeypatch, depth, L, h):
+    # the shift is the lifted pair's Rayleigh quotient less D/1000, and
+    # that quotient is at most D/1000 above the even level (7e-7 to 2.8e-5
+    # on the measured rows), so the shift lies below the pair and within
+    # D/1000 of it
+    seen = {}
+    traced = splitting2d.lowest_two
+
+    def spy(lattice, sigma, order=1, start=None):
+        seen.update(lattice=lattice, sigma=sigma, start=start)
+        return traced(lattice, sigma, order=order, start=start)
+
+    monkeypatch.setattr(splitting2d, "lowest_two", spy)
+    c, row = _gap_row_at(well, case, depth, L, h)
+    fibers = c.ground.fiber_energies
+    spacing = min(e for m, e in fibers.items() if m != 0) - c.ground.e_sw
+    v = np.concatenate([seen["start"], seen["start"][::-1]])
+    rayleigh = np.vdot(v, seen["lattice"].matrix @ v).real / np.vdot(v, v).real
+    assert seen["sigma"] < row.e1 <= rayleigh
+    assert row.e1 - seen["sigma"] <= spacing / 1000.0
+
+
+def test_inverse_iteration_solve_cap(well, case, monkeypatch):
+    # one solve from the lifted pair leaves a residual far above the stop
+    # rule's 4 eps max|diag|: past the cap, a NumericalError naming it
+    monkeypatch.setattr(splitting2d, "MAX_SOLVES", 1)
+    with pytest.raises(NumericalError, match="not converged in 1 LU solves"):
+        gap_row(case(well, 1.2, L=8.5))
 
 
 def test_gap_row_needs_fiber_energies(well, pipe):
@@ -397,10 +438,13 @@ def test_gap_row_needs_fiber_energies(well, pipe):
 def test_gap_row_rejects_level_far_from_e_sw(well, pipe, case):
     # a ground 0.2 below the true one, with a fiber gap of 0.2: the shift
     # still finds the true even level, which lies beyond half that gap
-    e_sw = case(well, 0.5).ground.e_sw - 0.2
+    # (its profile is the true one, which the start vector reads)
+    true = case(well, 0.5).ground
+    e_sw = true.e_sw - 0.2
     c = Case(pipe(well), 0.5)
     c.ground = SimpleNamespace(e_sw=e_sw,
-                               fiber_energies={0: e_sw, 1: e_sw + 0.2})
+                               fiber_energies={0: e_sw, 1: e_sw + 0.2},
+                               grid=true.grid, log_profile=true.log_profile)
     with pytest.raises(NumericalError, match="beyond half the fiber gap"):
         gap_row(c, delta=0.1)
 
