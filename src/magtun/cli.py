@@ -316,8 +316,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # numpy's LinAlgError, a LAPACK failure, is a ValueError: caught first
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {type(exc).__name__}: {exc} (estimate "
               f"{_fmt_value(getattr(exc, 'estimate', None))}, bound "
               f"{_fmt_value(getattr(exc, 'error_bound', None))})",

@@ -235,7 +235,7 @@ def _spline(x, y):
     *_, s, info = dgtsv(np.r_[dx[1:], d1], diag, np.r_[d0, dx[:-1]], rhs,
                         overwrite_d=1, overwrite_b=1)
     if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
+        raise NumericalError("spline slopes: singular matrix (LAPACK dgtsv)")
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     coef = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
 
@@ -277,15 +277,22 @@ def symm_tridiag_lowest(diag, offdiag, k):
         raise ValueError(f"need 1 <= k <= dim (k={k}, dim={n})")
     if len(offdiag) != n - 1:
         raise ValueError("offdiag must have length dim - 1")
-    vals, vecs = eigh_tridiagonal(diag, offdiag, select="i",
-                                  select_range=(0, k - 1))
-    return vals, vecs
+    return _eigh_tridiagonal(diag, offdiag, select="i",
+                             select_range=(0, k - 1))
 
 
 def _tridiag_lowest_values(diag, offdiag, k):
     """symm_tridiag_lowest's k eigenvalues, without its eigenvectors."""
-    return eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i",
-                            select_range=(0, k - 1), check_finite=False)
+    return _eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i",
+                             select_range=(0, k - 1), check_finite=False)
+
+
+def _eigh_tridiagonal(*args, **kwargs):
+    """scipy's eigh_tridiagonal, a LAPACK failure raised as NumericalError."""
+    try:
+        return eigh_tridiagonal(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(str(exc)) from exc
 
 
 def _tridiag_rayleigh(diag, offdiag):

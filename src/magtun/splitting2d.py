@@ -4,26 +4,17 @@ Each directed edge carries the unit phase exp(-i A(midpoint).edge / h); for
 the linear symmetric gauge A = (-y/2, x/2) the midpoint rule integrates
 A . dl exactly, so every plaquette encloses exactly the continuum flux
 delta^2 and gauge covariance holds on the lattice to machine precision.
-The lowest eigenvalues come from solves on one complex sparse LU per block,
-with a symmetric fill-reducing (MMD on A^T + A) ordering and a SuperLU
-panel of PANEL_SIZE = 4 columns, as SuperLU's 20 keep a dense n x 20 work
-array that set a factorization's peak; start vectors are fixed for
-run-to-run determinism.  The double-well operator commutes with rotation
-by pi about the midpoint, so the splitting is taken between the lowest
-levels of its even and odd half-size sector blocks: each is simple, and no
-solver has to separate the exponentially close pair.  `gap_row` sets that
-gap at one h against 2|w| from the same pipeline.Case; `gap_vs_hopping`
-runs it over an h-list.  Its shift sits D/1000 below the Rayleigh quotient
-of the lifted pair phi_L + phi_R, D the distance from e_sw to the next
-fiber level, so inverse iteration from that pair cuts the error about
-1000-fold per LU solve: 3 solves per sector.  Both sectors share that one
-shift: the gap is a difference of two nearly equal eigenvalues, and their
-rounding cancels only when both come from the same shifted operator.  The
-other solves keep shift-invert Lanczos (eigsh).  The free Landau check
-runs on a square box, where the free operator also commutes with rotation
-by pi/2: it takes the lowest level of the quarter-size sector of
-rotation-invariant vectors, where the m = 0 Landau state lies, away from
-the rest of the near-degenerate Landau cluster.
+A lowest level comes from inverse iteration on the sparse LU (MMD
+ordering on A^T + A) of one rotation-sector block, started from a
+continuum state (_start), so repeated runs are byte-identical.  The
+double-well operator commutes with rotation by pi about the midpoint, so
+`gap_row` takes the splitting between the lowest levels of its even and
+odd half-size sector blocks, each simple: no solver has to separate the
+exponentially close pair.  The free Landau check runs on a square box,
+where the free operator also commutes with rotation by pi/2: it takes the
+lowest level of the quarter-size sector of rotation-invariant vectors,
+where the m = 0 Landau state lies, away from the rest of the
+near-degenerate Landau cluster.
 """
 
 from __future__ import annotations
@@ -33,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+# eigsh is unused here, but the benchmark's tracer wraps it by this name
+from scipy.sparse.linalg import eigsh, splu
 
 from .numerics import NumericalError, _richardson
 from .pipeline import Case
@@ -171,7 +163,7 @@ def assemble(system, h, delta=None, box=None):
     return MagneticLattice(h, delta, x, y, M)
 
 
-MAX_SOLVES = 30   # LU solves of one inverse iteration (order 2)
+MAX_SOLVES = 30   # LU solves of one inverse iteration (orders 2 and 4)
 # SuperLU's panel width; scipy passes none, so SuperLU takes 20.  Widths 1
 # to 8 tied on `lattice_split`'s peak RSS (142-144 MB; 155 at 12, 165 at
 # 20), and none factored a delta 0.035 to 0.1 sector slower than 20 did.
@@ -180,15 +172,15 @@ PANEL_SIZE = 4
 
 def _rotation_sectors(lattice, order, sigma, parities):
     """(blocks, lift) for the sectors of the lattice matrix M under rotation
-    of the nodes by 2 pi / order about the midpoint: order 1 is the identity
-    (M is its one block); order 2 is (x, y) -> (-x, -y), which reverses the
-    flattened node order (J); order 4 is (x, y) -> (-y, x) on a square node
-    set.  In the symmetric gauge either turn maps every Peierls phase to
-    itself, so M commutes with it exactly or not at all (ValueError).
+    of the nodes by 2 pi / order about the midpoint: order 2 is (x, y) ->
+    (-x, -y), which reverses the flattened node order (J); order 4 is (x, y)
+    -> (-y, x) on a square node set.  In the symmetric gauge either turn
+    maps every Peierls phase to itself, so M commutes with it exactly or not
+    at all (ValueError).
 
     No node is fixed by a rotation short of the full turn, so every orbit
-    has `order` nodes, one of them a representative: the first m = n/order
-    nodes for orders 1 and 2, the x, y < 0 quadrant for order 4.  The sector
+    has `order` nodes, one of them a representative: the first m = n/2
+    nodes for order 2, the x, y < 0 quadrant for order 4.  The sector
     of parity p (+1/-1) holds the vectors with v(R^k q) = p^k v(q), so its
     block sums the rotation images, sum_k p^k M[reps, R^k reps].  For order
     2 on the x/y-symmetric node set, with M = [[A, B], [J B J, J A J]], that
@@ -199,13 +191,11 @@ def _rotation_sectors(lattice, order, sigma, parities):
     parity writes its values (p times those of odd-power columns) into one
     reused buffer and converts it once to CSC for splu; the conversion adds
     -sigma to a diagonal entry a, giving exactly a - sigma.  lift(x, parity)
-    turns a block's eigenvectors (columns) into unit full ones.
+    turns a block's unit eigenvector into a unit full one.
     """
     M = lattice.matrix
     n = M.shape[0]
-    if order == 1:
-        rot = reps = np.arange(n)
-    elif order == 2:
+    if order == 2:
         rot, reps = np.arange(n)[::-1], np.arange(n // 2)
         turn = "pi (reversal of the node order)"
     else:
@@ -216,7 +206,7 @@ def _rotation_sectors(lattice, order, sigma, parities):
         idx = np.arange(n).reshape(nx, nx)
         rot, reps = idx[::-1].T.ravel(), idx[:nx // 2, :nx // 2].ravel()
         turn = "pi/2"
-    if order > 1 and (n % order or (M[rot][:, rot] != M).nnz):
+    if n % order or (M[rot][:, rot] != M).nnz:
         raise ValueError(f"matrix does not commute with rotation by {turn}")
     # node -> its representative's position in reps (int32, which scipy
     # takes without a copy) and whether an odd power of R carries it there
@@ -238,32 +228,18 @@ def _rotation_sectors(lattice, order, sigma, parities):
 
     def lift(x, parity):
         v = x[pos]
-        return np.where(odd[:, None], parity * v, v) / math.sqrt(order)
+        return np.where(odd, parity * v, v) / math.sqrt(order)
 
     return blocks, lift
 
 
-def _shift_invert(lu, sigma, k, v0=None):
-    """The k eigenpairs nearest sigma, ascending, of a block B from lu, the
-    LU of B - sigma, by eigsh: eigsh reads only the shape and dtype of B,
-    so lu.solve stands in for it."""
-    m = lu.shape[0]
-    if v0 is None:
-        v0 = np.full(m, 1.0 / math.sqrt(m))
-    inv = LinearOperator((m, m), matvec=lu.solve, dtype=complex)
-    vals, vecs = eigsh(inv, k=k, sigma=sigma, which="LM", v0=v0, OPinv=inv)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
-
-
 def _inverse_iteration(lu, sigma, x, tol):
-    """([e], vector column): the eigenpair nearest sigma of a block B from
-    lu, the LU of B - sigma, by inverse iteration from x (flat when None).
-    Each step takes y = lu.solve(x), theta = x^H y / |y|^2 and r = |x -
-    theta y| / |y|, the residual of (sigma + theta, y / |y|) on B with no
-    product by B; it stops once r <= tol or r no longer halves, and raises
-    NumericalError after MAX_SOLVES solves."""
-    x = np.ones(lu.shape[0]) if x is None else x
+    """(e, unit vector): the eigenpair nearest sigma of a block B from lu,
+    the LU of B - sigma, by inverse iteration from x.  Each step takes y =
+    lu.solve(x), theta = x^H y / |y|^2 and r = |x - theta y| / |y|, the
+    residual of (sigma + theta, y / |y|) on B with no product by B; it stops
+    once r <= tol or r no longer halves, and raises NumericalError after
+    MAX_SOLVES solves."""
     x, r_prev = x / np.linalg.norm(x), math.inf
     for _ in range(MAX_SOLVES):
         y = lu.solve(x)
@@ -272,37 +248,30 @@ def _inverse_iteration(lu, sigma, x, tol):
         r = float(np.linalg.norm(x - theta * y)) / norm
         x = y / norm
         if r <= tol or r > r_prev / 2.0:
-            return np.array([sigma + theta]), x[:, None]
+            return sigma + theta, x
         r_prev = r
     raise NumericalError(
         f"inverse iteration not converged in {MAX_SOLVES} LU solves: "
         f"residual {r:.2e}", estimate=r, error_bound=tol)
 
 
-def lowest_two(lattice, sigma, order=1, start=None):
-    """The lowest eigenvalues near the shift sigma, solved on the sectors of
-    rotation by 2 pi / order about the midpoint (_rotation_sectors).
+def lowest_two(lattice, sigma, order, start):
+    """The lowest eigenvalues near the shift sigma, one per sector of
+    rotation by 2 pi / order about the midpoint (_rotation_sectors), by
+    inverse iteration from start (_start) to a residual of 4 eps max |diag|.
 
-    Shift-invert separates exponentially close pairs; each sector block less
-    sigma is factored once with a symmetric fill-reducing ordering (H is
-    Hermitian) on a PANEL_SIZE-column panel, its LU dropped before the next
-    block is factored.  start, the first sector's start vector (flat when
-    None), keeps repeated runs byte-identical.  Each eigenpair's residual
-    norm, always taken against the full matrix, must be at most
-    RESIDUAL_RTOL x max |diag|.
-
-    order 1: the two lowest levels of the full matrix, by eigsh.  order 2
-    (gap_row): the pi-even sector's lowest level, then the odd one's, both
-    at the one shift sigma, by inverse iteration to a residual of 4 eps
-    max |diag|, the odd one started from the even vector.  With sigma
-    D/1000 below a close pair, each solve cuts the error 1000-fold: 3 per
-    sector (the odd one took 9 at depth 0.5, L 5, h 2, its gap D/11).
-    order 4 (landau_level_2d): the lowest level of the quarter-size sector
-    of vectors invariant under rotation by pi/2, by eigsh.  Any other order
-    is a ValueError.
+    Each sector block less sigma is factored once with a symmetric
+    fill-reducing ordering (H is Hermitian), its LU dropped before the next
+    block is factored.  Each eigenpair's residual against the full matrix
+    must be at most RESIDUAL_RTOL x max |diag|.  order 2 (gap_row): the
+    pi-even sector's level, then the odd one's from the even vector, both
+    at the one shift sigma; D/1000 below a close pair, each solve cuts the
+    error 1000-fold: 3 per sector (9 for the odd one at depth 0.5, L 5,
+    h 2, its gap D/11).  order 4 (landau_level_2d): the sector invariant
+    under rotation by pi/2.  Any other order is a ValueError.
     """
-    if order not in (1, 2, 4):
-        raise ValueError(f"order must be 1, 2 or 4, not {order!r}")
+    if order not in (2, 4):
+        raise ValueError(f"order must be 2 or 4, not {order!r}")
     M, parities = lattice.matrix, (1, -1) if order == 2 else (1,)
     blocks, lift = _rotation_sectors(lattice, order, sigma, parities)
     scale = float(np.abs(M.diagonal()).max())
@@ -311,11 +280,10 @@ def lowest_two(lattice, sigma, order=1, start=None):
     for parity in parities:   # a block goes once factored, its LU once solved
         lu = splu(blocks.pop(0), permc_spec="MMD_AT_PLUS_A",
                   panel_size=PANEL_SIZE)
-        e, x = (_inverse_iteration(lu, sigma, start, tol) if order == 2 else
-                _shift_invert(lu, sigma, 2 if order == 1 else 1, start))
+        e, start = _inverse_iteration(lu, sigma, start, tol)
         del lu   # before the next block is factored
-        vals, vecs, start = vals + [e], vecs + [lift(x, parity)], x[:, 0]
-    vals, vecs = np.concatenate(vals), np.hstack(vecs)
+        vals, vecs = vals + [e], vecs + [lift(start, parity)]
+    vals, vecs = np.array(vals), np.column_stack(vecs)
     residuals = [float(np.linalg.norm(M @ v - e * v))
                  for e, v in zip(vals, vecs.T)]
     if max(residuals) > RESIDUAL_RTOL * scale:
@@ -326,6 +294,21 @@ def lowest_two(lattice, sigma, order=1, start=None):
     return vals, vecs, residuals
 
 
+def _start(lattice, log_state, centres, order):
+    """(x, rq): the sum over the centres c of phi_c = e^{i c y / 2h}
+    exp(log_state(x - c, y)), a state about (c, 0) with its
+    magnetic-translation phase, on the representatives of the sectors of
+    rotation by 2 pi / order (_rotation_sectors), and the Rayleigh quotient
+    rq of its vector on all nodes.  x is a copy: no full-node vector
+    outlives the call."""
+    X, Y = np.meshgrid(lattice.x, lattice.y, indexing="ij")
+    v = sum(np.exp(log_state(X - c, Y) + 0.5j * c * Y / lattice.h)
+            for c in centres)
+    nx, ny = lattice.shape
+    x, v = v[:nx // 2, :ny // 2 if order == 4 else ny].flatten(), v.ravel()
+    return x, np.vdot(v, lattice.matrix @ v).real / np.vdot(v, v).real
+
+
 def landau_level_2d(h, delta=None):
     """Free-operator lowest eigenvalue, Richardson-extrapolated in delta.
 
@@ -334,19 +317,36 @@ def landau_level_2d(h, delta=None):
     positive, or too coarse, before it builds anything.  The lowest Landau
     level on a Dirichlet box is a near-degenerate cluster of the angular
     modes m = 0, 1, 2, ..., but the free operator on the square box commutes
-    with rotation by pi/2, and its ground state, the m = 0 Landau state, is
-    invariant under it.  So each rung solves the quarter-size sector of
-    invariant vectors, which holds only the modes m = 0 mod 4.  Its next
-    level lies 7.9e-6 to 5.9e-4 above the lowest (h 0.5 and 1.0, default
-    spacings), where the m = 2 level of the pi-even sector lay 1.9e-7 to
-    2.4e-5 above, so Lanczos converges on its first basis, in 21 LU solves
-    a rung (the even sector took 31 at h 0.5).
+    with rotation by pi/2, and so does its ground state, the m = 0 Landau
+    state e^{-r^2/4h}.  Each rung solves the sector of invariant vectors
+    (m = 0 mod 4) by inverse iteration from that state at its Rayleigh
+    quotient rq, an upper bound on the lowest level: a level above rq
+    beyond rounding is a NumericalError.  With Pi = hD - A the stencil is
+    Pi^2 - delta^2 (Pi_x^4 + Pi_y^4) / 12h^2 + O(delta^4), whose quartic
+    term mixes the n = 4 Landau state conj(z)^4 e^{-r^2/4h} (z = x + iy)
+    into the ground state; the start carries that first-order share,
+    delta^2 conj(z)^4 / 768h^3.  Without it rq lay up to 0.36 of the way
+    from the lowest sector level to the next, which the box walls set 5e-6
+    to 1.1e-5 above it (h 0.5), and beyond that level at h 0.3; with it,
+    1.1e-3 to 2.8e-3 of the way (h 0.3 to 1): 3 LU solves a rung at h 0.5
+    and 1, where Lanczos took 21.
     """
     if delta is None:
         delta = math.sqrt(h) / 6.0
-    deltas = (delta, delta / math.sqrt(2.0))
-    es = [float(lowest_two(assemble(None, h, delta=d), sigma=0.9 * h,
-                           order=4)[0][0]) for d in deltas]
+    deltas, es = (delta, delta / math.sqrt(2.0)), []
+    for d in deltas:
+        lattice = assemble(None, h, delta=d)
+        kappa = d * d / (768.0 * h**3)   # the n = 4 level's first-order share
+        start, rq = _start(lattice, lambda x, y: np.log(
+            1.0 + kappa * (x - 1j * y)**4) - (x * x + y * y) / (4.0 * h),
+            (0.0,), 4)
+        e = float(lowest_two(lattice, sigma=rq, order=4, start=start)[0][0])
+        rounding = 4.0 * np.finfo(float).eps * lattice.matrix[0, 0].real
+        if e > rq + rounding:   # every diagonal entry is 4 h^2 / d^2
+            raise NumericalError(f"Landau level {e!r} above its start's "
+                                 f"Rayleigh quotient {rq!r}",
+                                 estimate=e - rq, error_bound=rounding)
+        es.append(e)
     # second-order scheme: extrapolate on delta^2
     return _richardson(*es, *deltas), es
 
@@ -373,21 +373,6 @@ class GapReport:
         return [r for r in self.rows if r.floor_flag == "ok"]
 
 
-def _pair_start(lattice, ground, L):
-    """(x, rq): the lifted pair phi_L + phi_R on the x < 0 half of the
-    nodes (the pi-even sector's representatives) and the Rayleigh quotient
-    of its even full vector [x; J x].  phi_c = e^{i c y / 2h} u_h(|(x - c,
-    y)|) is u_h about the well centre (c, 0) with its magnetic-translation
-    phase, log u_h interpolated linearly."""
-    X, Y = np.meshgrid(lattice.x[:lattice.shape[0] // 2], lattice.y,
-                       indexing="ij")
-    x = sum(np.exp(np.interp(np.hypot(X - c, Y), ground.grid,
-                             ground.log_profile) + 0.5j * c * Y / lattice.h)
-            for c in (-L / 2.0, L / 2.0)).ravel()
-    v = np.concatenate([x, x[::-1]])
-    return x, np.vdot(v, lattice.matrix @ v).real / np.vdot(v, v).real
-
-
 def gap_row(case, delta=None, box=None):
     """GapRow: the 2-D gap at case.h against 2|w| from the same case.
 
@@ -395,18 +380,18 @@ def gap_row(case, delta=None, box=None):
     reported as unresolvable rather than asserted (exponentially small
     splittings underflow double precision quickly).  Both sectors are solved
     at the one shift sigma = rq - D/1000 by inverse iteration from the
-    lifted pair (_pair_start), of Rayleigh quotient rq; D is the distance
-    from the ground state's e_sw to its next fiber level.  On eight rows rq
-    lay 7e-7 to 2.8e-5 above the even level and D/1000 was 4.5e-5 to 2e-4,
-    so sigma lies below the pair.  The shared shift lets the rounding of
-    the two nearly equal levels cancel in their difference.  An even level
-    more than D/2 from e_sw is the wrong level (NumericalError).  The shift
-    reads the ground state's profile and the fiber energies that
-    spectral.ground_state stores on it, so a ground state assigned to the
-    case must carry them (ValueError without the energies).  The row is
-    "ok" only if its gap exceeds 100x the largest residual and 100x 8 ulps
-    of e2, the levels' rounding (panel widths alone moved the L 8.5, h 0.8
-    gap by 5); else its flag names why.
+    lifted pair phi_L + phi_R (_start, log u_h interpolated linearly), of
+    Rayleigh quotient rq; D is the distance from the ground state's e_sw to
+    its next fiber level.  On eight rows rq lay 7e-7 to 2.8e-5 above the
+    even level and D/1000 was 4.5e-5 to 2e-4, so sigma lies below the pair.
+    The shared shift lets the rounding of the two nearly equal levels
+    cancel in their difference.  An even level more than D/2 from e_sw is
+    the wrong level (NumericalError).  The shift reads the ground state's
+    profile and the fiber energies that spectral.ground_state stores on it,
+    so a ground state assigned to the case must carry them (ValueError
+    without the energies).  The row is "ok" only if its gap exceeds 100x
+    the largest residual and 100x 8 ulps of e2, the levels' rounding (panel
+    widths alone moved the L 8.5, h 0.8 gap by 5); else its flag names why.
     """
     config, h, S = case.config, case.h, case.pipeline.action.S
     floor = 1e-12   # double precision cannot separate a closer pair
@@ -420,7 +405,9 @@ def gap_row(case, delta=None, box=None):
                          "(set by spectral.ground_state) to place its shift")
     spacing = min(e for m, e in fiber_energies.items() if m != 0) - e_sw
     lattice = assemble(config, h, delta=delta, box=box)
-    start, rayleigh = _pair_start(lattice, case.ground, config.L)
+    start, rayleigh = _start(lattice, lambda x, y: np.interp(
+        np.hypot(x, y), case.ground.grid, case.ground.log_profile),
+        (-config.L / 2, config.L / 2), 2)
     vals, _, res = lowest_two(lattice, sigma=rayleigh - spacing / 1000.0,
                               order=2, start=start)
     even, odd = float(vals[0]), float(vals[1])

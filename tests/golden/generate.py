@@ -42,6 +42,8 @@ COMMANDS = [
     ["verify"],
     ["verify", "--L", "8.5"],
     ["sweep", "--h-range", "0.02:0.02:1"],
+    ["sweep", "--h-range", "0.3:1e150:2"],
+    ["sweep", "--h-range", "1e150:1e150:1"],
     ["constants", "--depth", "1e16"],
     # configuration errors, exit 2
     ["spectrum", "--h", "nan"],
@@ -87,7 +89,6 @@ COMMANDS = [
     ["constants", "--depth", "1e-300", "--a", "1e3", "--L", "3000"],
     ["asymptotics", "--wchain", "--depth", "1e300", "--a", "1e-5", "--eta",
      "1e-6"],
-    ["sweep", "--h-range", "1e150:1e150:1"],
     ["spectrum", "--h", "1.3e154", "--modes", "2"],
 ]
 

@@ -148,16 +148,15 @@ def test_variational_gate_at_rounding_floor(capsys):
 
 
 def test_numerical_failure_exit_3():
-    # LAPACK's LinAlgError is a ValueError, yet a numerical failure: the
-    # tridiagonal bisection does not converge on these fiber matrices
-    stebz = ("numerical error: LinAlgError: stebz (eigh_tridiagonal) did "
-             "not converge")
+    # LAPACK's tridiagonal bisection does not converge on the h 1.3e154
+    # fiber matrix: a NumericalError, not numpy's LinAlgError
     for argv, said in [
             (("hopping", "--h-range", "0.02:0.02:1"),
              "numerical error: AccuracyError: angular quadrature not "
              "converged: cancellation ratio kappa "),
-            (("sweep", "--h-range", "1e150:1e150:1"), stebz),
-            (("spectrum", "--h", "1.3e154", "--modes", "2"), stebz)]:
+            (("spectrum", "--h", "1.3e154", "--modes", "2"),
+             "numerical error: NumericalError: stebz (eigh_tridiagonal) did "
+             "not converge")]:
         proc = run(*argv, check=False)
         assert proc.returncode == 3, argv
         lines = proc.stderr.strip().splitlines()
@@ -204,16 +203,13 @@ def test_underflowed_direct_sum_exit_3(capsys):
     (["hopping", "--L", "30", "--h-range", "0.3:0.3:1", "--route", "bessel"],
      "AccuracyError: Bessel-route sum underflows: log|w| -757.2", ("inf",)),
     # LAPACK's bisection fails on the fiber matrix: a numerical failure,
-    # not a configuration error, though numpy's LinAlgError is a ValueError
-    (["sweep", "--h-range", "1e150:1e150:1"],
-     "LinAlgError: stebz (eigh_tridiagonal) did not converge",
-     ("config error",)),
+    # not a configuration error
     (["spectrum", "--h", "1.3e154", "--modes", "2"],
-     "LinAlgError: stebz (eigh_tridiagonal) did not converge",
-     ("config error",))],
+     "NumericalError: stebz (eigh_tridiagonal) did not converge",
+     ("config error", "LinAlgError"))],
     ids=["spectrum-depth-1e160", "wkb-depth-1e200", "corridor-depth-1e-320",
          "corridor-depth-1e-300", "wchain-fiber-energies",
-         "bessel-sum-underflow", "sweep-stebz", "spectrum-stebz"])
+         "bessel-sum-underflow", "spectrum-stebz"])
 def test_exit_3_line_names_its_cause(capsys, argv, said, unsaid):
     from magtun import cli
 
@@ -376,6 +372,21 @@ def test_sweep_row_notes_numerical_error(capsys):
     assert cli.main(["sweep", "--h-range", "0.02:0.02:1"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert rows[1] == "0.02,nan,nan,nan,nan,nan,error:AccuracyError"
+
+
+def test_sweep_row_notes_lapack_failure(capsys):
+    # LAPACK's bisection fails on the h 1e150 fiber matrix; that row is
+    # annotated like any NumericalError, and h 0.3's row is kept as it is
+    from magtun import cli
+
+    assert cli.main(["sweep", "--h-range", "0.3:0.3:1"]) == 0
+    alone = capsys.readouterr().out.strip().splitlines()[1]
+    assert cli.main(["sweep", "--h-range", "0.3:1e150:2"]) == 0
+    out = capsys.readouterr()
+    rows = out.out.strip().splitlines()
+    assert len(rows) == 3 and out.err == ""
+    assert rows[1].endswith(",nan,nan,nan,nan,nan,error:NumericalError")
+    assert rows[2] == alone and "nan" not in alone
 
 
 def test_repeat_runs_byte_identical():

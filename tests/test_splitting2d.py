@@ -5,13 +5,27 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from magtun import (Case, MagneticLattice, NumericalError, RadialWell,
                     assemble, gap_vs_hopping, landau_level_2d, lowest_two)
 from magtun import splitting2d
 from magtun.splitting2d import (LANDAU_MARGIN, MAX_LATTICE_NODES,
-                                 _rotation_sectors, _shift_invert, gap_row)
+                                 _rotation_sectors, gap_row)
+
+
+def _nearest(A, sigma, k):
+    """The k eigenpairs of the Hermitian A nearest sigma, ascending, by
+    scipy's shift-invert eigsh on an MMD-ordered LU of A - sigma from a flat
+    start: a reference that shares no solver with splitting2d."""
+    n = A.shape[0]
+    lu = splu((A - sigma * sp.identity(n)).tocsc(),
+              permc_spec="MMD_AT_PLUS_A")
+    inv = LinearOperator((n, n), matvec=lu.solve, dtype=complex)
+    vals, vecs = eigsh(A, k=k, sigma=sigma, OPinv=inv,
+                       v0=np.full(n, 1.0 / math.sqrt(n)))
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def test_plaquette_and_hermiticity(config4):
@@ -79,51 +93,46 @@ def test_landau_level_2d():
 @pytest.mark.parametrize("h", [0.5, 1.0])
 def test_even_sector_holds_free_ground_state(h):
     # each rung's level comes from the quarter-turn sector, a different
-    # block from the pi-even one: the two must agree to rounding (they read
-    # 4.5e-16 to 3.2e-15 apart), and the full spectrum is the union of the
+    # block from the pi-even one, solved here by eigsh: the two must agree
+    # to rounding (they read 9.5e-15 to 4.2e-14 apart, 4.5e-16 to 3.2e-15
+    # when both came from eigsh), and the full spectrum is the union of the
     # two pi sectors, so the level is the lowest one when it lies below the
     # odd sector's lowest
     _, raw = landau_level_2d(h)
     d0 = math.sqrt(h) / 6.0
     for e, delta in zip(raw, (d0, d0 / math.sqrt(2.0))):
         lat = assemble(None, h, delta=delta)
-        blocks, _ = _rotation_sectors(lat, 2, 0.9 * h, (1, -1))
-        even, odd = [_shift_invert(splu(b, permc_spec="MMD_AT_PLUS_A"),
-                                   0.9 * h, k=1)[0] for b in blocks]
+        blocks, _ = _rotation_sectors(lat, 2, 0.0, (1, -1))
+        even, odd = [_nearest(b, 0.9 * h, 1)[0] for b in blocks]
         assert abs(e - even[0]) <= 1e-13 * even[0]
         assert e < odd[0]
 
 
 @pytest.mark.parametrize("order, system, h, delta, sigma", [
-    (1, "config4", 0.5, 0.1, 0.45), (1, "config85", 0.93, 0.1, 0.68),
     (2, "config4", 0.5, 0.1, 0.45), (2, "config85", 0.93, 0.1, 0.68),
     (4, None, 0.5, math.sqrt(0.5) / 6.0, 0.45), (4, None, 1.0, 0.1, 0.9)])
 def test_shifted_sector_blocks(request, order, system, h, delta, sigma):
     # each block comes shifted and in CSC, equal in data, indices and
     # indptr to its sum of rotation images, sum_k p^k M[reps, R^k reps],
-    # less sigma I, converted after the shift; order 1's one block is
-    # M - sigma I
+    # less sigma I, converted after the shift
     lat = assemble(system and request.getfixturevalue(system), h, delta=delta)
     M, n = lat.matrix, lat.n_nodes
     parities = (1, -1) if order == 2 else (1,)
     blocks, _ = _rotation_sectors(lat, order, sigma, parities)
-    if order == 1:
-        refs = [(M - sigma * sp.identity(n)).tocsc()]
+    if order == 2:
+        rot, reps = np.arange(n)[::-1], np.arange(n // 2)
     else:
-        if order == 2:
-            rot, reps = np.arange(n)[::-1], np.arange(n // 2)
-        else:
-            idx = np.arange(n).reshape(lat.shape)
-            rot, reps = idx[::-1].T.ravel(), idx[:lat.shape[0] // 2,
-                                                 :lat.shape[0] // 2].ravel()
-        refs = []
-        for p in parities:
-            images, image = [], reps
-            for k in range(order):
-                images.append(p**k * M[reps][:, image])
-                image = rot[image]
-            refs.append((sum(images[1:], images[0])
-                         - sigma * sp.identity(len(reps))).tocsc())
+        idx = np.arange(n).reshape(lat.shape)
+        rot, reps = idx[::-1].T.ravel(), idx[:lat.shape[0] // 2,
+                                             :lat.shape[0] // 2].ravel()
+    refs = []
+    for p in parities:
+        images, image = [], reps
+        for k in range(order):
+            images.append(p**k * M[reps][:, image])
+            image = rot[image]
+        refs.append((sum(images[1:], images[0])
+                     - sigma * sp.identity(len(reps))).tocsc())
     for block, ref in zip(blocks, refs, strict=True):
         assert block.format == "csc"
         for part in ("data", "indices", "indptr"):
@@ -161,7 +170,7 @@ def test_gap_row_flags_level_rounding(well, case, monkeypatch, ulps,
     e = c.ground.e_sw
     vals = np.array([e, e + ulps * math.ulp(e)])
     monkeypatch.setattr(splitting2d, "assemble", lambda *a, **kw: None)
-    monkeypatch.setattr(splitting2d, "_pair_start", lambda *a: (None, e))
+    monkeypatch.setattr(splitting2d, "_start", lambda *a: (None, e))
     monkeypatch.setattr(splitting2d, "lowest_two",
                         lambda *a, **kw: (vals, None, [residual] * 2))
     row = gap_row(c)
@@ -211,13 +220,30 @@ def _count_lu_solves(monkeypatch):
 
 @pytest.mark.parametrize("h", [0.5, 1.0])
 def test_landau_rung_solve_budget(monkeypatch, h):
-    # the quarter-turn sector has no m = 2 level near the m = 0 one, so
-    # Lanczos converges on its first 20-vector basis: 21 solves a rung,
-    # where the pi-even sector took 31 at h 0.5
+    # inverse iteration from the Landau state with its first-order lattice
+    # share of the n = 4 level, at its Rayleigh quotient, 1.1e-3 to 1.9e-3
+    # of the way from the lowest quarter-sector level to the next: 3
+    # solves a rung, where Lanczos took 21 (and the plain Landau state 13
+    # and 6 at h 0.5)
     counts = _count_lu_solves(monkeypatch)
     landau_level_2d(h)
     assert len(counts) == 2
-    assert max(counts) <= 22
+    assert max(counts) <= 4
+
+
+def test_landau_level_above_start_quotient_raises(monkeypatch):
+    # a start's Rayleigh quotient bounds the lowest level from above; one
+    # read 1e-5 low (the true quotient lies 7.2e-7 to 9.2e-7 above the
+    # level at h 1) leaves the rung's level above it
+    start = splitting2d._start
+
+    def low(*args):
+        x, rq = start(*args)
+        return x, rq - 1e-5
+
+    monkeypatch.setattr(splitting2d, "_start", low)
+    with pytest.raises(NumericalError, match="above its start's Rayleigh"):
+        landau_level_2d(1.0)
 
 
 @pytest.mark.parametrize("system, box, shift, match", [
@@ -231,7 +257,7 @@ def test_quarter_turn_needs_square_symmetry(config4, system, box, shift,
     if shift is not None:
         lat = lat.with_gauge_shift(shift)
     with pytest.raises(ValueError, match=match):
-        lowest_two(lat, sigma=0.45, order=4)
+        lowest_two(lat, sigma=0.45, order=4, start=None)
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), float("inf"),
@@ -253,7 +279,7 @@ def test_each_lattice_solve_goes_through_lowest_two(well, case, monkeypatch):
     traced = splitting2d.lowest_two
 
     def spy(*args, **kwargs):
-        orders.append(kwargs.get("order", 1))
+        orders.append(kwargs["order"])
         return traced(*args, **kwargs)
 
     monkeypatch.setattr(splitting2d, "lowest_two", spy)
@@ -268,7 +294,7 @@ def test_single_well_control(well, case):
     h = 0.3
     lat = assemble(well, h, delta=0.06)
     ref = case(well, h).ground.e_sw
-    vals, _, _ = lowest_two(lat, sigma=ref - 0.2 * h)
+    vals, _ = _nearest(lat.matrix, ref - 0.2 * h, 2)
     # reads 2.84e-3: the lattice's O(delta^2) error at delta 0.06
     assert abs(vals[0] - ref) / abs(ref) <= 5e-3
 
@@ -277,7 +303,7 @@ def test_parity_of_ground_magnitude(config4, well, case):
     h = 0.5
     lat = assemble(config4, h, delta=0.1)
     sol = case(well, h).ground
-    vals, vecs, _ = lowest_two(lat, sigma=sol.e_sw - 0.1 * h)
+    vals, vecs = _nearest(lat.matrix, sol.e_sw - 0.1 * h, 2)
     psi = np.abs(vecs[:, 0]).reshape(lat.shape)
     flipped = psi[::-1, :]
     assert np.max(np.abs(psi - flipped)) <= 1e-6 * np.max(psi)
@@ -289,8 +315,8 @@ def test_gauge_shift_invariance(config4, well, case):
     lat = assemble(config4, h, delta=0.1)
     shifted = lat.with_gauge_shift(lambda x, y: 0.3 * x + 0.1 * y)
     sigma = case(well, h).ground.e_sw - 0.1 * h
-    v1, _, _ = lowest_two(lat, sigma=sigma)
-    v2, _, _ = lowest_two(shifted, sigma=sigma)
+    v1, _ = _nearest(lat.matrix, sigma, 2)
+    v2, _ = _nearest(shifted.matrix, sigma, 2)
     assert np.max(np.abs(v1 - v2)) <= 1e-10
 
 
@@ -300,7 +326,7 @@ def test_delta_refinement_stability(well, case):
     es = []
     for delta in (0.06, 0.06 / math.sqrt(2.0)):
         lat = assemble(well, h, delta=delta)
-        vals, _, _ = lowest_two(lat, sigma=ref - 0.2 * h)
+        vals, _ = _nearest(lat.matrix, ref - 0.2 * h, 2)
         es.append(vals[0])
     # reads 1.42e-3, half the delta 0.06 error above, as O(delta^2) gives
     assert abs(es[1] - es[0]) / abs(es[0]) <= 3e-3
@@ -314,7 +340,7 @@ def test_box_growth_stability(well, case):
     for extra in (0.0, mag):
         X = 1.0 + 3 * mag + 0.4 + extra
         lat = assemble(well, h, delta=0.06, box=(X, X))
-        vals, _, _ = lowest_two(lat, sigma=ref - 0.2 * h)
+        vals, _ = _nearest(lat.matrix, ref - 0.2 * h, 2)
         es.append(vals[0])
     # reads 2.4e-12: the box already clears the well by 3 magnetic lengths
     assert abs(es[1] - es[0]) / abs(es[0]) <= 1e-9
@@ -322,14 +348,13 @@ def test_box_growth_stability(well, case):
 
 @pytest.fixture(scope="module")
 def full_pairs(config85, well, case):
-    """h -> (vals, vecs) of the full-matrix two-level solve on each gap_report
-    row."""
+    """h -> (vals, vecs) of the full matrix's two levels nearest its shift
+    (_nearest) on each gap_report row."""
     out = {}
     for h in (1.4, 1.2, 1.0, 0.8):
         lat = assemble(config85, h)
         sigma = case(well, h, L=8.5).ground.e_sw - 0.1 * h
-        vals, vecs, _ = lowest_two(lat, sigma=sigma)
-        out[h] = (vals, vecs)
+        out[h] = _nearest(lat.matrix, sigma, 2)
     return out
 
 
@@ -406,9 +431,9 @@ def test_gap_row_shift_sits_on_the_pair(well, case, monkeypatch, depth, L, h):
     seen = {}
     traced = splitting2d.lowest_two
 
-    def spy(lattice, sigma, order=1, start=None):
+    def spy(lattice, sigma, order, start):
         seen.update(lattice=lattice, sigma=sigma, start=start)
-        return traced(lattice, sigma, order=order, start=start)
+        return traced(lattice, sigma, order, start)
 
     monkeypatch.setattr(splitting2d, "lowest_two", spy)
     c, row = _gap_row_at(well, case, depth, L, h)
@@ -449,18 +474,18 @@ def test_gap_row_rejects_level_far_from_e_sw(well, pipe, case):
         gap_row(c, delta=0.1)
 
 
-@pytest.mark.parametrize("order", [0, 3, (1, 2)])
-def test_order_is_one_two_or_four(config4, order):
+@pytest.mark.parametrize("order", [0, 3, (1, 2), 1])
+def test_order_is_two_or_four(config4, order):
     lat = assemble(config4, 0.5, delta=0.1)
-    with pytest.raises(ValueError, match="order must be"):
-        lowest_two(lat, sigma=0.0, order=order)
+    with pytest.raises(ValueError, match="order must be 2 or 4"):
+        lowest_two(lat, sigma=0.0, order=order, start=None)
 
 
 def test_sector_needs_rotation_symmetry(config4):
     lat = assemble(config4, 0.5, delta=0.1)
     shifted = lat.with_gauge_shift(lambda x, y: 0.3 * x + 0.1 * y)
     with pytest.raises(ValueError, match="rotation by pi"):
-        lowest_two(shifted, sigma=0.0, order=2)
+        lowest_two(shifted, sigma=0.0, order=2, start=None)
 
 
 def test_gap_rows_resolvable(gap_report):
