@@ -15,9 +15,10 @@ from magtun import (AgmonProfile, DoubleWellConfig, RadialWell, action_S0,
 well = RadialWell.bump(depth=1.0, a=1.0)
 config = DoubleWellConfig(well, L=4.0)
 print(f"well: {well}")
-print(f"separation L = {config.L}, centers {config.z_left}, {config.z_right}")
+centers = np.array([[-config.L / 2.0, 0.0], [config.L / 2.0, 0.0]])
+print(f"separation L = {config.L}, centers {centers[0]}, {centers[1]}")
 print(f"FSW regime (L > 4(sqrt(depth)+a)): {config.fsw_condition}")
-print(f"V at a well center: {eval_V(config, config.z_left):+.6f}")
+print(f"V at a well center: {eval_V(config, centers[0]):+.6f}")
 print(f"V at the midpoint : {eval_V(config, [0.0, 0.0]):+.6f}")
 
 profile = AgmonProfile(well, config.L)

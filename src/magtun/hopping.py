@@ -72,12 +72,14 @@ def hopping_direct(case):
     e^{-beta e^{-it}}, whose Fourier coefficients beta^k / k! fall below
     eps e^beta near k = e beta; measured, the rule reaches its rounding
     floor at 2.6-2.9 beta nodes (beta 27-50).  n is about 6.4 beta, at
-    least 256.  What is left is rounding, of order kappa eps relative (up
-    to 28 kappa eps between rules of nearby sizes), with the cancellation
-    ratio kappa = sum|f| / |sum f| of the whole integrand f taken from the
-    same pass.  When kappa eps reaches DIRECT_RTOL, as it does when the sum
-    underflows to w = 0, an AccuracyError names kappa and carries the value
-    and the bound kappa eps |w| = eps sum|f| (sum|f| itself if w = 0).
+    least 64, which at beta 2.5-25 (depth 0.5-4, L 3.5-12) sits within
+    max(1e-10, 30 kappa eps) of 8x the nodes.  What is left is rounding,
+    of order kappa eps relative (up to 28 kappa eps between rules of nearby
+    sizes), with the cancellation ratio kappa = sum|f| / |sum f| of the
+    whole integrand f taken from the same pass.  When kappa eps reaches
+    DIRECT_RTOL, as it does when the sum underflows to w = 0, an
+    AccuracyError names kappa and carries the value and the bound
+    kappa eps |w| = eps sum|f| (sum|f| itself if w = 0).
 
     rho depends on cos(t) alone, so u is evaluated, in one pass over all
     r-nodes, only on the nodes t_j = 2 pi j / n in [0, pi], and node j
@@ -88,7 +90,7 @@ def hopping_direct(case):
         case.ground.log_u
     r_nodes, rv = _radial_rule(well)
     radial = rv * np.exp(log_u(r_nodes))
-    n = 4 * max(64, 10 * math.ceil(L * well.a / (4.0 * math.pi * h)))
+    n = 4 * max(16, 10 * math.ceil(L * well.a / (4.0 * math.pi * h)))
     theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     mirror = np.minimum(np.arange(n), n - np.arange(n))
     rows = r_nodes[:, None]
@@ -151,12 +153,12 @@ def hopping_wkb_envelope(case):
     profile, amplitude = case.pipeline.profile, case.pipeline.amplitude
     r_nodes, rv = _radial_rule(well)
     rw = -rv   # w r |v0|
+    d_near, log_a0_near = profile.d(r_nodes), amplitude.log_a0(r_nodes)
     w0, Mh = [], []
     for far in (L - r_nodes, L + r_nodes):   # the plus, then the minus term
-        log_exp = -(profile.d(r_nodes) + profile.d(far)) / h
+        log_exp = -(d_near + profile.d(far)) / h
         w0.append(-math.log(h) + float(logsumexp(
-            log_exp + amplitude.log_a0(far) + amplitude.log_a0(r_nodes),
-            b=rw)))
+            log_exp + amplitude.log_a0(far) + log_a0_near, b=rw)))
         Mh.append(float(logsumexp(log_exp, b=rw)))
     return EnvelopeResult(*w0, *Mh)
 

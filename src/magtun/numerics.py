@@ -237,7 +237,9 @@ def _spline(x, y):
     if info > 0:
         raise NumericalError("spline slopes: singular matrix (LAPACK dgtsv)")
     t = (s[:-1] + s[1:] - 2 * slope) / dx
-    coef = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+    coef = np.empty((4, len(dx)))
+    coef[0], coef[2], coef[3] = t / dx, s[:-1], y[:-1]
+    coef[1] = (slope - s[:-1]) / dx - t
 
     def spline(r):
         r = np.asarray(r, dtype=float)
@@ -281,10 +283,11 @@ def symm_tridiag_lowest(diag, offdiag, k):
                              select_range=(0, k - 1))
 
 
-def _tridiag_lowest_values(diag, offdiag, k):
-    """symm_tridiag_lowest's k eigenvalues, without its eigenvectors."""
+def _tridiag_lowest_values(diag, offdiag, k, tol):
+    """The k lowest eigenvalues alone, each bisected to within tol."""
     return _eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i",
-                             select_range=(0, k - 1), check_finite=False)
+                             select_range=(0, k - 1), check_finite=False,
+                             tol=tol)
 
 
 def _eigh_tridiagonal(*args, **kwargs):
@@ -354,27 +357,28 @@ def _tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
         diag, offdiag = np.ldexp(diag, -k), np.ldexp(offdiag, -k)
         top, lam, margin, gap = np.ldexp([top, lam, margin, gap], -k)
     x = np.asarray(x0, dtype=float)
-    x = x / np.linalg.norm(x)
+    x = x / math.sqrt(x @ x)
     noise = np.finfo(float).eps * top
     rayleigh = _tridiag_rayleigh(diag, offdiag)
     margin = max(margin, 16.0 * noise)
     change = np.inf
     for _ in range(_MAX_SOLVES):
-        *_, y, info = dptsv(diag - (lam - margin), offdiag, x, overwrite_d=1)
-        if info != 0:    # lam - margin is not below lambda_0
+        sigma = lam - margin
+        *_, y, info = dptsv(diag - sigma, offdiag, x, overwrite_d=1)
+        if info != 0:    # sigma is not below lambda_0
             margin *= 4.0
             continue
-        y /= np.linalg.norm(y)
+        norm = math.sqrt(y @ y)
+        y /= norm
         change = np.abs(y - x).max()
-        x = y
-        rho = float(rayleigh(x))
-        if change <= 4.0 * noise / gap * np.abs(x).max():
-            return math.ldexp(rho, k), x
-        tx = diag * x
-        tx[:-1] += offdiag * x[1:]
-        tx[1:] += offdiag * x[:-1]
-        lam = rho
-        margin = 2.0 * float(np.sum((tx - rho * x) ** 2)) / gap + 16.0 * noise
+        rho = float(rayleigh(y))
+        if change <= 4.0 * noise / gap * np.abs(y).max():
+            return math.ldexp(rho, k), y
+        # T y - rho y = x / |y| - (rho - sigma) y, since (T - sigma) y = x
+        x /= norm
+        x -= (rho - sigma) * y
+        margin = 2.0 * float(x @ x) / gap + 16.0 * noise
+        lam, x = rho, y
     raise AccuracyError(
         f"inverse iteration not converged in {_MAX_SOLVES} solves "
         f"(last change {change:.3e})", estimate=math.ldexp(lam, k),

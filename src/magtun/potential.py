@@ -104,14 +104,6 @@ class DoubleWellConfig:
         self.L = float(L)
 
     @property
-    def z_left(self):
-        return np.array([-self.L / 2.0, 0.0])
-
-    @property
-    def z_right(self):
-        return np.array([self.L / 2.0, 0.0])
-
-    @property
     def fsw_condition(self):
         """L > 4(sqrt(depth) + a), the regime of the splitting ~ 2|w| link."""
         return self.L > 4.0 * (math.sqrt(self.well.depth) + self.well.a)
@@ -121,7 +113,8 @@ class DoubleWellConfig:
 
 
 def eval_V(config, x):
-    """V(x) = v0(|x - z_left|) + v0(|x - z_right|) for x of shape (..., 2)."""
+    """V(x) = v0(|x - z_l|) + v0(|x - z_r|) for x of shape (..., 2), the
+    wells centred at z_l = (-L/2, 0) and z_r = (L/2, 0)."""
     x = np.asarray(x, dtype=float)
     rl = np.sqrt((x[..., 0] + config.L / 2.0) ** 2 + x[..., 1] ** 2)
     rr = np.sqrt((x[..., 0] - config.L / 2.0) ** 2 + x[..., 1] ** 2)

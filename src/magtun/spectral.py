@@ -16,13 +16,15 @@ successive extrapolated energies agree.  The ground profile is extrapolated
 the same way, in log form, over the last two grids, so that u_h is O(delta^4)
 too, out along its tail.  The lowest eigenpair of each grid comes from
 shifted inverse iteration seeded from the grid below, every shift certified
-below the eigenvalue by a positive-definite solve.  Its eigenvalue error is
-far below bisection's eps*|T|, which grows like n^2.  Several levels at once
-are bisected afresh on every grid, each eigenvalue then taken as the
-Rayleigh quotient of its vector.  The ground state's exponential tail is
-carried in log form, a running sum of the log ratios of successive nodes
-read off far-end LDL^T pivots of each grid's matrix, so that it stays
-accurate in relative terms far below the underflow floor.
+below the eigenvalue by a positive-definite solve; the first shift sits 1e-3
+of the gap below a pilot grid's lowest level, bisected only to 1e-9
+max|diag|.  Its eigenvalue error is far below bisection's eps*|T|, which
+grows like n^2.  Several levels at once are bisected afresh on every grid,
+each eigenvalue then taken as the Rayleigh quotient of its vector.  The
+ground state's exponential tail is carried in log form, a running sum of
+the log ratios of successive nodes read off far-end LDL^T pivots of each
+grid's matrix, so that it stays accurate in relative terms far below the
+underflow floor.
 """
 
 from __future__ import annotations
@@ -64,6 +66,9 @@ GROUND_DELTA = 2.4e-3
 # 80 need a 4th level and they move by at most 6.5e-8
 SCAN_DELTA = 2.4e-2
 MIN_NODES = 400       # floor of FiberProblem.n, the pilot and a default grid
+# the pilot's bisection tolerance over max|diag|; at most 0.55% of the first
+# shift's margin 1e-3 gap (ground_state at depth 0.5-4, L 3.5-12, h 0.02-2)
+PILOT_TOL = 1e-9
 MAX_NODES = 250_000   # cap of a default grid
 
 
@@ -108,16 +113,26 @@ class FiberProblem:
         return np.zeros_like(r) if self.v0 is None else self.v0(r)
 
 
-def _fiber_tridiag(problem, n):
-    """Finite-volume symmetric tridiagonal matrix on n half-integer nodes."""
+def _index_factors(n):
+    """The stencil's factors of the node index i = 1..n alone, i - 1/2,
+    (i - 1) + i, i and sqrt((i - 1/2)(i + 1/2)); prefixes serve fewer nodes."""
+    i = np.arange(1, n + 1, dtype=float)
+    return i - 0.5, (i - 1.0) + i, i, np.sqrt((i - 0.5) * (i + 0.5))
+
+
+def _fiber_tridiag(problem, n, index):
+    """Finite-volume symmetric tridiagonal matrix on n half-integer nodes,
+    from index, _index_factors on n or more nodes (built afresh if short)."""
+    if len(index[0]) < n:
+        index = _index_factors(n)
+    half, twice, i, root = (f[:n] for f in index)
     h, m, R = problem.h, problem.m, problem.R
     delta = R / (n + 0.5)
-    i = np.arange(1, n + 1, dtype=float)
-    r = (i - 0.5) * delta
+    r = half * delta
     Q = (h * m / r - r / 2.0 if m else r / 2.0) ** 2 + problem.potential(r)
     c = h * h / delta**2
-    diag = c * ((i - 1.0) + i) / (i - 0.5) + Q
-    off = -c * i[:-1] / np.sqrt((i[:-1] - 0.5) * (i[:-1] + 0.5))
+    diag = c * twice / half + Q
+    off = -c * i[:-1] / root[:-1]
     return diag, off, r, delta
 
 
@@ -176,9 +191,9 @@ def _bisection_levels(problem, k):
     vector: bisection's own eigenvalues carry rounding noise of order
     eps |T|, which grows with n past the change the Richardson rule allows.
     """
-    n = problem.n
+    n, index = problem.n, _index_factors(4 * problem.n)
     while True:
-        diag, off, r, delta = _fiber_tridiag(problem, n)
+        diag, off, r, delta = _fiber_tridiag(problem, n, index)
         _, vecs = symm_tridiag_lowest(diag, off, k)
         yield _tridiag_rayleigh(diag, off)(vecs), vecs, diag, off, r, delta
         n *= 2
@@ -187,20 +202,25 @@ def _bisection_levels(problem, k):
 def _ground_levels(problem):
     """The lowest eigenpair on n, 2n, 4n, ... by certified inverse iteration.
 
-    One eigenvalue-only bisection on a pilot grid of max(n // 8, MIN_NODES)
-    nodes gives lambda_0 and the gap.  Each level is then seeded with the
-    level below, its eigenvector interpolated onto the new nodes and its
-    first shift set below the last eigenvalue by the last change of it.
+    One eigenvalue-only bisection, to PILOT_TOL max|diag|, on a pilot grid
+    of max(n // 8, MIN_NODES) nodes gives lambda_0 and the gap; a pilot of
+    n nodes is the first level.  Each level is then seeded with the level
+    below, its eigenvector interpolated onto the new nodes and its first
+    shift set below the last eigenvalue by the last change of it.  Grids up
+    to 4n, where most solves stop, slice one set of index factors.
     """
-    d, o, _, _ = _fiber_tridiag(problem, max(problem.n // 8, MIN_NODES))
-    lam, lam1 = _tridiag_lowest_values(d, o, 2)
+    n, index = problem.n, _index_factors(4 * problem.n)
+    d, o, _, _ = grid = _fiber_tridiag(problem, max(n // 8, MIN_NODES), index)
+    lam, lam1 = _tridiag_lowest_values(d, o, 2, PILOT_TOL * np.abs(d).max())
     gap = lam1 - lam
     # the pilot's discretization error has no known sign: a first shift 1e-3
     # of the gap below it converges fast, and one above it retreats
     margin = 1e-3 * gap
-    n, r_prev, w = problem.n, None, None
+    r_prev, w = None, None
     while True:
-        diag, off, r, delta = _fiber_tridiag(problem, n)
+        if len(grid[0]) != n:
+            grid = _fiber_tridiag(problem, n, index)
+        diag, off, r, delta = grid
         seed = np.ones(n) if r_prev is None else np.interp(r, r_prev, w)
         lam_n, w = _tridiag_ground_pair(diag, off, seed, lam, margin, gap)
         yield np.array([lam_n]), w[:, None], diag, off, r, delta

@@ -83,3 +83,9 @@ def test_golden_outputs():
              or _stream_differs(got["stdout"], want["stdout"])
              or _stream_differs(got["stderr"], want["stderr"])]
     assert not moved, moved
+
+
+def test_golden_files_match_commands():
+    # a dropped command would leave a stale file that load() never reads
+    files = {p.stem for p in generate.HERE.glob("*.json")}
+    assert files == {generate.name(argv) for argv in generate.COMMANDS}

@@ -175,10 +175,12 @@ def test_r_rule_converged(well_shallow, well_deep, case, monkeypatch,
 
 @pytest.mark.parametrize("depth, L, h", [
     (1.0, 4.0, 0.07), (0.5, 3.5, 0.05), (0.5, 5.0, 0.08), (0.5, 8.5, 0.155),
-    (4.0, 3.5, 0.045), (4.0, 5.0, 0.055), (4.0, 8.5, 0.125)])
+    (4.0, 3.5, 0.045), (4.0, 5.0, 0.055), (4.0, 8.5, 0.125),
+    (0.5, 3.5, 0.7), (1.0, 4.0, 0.5), (4.0, 12.0, 1.2)])
 def test_direct_rules_converged(well, well_shallow, well_deep, case,
                                 monkeypatch, depth, L, h):
     # at each corner's smallest h (on a 0.005 step) where the route returns,
+    # and at beta = L a / 2h 2.5-5, where the 64-node angular floor holds,
     # the shipped rules against 4x the angular and 3x the r-nodes.  What
     # is left is rounding, which kappa eps understates: u = e^{log u}
     # carries |log u| eps (up to about 170 eps here), and rules of n to
@@ -226,7 +228,7 @@ def test_direct_frozen_values(well, well_deep, case, depth, L, h):
 
 def _angular_nodes(config, h):
     L, a = config.L, config.well.a
-    return 4 * max(64, 10 * math.ceil(L * a / (4.0 * math.pi * h)))
+    return 4 * max(16, 10 * math.ceil(L * a / (4.0 * math.pi * h)))
 
 
 def _brute_force_direct(config, h, solution, n_theta):

@@ -271,6 +271,76 @@ def test_tridiag_ground_pair_scales_deep_matrices_exactly():
     assert np.array_equal(x_big, x)
 
 
+def _matvec_ground_pair(diag, offdiag, x0, lam, margin, gap):
+    """The inverse-iteration loop before its residual came from the solve:
+    Temple's residual from the product T x, norms from np.linalg.norm and
+    fresh arrays at every step.  The reference for _tridiag_ground_pair."""
+    top = np.abs(diag).max()
+    x = np.asarray(x0, dtype=float)
+    x = x / np.linalg.norm(x)
+    noise = np.finfo(float).eps * top
+    rayleigh = numerics._tridiag_rayleigh(diag, offdiag)
+    margin = max(margin, 16.0 * noise)
+    for _ in range(numerics._MAX_SOLVES):
+        *_, y, info = numerics.dptsv(diag - (lam - margin), offdiag, x,
+                                     overwrite_d=1)
+        if info != 0:
+            margin *= 4.0
+            continue
+        y /= np.linalg.norm(y)
+        change = np.abs(y - x).max()
+        x = y
+        rho = float(rayleigh(x))
+        if change <= 4.0 * noise / gap * np.abs(x).max():
+            return rho, x
+        tx = diag * x
+        tx[:-1] += offdiag * x[1:]
+        tx[1:] += offdiag * x[:-1]
+        lam = rho
+        margin = 2.0 * float(np.sum((tx - rho * x) ** 2)) / gap + 16.0 * noise
+    raise AssertionError("reference loop did not converge")
+
+
+def _fiber_case(m, h, n=2000):
+    """A fiber matrix of the bump well (depth 1, a 1, L 4), a positive start
+    from a fixed seed and the bisected lambda_0 and gap."""
+    well = RadialWell.bump(1.0, 1.0)
+    problem = FiberProblem(m=m, h=h, R=default_radius(well, h, L=4.0), n=n,
+                           v0=well.v0)
+    d, o, _, _ = spectral._fiber_tridiag(problem, n,
+                                         spectral._index_factors(n))
+    lam, lam1 = numerics._tridiag_lowest_values(d, o, 2, 0.0)
+    x0 = np.random.default_rng(7).uniform(0.5, 1.5, n)
+    return d, o, x0, lam, lam1 - lam
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("h", [0.05, 0.3, 1.0])
+def test_ground_pair_matches_matvec_loop(m, h):
+    # a first shift 1e-3 gap below lambda_0, as _ground_levels places it:
+    # the residual from the solve leaves rho and x as they were, bit for bit
+    d, o, x0, lam, gap = _fiber_case(m, h)
+    rho, x = _tridiag_ground_pair(d, o, x0, lam, 1e-3 * gap, gap)
+    rho_ref, x_ref = _matvec_ground_pair(d, o, x0, lam, 1e-3 * gap, gap)
+    assert rho == rho_ref
+    assert np.array_equal(x, x_ref)
+
+
+def test_ground_pair_retreat_within_rounding():
+    # the two residuals round differently, so a shift can move by rounding:
+    # after a first shift above lambda_0 (m 1, h 0.05, 400 nodes) 94 tail
+    # entries of x sit up to 6.3e-16 (2.8 eps) relative from the reference,
+    # and rho is unchanged
+    d, o, x0, lam, gap = _fiber_case(1, 0.05, n=400)
+    x0 = np.random.default_rng(0).uniform(0.5, 1.5, len(d))
+    args = (d, o, x0, lam + 0.01 * gap, 1e-3 * gap, gap)
+    (rho, x), (rho_ref, x_ref) = (_tridiag_ground_pair(*args),
+                                  _matvec_ground_pair(*args))
+    assert rho == rho_ref
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(x - x_ref) <= 8 * eps * np.abs(x_ref))
+
+
 def test_tridiag_random_vs_dense_oracle():
     rng = np.random.default_rng(11)
     for _ in range(5):

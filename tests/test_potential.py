@@ -52,7 +52,7 @@ def test_v0_prime_matches_fd(well):
 
 
 def test_double_well_values(config4):
-    assert eval_V(config4, config4.z_left) == pytest.approx(-1.0, abs=1e-15)
+    assert eval_V(config4, [-2.0, 0.0]) == pytest.approx(-1.0, abs=1e-15)
     assert eval_V(config4, [0.0, 0.0]) == 0.0
 
 

@@ -10,8 +10,8 @@ from magtun import (FiberProblem, RadialWell, agmon_identity_check,
                     solve_fiber, spectral)
 from magtun.numerics import symm_tridiag_lowest
 from magtun.spectral import (GROUND_DELTA, GROUND_TOL, MIN_NODES,
-                             SCAN_DELTA, _bisection_levels, _default_n,
-                             _ground_levels)
+                             PILOT_TOL, SCAN_DELTA, _bisection_levels,
+                             _default_n, _ground_levels)
 
 SQRT5 = math.sqrt(5.0)
 
@@ -166,38 +166,52 @@ def test_profile_built_only_when_read(well, monkeypatch):
 
 def test_one_matrix_per_level(well, monkeypatch):
     # each of ground_state's solves (m = 1, 2 and 0) builds one matrix for
-    # its pilot and one per level, in doubling order; reading the profile
-    # builds none
-    calls = []
-    tridiag = spectral._fiber_tridiag
-    monkeypatch.setattr(spectral, "_fiber_tridiag", lambda problem, n: (
-        calls.append((problem.m, problem.n, n)) or tridiag(problem, n)))
+    # its pilot, unless the pilot grid is the first level's, and one per
+    # level, in doubling order, all from one set of index factors on 4n
+    # nodes; reading the profile builds none
+    calls, factors = [], []
+    tridiag, index_factors = spectral._fiber_tridiag, spectral._index_factors
+    monkeypatch.setattr(spectral, "_fiber_tridiag", lambda problem, n, ix: (
+        calls.append((problem, n)) or tridiag(problem, n, ix)))
+    monkeypatch.setattr(spectral, "_index_factors", lambda n: (
+        factors.append(n) or index_factors(n)))
     sol = ground_state(well, 0.1, L=4.0)
     built = list(calls)
     sol.u
     assert calls == built
-    for m in (1, 2, 0):
-        sizes = [n for k, _, n in built if k == m]
-        n0 = next(n0 for k, n0, _ in built if k == m)
-        assert sizes == [max(n0 // 8, 400)] + \
-            [n0 * 2**j for j in range(len(sizes) - 1)]
+    problems = list(dict.fromkeys(p for p, _ in built))
+    assert [p.m for p in problems] == [1, 2, 0]
+    assert factors == [4 * p.n for p in problems]
+    for p in problems:
+        sizes = [n for q, n in built if q is p]
+        pilot = max(p.n // 8, 400)
+        assert sizes == [pilot] * (pilot != p.n) + \
+            [p.n * 2**j for j in range(len(sizes) - (pilot != p.n))]
     assert sizes[-1] == sol.n
+    # a prefix of the factors gives the matrix of fresh ones, bit for bit
+    big = index_factors(4 * p.n)
+    for n in (pilot, p.n, 2 * p.n):
+        for a, b in zip(tridiag(p, n, big), tridiag(p, n, index_factors(n))):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("m, h, n", [(0, 0.3, 4000), (1, 0.05, 400),
                                      (2, 1.0, 5000)])
 def test_pilot_takes_eigenvalues_only(well, monkeypatch, m, h, n):
-    # the pilot's lambda_0 and gap come from the bisection that
-    # symm_tridiag_lowest runs, bit for bit, without its eigenvectors
+    # the pilot's lambda_0 and gap come from a bisection to PILOT_TOL
+    # max|diag|, without eigenvectors: within that of symm_tridiag_lowest
     pilots = []
     values = spectral._tridiag_lowest_values
-    monkeypatch.setattr(spectral, "_tridiag_lowest_values", lambda d, o, k: (
-        pilots.append((d, o, k)) or values(d, o, k)))
+    monkeypatch.setattr(spectral, "_tridiag_lowest_values",
+                        lambda d, o, k, tol: (pilots.append((d, o, k, tol))
+                                              or values(d, o, k, tol)))
     monkeypatch.setattr(spectral, "symm_tridiag_lowest", None)
     next(_ground_levels(FiberProblem(m=m, h=h, R=14.0, n=n, v0=well.v0)))
-    (d, o, k), = pilots
+    (d, o, k, tol), = pilots
     assert len(d) == max(n // 8, MIN_NODES) and k == 2
-    assert np.array_equal(values(d, o, k), symm_tridiag_lowest(d, o, 2)[0])
+    assert tol == PILOT_TOL * np.abs(d).max()
+    exact = symm_tridiag_lowest(d, o, 2)[0]
+    assert np.all(np.abs(values(d, o, k, tol) - exact) <= tol)
 
 
 @pytest.mark.parametrize("depth, L, h", [(4.0, 5.0, 0.01), (1.0, 4.0, 0.02)])
