@@ -211,6 +211,29 @@ def _gauss_nodes(lo, hi, n):
     return lo + 0.5 * (hi - lo) * (x + 1.0), 0.5 * (hi - lo) * w
 
 
+def _interval(x, r):
+    """np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2) for
+    the increasing nodes x: each point's guess from the mean spacing,
+    stepped until x[i] <= r < x[i + 1] (i is 0 or len(x) - 2 off the ends).
+    On evenly spaced nodes no guess is more than one step off.  A NaN point
+    keeps its guess."""
+    top = len(x) - 2
+    guess = (r - x[0]) * ((top + 1) / (x[-1] - x[0]))
+    i = np.fmin(np.fmax(guess, 0.0), top).astype(np.intp)
+    while True:
+        up = x[i + 1] <= r
+        up &= i < top
+        if not up.any():
+            break
+        i += up
+    while True:
+        down = x[i] > r
+        down &= i > 0
+        if not down.any():
+            return i
+        i -= down
+
+
 def _spline(x, y):
     """scipy's not-a-knot CubicSpline of y on the increasing nodes x (at
     least four), as a function of an array or a scalar.
@@ -221,32 +244,52 @@ def _spline(x, y):
     Hermite coefficients and is summed in scipy's order, power by power,
     so the values are scipy's bit for bit (Horner's rule moves them by up
     to 42 ulps).  Points off the grid take the end intervals, as scipy
-    extrapolates.
+    extrapolates.  The bands and coefficients are filled in place, and a
+    point's interval is found from the spacing (_interval), not by binary
+    search.
     """
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
+    n = len(x)
+    dx = x[1:] - x[:-1]
+    slope = y[1:] - y[:-1]
+    slope /= dx
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    diag = np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]]
-    rhs = np.empty(len(x))
-    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    lower, diag, upper, rhs = (np.empty(size) for size in (n - 1, n, n - 1, n))
+    lower[:-1], lower[-1], upper[0], upper[1:] = dx[1:], d1, d0, dx[:-1]
+    diag[0], diag[-1] = dx[1], dx[-2]
+    np.add(dx[:-1], dx[1:], out=diag[1:-1])
+    diag[1:-1] *= 2
+    np.multiply(dx[1:], slope[:-1], out=rhs[1:-1])
+    rhs[1:-1] += dx[:-1] * slope[1:]
+    rhs[1:-1] *= 3
     rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0
     rhs[-1] = (dx[-1]**2 * slope[-2]
                + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    *_, s, info = dgtsv(np.r_[dx[1:], d1], diag, np.r_[d0, dx[:-1]], rhs,
-                        overwrite_d=1, overwrite_b=1)
+    *_, s, info = dgtsv(lower, diag, upper, rhs, overwrite_dl=1,
+                        overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info > 0:
         raise NumericalError("spline slopes: singular matrix (LAPACK dgtsv)")
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    coef = np.empty((4, len(dx)))
-    coef[0], coef[2], coef[3] = t / dx, s[:-1], y[:-1]
-    coef[1] = (slope - s[:-1]) / dx - t
+    # rows t / dx, (slope - s) / dx - t, s and y, where t is
+    # (s[:-1] + s[1:] - 2 slope) / dx, row 1 first holding 2 slope
+    coef = np.empty((4, n - 1))
+    t = np.add(s[:-1], s[1:], out=coef[0])
+    t -= np.multiply(slope, 2, out=coef[1])
+    t /= dx
+    np.subtract(slope, s[:-1], out=coef[1])
+    coef[1] /= dx
+    coef[1] -= t
+    t /= dx
+    coef[2], coef[3] = s[:-1], y[:-1]
 
     def spline(r):
         r = np.asarray(r, dtype=float)
-        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
+        i = _interval(x, r)
         z = r - x[i]
-        c = coef.take(i, axis=1)
-        return c[3] + c[2] * z + c[1] * (z * z) + c[0] * (z * z * z)
+        zz = z * z
+        out = coef[3].take(i) + coef[2].take(i) * z
+        out += coef[1].take(i) * zz
+        zz *= z
+        out += coef[0].take(i) * zz
+        return out
     return spline
 
 
@@ -254,20 +297,23 @@ def _cumulative_simpson(y, x):
     """scipy's cumulative_simpson(y, x=x, initial=0): the integral of each
     sub-interval from the quadratic through it and one neighbour, the one
     on its right for even sub-intervals and on its left for odd ones and
-    the last, summed cumulatively from 0 at x[0]."""
-    def leading(y, dx):   # each triple's integral over its first interval
-        x21_x31 = dx[:-1] / (dx[:-1] + dx[1:])
-        c3 = x21_x31 * (dx[:-1] / dx[1:])
-        return dx[:-1] / 6 * ((3 - x21_x31) * y[:-2]
-                              + (3 + c3 + x21_x31) * y[1:-1] - c3 * y[2:])
+    the last, summed cumulatively from 0 at x[0].  Only those integrals
+    are formed, each by scipy's expression."""
+    def leading(y0, y1, y2, a, b):   # over the first interval, of width a
+        x21_x31 = a / (a + b)
+        c3 = x21_x31 * (a / b)
+        return a / 6 * ((3 - x21_x31) * y0 + (3 + c3 + x21_x31) * y1
+                        - c3 * y2)
 
     dx = np.diff(x)
-    right = leading(y, dx)
-    left = leading(y[::-1], dx[::-1])[::-1]
-    sub = np.empty(len(dx))
-    sub[:-1:2], sub[1::2] = right[::2], left[::2]
-    sub[-1] = left[-1]
-    return np.concatenate(([0.0], np.cumsum(sub)))
+    out = np.empty(len(x))
+    out[0] = 0.0
+    sub = out[1:]
+    sub[:-1:2] = leading(y[:-2:2], y[1:-1:2], y[2::2], dx[:-1:2], dx[1::2])
+    sub[1::2] = leading(y[2::2], y[1:-1:2], y[:-2:2], dx[1::2], dx[:-1:2])
+    sub[-1] = leading(y[-1], y[-2], y[-3], dx[-1], dx[-2])
+    np.cumsum(sub, out=sub)
+    return out
 
 
 def symm_tridiag_lowest(diag, offdiag, k):
@@ -310,7 +356,14 @@ def _tridiag_rayleigh(diag, offdiag):
     rowsum = diag.copy()
     rowsum[:-1] += offdiag
     rowsum[1:] += offdiag
-    return lambda x: rowsum @ x**2 - offdiag @ np.diff(x, axis=0) ** 2
+
+    def rayleigh(x, work=None):
+        """The quotient of x, work an optional scratch array shaped as x."""
+        work = np.square(x, out=work)
+        sq_rows = rowsum @ work
+        diff = np.subtract(x[1:], x[:-1], out=work[:-1])
+        return sq_rows - offdiag @ np.square(diff, out=diff)
+    return rayleigh
 
 
 def _far_end_pivots(diag, offdiag):
@@ -362,23 +415,30 @@ def _tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
     rayleigh = _tridiag_rayleigh(diag, offdiag)
     margin = max(margin, 16.0 * noise)
     change = np.inf
+    # dptsv factors and solves in place, in buffers made once: x and y
+    # trade places every step, and work holds the temporaries
+    n = len(x)
+    shifted, off, y, work = (np.empty(size) for size in (n, n - 1, n, n))
     for _ in range(_MAX_SOLVES):
         sigma = lam - margin
-        *_, y, info = dptsv(diag - sigma, offdiag, x, overwrite_d=1)
+        np.copyto(off, offdiag)
+        np.copyto(y, x)
+        *_, y, info = dptsv(np.subtract(diag, sigma, out=shifted), off, y,
+                            overwrite_d=1, overwrite_e=1, overwrite_b=1)
         if info != 0:    # sigma is not below lambda_0
             margin *= 4.0
             continue
         norm = math.sqrt(y @ y)
         y /= norm
-        change = np.abs(y - x).max()
-        rho = float(rayleigh(y))
-        if change <= 4.0 * noise / gap * np.abs(y).max():
+        change = np.abs(np.subtract(y, x, out=work), out=work).max()
+        rho = float(rayleigh(y, work))
+        if change <= 4.0 * noise / gap * np.abs(y, out=work).max():
             return math.ldexp(rho, k), y
         # T y - rho y = x / |y| - (rho - sigma) y, since (T - sigma) y = x
         x /= norm
-        x -= (rho - sigma) * y
+        x -= np.multiply(y, rho - sigma, out=work)
         margin = 2.0 * float(x @ x) / gap + 16.0 * noise
-        lam, x = rho, y
+        lam, x, y = rho, y, x
     raise AccuracyError(
         f"inverse iteration not converged in {_MAX_SOLVES} solves "
         f"(last change {change:.3e})", estimate=math.ldexp(lam, k),

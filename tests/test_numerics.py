@@ -96,6 +96,23 @@ def test_table_helpers_match_scipy(table_grids):
         assert spline(x[1] + 0.5 * pad) == CubicSpline(x, y)(x[1] + 0.5 * pad)
 
 
+def test_interval_matches_searchsorted():
+    # _spline's interval search is searchsorted's clipped index exactly, on
+    # uneven nodes too (where a guess can be many steps off), at the nodes,
+    # next to them and past both ends
+    rng = np.random.default_rng(5)
+    for x in (np.sort(rng.uniform(-3.0, 3.0, 50)) ** 3,
+              np.linspace(0.0, 2.0, 2001)):
+        pts = np.concatenate([x, np.nextafter(x, -np.inf),
+                              np.nextafter(x, np.inf),
+                              rng.uniform(x[0] - 1.0, x[-1] + 1.0, 10**4),
+                              [-np.inf, np.inf]])
+        want = np.clip(np.searchsorted(x, pts, side="right") - 1, 0,
+                       len(x) - 2)
+        assert np.array_equal(numerics._interval(x, pts), want)
+        assert numerics._interval(x, np.asarray(pts[7])) == want[7]
+
+
 def test_minimize_parabola():
     res = minimize_1d(lambda x: x * x, -1.0, 1.0)
     assert abs(res.argmin) <= 1e-8
