@@ -30,8 +30,8 @@ from .asymptotics import (ActionReport, ConsistencyError, beta_scaling,
                           psi_global_min, sharp_action, w_chain)
 from .pipeline import Case, Pipeline
 
-# the 2-D lattice loads scipy.sparse, so its names load on first use: only
-# a process that builds a lattice pays for it (PEP 562)
+# the 2-D lattice loads SuperLU, so its names load on first use: only a
+# process that builds a lattice pays for it (PEP 562)
 _LATTICE = ("MagneticLattice", "assemble", "gap_row", "gap_vs_hopping",
             "landau_level_2d", "lowest_two")
 

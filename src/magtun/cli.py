@@ -12,6 +12,7 @@ gives the estimate and the bound).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -182,7 +183,7 @@ def cmd_asymptotics(args):
 
 
 def cmd_splitting(args):
-    from .splitting2d import gap_vs_hopping   # loads scipy.sparse
+    from .splitting2d import gap_vs_hopping   # loads SuperLU
 
     box = tuple(args.box) if args.box else None
     pipe = Pipeline(_load_config(args))
@@ -213,7 +214,7 @@ def cmd_sweep(args):
             note = f"error:{type(exc).__name__}"
         if args.with_splitting:
             if pipe.config.fsw_condition:
-                from .splitting2d import gap_row   # loads scipy.sparse
+                from .splitting2d import gap_row   # loads SuperLU
 
                 # outside the try: a splitting failure aborts the command
                 r = gap_row(case)
@@ -232,7 +233,7 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    from .verify import run_battery   # loads scipy.sparse
+    from .verify import run_battery   # loads SuperLU
 
     config = _load_config(args)
     results = run_battery(config, quick=args.quick, landau_delta=args.grid)
@@ -311,9 +312,12 @@ def build_parser():
     return p
 
 
+# parse_args only reads the parser, so a process builds it once
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NumericalError as exc:

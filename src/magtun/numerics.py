@@ -14,18 +14,24 @@ form int exp(g), one per row of a batched integrand g (a scan for each
 row's peak, then two Gauss-Legendre panels split at it).  The tables'
 spline and cumulative Simpson rule, i0e and logsumexp are scipy's, rebuilt
 here bit for bit so that no process imports scipy.interpolate,
-scipy.integrate or scipy.special.  Everything here is pure and reentrant.
+scipy.integrate or scipy.special.  The LAPACK routines are scipy's
+compiled _flapack, loaded from its file (_scipy_extension), and scipy's
+eigh_tridiagonal is rebuilt from its dstebz and dstein calls, so that no
+process imports scipy.linalg.  Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dptsv, dpttrf
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "NumericalError",
@@ -52,6 +58,33 @@ class NumericalError(RuntimeError):
 
 class AccuracyError(NumericalError):
     """Requested tolerance not reached; carries the best estimate."""
+
+
+def _scipy_extension(name):
+    """scipy's compiled module scipy.<name>, loaded from its file, so that
+    no package __init__ above it runs: scipy.linalg's and scipy.sparse's
+    each load scipy's array-API layer, about 0.2 s and 25 MB of a process.
+    The module enters sys.modules under its name, where a later import of
+    its package finds it.  ImportError names the file if it is missing."""
+    full = f"scipy.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    stem = os.path.join(importlib.util.find_spec("scipy")
+                        .submodule_search_locations[0], *name.split("."))
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = stem + suffix
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(full, path)
+            module = sys.modules[full] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's compiled module {full} not found at "
+                      f"{stem}{importlib.machinery.EXTENSION_SUFFIXES[0]}")
+
+
+# LAPACK, as scipy.linalg.lapack serves it
+_flapack = _scipy_extension("linalg._flapack")
+dgtsv, dptsv, dpttrf = _flapack.dgtsv, _flapack.dptsv, _flapack.dpttrf
 
 
 # absolute and relative tolerance of every quadrature
@@ -199,7 +232,7 @@ def logsumexp(a, b):
 @functools.lru_cache(maxsize=16)
 def gauss_legendre(n):
     """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -325,23 +358,41 @@ def symm_tridiag_lowest(diag, offdiag, k):
         raise ValueError(f"need 1 <= k <= dim (k={k}, dim={n})")
     if len(offdiag) != n - 1:
         raise ValueError("offdiag must have length dim - 1")
-    return _eigh_tridiagonal(diag, offdiag, select="i",
-                             select_range=(0, k - 1))
+    if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    return _eigh_tridiagonal(diag, offdiag, k, 0.0, vectors=True)
 
 
 def _tridiag_lowest_values(diag, offdiag, k, tol):
     """The k lowest eigenvalues alone, each bisected to within tol."""
-    return _eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i",
-                             select_range=(0, k - 1), check_finite=False,
-                             tol=tol)
+    return _eigh_tridiagonal(diag, offdiag, k, tol, vectors=False)
 
 
-def _eigh_tridiagonal(*args, **kwargs):
-    """scipy's eigh_tridiagonal, a LAPACK failure raised as NumericalError."""
-    try:
-        return eigh_tridiagonal(*args, **kwargs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(str(exc)) from exc
+def _eigh_tridiagonal(diag, offdiag, k, tol, vectors):
+    """scipy's eigh_tridiagonal(diag, offdiag, select="i", select_range=(0,
+    k - 1), tol=tol, eigvals_only=not vectors) by its LAPACK calls: dstebz
+    bisects the values (block order for dstein, else ascending), dstein
+    takes each vector by inverse iteration, and an argsort puts both in
+    ascending order.  A 1 x 1 matrix is its own eigenvalue.  A LAPACK
+    failure raises NumericalError."""
+    if len(diag) == 1:
+        w = diag[:1].copy()
+        return (w, np.ones((1, 1))) if vectors else w
+    # range 2 selects by index, the 1st to k-th smallest; vl, vu are unread
+    m, w, iblock, isplit, info = _flapack.dstebz(
+        diag, offdiag, 2, 0.0, 1.0, 1, k, tol, "B" if vectors else "E")
+    if info:
+        raise NumericalError(f"stebz (eigh_tridiagonal) did not converge "
+                             f"(LAPACK info={info})")
+    w = w[:m]
+    if not vectors:
+        return w
+    v, info = _flapack.dstein(diag, offdiag, w, iblock, isplit)
+    if info:
+        raise NumericalError(f"stein (eigh_tridiagonal) {info} eigenvectors "
+                             f"failed to converge")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def _tridiag_rayleigh(diag, offdiag):

@@ -14,20 +14,21 @@ exponentially close pair.  The free Landau check runs on a square box,
 where the free operator also commutes with rotation by pi/2: it takes the
 lowest level of the quarter-size sector of rotation-invariant vectors,
 where the m = 0 Landau state lies, away from the rest of the
-near-degenerate Landau cluster.
+near-degenerate Landau cluster.  The matrices are numpy CSR or CSC arrays
+(_Compressed); their products and LU factorizations are scipy's compiled
+csr_matvec and SuperLU, loaded from their files by
+numerics._scipy_extension, so no process imports scipy.sparse.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-# eigsh is unused here, but the benchmark's tracer wraps it by this name
-from scipy.sparse.linalg import eigsh, splu
 
-from .numerics import NumericalError, _richardson
+from .numerics import NumericalError, _richardson, _scipy_extension
 from .pipeline import Case
 from .potential import DoubleWellConfig, RadialWell, eval_V
 
@@ -43,8 +44,58 @@ __all__ = [
 ]
 
 
+_sparsetools = _scipy_extension("sparse._sparsetools")
+_superlu = _scipy_extension("sparse.linalg._dsolve._superlu")
+
+
+def __getattr__(name):
+    # no code here calls eigsh, but perfbench/spans.py still traces it by
+    # this name: served on request (PEP 562), so only the tracer loads
+    # scipy.sparse; this goes once the traced name does
+    if name == "eigsh":
+        from scipy.sparse.linalg import eigsh
+        return eigsh
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _Compressed(NamedTuple):
+    """A square sparse matrix as compressed arrays: row i's entries are
+    data[indptr[i]:indptr[i + 1]], in the increasing columns indices[...]
+    (CSR).  A sector block handed to splu holds its columns this way
+    instead (CSC)."""
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self):
+        return len(self.data)
+
+    def rows(self):
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def diagonal(self, k=0):
+        """The entries (i, i + k) for k >= 0, zero where none is stored."""
+        rows = self.rows()
+        on = self.indices - rows == k
+        out = np.zeros(self.shape[0] - k, self.data.dtype)
+        out[rows[on]] = self.data[on]
+        return out
+
+    def __matmul__(self, v):
+        """M v, by scipy's csr_matvec, which reads v unchecked."""
+        if np.shape(v) != self.shape[1:]:
+            raise ValueError(f"need a vector of {self.shape[1]} entries")
+        out = np.zeros(self.shape[0], np.result_type(self.data, v))
+        _sparsetools.csr_matvec(*self.shape, self.indptr, self.indices,
+                                self.data, v, out)
+        return out
+
+
 class MagneticLattice:
-    """Assembled lattice operator plus its geometry."""
+    """Assembled lattice operator (a CSR _Compressed) plus its geometry."""
 
     def __init__(self, h, delta, x, y, matrix):
         self.h = h
@@ -59,8 +110,15 @@ class MagneticLattice:
         return (len(self.x), len(self.y))
 
     def hermiticity_deviation(self):
-        dev = self.matrix - self.matrix.getH()
-        return 0.0 if dev.nnz == 0 else float(np.abs(dev.data).max())
+        """max |M - M^H| over the stored entries of M and M^H."""
+        M, n = self.matrix, self.n_nodes
+        rows, cols = M.rows(), M.indices.astype(np.int64)
+        keys, mirror = rows * n + cols, cols * n + rows
+        # each entry less the conjugate of its mirror (j, i), or of 0 where
+        # none is stored: this covers every position of M - M^H
+        at = np.minimum(np.searchsorted(keys, mirror), M.nnz - 1)
+        dev = M.data - np.where(keys[at] == mirror, M.data[at].conj(), 0.0)
+        return float(np.abs(dev).max(initial=0.0))
 
     def plaquette_phase_deviation(self):
         """max |product of 4 link phases - exp(-i delta^2/h)| over all cells,
@@ -80,9 +138,10 @@ class MagneticLattice:
         """Conjugate by node phases e^{-i chi/h}: the discrete A -> A + grad chi."""
         XX, YY = np.meshgrid(self.x, self.y, indexing="ij")
         u = np.exp(-1j * chi(XX, YY).ravel() / self.h)
-        U = sp.diags(u)
-        M = (U @ self.matrix @ U.getH()).tocsr()
-        return MagneticLattice(self.h, self.delta, self.x, self.y, M)
+        M = self.matrix
+        data = u[M.rows()] * M.data * u.conj()[M.indices]
+        return MagneticLattice(self.h, self.delta, self.x, self.y,
+                               M._replace(data=data))
 
 
 BOX_MARGIN = 0.4   # default box clearance beyond 3 magnetic lengths
@@ -153,13 +212,25 @@ def assemble(system, h, delta=None, box=None):
     else:
         V = well.v0(np.sqrt(XX**2 + YY**2))
     t = h * h / delta**2
+    n = nx * ny
+    # node k's entries in column order: k - ny, k - 1, k, k + 1, k + ny;
+    # a link off the node set, or from a row's last node to the next row,
+    # is 0 here and not stored (MMD reads the pattern)
+    vals = np.zeros((n, 5), dtype=complex)
     xl = (-t * np.exp(-1j * (-YY[:-1] * delta / 2.0) / h)).ravel()
+    vals[:-ny, 4], vals[ny:, 0] = xl, xl.conj()
     yl = -t * np.exp(-1j * (XX * delta / 2.0) / h)
-    yl[:, -1] = 0.0   # no y link from a row's last node to the next row
+    yl[:, -1] = 0.0
     yl = yl.ravel()[:-1]
-    M = sp.diags([4.0 * t + V.ravel(), xl, xl.conj(), yl, yl.conj()],
-                 [0, ny, -ny, 1, -1], format="csr")
-    M.eliminate_zeros()   # store no row-end y link: MMD reads the pattern
+    vals[:-1, 3], vals[1:, 1] = yl, yl.conj()
+    vals[:, 2] = 4.0 * t + V.ravel()
+    keep = vals != 0
+    cols = np.arange(n, dtype=np.int32)[:, None] + np.array(
+        [-ny, -1, 0, 1, ny], dtype=np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(5 - np.bincount(np.flatnonzero(~keep) // 5, minlength=n),
+              out=indptr[1:])
+    M = _Compressed(vals[keep], cols[keep], indptr, (n, n))
     return MagneticLattice(h, delta, x, y, M)
 
 
@@ -185,13 +256,14 @@ def _rotation_sectors(lattice, order, sigma, parities):
     block sums the rotation images, sum_k p^k M[reps, R^k reps].  For order
     2 on the x/y-symmetric node set, with M = [[A, B], [J B J, J A J]], that
     is A + p B J, and each of its eigenvectors x lifts to [x; p J x]/sqrt(2).
-    All parities share one COO pattern: the reps' rows (slices of M's CSR
-    arrays, or a copy of M[reps] for order 4), each column at its
-    representative's position, then the diagonal, which takes -sigma.  Each
-    parity writes its values (p times those of odd-power columns) into one
-    reused buffer and converts it once to CSC for splu; the conversion adds
-    -sigma to a diagonal entry a, giving exactly a - sigma.  lift(x, parity)
-    turns a block's unit eigenvector into a unit full one.
+    All parities share one pattern of terms: the reps' rows of M, each
+    column at its representative's position, then the diagonal, which
+    takes -sigma.  Its CSC order (by column, then row, ties in that order)
+    is found once; each parity writes its values (p times those of
+    odd-power columns) into one reused buffer and sums each entry's terms
+    in that order, as scipy's COO to CSC conversion does, so a diagonal
+    entry a becomes exactly a - sigma.  lift(x, parity) turns a block's
+    unit eigenvector into a unit full one.
     """
     M = lattice.matrix
     n = M.shape[0]
@@ -206,31 +278,81 @@ def _rotation_sectors(lattice, order, sigma, parities):
         idx = np.arange(n).reshape(nx, nx)
         rot, reps = idx[::-1].T.ravel(), idx[:nx // 2, :nx // 2].ravel()
         turn = "pi/2"
-    if n % order or (M[rot][:, rot] != M).nnz:
+    if n % order or not _commutes(M, order, rot):
         raise ValueError(f"matrix does not commute with rotation by {turn}")
-    # node -> its representative's position in reps (int32, which scipy
-    # takes without a copy) and whether an odd power of R carries it there
+    # node -> its representative's position in reps and whether an odd
+    # power of R carries it there
     pos, odd = np.empty(n, dtype=np.int32), np.empty(n, dtype=bool)
     m, orbit = len(reps), reps
     for k in range(order):
         pos[orbit], odd[orbit] = np.arange(m), k % 2
         orbit = rot[orbit]
-    rows = (M[reps] if order == 4 else M).tocsr()
-    end, diag = rows.indptr[m], np.arange(m, dtype=np.int32)
-    cols, data = rows.indices[:end], rows.data[:end]
-    ij = (np.concatenate([np.repeat(diag, np.diff(rows.indptr[:m + 1])),
-                          diag]), np.concatenate([pos[cols], diag]))
-    far, values = odd[cols], np.concatenate([data, np.full(m, -sigma)])
+    counts = np.diff(M.indptr)[reps]
+    if order == 2:   # the reps' rows are M's first m rows
+        take = slice(0, M.indptr[m])
+    else:
+        take = np.arange(counts.sum()) + np.repeat(
+            M.indptr[reps] - np.cumsum(counts) + counts, counts)
+    cols, data = M.indices[take], M.data[take]
+    # each term's place in the block, column by column; the stable sort
+    # keeps an entry's terms in the order above, the order scipy sums them
+    diag = np.arange(m, dtype=np.int32)
+    key = np.concatenate([pos[cols], diag]).astype(np.int64) * m
+    key += np.concatenate([np.repeat(diag, counts), diag])
+    perm = np.argsort(key, kind="stable")
+    key = key[perm]
+    first = np.empty(len(key), dtype=bool)   # an entry's first term
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    indices = (key[first] % m).astype(np.int32)
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(key[first] // m, minlength=m), out=indptr[1:])
+    later = ~first
+    heads, tails = perm[first], perm[later]
+    tail_entry = np.cumsum(first)[later] - 1
+    far = odd[cols]
+    del key, perm, first, later
+    values = np.concatenate([data, np.full(m, -sigma)])
     blocks = []
     for p in parities:   # only the odd-power columns' values change
-        np.multiply(data, p, out=values[:end], where=far)
-        blocks.append(sp.csc_matrix((values, ij), shape=(m, m)))
+        np.multiply(data, p, out=values[:len(data)], where=far)
+        out = values[heads]
+        np.add.at(out, tail_entry, values[tails])   # one by one, in order
+        blocks.append(_Compressed(out, indices, indptr, (m, m)))
 
     def lift(x, parity):
         v = x[pos]
         return np.where(odd, parity * v, v) / math.sqrt(order)
 
     return blocks, lift
+
+
+def _commutes(M, order, rot):
+    """Whether M[rot][:, rot] equals M entry for entry.  For order 2, the
+    reversal J, J M J's CSR arrays are M's reversed; otherwise M's stored
+    (r, c) lands on (inv r, inv c), inv the inverse permutation, and sorted
+    these must be M's own positions and values."""
+    n = M.shape[0]
+    if order == 2:
+        return (np.array_equal(M.data, M.data[::-1])
+                and np.array_equal(M.indices, n - 1 - M.indices[::-1])
+                and np.array_equal(M.indptr, M.nnz - M.indptr[::-1]))
+    rows, inv = M.rows(), np.argsort(rot)
+    key = inv[rows] * n + inv[M.indices]
+    at = np.argsort(key)
+    return (np.array_equal(key[at], rows * n + M.indices)
+            and np.array_equal(M.data[at], M.data))
+
+
+def splu(block):
+    """SuperLU's LU of a CSC block, ordered by MMD on A^T + A, on a
+    PANEL_SIZE-column panel: what scipy's splu(block, permc_spec=
+    "MMD_AT_PLUS_A", panel_size=PANEL_SIZE) returns, by its call."""
+    return _superlu.gstrf(
+        block.shape[0], block.nnz, block.data, block.indices, block.indptr,
+        csc_construct_func=None, ilu=False,
+        options=dict(DiagPivotThresh=None, ColPerm="MMD_AT_PLUS_A",
+                     PanelSize=PANEL_SIZE, Relax=None))
 
 
 def _inverse_iteration(lu, sigma, x, tol):
@@ -278,8 +400,7 @@ def lowest_two(lattice, sigma, order, start):
     tol = 4.0 * np.finfo(float).eps * scale
     vals, vecs = [], []
     for parity in parities:   # a block goes once factored, its LU once solved
-        lu = splu(blocks.pop(0), permc_spec="MMD_AT_PLUS_A",
-                  panel_size=PANEL_SIZE)
+        lu = splu(blocks.pop(0))
         e, start = _inverse_iteration(lu, sigma, start, tol)
         del lu   # before the next block is factored
         vals, vecs = vals + [e], vecs + [lift(start, parity)]
@@ -341,7 +462,8 @@ def landau_level_2d(h, delta=None):
             1.0 + kappa * (x - 1j * y)**4) - (x * x + y * y) / (4.0 * h),
             (0.0,), 4)
         e = float(lowest_two(lattice, sigma=rq, order=4, start=start)[0][0])
-        rounding = 4.0 * np.finfo(float).eps * lattice.matrix[0, 0].real
+        rounding = 4.0 * np.finfo(float).eps * \
+            lattice.matrix.diagonal()[0].real
         if e > rq + rounding:   # every diagonal entry is 4 h^2 / d^2
             raise NumericalError(f"Landau level {e!r} above its start's "
                                  f"Rayleigh quotient {rq!r}",

@@ -462,10 +462,8 @@ def test_wkb_subcommand():
         [5.0 * k / 50 for k in range(1, 51)]
 
 
-SCIPY_ALLOWED = ["scipy.linalg", "scipy.sparse"]
-
 # Runs one command of each kind in process and lists the public scipy
-# subpackages that are then loaded.
+# subpackages that are then loaded, and whether scipy's array-API layer is.
 _SCIPY_TREE_SPY = """
 import contextlib, io, json, sys
 import magtun.cli
@@ -477,27 +475,32 @@ argvs = [["constants"], ["spectrum", "--h", "0.5"], ["wkb", "--h", "0.5"],
          ["asymptotics", "--beta-sweep", "0.5,1"],
          ["verify", "--quick"],
          ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1",
-          "--grid", "0.1"]]
+          "--grid", "0.1"],
+         ["sweep", "--L", "8.5", "--h-range", "1.2:1.2:1",
+          "--with-splitting"]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [magtun.cli.main(argv) for argv in argvs]
 trees = {name for name, m in sys.modules.items() if name.count(".") == 1
          and name.startswith("scipy.") and not name[6:].startswith("_")
          and hasattr(m, "__path__")}
-print(json.dumps([codes, sorted(trees)]))
+print(json.dumps([codes, sorted(trees),
+                  "scipy._lib._array_api" in sys.modules]))
 """
 
 
 def test_no_command_loads_unused_scipy_trees():
-    # every other subpackage costs every process import time and memory
-    # for nothing magtun calls: interpolate, integrate and optimize about
-    # 0.2 s and 20 MB each, special 0.08 s and 3.6 MB
+    # no command loads a public scipy subpackage: interpolate, integrate
+    # and optimize cost a process about 0.2 s and 20 MB each, special 0.08
+    # s and 3.6 MB, and scipy.linalg and scipy.sparse each load scipy's
+    # array-API layer, about 0.2 s and 25 MB; magtun loads the compiled
+    # LAPACK and SuperLU modules from their files instead
     proc = subprocess.run([sys.executable, "-c", _SCIPY_TREE_SPY],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0] * 10, SCIPY_ALLOWED]
+    assert json.loads(proc.stdout) == [[0] * 11, [], False]
 
 
-LATTICE_STACK = ["magtun.splitting2d", "magtun.verify", "scipy.sparse"]
+LATTICE_STACK = ["magtun.splitting2d", "magtun.verify"]
 
 # Runs every command that builds no lattice in one process, then splitting,
 # then verify, and lists the lattice stack's modules loaded after each.
@@ -526,14 +529,14 @@ print(json.dumps(out))
 
 
 def test_only_lattice_commands_load_the_lattice_stack():
-    # scipy.sparse and the lattice cost each process about 3.7 MB and
-    # 0.03 s, so only a command that builds a lattice may load them
+    # the lattice module and SuperLU load only with a command that builds a
+    # lattice
     proc = subprocess.run([sys.executable, "-c", _LATTICE_IMPORT_SPY],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "codes": [0] * 10, "light": [],
-        "splitting": ["magtun.splitting2d", "scipy.sparse"],
+        "splitting": ["magtun.splitting2d"],
         "verify": LATTICE_STACK}
 
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -239,6 +241,83 @@ def test_tridiag_identity():
 def test_tridiag_argument_error():
     with pytest.raises(ValueError):
         symm_tridiag_lowest([1.0, 2.0], [0.5], 3)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (7, 1), (7, 3), (500, 1),
+                                  (500, 4)])
+def test_tridiag_matches_scipy(n, k):
+    # eigh_tridiagonal's select="i" path rebuilt from its LAPACK calls:
+    # values and vectors, and values alone at a bisection tol, bit for bit
+    from scipy.linalg import eigh_tridiagonal
+
+    rng = np.random.default_rng(n + k)
+    d, e = rng.normal(size=n), rng.normal(size=n - 1)
+    vals, vecs = symm_tridiag_lowest(d, e, k)
+    ref_vals, ref_vecs = eigh_tridiagonal(d, e, select="i",
+                                          select_range=(0, k - 1))
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(vecs, ref_vecs)
+    for tol in (0.0, 1e-6):
+        assert np.array_equal(
+            numerics._tridiag_lowest_values(d, e, k, tol),
+            eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                             select_range=(0, k - 1), tol=tol))
+
+
+def test_tridiag_rejects_non_finite():
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        symm_tridiag_lowest([1.0, np.nan], [0.5], 1)
+
+
+def test_scipy_extension_names_a_missing_file():
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._absent .*_absent"):
+        numerics._scipy_extension("linalg._absent")
+
+
+_LATER_SCIPY_IMPORT = """
+import sys
+import numpy as np
+from magtun import numerics, splitting2d
+loaded = {name: name in sys.modules for name in (
+    "scipy.linalg", "scipy.sparse", "scipy.linalg._flapack",
+    "scipy.sparse._sparsetools", "scipy.sparse.linalg._dsolve._superlu")}
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+same = [scipy.linalg.lapack._flapack is numerics._flapack,
+        sys.modules["scipy.sparse._sparsetools"] is splitting2d._sparsetools,
+        spla._dsolve.linsolve._superlu is splitting2d._superlu]
+rng = np.random.default_rng(1)
+d, e = rng.normal(size=300), rng.normal(size=299)
+vals, vecs = numerics.symm_tridiag_lowest(d, e, 3)
+ref = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 2))
+same += [np.array_equal(vals, ref[0]), np.array_equal(vecs, ref[1])]
+lat = splitting2d.assemble(None, 0.5, delta=0.1)
+(block,), _ = splitting2d._rotation_sectors(lat, 4, 0.45, (1,))
+A = sp.csc_matrix((block.data, block.indices, block.indptr),
+                  shape=block.shape)
+b = rng.normal(size=block.shape[0]) + 0j
+lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A",
+               panel_size=splitting2d.PANEL_SIZE)
+same.append(np.array_equal(splitting2d.splu(block).solve(b), lu.solve(b)))
+print(loaded, same)
+"""
+
+
+def test_scipy_imports_after_the_by_path_modules():
+    # the compiled modules enter sys.modules under their own names, with
+    # no package above them; a later import of scipy.linalg and
+    # scipy.sparse.linalg in the same process finds and uses them, and
+    # its functions give the same bits
+    proc = subprocess.run([sys.executable, "-c", _LATER_SCIPY_IMPORT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, same = proc.stdout.rsplit(" [", 1)
+    assert loaded == str({
+        "scipy.linalg": False, "scipy.sparse": False,
+        "scipy.linalg._flapack": True, "scipy.sparse._sparsetools": True,
+        "scipy.sparse.linalg._dsolve._superlu": True})
+    assert same.strip() == ", ".join(["True"] * 6) + "]"
 
 
 def test_far_end_pivots_recursion():

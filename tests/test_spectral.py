@@ -233,7 +233,8 @@ def test_tail_block_not_definite_is_typed(well):
 
 
 def test_spectral_holds_no_scipy():
-    # numerics is the one module that calls scipy.linalg
+    # numerics is the one module that calls LAPACK (scipy's compiled
+    # _flapack, loaded from its file)
     for name, obj in vars(spectral).items():
         owner = getattr(obj, "__module__", None) or getattr(obj, "__name__",
                                                             "")

@@ -5,13 +5,26 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import splu as splu_ref
 
 from magtun import (Case, MagneticLattice, NumericalError, RadialWell,
                     assemble, gap_vs_hopping, landau_level_2d, lowest_two)
 from magtun import splitting2d
-from magtun.splitting2d import (LANDAU_MARGIN, MAX_LATTICE_NODES,
+from magtun.potential import eval_V
+from magtun.splitting2d import (LANDAU_MARGIN, MAX_LATTICE_NODES, PANEL_SIZE,
                                  _rotation_sectors, gap_row)
+
+
+def _csr(M):
+    """The lattice matrix (CSR arrays) as a scipy matrix."""
+    return sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
+
+
+def _csc(block):
+    """A sector block (CSC arrays) as a scipy matrix."""
+    return sp.csc_matrix((block.data, block.indices, block.indptr),
+                         shape=block.shape)
 
 
 def _nearest(A, sigma, k):
@@ -19,8 +32,8 @@ def _nearest(A, sigma, k):
     scipy's shift-invert eigsh on an MMD-ordered LU of A - sigma from a flat
     start: a reference that shares no solver with splitting2d."""
     n = A.shape[0]
-    lu = splu((A - sigma * sp.identity(n)).tocsc(),
-              permc_spec="MMD_AT_PLUS_A")
+    lu = splu_ref((A - sigma * sp.identity(n)).tocsc(),
+                  permc_spec="MMD_AT_PLUS_A")
     inv = LinearOperator((n, n), matvec=lu.solve, dtype=complex)
     vals, vecs = eigsh(A, k=k, sigma=sigma, OPinv=inv,
                        v0=np.full(n, 1.0 / math.sqrt(n)))
@@ -36,8 +49,10 @@ def test_plaquette_and_hermiticity(config4):
     # reversed or removed field does not
     shifted = lat.with_gauge_shift(lambda x, y: 0.3 * x * x + np.sin(y))
     assert shifted.plaquette_phase_deviation() <= 1e-12
-    for matrix in (lat.matrix.conj(), abs(lat.matrix)):
-        other = MagneticLattice(lat.h, lat.delta, lat.x, lat.y, matrix)
+    M = lat.matrix
+    for data in (M.data.conj(), abs(M.data)):
+        other = MagneticLattice(lat.h, lat.delta, lat.x, lat.y,
+                                M._replace(data=data))
         assert other.plaquette_phase_deviation() >= 1e-3
 
 
@@ -83,6 +98,57 @@ def test_lattice_stores_each_link_once(request, system, h, delta):
     assert np.count_nonzero(lat.matrix.data) == lat.matrix.nnz
 
 
+def _diags_reference(system, lat):
+    """The lattice matrix as scipy's diags assembled it: the five diagonals,
+    converted to CSR, stored zeros (the row-end y links) dropped."""
+    h, delta, ny = lat.h, lat.delta, len(lat.y)
+    XX, YY = np.meshgrid(lat.x, lat.y, indexing="ij")
+    V = np.zeros_like(XX) if system is None else \
+        eval_V(system, np.stack([XX, YY], axis=-1))
+    t = h * h / delta**2
+    xl = (-t * np.exp(-1j * (-YY[:-1] * delta / 2.0) / h)).ravel()
+    yl = -t * np.exp(-1j * (XX * delta / 2.0) / h)
+    yl[:, -1] = 0.0
+    yl = yl.ravel()[:-1]
+    M = sp.diags([4.0 * t + V.ravel(), xl, xl.conj(), yl, yl.conj()],
+                 [0, ny, -ny, 1, -1], format="csr")
+    M.eliminate_zeros()
+    return M
+
+
+@pytest.mark.parametrize("system, h, delta", [("config85", 0.93, 0.1),
+                                              (None, 0.5, None)])
+def test_assembly_matches_scipy_diags(request, system, h, delta):
+    # the CSR arrays are scipy's, and so are the products with a vector
+    # and the diagonals, bit for bit
+    system = system and request.getfixturevalue(system)
+    lat = assemble(system, h, delta=delta)
+    M, ref = lat.matrix, _diags_reference(system, lat)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(M, part), getattr(ref, part))
+    assert M.shape == ref.shape and M.nnz == ref.nnz
+    v = np.random.default_rng(5).normal(size=(lat.n_nodes, 2)) @ [1, 1j]
+    assert np.array_equal(M @ v, ref @ v)
+    with pytest.raises(ValueError, match="need a vector"):
+        M @ v[1:]
+    for k in (0, 1, lat.shape[1]):
+        assert np.array_equal(M.diagonal(k), ref.diagonal(k))
+
+
+def test_hermiticity_deviation_against_scipy(config4):
+    # one link stored in one direction only, one diagonal entry not real
+    lat = assemble(config4, 0.5, delta=0.1)
+    ny = lat.shape[1]
+    M = _csr(lat.matrix).tolil()
+    M[0, ny], M[5, 5] = 0.0, M[5, 5] + 1e-3j
+    M = M.tocsr()
+    M.eliminate_zeros()
+    other = MagneticLattice(lat.h, lat.delta, lat.x, lat.y,
+                            lat.matrix._replace(data=M.data, indices=M.indices,
+                                                indptr=M.indptr))
+    assert other.hermiticity_deviation() == abs(M - M.getH()).max() > 0
+
+
 def test_landau_level_2d():
     # the O(delta^4) left after extrapolation, -1.99e-6 at the default
     # spacings, as in verify's landau_level check
@@ -103,7 +169,7 @@ def test_even_sector_holds_free_ground_state(h):
     for e, delta in zip(raw, (d0, d0 / math.sqrt(2.0))):
         lat = assemble(None, h, delta=delta)
         blocks, _ = _rotation_sectors(lat, 2, 0.0, (1, -1))
-        even, odd = [_nearest(b, 0.9 * h, 1)[0] for b in blocks]
+        even, odd = [_nearest(_csc(b), 0.9 * h, 1)[0] for b in blocks]
         assert abs(e - even[0]) <= 1e-13 * even[0]
         assert e < odd[0]
 
@@ -114,9 +180,10 @@ def test_even_sector_holds_free_ground_state(h):
 def test_shifted_sector_blocks(request, order, system, h, delta, sigma):
     # each block comes shifted and in CSC, equal in data, indices and
     # indptr to its sum of rotation images, sum_k p^k M[reps, R^k reps],
-    # less sigma I, converted after the shift
+    # less sigma I, converted by scipy after the shift; and splu's solves
+    # are those of scipy's splu with the same options, bit for bit
     lat = assemble(system and request.getfixturevalue(system), h, delta=delta)
-    M, n = lat.matrix, lat.n_nodes
+    M, n = _csr(lat.matrix), lat.n_nodes
     parities = (1, -1) if order == 2 else (1,)
     blocks, _ = _rotation_sectors(lat, order, sigma, parities)
     if order == 2:
@@ -133,19 +200,24 @@ def test_shifted_sector_blocks(request, order, system, h, delta, sigma):
             image = rot[image]
         refs.append((sum(images[1:], images[0])
                      - sigma * sp.identity(len(reps))).tocsc())
+    rhs = np.random.default_rng(3).normal(size=(len(reps), 2)) @ [1, 1j]
     for block, ref in zip(blocks, refs, strict=True):
-        assert block.format == "csc"
+        assert ref.has_canonical_format and block.shape == ref.shape
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(block, part), getattr(ref, part))
+        lu = splu_ref(ref, permc_spec="MMD_AT_PLUS_A", panel_size=PANEL_SIZE)
+        assert np.array_equal(splitting2d.splu(block).solve(rhs),
+                              lu.solve(rhs))
 
 
 def test_sector_blocks_built_in_bounded_memory(config85):
-    # numpy and sparsetools report to tracemalloc, so the traced peak is
-    # deterministic: 3.31x the blocks' bytes when each parity copied M[reps]
-    # into its own triplets, 2.23x with one pattern on slices of M's CSR
-    # arrays, where the commutation check's M[rot][:, rot] (2.19x) sets it.
-    # The bound is 2.23 plus a 12% margin, under the 2.63 of the one pattern
-    # on a copy of M[reps].
+    # numpy reports to tracemalloc, so the traced peak is deterministic:
+    # 3.31x the blocks' bytes when each parity copied M[reps] into its own
+    # triplets, 2.23x with one pattern on slices of M's CSR arrays and
+    # scipy's COO to CSC conversion, where the commutation check's
+    # M[rot][:, rot] (2.19x) set it, and 1.96x with the pattern's CSC order
+    # sorted once in numpy.  The bound is 2.23 plus a 12% margin, under the
+    # 2.63 of the one pattern on a copy of M[reps].
     lat = assemble(config85, 0.93, delta=0.05)
     tracemalloc.start()
     try:
@@ -294,7 +366,7 @@ def test_single_well_control(well, case):
     h = 0.3
     lat = assemble(well, h, delta=0.06)
     ref = case(well, h).ground.e_sw
-    vals, _ = _nearest(lat.matrix, ref - 0.2 * h, 2)
+    vals, _ = _nearest(_csr(lat.matrix), ref - 0.2 * h, 2)
     # reads 2.84e-3: the lattice's O(delta^2) error at delta 0.06
     assert abs(vals[0] - ref) / abs(ref) <= 5e-3
 
@@ -303,7 +375,7 @@ def test_parity_of_ground_magnitude(config4, well, case):
     h = 0.5
     lat = assemble(config4, h, delta=0.1)
     sol = case(well, h).ground
-    vals, vecs = _nearest(lat.matrix, sol.e_sw - 0.1 * h, 2)
+    vals, vecs = _nearest(_csr(lat.matrix), sol.e_sw - 0.1 * h, 2)
     psi = np.abs(vecs[:, 0]).reshape(lat.shape)
     flipped = psi[::-1, :]
     assert np.max(np.abs(psi - flipped)) <= 1e-6 * np.max(psi)
@@ -315,8 +387,8 @@ def test_gauge_shift_invariance(config4, well, case):
     lat = assemble(config4, h, delta=0.1)
     shifted = lat.with_gauge_shift(lambda x, y: 0.3 * x + 0.1 * y)
     sigma = case(well, h).ground.e_sw - 0.1 * h
-    v1, _ = _nearest(lat.matrix, sigma, 2)
-    v2, _ = _nearest(shifted.matrix, sigma, 2)
+    v1, _ = _nearest(_csr(lat.matrix), sigma, 2)
+    v2, _ = _nearest(_csr(shifted.matrix), sigma, 2)
     assert np.max(np.abs(v1 - v2)) <= 1e-10
 
 
@@ -326,7 +398,7 @@ def test_delta_refinement_stability(well, case):
     es = []
     for delta in (0.06, 0.06 / math.sqrt(2.0)):
         lat = assemble(well, h, delta=delta)
-        vals, _ = _nearest(lat.matrix, ref - 0.2 * h, 2)
+        vals, _ = _nearest(_csr(lat.matrix), ref - 0.2 * h, 2)
         es.append(vals[0])
     # reads 1.42e-3, half the delta 0.06 error above, as O(delta^2) gives
     assert abs(es[1] - es[0]) / abs(es[0]) <= 3e-3
@@ -340,7 +412,7 @@ def test_box_growth_stability(well, case):
     for extra in (0.0, mag):
         X = 1.0 + 3 * mag + 0.4 + extra
         lat = assemble(well, h, delta=0.06, box=(X, X))
-        vals, _ = _nearest(lat.matrix, ref - 0.2 * h, 2)
+        vals, _ = _nearest(_csr(lat.matrix), ref - 0.2 * h, 2)
         es.append(vals[0])
     # reads 2.4e-12: the box already clears the well by 3 magnetic lengths
     assert abs(es[1] - es[0]) / abs(es[0]) <= 1e-9
@@ -354,7 +426,7 @@ def full_pairs(config85, well, case):
     for h in (1.4, 1.2, 1.0, 0.8):
         lat = assemble(config85, h)
         sigma = case(well, h, L=8.5).ground.e_sw - 0.1 * h
-        out[h] = _nearest(lat.matrix, sigma, 2)
+        out[h] = _nearest(_csr(lat.matrix), sigma, 2)
     return out
 
 
@@ -375,10 +447,9 @@ def test_ground_parity_matches_full_vector(gap_report, full_pairs):
 
 def _rayleigh_longdouble(M, v):
     """v^H M v / v^H v, every product and sum in extended precision."""
-    coo = M.tocoo()
     v = v.astype(np.clongdouble)
     Mv = np.zeros_like(v)
-    np.add.at(Mv, coo.row, coo.data.astype(np.clongdouble) * v[coo.col])
+    np.add.at(Mv, M.rows(), M.data.astype(np.clongdouble) * v[M.indices])
     return (np.sum(v.conj() * Mv) / np.sum(v.conj() * v)).real
 
 
