@@ -69,8 +69,10 @@ def _scipy_extension(name):
     full = f"scipy.{name}"
     if full in sys.modules:
         return sys.modules[full]
-    stem = os.path.join(importlib.util.find_spec("scipy")
-                        .submodule_search_locations[0], *name.split("."))
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError(f"scipy is not installed (for {full})", name="scipy")
+    stem = os.path.join(scipy.submodule_search_locations[0], *name.split("."))
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = stem + suffix
         if os.path.isfile(path):
@@ -373,26 +375,29 @@ def _eigh_tridiagonal(diag, offdiag, k, tol, vectors):
     k - 1), tol=tol, eigvals_only=not vectors) by its LAPACK calls: dstebz
     bisects the values (block order for dstein, else ascending), dstein
     takes each vector by inverse iteration, and an argsort puts both in
-    ascending order.  A 1 x 1 matrix is its own eigenvalue.  A LAPACK
-    failure raises NumericalError."""
+    ascending order.  A 1 x 1 matrix is its own eigenvalue.  LAPACK's info
+    > 0 raises NumericalError, info < 0 ValueError (scipy's _check_info)."""
     if len(diag) == 1:
         w = diag[:1].copy()
         return (w, np.ones((1, 1))) if vectors else w
     # range 2 selects by index, the 1st to k-th smallest; vl, vu are unread
     m, w, iblock, isplit, info = _flapack.dstebz(
         diag, offdiag, 2, 0.0, 1.0, 1, k, tol, "B" if vectors else "E")
-    if info:
-        raise NumericalError(f"stebz (eigh_tridiagonal) did not converge "
-                             f"(LAPACK info={info})")
+    _check_info(info, "stebz", f"did not converge (LAPACK info={info})")
     w = w[:m]
     if not vectors:
         return w
     v, info = _flapack.dstein(diag, offdiag, w, iblock, isplit)
-    if info:
-        raise NumericalError(f"stein (eigh_tridiagonal) {info} eigenvectors "
-                             f"failed to converge")
+    _check_info(info, "stein", f"{info} eigenvectors failed to converge")
     order = np.argsort(w)
     return w[order], v[:, order]
+
+
+def _check_info(info, driver, failure):
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {driver}")
+    if info > 0:
+        raise NumericalError(f"{driver} (eigh_tridiagonal) {failure}")
 
 
 def _tridiag_rayleigh(diag, offdiag):

@@ -278,7 +278,7 @@ def _rotation_sectors(lattice, order, sigma, parities):
         idx = np.arange(n).reshape(nx, nx)
         rot, reps = idx[::-1].T.ravel(), idx[:nx // 2, :nx // 2].ravel()
         turn = "pi/2"
-    if n % order or not _commutes(M, order, rot):
+    if n % order or not _commutes(M, rot):
         raise ValueError(f"matrix does not commute with rotation by {turn}")
     # node -> its representative's position in reps and whether an odd
     # power of R carries it there
@@ -327,19 +327,14 @@ def _rotation_sectors(lattice, order, sigma, parities):
     return blocks, lift
 
 
-def _commutes(M, order, rot):
-    """Whether M[rot][:, rot] equals M entry for entry.  For order 2, the
-    reversal J, J M J's CSR arrays are M's reversed; otherwise M's stored
-    (r, c) lands on (inv r, inv c), inv the inverse permutation, and sorted
-    these must be M's own positions and values."""
+def _commutes(M, rot):
+    """Whether M[rot][:, rot] equals M entry for entry: M's stored (r, c)
+    lands on (inv r, inv c), inv the inverse permutation, and sorted (a
+    merge of the runs a rotation leaves) these must be M's own entries."""
     n = M.shape[0]
-    if order == 2:
-        return (np.array_equal(M.data, M.data[::-1])
-                and np.array_equal(M.indices, n - 1 - M.indices[::-1])
-                and np.array_equal(M.indptr, M.nnz - M.indptr[::-1]))
     rows, inv = M.rows(), np.argsort(rot)
     key = inv[rows] * n + inv[M.indices]
-    at = np.argsort(key)
+    at = np.argsort(key, kind="stable")
     return (np.array_equal(key[at], rows * n + M.indices)
             and np.array_equal(M.data[at], M.data))
 

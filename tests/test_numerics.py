@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -269,9 +270,24 @@ def test_tridiag_rejects_non_finite():
         symm_tridiag_lowest([1.0, np.nan], [0.5], 1)
 
 
+def test_tridiag_illegal_argument_is_a_value_error():
+    # LAPACK's info < 0 is a bad call, not a numerical failure: dstebz's
+    # 7th argument, the upper index, past n
+    with pytest.raises(ValueError, match="illegal value in argument 7 "):
+        numerics._eigh_tridiagonal(np.ones(3), np.full(2, 0.1), 5, 0.0,
+                                   vectors=False)
+
+
 def test_scipy_extension_names_a_missing_file():
     with pytest.raises(ImportError, match=r"scipy\.linalg\._absent .*_absent"):
         numerics._scipy_extension("linalg._absent")
+
+
+def test_scipy_extension_without_scipy_is_an_import_error():
+    with mock.patch("importlib.util.find_spec", return_value=None):
+        with pytest.raises(ImportError, match="not installed") as err:
+            numerics._scipy_extension("linalg._absent")
+    assert err.value.name == "scipy"
 
 
 _LATER_SCIPY_IMPORT = """
