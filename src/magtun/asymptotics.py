@@ -200,14 +200,6 @@ def sharp_action(well, L, profile=None):
     return report
 
 
-def _kernel_g0_log(t, E1):
-    """log of the kernel amplitude g0(t) = t^{-5/4}(t+1)^{-1/4}
-    (1+1/t)^{(E1-1)/2} with E1 = sqrt(1+2 v0''(0)) (WkbAmplitude.E1)."""
-    t = np.asarray(t, dtype=float)
-    return (-1.25 * np.log(t) - 0.25 * np.log1p(t)
-            + 0.5 * (E1 - 1.0) * np.log1p(1.0 / t))
-
-
 @dataclass
 class WChainResult:
     h: float
@@ -215,7 +207,6 @@ class WChainResult:
     log_W2: float
     log_W3: float
     log_W4: float
-    log_W4_alt: float
 
     def ratios(self):
         """(W2/(W1 sqrt h), W3/W2, W4/W3) -- all should trend to 1."""
@@ -231,10 +222,10 @@ def w_chain(case, eta):
     All four share the r-integral over [eta, a] and a t-integral over
     [eta, inf); they differ in which ingredients are replaced by their
     asymptotic forms (u_h -> WKB profile, C_h -> C_h_asy, I0 -> its
-    exponential asymptote, alpha -> its leading term).  W4 is assembled a
-    second time from (m, g0, Psi, F) as a consistency check.  Each
-    t-integral is one call of numerics.log_integral_exp, one row per
-    radial node.
+    exponential asymptote, alpha -> its leading term).  Each t-integral is
+    one call of numerics.log_integral_exp, one row per radial node, and W2
+    reuses W1's: three calls.  W4's form from (m, g0, Psi, F) is rebuilt in
+    the tests and checked against W4 there (test_w_chain_canonical).
     """
     well, L, h = case.config.well, case.config.L, case.h
     a = well.a
@@ -247,8 +238,7 @@ def w_chain(case, eta):
     alpha_main = well.depth / (2.0 * h) - 0.5 * (amplitude.E1 - 1.0)
     log_ch_asy = c_h_asymptotic(h, consts)
     r_nodes, r_wts = _gauss_nodes(eta, a, N_CHAIN)
-    v0_abs = np.abs(well.v0(r_nodes))
-    log_base = np.log(r_nodes * np.maximum(v0_abs, 1e-320))
+    log_base = np.log(r_nodes * np.maximum(np.abs(well.v0(r_nodes)), 1e-320))
     r = r_nodes[:, None]   # the batch: one t-integrand per radial node
     rho2, c = r * r + L * L, L * r
 
@@ -280,22 +270,7 @@ def w_chain(case, eta):
     log_W2 = log_w_wkb(lt)                              # exact kernel
     log_W3 = log_w_wkb(t_integral(g_asy(outer.alpha)))  # asymptotic kernel
     log_W4 = log_w_wkb(t_integral(g_asy(alpha_main)))   # leading-order alpha
-    # W4 rebuilt from (m, g0, Psi, F)
-    def g4(y):
-        t = np.exp(y)
-        return (-(profile.psi(r, t) - consts["F"]) / h
-                + _kernel_g0_log(t, amplitude.E1) + y)
-
-    lt4b = t_integral(g4)
-    # the exact rewrite carries sqrt(r/L), not the bare sqrt(r) of the
-    # compact display
-    log_rw4 = np.log(np.sqrt(r_nodes / L) * np.maximum(v0_abs, 1e-320)) \
-        + amplitude.log_a0(r_nodes)
-    log_W4_alt = (math.log(2.0 * math.pi)
-                  + math.log(consts["m_matched"])
-                  - 0.5 * math.log(2.0 * math.pi * h)
-                  + logsumexp(log_rw4 + lt4b, b=r_wts))
-    return WChainResult(h, log_W1, log_W2, log_W3, log_W4, log_W4_alt)
+    return WChainResult(h, log_W1, log_W2, log_W3, log_W4)
 
 
 def nonmagnetic_action(well, L):

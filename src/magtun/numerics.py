@@ -65,7 +65,12 @@ def _scipy_extension(name):
     no package __init__ above it runs: scipy.linalg's and scipy.sparse's
     each load scipy's array-API layer, about 0.2 s and 25 MB of a process.
     The module enters sys.modules under its name, where a later import of
-    its package finds it.  ImportError names the file if it is missing."""
+    its package finds it.  CPython's extension loader enters a single-phase
+    module there itself (all three that magtun loads are), so the entry
+    cannot be avoided.  No import of its package sets the module as the
+    package's attribute: a scipy.linalg imported after magtun has no
+    _flapack attribute, while its lapack wrappers still bind the module.
+    ImportError names the file if it is missing."""
     full = f"scipy.{name}"
     if full in sys.modules:
         return sys.modules[full]
@@ -416,10 +421,19 @@ def _tridiag_rayleigh(diag, offdiag):
     def rayleigh(x, work=None):
         """The quotient of x, work an optional scratch array shaped as x."""
         work = np.square(x, out=work)
-        sq_rows = rowsum @ work
+        sq_rows = _sum_nodes(rowsum, work)
         diff = np.subtract(x[1:], x[:-1], out=work[:-1])
-        return sq_rows - offdiag @ np.square(diff, out=diff)
+        return sq_rows - _sum_nodes(offdiag, np.square(diff, out=diff))
     return rayleigh
+
+
+def _sum_nodes(a, x):
+    """sum_i a_i x_i along the nodes (axis 0) of x, for each column of a
+    2-D x, with x overwritten by the products.  numpy's add.reduce sums in
+    an order fixed by the array alone (pairwise along a vector), where a
+    BLAS dot product's order follows its thread count."""
+    np.multiply(x.T, a, out=x.T)
+    return np.add.reduce(x, axis=0)
 
 
 def _far_end_pivots(diag, offdiag):
@@ -465,16 +479,16 @@ def _tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
     if k:
         diag, offdiag = np.ldexp(diag, -k), np.ldexp(offdiag, -k)
         top, lam, margin, gap = np.ldexp([top, lam, margin, gap], -k)
+    # dptsv factors and solves in place, in buffers made once: x and y
+    # trade places every step, and work holds the temporaries
+    n = len(diag)
+    shifted, off, y, work = (np.empty(size) for size in (n, n - 1, n, n))
     x = np.asarray(x0, dtype=float)
-    x = x / math.sqrt(x @ x)
+    x = x / math.sqrt(np.add.reduce(np.square(x, out=work)))
     noise = np.finfo(float).eps * top
     rayleigh = _tridiag_rayleigh(diag, offdiag)
     margin = max(margin, 16.0 * noise)
     change = np.inf
-    # dptsv factors and solves in place, in buffers made once: x and y
-    # trade places every step, and work holds the temporaries
-    n = len(x)
-    shifted, off, y, work = (np.empty(size) for size in (n, n - 1, n, n))
     for _ in range(_MAX_SOLVES):
         sigma = lam - margin
         np.copyto(off, offdiag)
@@ -484,7 +498,7 @@ def _tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
         if info != 0:    # sigma is not below lambda_0
             margin *= 4.0
             continue
-        norm = math.sqrt(y @ y)
+        norm = math.sqrt(np.add.reduce(np.square(y, out=work)))
         y /= norm
         change = np.abs(np.subtract(y, x, out=work), out=work).max()
         rho = float(rayleigh(y, work))
@@ -493,7 +507,8 @@ def _tridiag_ground_pair(diag, offdiag, x0, lam, margin, gap):
         # T y - rho y = x / |y| - (rho - sigma) y, since (T - sigma) y = x
         x /= norm
         x -= np.multiply(y, rho - sigma, out=work)
-        margin = 2.0 * float(x @ x) / gap + 16.0 * noise
+        margin = (2.0 * float(np.add.reduce(np.square(x, out=work))) / gap
+                  + 16.0 * noise)
         lam, x, y = rho, y, x
     raise AccuracyError(
         f"inverse iteration not converged in {_MAX_SOLVES} solves "

@@ -1,5 +1,8 @@
 """Shared fixtures; expensive stages are built once per session."""
 
+import math
+
+import numpy as np
 import pytest
 
 from magtun import Case, DoubleWellConfig, Pipeline, RadialWell, gap_vs_hopping
@@ -94,6 +97,42 @@ def deep_chain(well_deep, case):
     return {h: {eta: w_chain(case(well_deep, h), eta)
                 for eta in ((0.05, 0.1, 0.2) if h == 0.05 else (0.05,))}
             for h in (0.3, 0.2, 0.14, 0.1, 0.07, 0.05)}
+
+
+@pytest.fixture(scope="session")
+def w4_rebuilt():
+    """w4_rebuilt(case, eta) -> log W4 assembled a second way, from the
+    matched prefactor m, the kernel amplitude g0(t) = t^{-5/4} (t+1)^{-1/4}
+    (1+1/t)^{(E1-1)/2}, the phase Psi of the Agmon profile and F, on
+    w_chain's r-rule: the oracle for asymptotics.w_chain's W4."""
+    from magtun.asymptotics import N_CHAIN
+    from magtun.numerics import _gauss_nodes, log_integral_exp, logsumexp
+    from magtun.wkb import Y_HI, matching_constants
+
+    def rebuild(case, eta):
+        well, L, h = case.config.well, case.config.L, case.h
+        profile, amplitude = case.pipeline.profile, case.pipeline.amplitude
+        consts = matching_constants(case.pipeline)
+        r_nodes, r_wts = _gauss_nodes(eta, well.a, N_CHAIN)
+        r = r_nodes[:, None]
+
+        def g4(y):
+            t = np.exp(y)
+            log_g0 = (-1.25 * np.log(t) - 0.25 * np.log1p(t)
+                      + 0.5 * (amplitude.E1 - 1.0) * np.log1p(1.0 / t))
+            return -(profile.psi(r, t) - consts["F"]) / h + log_g0 + y
+
+        log_t = log_integral_exp(g4, math.log(eta), Y_HI)
+        # the exact rewrite carries sqrt(r/L), not the bare sqrt(r) of the
+        # compact display
+        v0_abs = np.maximum(np.abs(well.v0(r_nodes)), 1e-320)
+        log_r = np.log(np.sqrt(r_nodes / L) * v0_abs) \
+            + amplitude.log_a0(r_nodes)
+        return (math.log(2.0 * math.pi) + math.log(consts["m_matched"])
+                - 0.5 * math.log(2.0 * math.pi * h)
+                + logsumexp(log_r + log_t, b=r_wts))
+
+    return rebuild
 
 
 def acceptance_line(num, ok, detail):

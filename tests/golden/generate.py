@@ -6,9 +6,13 @@
 Each golden file `<name>.json` holds one command's argv, exit code, stdout
 and stderr (as lists of lines, newlines kept).  `run` executes every
 command in one fresh interpreter through `magtun.cli.main`, with the three
-BLAS thread variables at 1, since the lattice levels round differently
-under other thread counts.  `tests/test_golden.py` compares the files with
-the tree's output within stated tolerances; `--exact` compares bytes.  A
+BLAS thread variables at 1.  A command that builds no 2-D lattice prints
+the same bytes at any BLAS thread count: its reductions are numpy's, in a
+fixed order.  The lattice commands (`builds_lattice`) print the same bytes
+only at one thread count, since the lattice's LU solves round differently
+under each.  `tests/test_golden.py` compares the files with the tree's
+output within stated tolerances, and the lattice-free commands' output at
+1 and 2 threads byte for byte; `--exact` compares bytes with the files.  A
 change that moves an output regenerates the files and says which commands
 moved, by how much and why.
 """
@@ -116,13 +120,20 @@ def name(argv):
     return re.sub(r"[^\w.-]+", "_", " ".join(argv).replace("--", ""))
 
 
-def run():
-    """Every command's record, from one interpreter at one BLAS thread."""
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-                   filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+def builds_lattice(argv):
+    """Whether the command may build a 2-D lattice."""
+    return argv[0] in ("splitting", "verify") or "--with-splitting" in argv
+
+
+def run(commands=COMMANDS, threads=1):
+    """Each command's record, from one interpreter at `threads` BLAS
+    threads."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
     proc = subprocess.run([sys.executable, "-c", _RUNNER],
-                          input=json.dumps(COMMANDS), capture_output=True,
+                          input=json.dumps(commands), capture_output=True,
                           text=True, env=env, check=True)
     return json.loads(proc.stdout)
 

@@ -19,10 +19,10 @@ from pathlib import Path
 
 MODULES = ("agmon", "asymptotics", "hopping", "numerics", "pipeline",
            "potential", "spectral", "splitting2d", "verify", "wkb")
-BUDGET = 180
+BUDGET = 179
 # the landed `cat src/magtun/*.py | wc -l`: lower it with each deletion, and
 # state a reason in CHANGES.md for any rise
-LINE_BUDGET = 3270
+LINE_BUDGET = 3260
 # options of all subcommands together, -h aside
 CLI_OPTION_BUDGET = 42
 

@@ -163,12 +163,12 @@ def test_interaction_small_a_trend():
         2.0 * float(free_action_primitive(0.05, 1.0)), rel=0.01)
 
 
-def test_w_chain_canonical(well, case):
+def test_w_chain_canonical(well, case, w4_rebuilt):
     eta, c = 0.05, case(well, 0.3)
     res = w_chain(c, eta)
     for lw in (res.log_W1, res.log_W2, res.log_W3, res.log_W4):
         assert np.isfinite(lw)  # strictly positive integrals
-    assert res.log_W4 == pytest.approx(res.log_W4_alt, abs=1e-8)
+    assert res.log_W4 == pytest.approx(w4_rebuilt(c, eta), abs=1e-8)
     with pytest.raises(ValueError):
         w_chain(c, 1.5)
 

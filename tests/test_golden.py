@@ -1,14 +1,16 @@
 """The checked CLI commands against their committed golden outputs.
 
 `tests/golden/generate.py` lists the commands and wrote the files; here
-they all run again in one interpreter at one BLAS thread.  Exit codes and
-every non-numeric piece of text must match exactly.  Numbers must agree
-within RTOL relative, since another host may round differently, except the
-2-D gap columns, which carry the rounding of the two levels they subtract:
-8 ulp of the larger level (the rounding `splitting2d.gap_row` flags), and
-every level these commands print stays below LEVEL_MAX.  Residuals that
-sit at rounding level (verify's `8.9e-16` and the like) can move on a host
-with another BLAS; regenerate the files there.
+they all run again in one interpreter at one BLAS thread, and those that
+build no lattice once more at two threads, where they must print the same
+bytes.  Exit codes and every non-numeric piece of text must match exactly.
+Numbers must agree within RTOL relative, since another host may round
+differently, except the 2-D gap columns, which carry the rounding of the
+two levels they subtract: 8 ulp of the larger level (the rounding
+`splitting2d.gap_row` flags), and every level these commands print stays
+below LEVEL_MAX.  Residuals that sit at rounding level (verify's `8.9e-16`
+and the like) can move on a host with another BLAS; regenerate the files
+there.
 """
 
 import importlib.util
@@ -17,6 +19,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 _spec = importlib.util.spec_from_file_location(
     "golden_generate", Path(__file__).parent / "golden" / "generate.py")
@@ -76,12 +79,28 @@ def _stream_differs(got, want):
     return False
 
 
-def test_golden_outputs():
+@pytest.fixture(scope="module")
+def one_thread():
+    """Every command's record at one BLAS thread."""
+    return generate.run()
+
+
+def test_golden_outputs(one_thread):
     moved = [" ".join(want["argv"]) for got, want in
-             zip(generate.run(), generate.load())
+             zip(one_thread, generate.load())
              if got["exit"] != want["exit"]
              or _stream_differs(got["stdout"], want["stdout"])
              or _stream_differs(got["stderr"], want["stderr"])]
+    assert not moved, moved
+
+
+def test_lattice_free_outputs_independent_of_blas_threads(one_thread):
+    # the 1-D path reduces in numpy's fixed order, never through a BLAS dot
+    # product, whose summation order follows the thread count
+    records = [r for r in one_thread if not generate.builds_lattice(r["argv"])]
+    two_threads = generate.run([r["argv"] for r in records], threads=2)
+    moved = [" ".join(one["argv"]) for one, two in zip(records, two_threads)
+             if one != two]
     assert not moved, moved
 
 

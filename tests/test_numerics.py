@@ -21,7 +21,7 @@ from magtun.wkb import (T_BLOCK, Y_HI, OuterRepresentation, calibrate_outer,
 # follow the fiber eigensolver through alpha = 1/2 - e_sw/2h: a shift of
 # 1e-9 in e_sw moves log_W2 and log_W3 by 2e-9 to 4e-9.
 FROZEN_W_BESSEL = {0.3: -6.056438260738497e-08, 0.5: -4.3908913659126126e-05}
-FROZEN_W_CHAIN = {  # log_W1, log_W2, log_W3, log_W4, log_W4_alt
+FROZEN_W_CHAIN = {  # log_W1, log_W2, log_W3, log_W4 and W4 rebuilt
     0.3: (-17.614590573365238, -18.06672297576426, -18.15906770016447,
           -18.29786963604039, -18.29786963604039),
     0.5: (-11.643503741767983, -11.524955800014917, -11.642681505542296,
@@ -301,6 +301,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 same = [scipy.linalg.lapack._flapack is numerics._flapack,
+        scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"],
         sys.modules["scipy.sparse._sparsetools"] is splitting2d._sparsetools,
         spla._dsolve.linsolve._superlu is splitting2d._superlu]
 rng = np.random.default_rng(1)
@@ -323,8 +324,9 @@ print(loaded, same)
 def test_scipy_imports_after_the_by_path_modules():
     # the compiled modules enter sys.modules under their own names, with
     # no package above them; a later import of scipy.linalg and
-    # scipy.sparse.linalg in the same process finds and uses them, and
-    # its functions give the same bits
+    # scipy.sparse.linalg in the same process finds and uses them (the
+    # lapack wrappers bind the sys.modules entry, though scipy.linalg has
+    # no _flapack attribute), and its functions give the same bits
     proc = subprocess.run([sys.executable, "-c", _LATER_SCIPY_IMPORT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -333,7 +335,7 @@ def test_scipy_imports_after_the_by_path_modules():
         "scipy.linalg": False, "scipy.sparse": False,
         "scipy.linalg._flapack": True, "scipy.sparse._sparsetools": True,
         "scipy.sparse.linalg._dsolve._superlu": True})
-    assert same.strip() == ", ".join(["True"] * 6) + "]"
+    assert same.strip() == ", ".join(["True"] * 7) + "]"
 
 
 def test_far_end_pivots_recursion():
@@ -385,11 +387,12 @@ def test_tridiag_ground_pair_scales_deep_matrices_exactly():
 
 def _matvec_ground_pair(diag, offdiag, x0, lam, margin, gap):
     """The inverse-iteration loop before its residual came from the solve:
-    Temple's residual from the product T x, norms from np.linalg.norm and
-    fresh arrays at every step.  The reference for _tridiag_ground_pair."""
+    Temple's residual from the product T x and fresh arrays at every step.
+    Norms sum the squares pairwise (np.sum), as _tridiag_ground_pair does.
+    The reference for _tridiag_ground_pair."""
     top = np.abs(diag).max()
     x = np.asarray(x0, dtype=float)
-    x = x / np.linalg.norm(x)
+    x = x / math.sqrt(np.sum(x * x))
     noise = np.finfo(float).eps * top
     rayleigh = numerics._tridiag_rayleigh(diag, offdiag)
     margin = max(margin, 16.0 * noise)
@@ -399,7 +402,7 @@ def _matvec_ground_pair(diag, offdiag, x0, lam, margin, gap):
         if info != 0:
             margin *= 4.0
             continue
-        y /= np.linalg.norm(y)
+        y /= math.sqrt(np.sum(y * y))
         change = np.abs(y - x).max()
         x = y
         rho = float(rayleigh(x))
@@ -543,9 +546,10 @@ def test_outer_t_integral_across_block_boundary():
 
 def test_one_kernel_call_per_t_integral(well, case, monkeypatch):
     # w_chain integrates all its N_CHAIN radial nodes in one batched call
-    # per t-integral, four in all; hopping_bessel its N_ROUTE nodes in one,
-    # T_BLOCK being N_ROUTE; and calibrate_outer fits and checks its 9
-    # points in one
+    # per t-integral, three in all (W1, which W2 reuses, W3 and W4), so a
+    # stage that nothing prints shows as a fourth; hopping_bessel its
+    # N_ROUTE nodes in one, T_BLOCK being N_ROUTE; and calibrate_outer fits
+    # and checks its 9 points in one
     from magtun import asymptotics, hopping, wkb
 
     calls = []
@@ -560,7 +564,7 @@ def test_one_kernel_call_per_t_integral(well, case, monkeypatch):
     monkeypatch.setattr(asymptotics, "log_integral_exp", counted)
     monkeypatch.setattr(wkb, "log_integral_exp", counted)
     w_chain(c, 0.05)
-    assert calls == [(math.log(0.05), asymptotics.N_CHAIN)] * 4
+    assert calls == [(math.log(0.05), asymptotics.N_CHAIN)] * 3
     calls.clear()
     hopping_bessel(c)
     assert calls == [(c.outer.y_lo, hopping.N_ROUTE)]
@@ -659,9 +663,10 @@ def test_outer_t_integral_matches_mpmath_from_t0(depth, L, h, alpha):
 
 
 @pytest.mark.parametrize("h", [0.3, 0.5])
-def test_t_kernel_frozen_values(well, case, h):
+def test_t_kernel_frozen_values(well, case, w4_rebuilt, h):
     wb = hopping_bessel(case(well, h))
     assert wb == pytest.approx(FROZEN_W_BESSEL[h], rel=1e-10, abs=0)
     res = w_chain(case(well, h), 0.05)
-    got = (res.log_W1, res.log_W2, res.log_W3, res.log_W4, res.log_W4_alt)
+    got = (res.log_W1, res.log_W2, res.log_W3, res.log_W4,
+           w4_rebuilt(case(well, h), 0.05))
     assert got == pytest.approx(FROZEN_W_CHAIN[h], rel=1e-10)
