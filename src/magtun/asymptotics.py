@@ -49,14 +49,19 @@ class ConsistencyError(NumericalError):
     """Numerically violated inequality that theory guarantees."""
 
 
+def _saddle_quadratic(well, L):
+    """(A2, B) of the minimizer's quadratic A2 s^2 - B s + depth^2 = 0."""
+    a, depth = well.a, well.depth
+    return (L * L - a * a) ** 2, 2.0 * depth * (L * L + a * a) + L * L * a * a
+
+
 def minimizer_closed_form(well, L):
     """(t_a, s_plus) from the defining quadratic; validates both necessary
     conditions (larger root, (L^2+a^2) s - depth > 0)."""
     a, depth = well.a, well.depth
     if L <= 2.0 * a:
         raise ValueError("need L > 2a")
-    A2 = (L * L - a * a) ** 2
-    B = 2.0 * depth * (L * L + a * a) + L * L * a * a
+    A2, B = _saddle_quadratic(well, L)
     disc = B * B / (4.0 * A2) - depth * depth
     if disc <= 0:
         raise ConsistencyError("minimizer discriminant not positive")

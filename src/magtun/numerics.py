@@ -3,21 +3,21 @@
 Fixed-order quadrature (Gauss-Legendre on 128 nodes, its error the
 difference from the 64-node rule), bracketed 1-D minimization with a global
 grid pre-scan and array passes that narrow the bracket, the modified Bessel
-function I0 in log form (Cephes' Chebyshev series for the exponentially
-scaled I0, as scipy.special.i0e sums it), a log-sum-exp with weights,
-cached Gauss-Legendre rules, the lowest eigenpairs of symmetric tridiagonal
-matrices (bisection for several, certified shifted inverse iteration on
-LAPACK's dptsv for the lowest one, each eigenvalue a cancellation-free
-Rayleigh quotient, and the far-end pivots of a positive-definite one by
-LAPACK's dpttrf), and a log-stabilized evaluator for integrals of the
-form int exp(g), one per row of a batched integrand g (a scan for each
-row's peak, then two Gauss-Legendre panels split at it).  The tables'
-spline and cumulative Simpson rule, i0e and logsumexp are scipy's, rebuilt
-here bit for bit so that no process imports scipy.interpolate,
-scipy.integrate or scipy.special.  The LAPACK routines are scipy's
-compiled _flapack, loaded from its file (_scipy_extension), and scipy's
-eigh_tridiagonal is rebuilt from its dstebz and dstein calls, so that no
-process imports scipy.linalg.  Everything here is pure and reentrant.
+function I0 in log form (scipy's exponentially scaled i0e), a log-sum-exp
+with weights, cached Gauss-Legendre rules, the lowest eigenpairs of
+symmetric tridiagonal matrices (bisection for several, certified shifted
+inverse iteration on LAPACK's dptsv for the lowest one, each eigenvalue a
+cancellation-free Rayleigh quotient, and the far-end pivots of a
+positive-definite one by LAPACK's dpttrf), and a log-stabilized evaluator
+for integrals of the form int exp(g), one per row of a batched integrand g
+(a scan for each row's peak, then two Gauss-Legendre panels split at it).
+The tables' spline and cumulative Simpson rule and logsumexp are scipy's,
+rebuilt here bit for bit so that no process imports scipy.interpolate,
+scipy.integrate or scipy.special.  The LAPACK routines and i0e are scipy's
+compiled _flapack and _special_ufuncs, each loaded from its file
+(_scipy_extension), and scipy's eigh_tridiagonal is rebuilt from its
+dstebz and dstein calls, so that no process imports scipy.linalg.
+Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _scipy_extension(name):
     each load scipy's array-API layer, about 0.2 s and 25 MB of a process.
     The module enters sys.modules under its name, where a later import of
     its package finds it.  CPython's extension loader enters a single-phase
-    module there itself (all three that magtun loads are), so the entry
+    module there itself (all four that magtun loads are), so the entry
     cannot be avoided.  No import of its package sets the module as the
     package's attribute: a scipy.linalg imported after magtun has no
     _flapack attribute, while its lapack wrappers still bind the module.
@@ -92,6 +92,8 @@ def _scipy_extension(name):
 # LAPACK, as scipy.linalg.lapack serves it
 _flapack = _scipy_extension("linalg._flapack")
 dgtsv, dptsv, dpttrf = _flapack.dgtsv, _flapack.dptsv, _flapack.dpttrf
+# the exponentially scaled I0, as scipy.special serves it
+i0e = _scipy_extension("special._special_ufuncs").i0e
 
 
 # absolute and relative tolerance of every quadrature
@@ -167,58 +169,13 @@ def minimize_1d(f, lo, hi, tol=1e-8):
     return Minimum1D(float(x), float(fx))
 
 
-# Cephes' Chebyshev coefficients of exp(-z) I0(z) in z/2 - 2 on [0, 8] and
-# of exp(-z) sqrt(z) I0(z) in 32/z - 2 on (8, inf)
-_I0_A = (
-    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
-    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
-    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
-    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
-    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
-    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
-    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
-    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
-    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
-    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
-)
-_I0_B = (
-    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
-    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
-    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
-    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
-    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
-    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
-    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
-    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
-    0.8044904110141088,
-)
-
-
-def _chbevl(x, coef):
-    """Cephes' chbevl: Clenshaw's b0 <- x b1 - b2 + c in place, (b0 - b2)/2."""
-    b0, b1, b2 = np.full_like(x, coef[0]), np.zeros_like(x), np.empty_like(x)
-    for c in coef[1:]:
-        b0, b1, b2 = b2, b0, b1
-        np.multiply(x, b1, out=b0)
-        b0 -= b2
-        b0 += c
-    return 0.5 * (b0 - b2)
-
-
 def log_bessel_i0(z):
     """log I0(z) = log i0e(z) + z for z >= 0, stable for arbitrarily large
-    z; i0e is summed by Cephes' steps (Moshier 1989), chbevl(z/2 - 2, A)
-    up to 8 and chbevl(32/z - 2, B) / sqrt(z) above, so it is
-    scipy.special.i0e's bit for bit."""
+    z, with i0e scipy's compiled ufunc (Cephes' Chebyshev series)."""
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise ValueError("log_bessel_i0 requires z >= 0")
-    small = z <= 8.0
-    out = np.empty_like(z)
-    out[small] = _chbevl(z[small] / 2.0 - 2.0, _I0_A)
-    big = z[~small]
-    out[~small] = _chbevl(32.0 / big - 2.0, _I0_B) / np.sqrt(big)
-    out = np.log(out) + z
+    out = np.log(i0e(z)) + z
     return float(out) if out.ndim == 0 else out
 
 

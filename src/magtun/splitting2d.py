@@ -155,16 +155,12 @@ LANDAU_MARGIN = 1.5   # the free box's half-width beyond 3 magnetic lengths
 RESIDUAL_RTOL = 1e-10   # eigenpair residual gate, relative to max |diag|
 
 
-def assemble(system, h, delta=None, box=None):
-    """Five-point gauge-covariant stencil on a node set symmetric in x and y;
-    node k = i ny + j links to k + ny (x) and k + 1 (y).
-
-    system: DoubleWellConfig, RadialWell (single well at the origin), or
-    None (free Landau operator, whose default box is the square, for the
-    pi/2 turn, of half-width 3 sqrt(2h) + LANDAU_MARGIN).  Preconditions:
-    0 < delta <= min(sqrt(h)/6, a/10), and the box half-widths must be
-    positive and clear the wells by >= 3 magnetic lengths 3 sqrt(2h).
-    """
+def _grid(system, h, delta=None, box=None):
+    """(well, L, delta, nx, ny) of assemble's lattice, checked before
+    anything is built: ValueError unless 0 < delta <= min(sqrt(h)/6, a/10)
+    (by default the bound), the box half-widths are positive and clear the
+    wells by >= 3 magnetic lengths 3 sqrt(2h), and the lattice has at most
+    MAX_LATTICE_NODES nodes."""
     if isinstance(system, DoubleWellConfig):
         well, L = system.well, system.L
     elif isinstance(system, RadialWell):
@@ -202,7 +198,19 @@ def assemble(system, h, delta=None, box=None):
     if nx * ny > MAX_LATTICE_NODES:
         raise ValueError(f"lattice of nx={nx:.4g} x ny={ny:.4g} nodes is "
                          f"above MAX_LATTICE_NODES={MAX_LATTICE_NODES}")
-    nx, ny = int(nx), int(ny)
+    return well, L, delta, int(nx), int(ny)
+
+
+def assemble(system, h, delta=None, box=None):
+    """Five-point gauge-covariant stencil on a node set symmetric in x and y;
+    node k = i ny + j links to k + ny (x) and k + 1 (y).
+
+    system: DoubleWellConfig, RadialWell (single well at the origin), or
+    None (free Landau operator, whose default box is the square, for the
+    pi/2 turn, of half-width 3 sqrt(2h) + LANDAU_MARGIN).  _grid states the
+    preconditions on delta and the box.
+    """
+    well, L, delta, nx, ny = _grid(system, h, delta, box)
     x, y = ((np.arange(k) - (k - 1) / 2.0) * delta for k in (nx, ny))
     XX, YY = np.meshgrid(x, y, indexing="ij")
     if well is None:
@@ -425,31 +433,38 @@ def _start(lattice, log_state, centres, order):
     return x, np.vdot(v, lattice.matrix @ v).real / np.vdot(v, v).real
 
 
+def _landau_rungs(h, delta=None):
+    """landau_level_2d's two spacings, delta (by default sqrt(h)/6) and
+    delta/sqrt(2); ValueError if assemble would refuse either."""
+    if delta is None:
+        delta = math.sqrt(h) / 6.0
+    deltas = (delta, delta / math.sqrt(2.0))
+    for d in deltas:
+        _grid(None, h, d)
+    return deltas
+
+
 def landau_level_2d(h, delta=None):
     """Free-operator lowest eigenvalue, Richardson-extrapolated in delta.
 
-    The two rungs are the spacings delta, by default sqrt(h)/6, and
-    delta/sqrt(2); assemble rejects a spacing that is not finite and
-    positive, or too coarse, before it builds anything.  The lowest Landau
-    level on a Dirichlet box is a near-degenerate cluster of the angular
-    modes m = 0, 1, 2, ..., but the free operator on the square box commutes
-    with rotation by pi/2, and so does its ground state, the m = 0 Landau
-    state e^{-r^2/4h}.  Each rung solves the sector of invariant vectors
-    (m = 0 mod 4) by inverse iteration from that state at its Rayleigh
-    quotient rq, an upper bound on the lowest level: a level above rq
-    beyond rounding is a NumericalError.  With Pi = hD - A the stencil is
-    Pi^2 - delta^2 (Pi_x^4 + Pi_y^4) / 12h^2 + O(delta^4), whose quartic
-    term mixes the n = 4 Landau state conj(z)^4 e^{-r^2/4h} (z = x + iy)
-    into the ground state; the start carries that first-order share,
-    delta^2 conj(z)^4 / 768h^3.  Without it rq lay up to 0.36 of the way
-    from the lowest sector level to the next, which the box walls set 5e-6
-    to 1.1e-5 above it (h 0.5), and beyond that level at h 0.3; with it,
-    1.1e-3 to 2.8e-3 of the way (h 0.3 to 1): 3 LU solves a rung at h 0.5
-    and 1, where Lanczos took 21.
+    The two rungs are _landau_rungs' spacings, both checked before either is
+    built.  The lowest Landau level on a Dirichlet box is a near-degenerate
+    cluster of the angular modes m = 0, 1, 2, ..., but the free operator on
+    the square box commutes with rotation by pi/2, and so does its ground
+    state, the m = 0 Landau state e^{-r^2/4h}.  Each rung solves the sector
+    of invariant vectors (m = 0 mod 4) by inverse iteration from that state
+    at its Rayleigh quotient rq, an upper bound on the lowest level: a level
+    above rq beyond rounding is a NumericalError.  With Pi = hD - A the
+    stencil is Pi^2 - delta^2 (Pi_x^4 + Pi_y^4) / 12h^2 + O(delta^4), whose
+    quartic term mixes the n = 4 Landau state conj(z)^4 e^{-r^2/4h}
+    (z = x + iy) into the ground state; the start carries that first-order
+    share, delta^2 conj(z)^4 / 768h^3.  Without it rq lay up to 0.36 of the
+    way from the lowest sector level to the next, which the box walls set
+    5e-6 to 1.1e-5 above it (h 0.5), and beyond that level at h 0.3; with
+    it, 1.1e-3 to 2.8e-3 of the way (h 0.3 to 1): 3 LU solves a rung at h
+    0.5 and 1, where Lanczos took 21.
     """
-    if delta is None:
-        delta = math.sqrt(h) / 6.0
-    deltas, es = (delta, delta / math.sqrt(2.0)), []
+    deltas, es = _landau_rungs(h, delta), []
     for d in deltas:
         lattice = assemble(None, h, delta=d)
         kappa = d * d / (768.0 * h**3)   # the n = 4 level's first-order share

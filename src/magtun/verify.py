@@ -16,16 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import psi_global_min
+from .asymptotics import _saddle_quadratic, psi_global_min
 from .pipeline import Case, Pipeline
 from .potential import WellValidationError
 from .spectral import FiberProblem, harmonic_expansion_check, solve_fiber
-from .splitting2d import gap_vs_hopping, landau_level_2d
+from .splitting2d import _landau_rungs, gap_vs_hopping, landau_level_2d
 from .wkb import wkb_error_exponent, wkb_profile_error
 
 __all__ = ["CheckResult", "run_battery"]
 
 SWEEP_H = (0.2, 0.14, 0.1, 0.07, 0.05)   # h of the two exponent fits
+LANDAU_H = 0.5   # the free lattice's h; its lowest Landau level is h
 
 
 @dataclass
@@ -54,6 +55,7 @@ def run_battery(config, quick=False, landau_delta=None):
     # a bad spacing is a config error, not one more failed check
     if landau_delta is not None and not 0 < landau_delta < math.inf:
         raise ValueError(f"need finite delta > 0 (got {landau_delta})")
+    _landau_rungs(LANDAU_H, landau_delta)   # too coarse, or too many nodes
     well, L = config.well, config.L
     results = []
     # each stage once per battery, never across calls
@@ -71,14 +73,14 @@ def run_battery(config, quick=False, landau_delta=None):
         sol = solve_fiber(FiberProblem(m=0, h=1.0, R=19.0, n=5000),
                           k=1, tol=1e-9)
         fiber_ok = abs(sol.e_sw - 1.0) <= 1e-6
-        e2d, _ = landau_level_2d(0.5, delta=landau_delta)
+        e2d, _ = landau_level_2d(LANDAU_H, delta=landau_delta)
         # the O(delta^4) left after the delta^2 extrapolation: it grows with
         # the grid, to -1.99e-6 at the coarsest one allowed, sqrt(0.5)/6
         # (measured over grids 0.04-0.1179), so 1e-5 keeps a 5x margin
-        lat_ok = abs(e2d - 0.5) / 0.5 <= 1e-5
+        lat_ok = abs(e2d - LANDAU_H) / LANDAU_H <= 1e-5
         return fiber_ok and lat_ok, (
             f"fiber |lam1 - 1| = {abs(sol.e_sw - 1.0):.1e}, "
-            f"lattice rel {(e2d - 0.5) / 0.5:+.2e}")
+            f"lattice rel {(e2d - LANDAU_H) / LANDAU_H:+.2e}")
 
     def oscillator():
         mus = (1.0,) if quick else (0.5, 1.0, 2.0)
@@ -111,16 +113,19 @@ def run_battery(config, quick=False, landau_delta=None):
         rep = harmonic_expansion_check(well, hs, e_sw, e_err)
         if rep.floor_reached:
             raise _Skip(rep.message)
+        # window about the h^2 law, tuned to the bump: p 1.844 (ROADMAP 14)
         return 1.4 <= rep.exponent <= 2.1, f"p = {rep.exponent:.3f}"
 
     def wkb_q():
         hs, _, _, errors = sweep_columns()
         q = wkb_error_exponent(hs, errors)
+        # window tuned to the bump, not derived: q 0.599 (ROADMAP 5, 14)
         return 0.4 <= q <= 1.1, f"q = {q:.3f}"
 
     def reality():
         frac = max(abs(cases[h].w_direct.imag) / abs(cases[h].w_direct)
                    for h in route_h)
+        # w is real by symmetry, so Im w is rounding: 2.0e-16 to 8.0e-15
         return frac <= 1e-8, f"|Im w|/|w| = {frac:.1e}"
 
     def routes():
@@ -136,11 +141,11 @@ def run_battery(config, quick=False, landau_delta=None):
     def psi_min():
         # S's closed-form minimizer and Psi there, against the search
         s_plus, ref = pipe.action.s_plus, pipe.action.psi_min
-        A2 = (L * L - well.a**2) ** 2
-        B = 2.0 * well.depth * (L * L + well.a**2) + L**2 * well.a**2
+        A2, B = _saddle_quadratic(well, L)
         resid = abs(A2 * s_plus**2 - B * s_plus + well.depth**2) / \
             (A2 * s_plus**2)
         _, _, val = psi_global_min(pipe.profile)
+        # floors of double precision: 1.6e-16 to 3.5e-16, and 0 to 2.0e-16
         ok = (abs(val - ref) <= 1e-6 * abs(ref)) and resid <= 1e-10
         return ok, f"grid-vs-closed-form {abs(val-ref)/abs(ref):.1e}, " \
                    f"root residual {resid:.1e}"
@@ -170,6 +175,7 @@ def run_battery(config, quick=False, landau_delta=None):
         rows = rep.resolvable_rows()
         if not rows:
             raise _Skip("skipped(floor): gap below eigensolver floor")
+        # gap / 2|w| = 1 + O(h): 1.027-1.135 on the default grid (ROADMAP 14)
         ok = all(rep.corridor[0] <= r.h_ln_gap <= rep.corridor[1]
                  and 0.5 <= r.ratio <= 2.0 for r in rows)
         return ok, f"ratios {[round(float(r.ratio), 3) for r in rows]}"

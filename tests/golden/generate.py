@@ -77,6 +77,8 @@ COMMANDS = [
     SPLIT + ["--box", "1e300", "1e300"],
     ["verify", "--quick", "--grid", "0"],
     ["verify", "--quick", "--grid", "-0.1"],
+    ["verify", "--quick", "--grid", "0.2"],
+    ["verify", "--quick", "--grid", "1e-4"],
     ["verify", "--quick", "--depth", "1e300", "--a", "1e-5"],
     ["sweep", "--h-range", "0.3:inf:2"],
     ["hopping", "--h-range", "0.3:inf:2"],

@@ -22,7 +22,7 @@ MODULES = ("agmon", "asymptotics", "hopping", "numerics", "pipeline",
 BUDGET = 179
 # the landed `cat src/magtun/*.py | wc -l`: lower it with each deletion, and
 # state a reason in CHANGES.md for any rise
-LINE_BUDGET = 3260
+LINE_BUDGET = 3243
 # options of all subcommands together, -h aside
 CLI_OPTION_BUDGET = 42
 

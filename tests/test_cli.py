@@ -116,7 +116,11 @@ SPLIT = ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1"]
     (["verify", "--quick", "--depth", "1e300", "--a", "1e-5"],
      "need finite t_a and S (got t_a=nan, S=nan at depth=1e+300, a=1e-05)"),
     (SPLIT + ["--grid", "1e-4"], "nodes is above MAX_LATTICE_NODES=500000"),
-    (SPLIT + ["--box", "1e300", "1e300"], "nodes is above MAX_LATTICE_NODES")],
+    (SPLIT + ["--box", "1e300", "1e300"], "nodes is above MAX_LATTICE_NODES"),
+    (["verify", "--quick", "--grid", "0.2"],
+     "delta=0.2 too coarse for h=0.5: need <= 0.1179"),
+    (["verify", "--quick", "--grid", "1e-4"],
+     "nodes is above MAX_LATTICE_NODES=500000")],
     ids=["L-below-2a", "L-nan", "L-inf", "depth-inf", "depth-nan", "a-nan",
          "spectrum-h-inf", "spectrum-h-nan", "spectrum-modes-negative",
          "spectrum-h-squared-inf",
@@ -128,7 +132,8 @@ SPLIT = ["splitting", "--L", "8.5", "--h-range", "1.2:1.2:1"]
          "h-range-two-fields", "h-range-not-numbers", "h-range-n-not-int",
          "beta-sweep-empty", "action-with-eta", "beta-sweep-with-h-range",
          "wkb-infinite-curvature", "constants-nan-action", "verify-nan-action",
-         "splitting-grid-above-cap", "splitting-box-above-cap"])
+         "splitting-grid-above-cap", "splitting-box-above-cap",
+         "verify-grid-too-coarse", "verify-grid-above-cap"])
 def test_invalid_config_exit_2(capsys, argv, names):
     from magtun import cli
 
@@ -463,7 +468,8 @@ def test_wkb_subcommand():
 
 
 # Runs one command of each kind in process and lists the public scipy
-# subpackages that are then loaded, and whether scipy's array-API layer is.
+# subpackages that are then loaded, whether scipy's array-API layer is, and
+# every scipy module loaded.
 _SCIPY_TREE_SPY = """
 import contextlib, io, json, sys
 import magtun.cli
@@ -484,7 +490,9 @@ trees = {name for name, m in sys.modules.items() if name.count(".") == 1
          and name.startswith("scipy.") and not name[6:].startswith("_")
          and hasattr(m, "__path__")}
 print(json.dumps([codes, sorted(trees),
-                  "scipy._lib._array_api" in sys.modules]))
+                  "scipy._lib._array_api" in sys.modules,
+                  sorted(name for name in sys.modules
+                         if name.split(".")[0] == "scipy")]))
 """
 
 
@@ -493,11 +501,15 @@ def test_no_command_loads_unused_scipy_trees():
     # and optimize cost a process about 0.2 s and 20 MB each, special 0.08
     # s and 3.6 MB, and scipy.linalg and scipy.sparse each load scipy's
     # array-API layer, about 0.2 s and 25 MB; magtun loads the compiled
-    # LAPACK and SuperLU modules from their files instead
+    # LAPACK, SuperLU and i0e modules from their files instead, and those
+    # four compiled modules are the only scipy modules any command loads
     proc = subprocess.run([sys.executable, "-c", _SCIPY_TREE_SPY],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0] * 11, [], False]
+    assert json.loads(proc.stdout) == [[0] * 11, [], False, sorted([
+        "scipy.linalg._flapack", "scipy.special._special_ufuncs",
+        "scipy.sparse._sparsetools",
+        "scipy.sparse.linalg._dsolve._superlu"])]
 
 
 LATTICE_STACK = ["magtun.splitting2d", "scipy.sparse._sparsetools",

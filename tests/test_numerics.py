@@ -169,7 +169,7 @@ def test_bessel_small():
 
 
 def test_bessel_against_scipy():
-    # Cephes' series on both branches, bit for bit scipy's i0e
+    # scipy's i0e on both of Cephes' branches, on the array and scalar paths
     near8 = [np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, 9.0)]
     z = np.concatenate([np.linspace(0.0, 8.0, 20001),
                         np.linspace(8.0, 200.0, 20001),
@@ -179,6 +179,21 @@ def test_bessel_against_scipy():
     assert np.array_equal(ours, np.log(scipy.special.i0e(z)) + z)
     for x in near8 + [0.0, 5e-324, 1e308]:   # the scalar path
         assert log_bessel_i0(x) == np.log(scipy.special.i0e(x)) + x
+
+
+def test_bessel_against_mpmath():
+    # an oracle independent of scipy: |error| <= 4 eps max(1, |log I0|)
+    # from 1e-300 to 1e300 and on both sides of Cephes' split at z = 8
+    z = np.concatenate([np.geomspace(1e-300, 1e300, 121),
+                        np.geomspace(1e-3, 1e3, 401),
+                        np.linspace(0.0, 16.0, 301),
+                        [np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0)]])
+    ours = log_bessel_i0(z)
+    with mpmath.workdps(30):
+        worst = max(abs(mpmath.mpf(got) - ref) / max(1, abs(ref))
+                    for got, ref in zip(ours, (
+                        mpmath.log(mpmath.besseli(0, x)) for x in z)))
+    assert worst <= 4 * np.finfo(float).eps
 
 
 def test_logsumexp_against_scipy():
@@ -295,15 +310,19 @@ import sys
 import numpy as np
 from magtun import numerics, splitting2d
 loaded = {name: name in sys.modules for name in (
-    "scipy.linalg", "scipy.sparse", "scipy.linalg._flapack",
-    "scipy.sparse._sparsetools", "scipy.sparse.linalg._dsolve._superlu")}
+    "scipy.linalg", "scipy.sparse", "scipy.special", "scipy.linalg._flapack",
+    "scipy.special._special_ufuncs", "scipy.sparse._sparsetools",
+    "scipy.sparse.linalg._dsolve._superlu")}
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+import scipy.special
 same = [scipy.linalg.lapack._flapack is numerics._flapack,
         scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"],
         sys.modules["scipy.sparse._sparsetools"] is splitting2d._sparsetools,
-        spla._dsolve.linsolve._superlu is splitting2d._superlu]
+        spla._dsolve.linsolve._superlu is splitting2d._superlu,
+        scipy.special.i0e is sys.modules["scipy.special._special_ufuncs"].i0e,
+        scipy.special.i0e is numerics.i0e]
 rng = np.random.default_rng(1)
 d, e = rng.normal(size=300), rng.normal(size=299)
 vals, vecs = numerics.symm_tridiag_lowest(d, e, 3)
@@ -332,10 +351,11 @@ def test_scipy_imports_after_the_by_path_modules():
     assert proc.returncode == 0, proc.stderr
     loaded, same = proc.stdout.rsplit(" [", 1)
     assert loaded == str({
-        "scipy.linalg": False, "scipy.sparse": False,
-        "scipy.linalg._flapack": True, "scipy.sparse._sparsetools": True,
+        "scipy.linalg": False, "scipy.sparse": False, "scipy.special": False,
+        "scipy.linalg._flapack": True, "scipy.special._special_ufuncs": True,
+        "scipy.sparse._sparsetools": True,
         "scipy.sparse.linalg._dsolve._superlu": True})
-    assert same.strip() == ", ".join(["True"] * 7) + "]"
+    assert same.strip() == ", ".join(["True"] * 9) + "]"
 
 
 def test_far_end_pivots_recursion():

@@ -16,13 +16,17 @@ def test_verify_quick_passes():
     assert any(l.startswith("SKIP") and "splitting_gap" in l for l in lines)
 
 
-def test_verify_injected_fault_named():
-    # a lattice spacing too coarse for the Landau check must produce a
-    # failure named landau_level and exit 1
-    proc = subprocess.run(BASE + ["verify", "--quick", "--grid", "0.5"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 1
-    failing = [l for l in proc.stdout.splitlines() if l.startswith("FAIL")]
+def test_verify_injected_fault_named(monkeypatch, capsys):
+    # a Landau level off by 1e-3 must produce a failure named landau_level
+    # and exit 1 (a spacing too coarse for the lattice is a config error,
+    # exit 2, before any check runs: test_cli's test_invalid_config_exit_2)
+    from magtun import cli
+
+    monkeypatch.setattr(verify, "landau_level_2d",
+                        lambda h, delta=None: (1.001 * h, []))
+    assert cli.main(["verify", "--quick"]) == 1
+    failing = [l for l in capsys.readouterr().out.splitlines()
+               if l.startswith("FAIL")]
     assert failing and "landau_level" in failing[0]
 
 
